@@ -2,7 +2,7 @@
 //! `Planner::plan` over a synthetic calibration set, swept across worker
 //! counts. The calibration prologue — one streaming float inference per
 //! image — dominates planning wall clock, so the speedup tracks the
-//! batch driver's scaling on the host (on a single-core host the sweep
+//! planner's `ScopedPool` scaling on the host (on a single-core host the sweep
 //! degenerates to parity, which is itself worth pinning: the parallel
 //! path must not be slower than serial at `workers = 1`).
 

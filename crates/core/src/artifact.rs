@@ -30,13 +30,15 @@
 //! | tail node state | count `u32`, per node: packed weights (`u32` len + bytes), bias (`u32` len + `i64` each), acc scales (`u32` len + `f64` bits each), zp folds (`u32` len + `i64` each) |
 //! | tail weight bitwidth | `u8` (must equal the plan's) |
 //!
-//! The conventions are those of the `.qmcu` model format
-//! ([`quantmcu_nn::import`]): the checksum is verified *before* the body
-//! is parsed, every length field is validated against the bytes actually
-//! remaining before any allocation, structural errors carry the byte
-//! offset they occurred at, and decoding never panics. Dataflow branches
-//! are **not** serialized — they are a deterministic function of the spec
-//! and the patch plan and are rebuilt on load.
+//! The header framing, the little-endian reader/writer and the spec's
+//! operator records (opcodes 1–10) come from [`quantmcu_nn::codec`],
+//! shared with the `.qmcu` model format ([`quantmcu_nn::import`]): the
+//! checksum is verified *before* the body is parsed, every length field
+//! is validated against the bytes actually remaining before any
+//! allocation, structural errors carry the byte offset they occurred at,
+//! and decoding never panics. Dataflow branches are **not** serialized —
+//! they are a deterministic function of the spec and the patch plan and
+//! are rebuilt on load.
 //!
 //! # Versioning rules
 //!
@@ -48,8 +50,9 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
+use quantmcu_nn::codec::{self, fnv1a64, CodecError, Reader, Writer};
 use quantmcu_nn::exec::{NodeQuantState, QuantState};
-use quantmcu_nn::{Graph, GraphSpec, NodeSpec, OpSpec, Source};
+use quantmcu_nn::{Graph, GraphSpec, NodeSpec};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::vdpc::PatchClass;
 use quantmcu_tensor::{Bitwidth, QuantParams, Shape};
@@ -61,9 +64,6 @@ pub const MAGIC: [u8; 4] = *b"QPLN";
 
 /// The format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Byte offset where the checksummed region (and the body) begins.
-const BODY_OFFSET: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -174,18 +174,24 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-// ---------------------------------------------------------------------------
-// Checksum / fingerprint
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash — the format's integrity checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<CodecError> for ArtifactError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadMagic { found } => ArtifactError::BadMagic { found },
+            CodecError::UnsupportedVersion { found, supported } => {
+                ArtifactError::UnsupportedVersion { found, supported }
+            }
+            CodecError::ChecksumMismatch { stored, computed } => {
+                ArtifactError::ChecksumMismatch { stored, computed }
+            }
+            CodecError::Truncated { offset, field } => ArtifactError::Truncated { offset, field },
+            CodecError::UnknownOpcode { offset, opcode } => {
+                ArtifactError::UnknownOpcode { offset, opcode }
+            }
+            CodecError::Corrupted { offset, detail } => ArtifactError::Corrupted { offset, detail },
+            CodecError::Io { path, detail } => ArtifactError::Io { path, detail },
+        }
     }
-    h
 }
 
 /// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 hash of
@@ -194,140 +200,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// every weight bit-exactly.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
     fnv1a64(&quantmcu_nn::import::save_model(graph))
-}
-
-// ---------------------------------------------------------------------------
-// Opcodes (same numbering as the `.qmcu` model format)
-// ---------------------------------------------------------------------------
-
-fn opcode(op: &OpSpec) -> u8 {
-    match op {
-        OpSpec::Conv2d { .. } => 1,
-        OpSpec::DepthwiseConv2d { .. } => 2,
-        OpSpec::Dense { .. } => 3,
-        OpSpec::MaxPool { .. } => 4,
-        OpSpec::AvgPool { .. } => 5,
-        OpSpec::GlobalAvgPool => 6,
-        OpSpec::Relu => 7,
-        OpSpec::Relu6 => 8,
-        OpSpec::Add => 9,
-        OpSpec::Concat => 10,
-    }
-}
-
-fn attrs(op: &OpSpec) -> Vec<u32> {
-    match *op {
-        OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
-            vec![out_ch as u32, kernel as u32, stride as u32, pad as u32]
-        }
-        OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-            vec![kernel as u32, stride as u32, pad as u32]
-        }
-        OpSpec::Dense { out } => vec![out as u32],
-        OpSpec::MaxPool { kernel, stride } | OpSpec::AvgPool { kernel, stride } => {
-            vec![kernel as u32, stride as u32]
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Attribute counts by opcode, for the decoder (must mirror [`attrs`]).
-fn attr_count_for(opcode: u8) -> usize {
-    match opcode {
-        1 => 4,
-        2 => 3,
-        3 => 1,
-        4 | 5 => 2,
-        _ => 0,
-    }
-}
-
-fn op_from(opcode: u8, a: &[u32], offset: usize) -> Result<OpSpec, ArtifactError> {
-    let u = |i: usize| a[i] as usize;
-    Ok(match opcode {
-        1 => OpSpec::Conv2d { out_ch: u(0), kernel: u(1), stride: u(2), pad: u(3) },
-        2 => OpSpec::DepthwiseConv2d { kernel: u(0), stride: u(1), pad: u(2) },
-        3 => OpSpec::Dense { out: u(0) },
-        4 => OpSpec::MaxPool { kernel: u(0), stride: u(1) },
-        5 => OpSpec::AvgPool { kernel: u(0), stride: u(1) },
-        6 => OpSpec::GlobalAvgPool,
-        7 => OpSpec::Relu,
-        8 => OpSpec::Relu6,
-        9 => OpSpec::Add,
-        10 => OpSpec::Concat,
-        other => return Err(ArtifactError::UnknownOpcode { offset, opcode: other }),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over the artifact body. Every read is checked
-/// against the remaining bytes and reports the absolute byte offset of
-/// the field it was decoding — decoding never panics.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    base: usize,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], base: usize) -> Self {
-        Reader { bytes, base, pos: 0 }
-    }
-
-    fn offset(&self) -> usize {
-        self.base + self.pos
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, len: usize, field: &'static str) -> Result<&'a [u8], ArtifactError> {
-        if len > self.remaining() {
-            return Err(ArtifactError::Truncated { offset: self.offset(), field });
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, ArtifactError> {
-        let s = self.take(2, field)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ArtifactError> {
-        let s = self.take(4, field)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, ArtifactError> {
-        let s = self.take(8, field)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn f32_bits(&mut self, field: &'static str) -> Result<f32, ArtifactError> {
-        Ok(f32::from_bits(self.u32(field)?))
-    }
-
-    /// Validates a decoded element count against the bytes remaining
-    /// (`min_bytes` per element) *before* any allocation, so a corrupted
-    /// count cannot cause an out-of-memory abort.
-    fn count(&mut self, min_bytes: usize, field: &'static str) -> Result<usize, ArtifactError> {
-        let at = self.offset();
-        let n = self.u32(field)? as usize;
-        if n.checked_mul(min_bytes).map_or(true, |need| need > self.remaining()) {
-            return Err(ArtifactError::Corrupted { offset: at, detail: "length exceeds payload" });
-        }
-        Ok(n)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -381,109 +253,88 @@ impl PlanArtifact {
 
     /// Serializes the artifact to `.qplan` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // checksum patched below
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
+        let mut w = Writer::new(MAGIC, FORMAT_VERSION);
+        w.u64(self.fingerprint);
 
         let plan = &self.plan;
         let s = plan.spec.input_shape();
         for v in [s.n, s.h, s.w, s.c] {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
+            w.u32(v as u32);
         }
-        out.extend_from_slice(&(plan.spec.len() as u32).to_le_bytes());
+        w.count(plan.spec.len());
         for node in plan.spec.nodes() {
-            out.push(opcode(&node.op));
-            for a in attrs(&node.op) {
-                out.extend_from_slice(&a.to_le_bytes());
-            }
-            out.extend_from_slice(&(node.inputs.len() as u16).to_le_bytes());
-            for inp in &node.inputs {
-                match *inp {
-                    Source::Input => {
-                        out.push(0);
-                        out.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    Source::Node(id) => {
-                        out.push(1);
-                        out.extend_from_slice(&(id as u32).to_le_bytes());
-                    }
-                }
-            }
+            let (opcode, attrs) = codec::op_code(&node.op);
+            w.op(opcode, &attrs, node.inputs.iter().copied());
         }
 
         let pp = &plan.patch_plan;
         for v in [pp.split_at(), pp.rows(), pp.cols()] {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
+            w.u32(v as u32);
         }
-        out.push(plan.weight_bits.bits() as u8);
+        w.u8(plan.weight_bits.bits() as u8);
 
-        out.extend_from_slice(&(plan.patch_classes.len() as u32).to_le_bytes());
+        w.count(plan.patch_classes.len());
         for c in &plan.patch_classes {
-            out.push(match c {
+            w.u8(match c {
                 PatchClass::NonOutlier => 0,
                 PatchClass::Outlier => 1,
             });
         }
 
-        let write_bits = |out: &mut Vec<u8>, bits: &[Bitwidth]| {
-            out.extend_from_slice(&(bits.len() as u32).to_le_bytes());
+        let write_bits = |w: &mut Writer, bits: &[Bitwidth]| {
+            w.count(bits.len());
             for b in bits {
-                out.push(b.bits() as u8);
+                w.u8(b.bits() as u8);
             }
         };
-        out.extend_from_slice(&(plan.branch_bits.len() as u32).to_le_bytes());
+        w.count(plan.branch_bits.len());
         for bits in &plan.branch_bits {
-            write_bits(&mut out, bits);
+            write_bits(&mut w, bits);
         }
-        write_bits(&mut out, &plan.tail_bits);
+        write_bits(&mut w, &plan.tail_bits);
 
-        let write_ranges = |out: &mut Vec<u8>, ranges: &[(f32, f32)]| {
-            out.extend_from_slice(&(ranges.len() as u32).to_le_bytes());
+        let write_ranges = |w: &mut Writer, ranges: &[(f32, f32)]| {
+            w.count(ranges.len());
             for &(lo, hi) in ranges {
-                out.extend_from_slice(&lo.to_bits().to_le_bytes());
-                out.extend_from_slice(&hi.to_bits().to_le_bytes());
+                w.u32(lo.to_bits());
+                w.u32(hi.to_bits());
             }
         };
-        out.extend_from_slice(&(plan.branch_ranges.len() as u32).to_le_bytes());
+        w.count(plan.branch_ranges.len());
         for ranges in &plan.branch_ranges {
-            write_ranges(&mut out, ranges);
+            write_ranges(&mut w, ranges);
         }
-        write_ranges(&mut out, &plan.tail_ranges);
+        write_ranges(&mut w, &plan.tail_ranges);
 
-        out.extend_from_slice(&plan.search_time.as_secs().to_le_bytes());
-        out.extend_from_slice(&plan.search_time.subsec_nanos().to_le_bytes());
+        w.u64(plan.search_time.as_secs());
+        w.u32(plan.search_time.subsec_nanos());
 
         let tail = &self.tail;
-        out.extend_from_slice(&(tail.act_params.len() as u32).to_le_bytes());
+        w.count(tail.act_params.len());
         for p in &tail.act_params {
-            out.extend_from_slice(&p.scale().to_bits().to_le_bytes());
-            out.extend_from_slice(&p.zero_point().to_le_bytes());
-            out.push(p.bitwidth().bits() as u8);
+            w.u32(p.scale().to_bits());
+            w.u32(p.zero_point() as u32);
+            w.u8(p.bitwidth().bits() as u8);
         }
-        out.extend_from_slice(&(tail.nodes.len() as u32).to_le_bytes());
+        w.count(tail.nodes.len());
         for n in &tail.nodes {
-            out.extend_from_slice(&(n.packed_weights.len() as u32).to_le_bytes());
-            out.extend_from_slice(&n.packed_weights);
-            out.extend_from_slice(&(n.bias_q.len() as u32).to_le_bytes());
+            w.count(n.packed_weights.len());
+            w.bytes(&n.packed_weights);
+            w.count(n.bias_q.len());
             for &v in &n.bias_q {
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u64(v as u64);
             }
-            out.extend_from_slice(&(n.acc_scale.len() as u32).to_le_bytes());
+            w.count(n.acc_scale.len());
             for &v in &n.acc_scale {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u64(v.to_bits());
             }
-            out.extend_from_slice(&(n.zp_fold.len() as u32).to_le_bytes());
+            w.count(n.zp_fold.len());
             for &v in &n.zp_fold {
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u64(v as u64);
             }
         }
-        out.push(tail.weight_bits.bits() as u8);
-
-        let sum = fnv1a64(&out[BODY_OFFSET..]);
-        out[8..16].copy_from_slice(&sum.to_le_bytes());
-        out
+        w.u8(tail.weight_bits.bits() as u8);
+        w.finish()
     }
 
     /// Writes the artifact to a `.qplan` file.
@@ -492,11 +343,7 @@ impl PlanArtifact {
     ///
     /// [`ArtifactError::Io`] when the file cannot be written.
     pub fn encode_to_path(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.encode()).map_err(|e| ArtifactError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })
+        Ok(codec::write_file(path.as_ref(), &self.encode())?)
     }
 
     /// Deserializes and validates `.qplan` bytes.
@@ -515,27 +362,7 @@ impl PlanArtifact {
     /// impossible length, or a semantic invariant that does not hold.
     /// Decoding never panics.
     pub fn decode(bytes: &[u8]) -> Result<PlanArtifact, ArtifactError> {
-        if bytes.len() < BODY_OFFSET {
-            return Err(ArtifactError::Truncated { offset: bytes.len(), field: "header" });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != MAGIC {
-            return Err(ArtifactError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let computed = fnv1a64(&bytes[BODY_OFFSET..]);
-        if stored != computed {
-            return Err(ArtifactError::ChecksumMismatch { stored, computed });
-        }
-
-        let r = &mut Reader::new(&bytes[BODY_OFFSET..], BODY_OFFSET);
+        let r = &mut codec::open(bytes, MAGIC, FORMAT_VERSION)?;
         let fingerprint = r.u64("graph fingerprint")?;
 
         let spec = decode_spec(r)?;
@@ -582,12 +409,7 @@ impl PlanArtifact {
         let search_time = Duration::new(secs, nanos);
 
         let tail = decode_quant_state(r)?;
-        if r.remaining() != 0 {
-            return Err(ArtifactError::Corrupted {
-                offset: r.offset(),
-                detail: "trailing bytes after artifact body",
-            });
-        }
+        r.end("trailing bytes after artifact body")?;
 
         // Cross-field invariants: everything Deployment construction (and
         // DeploymentPlan's accessors) assume, checked here with typed
@@ -659,12 +481,7 @@ impl PlanArtifact {
     /// [`ArtifactError::Io`] when the file cannot be read, otherwise the
     /// same errors as [`PlanArtifact::decode`].
     pub fn decode_from_path(path: impl AsRef<Path>) -> Result<PlanArtifact, ArtifactError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| ArtifactError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        PlanArtifact::decode(&bytes)
+        PlanArtifact::decode(&codec::read_file(path.as_ref())?)
     }
 }
 
@@ -688,8 +505,8 @@ fn read_ranges_vec(r: &mut Reader<'_>) -> Result<Vec<(f32, f32)>, ArtifactError>
     let n = r.count(8, "range vector length")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let lo = r.f32_bits("range min")?;
-        let hi = r.f32_bits("range max")?;
+        let lo = f32::from_bits(r.u32("range min")?);
+        let hi = f32::from_bits(r.u32("range max")?);
         out.push((lo, hi));
     }
     Ok(out)
@@ -705,32 +522,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<GraphSpec, ArtifactError> {
     let node_count = r.count(3, "node count")?;
     let mut nodes = Vec::with_capacity(node_count);
     for _ in 0..node_count {
-        let at = r.offset();
-        let code = r.u8("opcode")?;
-        let mut a = [0u32; 4];
-        let n_attrs = attr_count_for(code);
-        for slot in a.iter_mut().take(n_attrs) {
-            *slot = r.u32("operator attribute")?;
-        }
-        let op = op_from(code, &a[..n_attrs], at)?;
-        let n_inputs = usize::from(r.u16("input count")?);
-        if n_inputs.checked_mul(5).map_or(true, |need| need > r.remaining()) {
-            return Err(ArtifactError::Corrupted {
-                offset: at,
-                detail: "input count exceeds payload",
-            });
-        }
-        let mut inputs = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            let at = r.offset();
-            let tag = r.u8("input tag")?;
-            let id = r.u32("input id")? as usize;
-            inputs.push(match tag {
-                0 => Source::Input,
-                1 => Source::Node(id),
-                _ => return Err(ArtifactError::Corrupted { offset: at, detail: "bad input tag" }),
-            });
-        }
+        let (op, inputs) = r.op(codec::op_from)?;
         nodes.push(NodeSpec { op, inputs });
     }
     GraphSpec::new(input_shape, nodes).map_err(|e| ArtifactError::Plan { detail: e.to_string() })
@@ -742,7 +534,7 @@ fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
     let mut act_params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
         let at = r.offset();
-        let scale = r.f32_bits("activation scale")?;
+        let scale = f32::from_bits(r.u32("activation scale")?);
         let zero_point = r.u32("activation zero point")? as i32;
         let bitwidth = read_bitwidth(r, "activation bitwidth")?;
         act_params.push(
@@ -757,21 +549,10 @@ fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
     for _ in 0..n_nodes {
         let n_packed = r.count(1, "packed weight length")?;
         let packed_weights = r.take(n_packed, "packed weights")?.to_vec();
-        let n_bias = r.count(8, "bias length")?;
-        let mut bias_q = Vec::with_capacity(n_bias);
-        for _ in 0..n_bias {
-            bias_q.push(r.u64("bias value")? as i64);
-        }
-        let n_scale = r.count(8, "accumulator scale length")?;
-        let mut acc_scale = Vec::with_capacity(n_scale);
-        for _ in 0..n_scale {
-            acc_scale.push(f64::from_bits(r.u64("accumulator scale")?));
-        }
-        let n_fold = r.count(8, "zero-point fold length")?;
-        let mut zp_fold = Vec::with_capacity(n_fold);
-        for _ in 0..n_fold {
-            zp_fold.push(r.u64("zero-point fold")? as i64);
-        }
+        let bias_q = r.u64s("bias length")?.into_iter().map(|v| v as i64).collect();
+        let acc_scale =
+            r.u64s("accumulator scale length")?.into_iter().map(f64::from_bits).collect();
+        let zp_fold = r.u64s("zero-point fold length")?.into_iter().map(|v| v as i64).collect();
         nodes.push(NodeQuantState { packed_weights, bias_q, acc_scale, zp_fold });
     }
     let weight_bits = read_bitwidth(r, "tail weight bitwidth")?;
@@ -782,6 +563,7 @@ fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
 mod tests {
     use super::*;
     use crate::{Engine, SramBudget};
+    use quantmcu_nn::codec::BODY_OFFSET;
     use quantmcu_nn::{init, GraphSpecBuilder};
     use quantmcu_tensor::Tensor;
 

@@ -3,8 +3,9 @@
 
 use std::borrow::Borrow;
 use std::sync::Arc;
+use std::thread;
 
-use quantmcu_nn::exec::{batch, CompiledGraph, ExecState, QuantState};
+use quantmcu_nn::exec::{CompiledGraph, ExecState, QuantState, ScopedPool};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
 use quantmcu_tensor::{QuantParams, Tensor};
@@ -176,23 +177,26 @@ impl Deployment {
         Session::new(self)
     }
 
-    /// Serves a batch over `workers` **scoped** threads, each with its
-    /// own fresh [`Session`] against this shared deployment, returning
-    /// outputs in input order. Results are **bit-identical for every
-    /// worker count**; `workers = 1` is exactly the serial session loop.
-    /// For long-lived traffic that should keep warm sessions, a bounded
-    /// queue and micro-batching between calls, wrap the deployment in a
-    /// persistent [`Server`](crate::Server) instead.
+    /// Serves a batch over a [`ScopedPool`] of `workers` threads, each
+    /// with its own fresh [`Session`] against this shared deployment,
+    /// returning outputs in input order. Results are **bit-identical for
+    /// every worker count**; `workers = 1` is exactly the serial session
+    /// loop. For long-lived traffic that should keep warm sessions, a
+    /// bounded queue and micro-batching between calls, wrap the
+    /// deployment in a persistent [`Server`](crate::Server) instead.
     ///
     /// # Errors
     ///
-    /// Returns the first failing input's error.
+    /// Returns the lowest-indexed failing input's error.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics (propagated).
     pub fn run_batch(&self, inputs: &[Tensor], workers: usize) -> Result<Vec<Tensor>, Error> {
-        batch::par_map_states(inputs, workers, || self.session(), Session::run)
+        thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, workers.min(inputs.len()), |_| self.session());
+            pool.map(inputs.iter().collect(), |session, input| session.run(input))
+        })
     }
 }
 
@@ -332,6 +336,7 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             let parallel = dep.run_batch(&test, workers).unwrap();
             assert_eq!(serial, parallel, "worker count {workers} changed outputs");
+            assert!(dep.run_batch(&[], workers).unwrap().is_empty());
         }
     }
 

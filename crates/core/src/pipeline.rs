@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use quantmcu_nn::exec::{batch, CompiledGraph, ExecState, ScopedPool};
+use quantmcu_nn::exec::{CompiledGraph, ExecState, ScopedPool};
 use quantmcu_nn::{Graph, GraphSpec};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::score::ScoreTable;
@@ -190,16 +190,10 @@ impl Planner {
         let spec = graph.spec().clone();
         let patch_plan = PatchPlan::fitted(&spec, self.cfg.grid, sram_bytes)?;
         let compiled = CompiledGraph::new(graph)?;
-        let workers = self.cfg.workers.max(1);
-        let pro = if workers <= 1 {
-            let pool = ScopedPool::inline(|_| ExecState::new());
+        let pro = thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, self.cfg.workers, |_| ExecState::new());
             self.prologue_on_pool(&pool, &compiled, calibration, &spec, &patch_plan)
-        } else {
-            thread::scope(|scope| {
-                let pool = ScopedPool::spawned(scope, workers, |_| ExecState::new());
-                self.prologue_on_pool(&pool, &compiled, calibration, &spec, &patch_plan)
-            })
-        }?;
+        })?;
         let Prologue { head, tail, branches, slots, unique_values, tail_values, .. } = pro;
         let unique_ranges: Vec<(f32, f32)> = unique_values.iter().map(|v| min_max(v)).collect();
         let branch_ranges =
@@ -238,16 +232,10 @@ impl Planner {
         }
         let spec = graph.spec().clone();
         let compiled = CompiledGraph::new(graph)?;
-        let workers = self.cfg.workers.max(1);
-        if workers <= 1 {
-            let pool = ScopedPool::inline(|_| ExecState::new());
-            Ok(self.sweep_on_pool(&pool, &compiled, calibration, &spec, budgets))
-        } else {
-            thread::scope(|scope| {
-                let pool = ScopedPool::spawned(scope, workers, |_| ExecState::new());
-                Ok(self.sweep_on_pool(&pool, &compiled, calibration, &spec, budgets))
-            })
-        }
+        Ok(thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, self.cfg.workers, |_| ExecState::new());
+            self.sweep_on_pool(&pool, &compiled, calibration, &spec, budgets)
+        }))
     }
 
     /// One sweep on an already-standing pool. Infallible at the sweep
@@ -668,7 +656,7 @@ impl Planner {
                 .map(|g| spec.feature_map_shape(quantmcu_nn::FeatureMapId(split + g)).len())
                 .collect(),
         );
-        let chunk_count = batch::effective_workers(pool.workers(), calibration.len());
+        let chunk_count = pool.workers().min(calibration.len()).max(1);
         let chunk_size = calibration.len().div_ceil(chunk_count);
         let chunks: Vec<&'env [Tensor]> = calibration.chunks(chunk_size).collect();
         let accs = pool.map(chunks, {

@@ -34,9 +34,9 @@
 //!   `Instant`s, so snapshots are comparable across hosts.
 //!
 //! Under the hood the server is a thin policy layer over
-//! [`quantmcu_nn::exec::WorkerPool`], the reusable persistent-pool
-//! primitive (the pooled twin of the scoped
-//! [`batch::par_map_states`](quantmcu_nn::exec::batch::par_map_states)).
+//! [`quantmcu_nn::exec::WorkerPool`], the persistent one of the
+//! workspace's two parallel primitives (the scoped one,
+//! [`quantmcu_nn::exec::ScopedPool`], carries `Deployment::run_batch`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,9 +12,9 @@
 //! [`ExecState`] is the cheap per-worker half: the scratch arenas and
 //! feature-map slots one in-flight inference needs. Constructing one
 //! allocates nothing; the arenas warm up over the first inference and
-//! every later run is allocation-free. The batch driver
-//! ([`crate::exec::batch`]) pairs one shared `CompiledGraph` with one
-//! `ExecState` per worker thread.
+//! every later run is allocation-free. A
+//! [`ScopedPool`](crate::exec::ScopedPool) pairs one shared
+//! `CompiledGraph` with one `ExecState` per worker thread.
 //!
 //! The [`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor) façades bundle the two

@@ -19,9 +19,9 @@ use crate::spec::FeatureMapId;
 /// tensor's buffer.
 ///
 /// To share one compilation across threads, use [`CompiledGraph`] with
-/// one [`ExecState`] per worker directly (or the drivers in
-/// [`crate::exec::batch`]); this façade is the single-threaded
-/// convenience.
+/// one [`ExecState`] per worker directly (for example as the per-worker
+/// state of a [`ScopedPool`](crate::exec::ScopedPool)); this façade is
+/// the single-threaded convenience.
 ///
 /// # Example
 ///

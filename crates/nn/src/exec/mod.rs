@@ -7,14 +7,13 @@
 //! end-to-end) and requantization tables. [`ExecState`] is the
 //! cheap per-worker half: the scratch arenas and feature-map slots one
 //! in-flight inference needs. One compiled graph plus N states executes
-//! on N threads at once; the [`batch`] module provides the scoped-thread
-//! drivers ([`batch::run_batch`], [`batch::run_batch_quant`],
-//! [`batch::stream_chunks`]) with deterministic, input-ordered results,
-//! and the [`pool`] module provides [`WorkerPool`] — the persistent
-//! counterpart (long-lived workers, bounded micro-batching queue) that
-//! serving runtimes keep warm across calls — plus [`ScopedPool`], the
-//! scope-bound middle ground (one spawn/join round, many ordered maps
-//! over borrowed data) that the planner drives all its fan-outs through.
+//! on N threads at once, through one of the two parallel primitives in
+//! the [`pool`] module: [`ScopedPool`] (workers inside a
+//! [`std::thread::scope`], many ordered maps over borrowed data,
+//! deterministic input-ordered results) carries the planner's fan-outs
+//! and `quantmcu::Deployment::run_batch`, and [`WorkerPool`] (long-lived
+//! workers, bounded micro-batching queue) keeps serving runtimes warm
+//! across calls.
 //!
 //! All execution dispatches into the shared op-kernel layer in
 //! [`crate::kernels`] — one cache-blocked, register-tiled loop nest per
@@ -44,7 +43,6 @@
 //!   Mixed-precision deployment plans are evaluated by giving each
 //!   feature map its own bitwidth.
 
-pub mod batch;
 mod compile;
 mod float;
 pub mod pool;

@@ -1,12 +1,9 @@
-//! A persistent worker pool: long-lived threads, one caller-defined
-//! state each, fed by a bounded job queue with dynamic micro-batching.
+//! The workspace's two parallel primitives: [`WorkerPool`] for
+//! long-lived serving and [`ScopedPool`] for borrowed one-call fan-out.
 //!
-//! The scoped drivers in [`batch`](crate::exec::batch) spawn fresh
-//! threads per call, which is right for one-shot batch fan-out but wrong
-//! for a serving runtime that must keep warm per-worker scratch (arenas,
-//! sessions) alive across requests. [`WorkerPool`] is the persistent
-//! counterpart: `workers` threads are spawned once, each builds its own
-//! state *inside* the thread (so the state never crosses threads and
+//! [`WorkerPool`] keeps warm per-worker scratch (arenas, sessions) alive
+//! across requests: `workers` threads are spawned once, each builds its
+//! own state *inside* the thread (so the state never crosses threads and
 //! needs no `Send`), and jobs — boxed `FnOnce(&mut S)` closures — arrive
 //! through a bounded [`std::sync::mpsc::sync_channel`]. Submission
 //! offers both flavors of backpressure: [`WorkerPool::submit`] blocks
@@ -22,28 +19,20 @@
 //! across all workers instead of serializing on the first one to wake
 //! (batch size adapts to queue depth — hence *dynamic*).
 //!
-//! [`WorkerPool::map`] is the pooled twin of
-//! [`batch::par_map_states`](crate::exec::batch::par_map_states): the
-//! same ordered per-worker-state parallel map contract, but running on
-//! the pool's persistent workers instead of scoped threads. The scoped
-//! path remains the zero-setup fallback (and is still exactly the serial
-//! loop at `workers = 1`); the pooled path wins when the same states are
-//! reused across many calls.
-//!
 //! Shutdown is graceful everywhere: [`WorkerPool::close`] (and `Drop`)
 //! stop accepting new jobs, let the workers drain everything already
 //! queued, then join them — no job accepted into the queue is ever
 //! dropped.
 //!
-//! [`ScopedPool`] sits between the two worlds: like [`WorkerPool`] it
-//! keeps one set of worker threads and per-worker states alive across
-//! *many* ordered-map calls (one spawn/join round total, not one per
-//! stage), but its workers live inside a caller-provided
+//! [`ScopedPool`] keeps one set of worker threads and per-worker states
+//! alive across *many* ordered-map calls (one spawn/join round total,
+//! not one per stage), but its workers live inside a caller-provided
 //! [`std::thread::scope`], so jobs may borrow from the enclosing stack
-//! frame — no `'static` bound, no `unsafe`. This is the planner's shape:
-//! a dozen heterogeneous fan-outs over borrowed calibration data within
-//! one `plan()` call, where fresh scoped threads per stage used to burn
-//! more time spawning than working.
+//! frame — no `'static` bound, no `unsafe`. This is the planner's shape
+//! (a dozen heterogeneous fan-outs over borrowed calibration data within
+//! one `plan()` call) and the batch shape (one state per worker over a
+//! borrowed batch, results in input order). With one worker it spawns
+//! nothing and is exactly the serial loop.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -195,66 +184,6 @@ impl<S: 'static> WorkerPool<S> {
         })
     }
 
-    /// The pooled twin of
-    /// [`batch::par_map_states`](crate::exec::batch::par_map_states):
-    /// runs every item through `run` against the pool's per-worker
-    /// states and returns the results **in item order** — deterministic
-    /// for every worker count, because each item's result depends only on
-    /// that item (worker states are reusable scratch, not accumulators).
-    ///
-    /// Unlike the scoped version the items are owned (`'static`), since
-    /// they travel to persistent threads the borrow checker cannot tie to
-    /// this call's stack frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing item's error. All submitted
-    /// jobs still run to completion first (their results are discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is closed, or if a job panicked on a worker
-    /// (the batch can no longer be completed).
-    pub fn map<T, R, E, F>(&self, items: Vec<T>, run: F) -> Result<Vec<R>, E>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        E: Send + 'static,
-        F: Fn(&mut S, &T) -> Result<R, E> + Send + Sync + 'static,
-    {
-        let n = items.len();
-        let run = Arc::new(run);
-        let (out_tx, out_rx) = mpsc::channel::<(usize, Result<R, E>)>();
-        for (index, item) in items.into_iter().enumerate() {
-            let run = Arc::clone(&run);
-            let out = out_tx.clone();
-            let job: PoolJob<S> = Box::new(move |state| {
-                let _ = out.send((index, run(state, &item)));
-            });
-            self.submit(job).expect("WorkerPool::map on a closed pool");
-        }
-        drop(out_tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, E)> = None;
-        for (index, result) in out_rx {
-            match result {
-                Ok(r) => slots[index] = Some(r),
-                Err(e) => {
-                    if first_err.as_ref().map_or(true, |(i, _)| index < *i) {
-                        first_err = Some((index, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("a pool worker dropped a map job (worker panic?)"))
-            .collect())
-    }
-
     /// Stops accepting jobs, drains everything already queued, and joins
     /// the workers. Idempotent; `Drop` performs the same drain.
     ///
@@ -313,9 +242,9 @@ impl<S> Drop for WorkerPool<S> {
 }
 
 /// A job for a [`ScopedPool`]: a one-shot closure run with exclusive
-/// access to one worker's state, allowed to borrow from the enclosing
-/// scope's environment.
-pub type ScopedJob<'env, S> = Box<dyn FnOnce(&mut S) + Send + 'env>;
+/// access to one worker's state, allowed to borrow anything that outlives
+/// the scope.
+pub type ScopedJob<'scope, S> = Box<dyn FnOnce(&mut S) + Send + 'scope>;
 
 /// A worker pool whose threads live inside a caller-provided
 /// [`std::thread::scope`] — the reusable-pool shape for borrow-heavy
@@ -326,8 +255,10 @@ pub type ScopedJob<'env, S> = Box<dyn FnOnce(&mut S) + Send + 'env>;
 /// * **Spawned** ([`ScopedPool::spawned`] with `workers >= 2`): `workers`
 ///   threads are spawned once into the scope, each building its state
 ///   in-thread via `make_state(worker_index)`, and every subsequent
-///   [`map`](Self::map) feeds them through one shared job queue. Workers
-///   exit when the pool is dropped (the scope's end joins them).
+///   [`map`](Self::map) feeds them through one shared job queue. Dropping
+///   the pool disconnects the queue and joins every worker, so each
+///   thread has fully exited (its thread-local allocator arena released
+///   for reuse) before the caller goes on.
 /// * **Inline** ([`ScopedPool::inline`], or `spawned` with
 ///   `workers <= 1`): no threads at all; `map` runs the items serially on
 ///   the calling thread against a single lazily-built state — bit-for-bit
@@ -335,15 +266,22 @@ pub type ScopedJob<'env, S> = Box<dyn FnOnce(&mut S) + Send + 'env>;
 ///   the reference implementation.
 ///
 /// Jobs and results may borrow anything that outlives the scope
-/// (`'env`); data created *between* two `map` calls moves into the jobs
+/// (`'scope`); data created *between* two `map` calls moves into the jobs
 /// by value or via `Arc`.
-pub struct ScopedPool<'env, S> {
-    inner: ScopedInner<'env, S>,
+pub struct ScopedPool<'scope, S> {
+    inner: ScopedInner<'scope, S>,
 }
 
-enum ScopedInner<'env, S> {
-    Inline { state: RefCell<Option<S>>, make_state: Box<dyn Fn(usize) -> S + 'env> },
-    Spawned { tx: mpsc::Sender<ScopedJob<'env, S>>, workers: usize },
+enum ScopedInner<'scope, S> {
+    Inline {
+        state: RefCell<Option<S>>,
+        make_state: Box<dyn Fn(usize) -> S + 'scope>,
+    },
+    Spawned {
+        /// `None` once dropped: disconnecting the queue stops the workers.
+        tx: Option<mpsc::Sender<ScopedJob<'scope, S>>>,
+        handles: Vec<thread::ScopedJoinHandle<'scope, ()>>,
+    },
 }
 
 impl<S> fmt::Debug for ScopedPool<'_, S> {
@@ -352,9 +290,9 @@ impl<S> fmt::Debug for ScopedPool<'_, S> {
     }
 }
 
-impl<'env, S> ScopedPool<'env, S> {
+impl<'scope, S> ScopedPool<'scope, S> {
     /// An inline pool: no threads, one lazily-built state, serial `map`.
-    pub fn inline(make_state: impl Fn(usize) -> S + 'env) -> Self {
+    pub fn inline(make_state: impl Fn(usize) -> S + 'scope) -> Self {
         ScopedPool {
             inner: ScopedInner::Inline {
                 state: RefCell::new(None),
@@ -369,24 +307,24 @@ impl<'env, S> ScopedPool<'env, S> {
     /// [`ScopedPool::inline`] — no thread is spawned and `map` is exactly
     /// the serial loop.
     ///
-    /// The pool must be dropped before the scope closes (any normal usage
-    /// does this); dropping it disconnects the job queue and lets the
-    /// workers run to completion.
-    pub fn spawned<'scope>(
+    /// The pool holds the workers' join handles, so it is dropped before
+    /// the scope closes; dropping it disconnects the job queue and joins
+    /// the workers.
+    pub fn spawned<'env>(
         scope: &'scope thread::Scope<'scope, 'env>,
         workers: usize,
-        make_state: impl Fn(usize) -> S + Send + Sync + 'env,
+        make_state: impl Fn(usize) -> S + Send + Sync + 'scope,
     ) -> Self
     where
-        S: 'env,
+        S: 'scope,
     {
         if workers <= 1 {
             return ScopedPool::inline(make_state);
         }
-        let (tx, rx) = mpsc::channel::<ScopedJob<'env, S>>();
+        let (tx, rx) = mpsc::channel::<ScopedJob<'scope, S>>();
         let rx = Arc::new(Mutex::new(rx));
         let make_state = Arc::new(make_state);
-        for index in 0..workers {
+        let spawn = |index| {
             let rx = Arc::clone(&rx);
             let make_state = Arc::clone(&make_state);
             scope.spawn(move || {
@@ -403,16 +341,17 @@ impl<'env, S> ScopedPool<'env, S> {
                         Err(_) => break, // pool dropped and queue drained
                     }
                 }
-            });
-        }
-        ScopedPool { inner: ScopedInner::Spawned { tx, workers } }
+            })
+        };
+        let handles = (0..workers).map(spawn).collect();
+        ScopedPool { inner: ScopedInner::Spawned { tx: Some(tx), handles } }
     }
 
     /// The effective worker count: 1 for inline pools.
     pub fn workers(&self) -> usize {
         match &self.inner {
             ScopedInner::Inline { .. } => 1,
-            ScopedInner::Spawned { workers, .. } => *workers,
+            ScopedInner::Spawned { handles, .. } => handles.len(),
         }
     }
 
@@ -436,10 +375,10 @@ impl<'env, S> ScopedPool<'env, S> {
     /// completed).
     pub fn map<T, R, E, F>(&self, items: Vec<T>, run: F) -> Result<Vec<R>, E>
     where
-        T: Send + 'env,
-        R: Send + 'env,
-        E: Send + 'env,
-        F: Fn(&mut S, T) -> Result<R, E> + Send + Sync + 'env,
+        T: Send + 'scope,
+        R: Send + 'scope,
+        E: Send + 'scope,
+        F: Fn(&mut S, T) -> Result<R, E> + Send + Sync + 'scope,
     {
         match &self.inner {
             ScopedInner::Inline { state, make_state } => {
@@ -448,37 +387,46 @@ impl<'env, S> ScopedPool<'env, S> {
                 items.into_iter().map(|item| run(state, item)).collect()
             }
             ScopedInner::Spawned { tx, .. } => {
+                let tx = tx.as_ref().expect("the queue is open until the pool drops");
                 let n = items.len();
                 let run = Arc::new(run);
                 let (out_tx, out_rx) = mpsc::channel::<(usize, Result<R, E>)>();
                 for (index, item) in items.into_iter().enumerate() {
                     let run = Arc::clone(&run);
                     let out = out_tx.clone();
-                    let job: ScopedJob<'env, S> = Box::new(move |state| {
+                    let job: ScopedJob<'scope, S> = Box::new(move |state| {
                         let _ = out.send((index, run(state, item)));
                     });
                     tx.send(job).expect("scoped pool workers exited early");
                 }
                 drop(out_tx);
-                let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-                let mut first_err: Option<(usize, E)> = None;
+                let mut slots: Vec<Option<Result<R, E>>> = (0..n).map(|_| None).collect();
                 for (index, result) in out_rx {
-                    match result {
-                        Ok(r) => slots[index] = Some(r),
-                        Err(e) => {
-                            if first_err.as_ref().map_or(true, |(i, _)| index < *i) {
-                                first_err = Some((index, e));
-                            }
-                        }
-                    }
+                    slots[index] = Some(result);
                 }
-                if let Some((_, e)) = first_err {
-                    return Err(e);
-                }
-                Ok(slots
+                // Collecting in item order stops at the lowest-indexed error.
+                slots
                     .into_iter()
                     .map(|slot| slot.expect("a scoped-pool worker dropped a job (worker panic?)"))
-                    .collect())
+                    .collect()
+            }
+        }
+    }
+}
+
+impl<S> Drop for ScopedPool<'_, S> {
+    fn drop(&mut self) {
+        if let ScopedInner::Spawned { tx, handles } = &mut self.inner {
+            drop(tx.take());
+            // Joining (not just letting the scope wait) returns only once
+            // each thread has exited, so a pool spawned right after this
+            // one reuses these threads' allocator arenas instead of
+            // growing new ones. Worker panics propagate unless already
+            // unwinding (a double panic would abort and mask the original).
+            for handle in handles.drain(..) {
+                if handle.join().is_err() && !thread::panicking() {
+                    panic!("scoped pool worker panicked");
+                }
             }
         }
     }
@@ -522,7 +470,6 @@ fn next_batch<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::batch::par_map_states;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
@@ -584,29 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_scoped_par_map_states_in_order() {
-        let items: Vec<usize> = (0..23).collect();
-        let scoped = par_map_states(&items, 3, || (), |(), &i| Ok::<usize, ()>(i * i + 1)).unwrap();
-        for workers in [1, 2, 4] {
-            for max_batch in [1, 4] {
-                let pool: WorkerPool<()> = WorkerPool::new(workers, 8, max_batch, |_| ());
-                let pooled = pool.map(items.clone(), |(), &i| Ok::<usize, ()>(i * i + 1)).unwrap();
-                assert_eq!(
-                    scoped, pooled,
-                    "pool({workers} workers, max_batch {max_batch}) diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn map_returns_the_lowest_indexed_error() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, 4, 2, |_| ());
-        let err = pool.map((0..9usize).collect(), |(), &i| if i % 4 == 3 { Err(i) } else { Ok(i) });
-        assert_eq!(err, Err(3));
-    }
-
-    #[test]
     fn states_are_built_per_worker_inside_the_thread() {
         // Worker indices must be 0..workers, each state created once.
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -629,7 +553,6 @@ mod tests {
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.capacity(), 1);
         assert_eq!(pool.max_batch(), 1);
-        assert!(pool.map(Vec::<u8>::new(), |(), _| Ok::<_, ()>(0)).unwrap().is_empty());
     }
 
     #[test]
@@ -666,22 +589,20 @@ mod tests {
     #[test]
     fn scoped_pool_is_reusable_across_many_map_calls() {
         // One spawn round, several heterogeneous stages — the planner's
-        // usage pattern. Worker states must persist across calls.
-        let calls = thread::scope(|scope| {
-            let pool = ScopedPool::spawned(scope, 2, |_| 0u64);
+        // usage pattern. Worker states must persist across calls: exactly
+        // one state per worker, however the queue spreads the jobs.
+        let built = AtomicUsize::new(0);
+        let workers = 2;
+        thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, workers, |_| {
+                built.fetch_add(1, Ordering::Relaxed);
+            });
             for _ in 0..5 {
-                pool.map((0..8usize).collect(), |seen, i| {
-                    *seen += 1;
-                    Ok::<usize, ()>(i)
-                })
-                .unwrap();
+                pool.map((0..8usize).collect(), |(), i| Ok::<usize, ()>(i)).unwrap();
             }
-            pool.map(vec![(); 2], |seen, ()| Ok::<u64, ()>(*seen)).unwrap()
+            pool.map(vec![(); 2], |(), ()| Ok::<(), ()>(())).unwrap();
         });
-        // 5 calls x 8 jobs + the 2 probe jobs ran *somewhere* on the two
-        // persistent states; the probes see every job their worker ran.
-        assert_eq!(calls.len(), 2);
-        assert!(calls.iter().all(|&c| c >= 1), "a worker state was rebuilt: {calls:?}");
+        assert_eq!(built.load(Ordering::Relaxed), workers, "a worker state was rebuilt");
     }
 
     #[test]

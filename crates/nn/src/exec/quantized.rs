@@ -63,7 +63,8 @@ pub fn calibrate_ranges(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<(f32, f3
 /// plan from the VDQS search is evaluated by passing its bitwidth vector
 /// here. To share one quantized compilation across threads, use
 /// [`CompiledGraph::with_quantization`] with one [`ExecState`] per worker
-/// (or [`crate::exec::batch::run_batch_quant`]).
+/// (for example as the per-worker state of a
+/// [`ScopedPool`](crate::exec::ScopedPool)).
 #[derive(Debug)]
 pub struct QuantExecutor<'g> {
     compiled: CompiledGraph<&'g Graph>,

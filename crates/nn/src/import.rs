@@ -33,6 +33,11 @@
 //! | weight initializer: length + values | `u32`, `u32 × len` |
 //! | bias initializer: length + values | `u32`, `u32 × len` |
 //!
+//! The header framing, the operator table (opcodes 1–10) and the operator
+//! record (opcode through inputs) are shared with `.qplan` artifacts
+//! through [`crate::codec`]; this format adds only opcode 11, `BiasAdd`
+//! (no attributes).
+//!
 //! The checksum is verified *before* the body is parsed, so random
 //! corruption is reported as [`ImportError::ChecksumMismatch`] with both
 //! sums; structural decode errors ([`ImportError::Truncated`],
@@ -54,8 +59,9 @@ use std::path::Path;
 use quantmcu_tensor::Shape;
 
 use crate::analyze::{RawInput, Report};
+use crate::codec::{self, CodecError, Writer};
 use crate::opt::{IrNode, IrOp, LowerError, ModelIr, OptStats, PassManager};
-use crate::{Graph, OpSpec};
+use crate::{Graph, Source};
 
 /// The four magic bytes opening every `.qmcu` file.
 pub const MAGIC: [u8; 4] = *b"QMCU";
@@ -63,8 +69,8 @@ pub const MAGIC: [u8; 4] = *b"QMCU";
 /// The format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Byte offset where the checksummed region (and the body) begins.
-const BODY_OFFSET: usize = 16;
+/// The one opcode this format adds to the shared table: [`IrOp::BiasAdd`].
+const BIAS_ADD: u8 = 11;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -189,92 +195,23 @@ impl From<LowerError> for ImportError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash — the format's integrity checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// Opcodes
-// ---------------------------------------------------------------------------
-
-/// Number of `u32` attributes each opcode carries.
-fn attr_count(op: IrOp) -> usize {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { .. }) => 4,
-        IrOp::Core(OpSpec::DepthwiseConv2d { .. }) => 3,
-        IrOp::Core(OpSpec::Dense { .. }) => 1,
-        IrOp::Core(OpSpec::MaxPool { .. }) | IrOp::Core(OpSpec::AvgPool { .. }) => 2,
-        _ => 0,
-    }
-}
-
-fn opcode(op: IrOp) -> u8 {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { .. }) => 1,
-        IrOp::Core(OpSpec::DepthwiseConv2d { .. }) => 2,
-        IrOp::Core(OpSpec::Dense { .. }) => 3,
-        IrOp::Core(OpSpec::MaxPool { .. }) => 4,
-        IrOp::Core(OpSpec::AvgPool { .. }) => 5,
-        IrOp::Core(OpSpec::GlobalAvgPool) => 6,
-        IrOp::Core(OpSpec::Relu) => 7,
-        IrOp::Core(OpSpec::Relu6) => 8,
-        IrOp::Core(OpSpec::Add) => 9,
-        IrOp::Core(OpSpec::Concat) => 10,
-        IrOp::BiasAdd => 11,
-    }
-}
-
-fn attrs(op: IrOp) -> Vec<u32> {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { out_ch, kernel, stride, pad }) => {
-            vec![out_ch as u32, kernel as u32, stride as u32, pad as u32]
+impl From<CodecError> for ImportError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadMagic { found } => ImportError::BadMagic { found },
+            CodecError::UnsupportedVersion { found, supported } => {
+                ImportError::UnsupportedVersion { found, supported }
+            }
+            CodecError::ChecksumMismatch { stored, computed } => {
+                ImportError::ChecksumMismatch { stored, computed }
+            }
+            CodecError::Truncated { offset, field } => ImportError::Truncated { offset, field },
+            CodecError::UnknownOpcode { offset, opcode } => {
+                ImportError::UnknownOpcode { offset, opcode }
+            }
+            CodecError::Corrupted { offset, detail } => ImportError::Corrupted { offset, detail },
+            CodecError::Io { path, detail } => ImportError::Io { path, detail },
         }
-        IrOp::Core(OpSpec::DepthwiseConv2d { kernel, stride, pad }) => {
-            vec![kernel as u32, stride as u32, pad as u32]
-        }
-        IrOp::Core(OpSpec::Dense { out }) => vec![out as u32],
-        IrOp::Core(OpSpec::MaxPool { kernel, stride })
-        | IrOp::Core(OpSpec::AvgPool { kernel, stride }) => vec![kernel as u32, stride as u32],
-        _ => Vec::new(),
-    }
-}
-
-fn op_from(opcode: u8, a: &[u32]) -> Option<IrOp> {
-    let u = |i: usize| a[i] as usize;
-    Some(match opcode {
-        1 => IrOp::Core(OpSpec::Conv2d { out_ch: u(0), kernel: u(1), stride: u(2), pad: u(3) }),
-        2 => IrOp::Core(OpSpec::DepthwiseConv2d { kernel: u(0), stride: u(1), pad: u(2) }),
-        3 => IrOp::Core(OpSpec::Dense { out: u(0) }),
-        4 => IrOp::Core(OpSpec::MaxPool { kernel: u(0), stride: u(1) }),
-        5 => IrOp::Core(OpSpec::AvgPool { kernel: u(0), stride: u(1) }),
-        6 => IrOp::Core(OpSpec::GlobalAvgPool),
-        7 => IrOp::Core(OpSpec::Relu),
-        8 => IrOp::Core(OpSpec::Relu6),
-        9 => IrOp::Core(OpSpec::Add),
-        10 => IrOp::Core(OpSpec::Concat),
-        11 => IrOp::BiasAdd,
-        _ => return None,
-    })
-}
-
-/// Attribute counts by opcode, for the decoder (must mirror [`attr_count`]).
-fn attr_count_for(opcode: u8) -> usize {
-    match opcode {
-        1 => 4,
-        2 => 3,
-        3 => 1,
-        4 | 5 => 2,
-        _ => 0,
     }
 }
 
@@ -284,54 +221,29 @@ fn attr_count_for(opcode: u8) -> usize {
 
 /// Serializes an importer IR into `.qmcu` bytes.
 pub fn encode(ir: &ModelIr) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes()); // checksum patched below
+    let mut w = Writer::new(MAGIC, FORMAT_VERSION);
     let s = ir.input_shape;
     for v in [s.n, s.h, s.w, s.c] {
-        out.extend_from_slice(&(v as u32).to_le_bytes());
+        w.u32(v as u32);
     }
-    match ir.output {
-        Some(id) => {
-            out.push(1);
-            out.extend_from_slice(&(id as u32).to_le_bytes());
-        }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(ir.nodes.len() as u32).to_le_bytes());
+    w.u8(u8::from(ir.output.is_some()));
+    w.u32(ir.output.unwrap_or(0) as u32);
+    w.count(ir.nodes.len());
     for n in &ir.nodes {
-        out.extend_from_slice(&(n.id as u32).to_le_bytes());
-        out.push(opcode(n.op));
-        for a in attrs(n.op) {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        out.extend_from_slice(&(n.inputs.len() as u16).to_le_bytes());
-        for inp in &n.inputs {
-            match *inp {
-                RawInput::Image => {
-                    out.push(0);
-                    out.extend_from_slice(&0u32.to_le_bytes());
-                }
-                RawInput::Node(id) => {
-                    out.push(1);
-                    out.extend_from_slice(&(id as u32).to_le_bytes());
-                }
-            }
-        }
-        for buf in [&n.weights, &n.bias] {
-            out.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-            for &v in buf.iter() {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
+        w.u32(n.id as u32);
+        let (opcode, attrs) = match &n.op {
+            IrOp::Core(op) => codec::op_code(op),
+            IrOp::BiasAdd => (BIAS_ADD, Vec::new()),
+        };
+        let inputs = n.inputs.iter().map(|input| match *input {
+            RawInput::Image => Source::Input,
+            RawInput::Node(id) => Source::Node(id),
+        });
+        w.op(opcode, &attrs, inputs);
+        w.f32s(&n.weights);
+        w.f32s(&n.bias);
     }
-    let sum = fnv1a64(&out[BODY_OFFSET..]);
-    out[8..16].copy_from_slice(&sum.to_le_bytes());
-    out
+    w.finish()
 }
 
 /// Serializes an executable graph into `.qmcu` bytes (via
@@ -346,84 +258,12 @@ pub fn save_model(graph: &Graph) -> Vec<u8> {
 ///
 /// [`ImportError::Io`] when the file cannot be written.
 pub fn save_model_to_path(graph: &Graph, path: impl AsRef<Path>) -> Result<(), ImportError> {
-    let path = path.as_ref();
-    std::fs::write(path, save_model(graph))
-        .map_err(|e| ImportError::Io { path: path.display().to_string(), detail: e.to_string() })
+    Ok(codec::write_file(path.as_ref(), &save_model(graph))?)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-/// A bounds-checked little-endian reader over the body bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    /// Absolute offset of `bytes[pos]` in the original file.
-    base: usize,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], base: usize) -> Self {
-        Reader { bytes, base, pos: 0 }
-    }
-
-    fn offset(&self) -> usize {
-        self.base + self.pos
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, len: usize, field: &'static str) -> Result<&'a [u8], ImportError> {
-        if self.remaining() < len {
-            return Err(ImportError::Truncated { offset: self.offset(), field });
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, ImportError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, ImportError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ImportError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// A `u32` length prefix followed by that many `f32` bit patterns.
-    /// The length is validated against the remaining bytes *before* any
-    /// allocation, so corrupted lengths fail cleanly.
-    fn f32s(&mut self, field: &'static str) -> Result<Vec<f32>, ImportError> {
-        let at = self.offset();
-        let len = self.u32(field)? as usize;
-        let Some(byte_len) = len.checked_mul(4) else {
-            return Err(ImportError::Corrupted {
-                offset: at,
-                detail: "initializer length overflow",
-            });
-        };
-        if self.remaining() < byte_len {
-            return Err(ImportError::Corrupted {
-                offset: at,
-                detail: "initializer length exceeds remaining bytes",
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(f32::from_bits(self.u32(field)?));
-        }
-        Ok(out)
-    }
-}
 
 /// Decodes `.qmcu` bytes into the importer IR, without optimizing or
 /// lowering. Header, checksum and structural validation happen here;
@@ -434,29 +274,7 @@ impl<'a> Reader<'a> {
 /// Any header/stream-level [`ImportError`]; never panics, and never
 /// allocates more than the input length.
 pub fn decode(bytes: &[u8]) -> Result<ModelIr, ImportError> {
-    if bytes.len() < 4 || bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        for (d, s) in found.iter_mut().zip(bytes) {
-            *d = *s;
-        }
-        return Err(ImportError::BadMagic { found });
-    }
-    if bytes.len() < BODY_OFFSET {
-        return Err(ImportError::Truncated { offset: 4, field: "header" });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != FORMAT_VERSION {
-        return Err(ImportError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
-    }
-    let stored = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]);
-    let computed = fnv1a64(&bytes[BODY_OFFSET..]);
-    if stored != computed {
-        return Err(ImportError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut r = Reader::new(&bytes[BODY_OFFSET..], BODY_OFFSET);
+    let mut r = codec::open(bytes, MAGIC, FORMAT_VERSION)?;
     let n = r.u32("input shape")? as usize;
     let h = r.u32("input shape")? as usize;
     let w = r.u32("input shape")? as usize;
@@ -474,52 +292,28 @@ pub fn decode(bytes: &[u8]) -> Result<ModelIr, ImportError> {
         }
     };
 
-    let count_at = r.offset();
-    let count = r.u32("node count")? as usize;
-    // A node record is at least 15 bytes; reject impossible counts before
-    // reserving anything.
-    if count > r.remaining() / 15 + 1 {
-        return Err(ImportError::Corrupted {
-            offset: count_at,
-            detail: "node count exceeds remaining bytes",
-        });
-    }
+    // Smallest node record: id (4) + opcode (1) + input count (2) + two
+    // empty initializers (4 + 4).
+    let count = r.count(15, "node count")?;
     let mut nodes = Vec::with_capacity(count);
     for _ in 0..count {
         let id = r.u32("node id")? as usize;
-        let op_at = r.offset();
-        let code = r.u8("opcode")?;
-        let mut a = Vec::with_capacity(attr_count_for(code));
-        for _ in 0..attr_count_for(code) {
-            a.push(r.u32("operator attribute")?);
-        }
-        let op =
-            op_from(code, &a).ok_or(ImportError::UnknownOpcode { offset: op_at, opcode: code })?;
-        debug_assert_eq!(attr_count(op), attr_count_for(code));
-        let n_inputs = r.u16("input count")? as usize;
-        let mut inputs = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            let tag_at = r.offset();
-            let tag = r.u8("input tag")?;
-            let target = r.u32("input node id")? as usize;
-            inputs.push(match tag {
-                0 => RawInput::Image,
-                1 => RawInput::Node(target),
-                _ => {
-                    return Err(ImportError::Corrupted { offset: tag_at, detail: "bad input tag" });
-                }
-            });
-        }
+        let (op, sources) = r.op(|opcode, attrs| match opcode {
+            BIAS_ADD => Some(IrOp::BiasAdd),
+            _ => codec::op_from(opcode, attrs).map(IrOp::Core),
+        })?;
+        let inputs = sources
+            .into_iter()
+            .map(|source| match source {
+                Source::Input => RawInput::Image,
+                Source::Node(id) => RawInput::Node(id),
+            })
+            .collect();
         let weights = r.f32s("weight initializer")?;
         let bias = r.f32s("bias initializer")?;
         nodes.push(IrNode { id, op, inputs, weights, bias });
     }
-    if r.remaining() != 0 {
-        return Err(ImportError::Corrupted {
-            offset: r.offset(),
-            detail: "trailing bytes after last node record",
-        });
-    }
+    r.end("trailing bytes after last node record")?;
     Ok(ModelIr { input_shape, nodes, output })
 }
 
@@ -563,17 +357,15 @@ pub fn load_model_unoptimized(bytes: &[u8]) -> Result<Graph, ImportError> {
 /// [`ImportError::Io`] when the file cannot be read, else as
 /// [`load_model`].
 pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<Graph, ImportError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| ImportError::Io { path: path.display().to_string(), detail: e.to_string() })?;
-    load_model(&bytes)
+    load_model(&codec::read_file(path.as_ref())?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphSpecBuilder;
-    use crate::init;
+    use crate::codec::{fnv1a64, BODY_OFFSET};
+    use crate::{init, OpSpec};
 
     fn sample_graph() -> Graph {
         let spec = GraphSpecBuilder::new(Shape::hwc(8, 8, 3))

@@ -29,7 +29,9 @@
 //! [`import::ImportError`]s), and the [`opt`] module runs a fixed-point
 //! graph-optimizer pass pipeline (bias/activation fusion, constant
 //! folding, identity removal, dead-node elimination) over every imported
-//! model before it is lowered and compiled.
+//! model before it is lowered and compiled. The [`codec`] module holds
+//! the binary framing, reader/writer and operator table that `.qmcu`
+//! shares with the `.qplan` plan artifacts of the `quantmcu` crate.
 //!
 //! # Example
 //!
@@ -54,6 +56,7 @@
 
 pub mod analyze;
 mod builder;
+pub mod codec;
 pub mod cost;
 mod error;
 pub mod exec;

@@ -2,7 +2,8 @@
 //! arena-backed executors perform **zero** heap allocations per run.
 //!
 //! A counting global allocator (the `alloc-counter` shim) intercepts
-//! every `alloc`/`realloc`; the steady-state loop below must not move the
+//! every `alloc`/`realloc` (counted per thread, so tests running in
+//! parallel do not interfere); the steady-state loop below must not move the
 //! counter at all. This pins down the executor-owned
 //! [`quantmcu_tensor::Arena`] + liveness-schedule design: every feature
 //! map buffer is recycled once its last consumer has fired, and the

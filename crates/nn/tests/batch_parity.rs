@@ -11,10 +11,11 @@
 //! therefore exact, while kernel-vs-oracle parity is ULP-bounded; see
 //! `kernel_parity.rs` for that contract.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use quantmcu_nn::exec::{batch, calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
-use quantmcu_nn::{init, Graph, GraphSpecBuilder};
+use quantmcu_nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor, ScopedPool};
+use quantmcu_nn::{init, Graph, GraphError, GraphSpecBuilder};
 use quantmcu_tensor::{Bitwidth, Shape, Tensor};
 
 fn graph() -> Graph {
@@ -51,8 +52,8 @@ fn two_workers_sharing_one_compiled_graph_match_serial_bit_for_bit() {
     let mut exec = FloatExecutor::new(&g);
     let serial: Vec<Tensor> = xs.iter().map(|x| exec.run(x).unwrap()).collect();
     // Two scoped workers, each with its own ExecState, splitting the
-    // batch by parity — a deliberately different schedule than the
-    // chunked driver uses.
+    // batch into contiguous halves — a deliberately different schedule
+    // than the shared queue of a ScopedPool.
     let mut outputs: Vec<Option<Tensor>> = (0..xs.len()).map(|_| None).collect();
     let compiled = &compiled;
     std::thread::scope(|scope| {
@@ -74,27 +75,40 @@ fn two_workers_sharing_one_compiled_graph_match_serial_bit_for_bit() {
     }
 }
 
+/// Runs `xs` through `run` on a [`ScopedPool`] of `workers` threads
+/// sharing `compiled`, one [`ExecState`] per worker, in input order.
+fn pooled<G, F>(compiled: &CompiledGraph<G>, xs: &[Tensor], workers: usize, run: F) -> Vec<Tensor>
+where
+    G: Borrow<Graph> + Sync,
+    F: Fn(&CompiledGraph<G>, &mut ExecState, &Tensor) -> Result<Tensor, GraphError> + Send + Sync,
+{
+    std::thread::scope(|scope| {
+        let pool = ScopedPool::spawned(scope, workers, |_| ExecState::new());
+        pool.map(xs.iter().collect(), |state, x| run(compiled, state, x)).unwrap()
+    })
+}
+
 #[test]
-fn float_batch_driver_is_worker_count_invariant() {
+fn float_pool_map_is_worker_count_invariant() {
     let g = graph();
     let compiled = CompiledGraph::new(&g).expect("validated graphs pass analysis");
     let xs = inputs(9);
-    let serial = batch::run_batch(&compiled, &xs, 1).unwrap();
+    let serial = pooled(&compiled, &xs, 1, CompiledGraph::run_float);
     for workers in [2, 3, 4, 9, 32] {
-        assert_eq!(serial, batch::run_batch(&compiled, &xs, workers).unwrap());
+        assert_eq!(serial, pooled(&compiled, &xs, workers, CompiledGraph::run_float));
     }
 }
 
 #[test]
-fn quant_batch_driver_is_worker_count_invariant() {
+fn quant_pool_map_is_worker_count_invariant() {
     let g = graph();
     let xs = inputs(6);
     let ranges = calibrate_ranges(&g, &xs[..2]).unwrap();
     let bits = vec![Bitwidth::W8; g.spec().feature_map_count()];
     let compiled = CompiledGraph::with_quantization(&g, &ranges, &bits, Bitwidth::W8).unwrap();
-    let serial = batch::run_batch_quant(&compiled, &xs, 1).unwrap();
+    let serial = pooled(&compiled, &xs, 1, CompiledGraph::run_quant);
     for workers in [2, 4, 6] {
-        assert_eq!(serial, batch::run_batch_quant(&compiled, &xs, workers).unwrap());
+        assert_eq!(serial, pooled(&compiled, &xs, workers, CompiledGraph::run_quant));
     }
 }
 

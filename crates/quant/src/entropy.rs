@@ -185,32 +185,6 @@ pub fn build_table(
     Ok(EntropyTable { full, reductions })
 }
 
-/// [`build_table`] fanned out over `workers` scoped threads: the table is
-/// per-feature-map independent, so contiguous chunks of maps are scored
-/// concurrently and reassembled **in map order** — the result is
-/// bit-identical to the serial build for every worker count.
-/// `workers = 1` is exactly [`build_table`].
-///
-/// # Errors
-///
-/// Returns [`QuantError::Statistics`] when any feature map's sample is
-/// empty.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated).
-pub fn build_table_parallel(
-    fm_values: &[Vec<f32>],
-    candidates: &[Bitwidth],
-    k: usize,
-    workers: usize,
-) -> Result<EntropyTable, QuantError> {
-    let rows =
-        quantmcu_tensor::par::try_par_map(fm_values, workers, |v| table_row(v, candidates, k))?;
-    let (full, reductions) = rows.into_iter().unzip();
-    Ok(EntropyTable { full, reductions })
-}
-
 /// One feature map's table row: `(H, ΔH per candidate)` through the fused
 /// engine — the unit of work the planner fans out over its worker pool
 /// (one row per feature map, assembled in map order).
@@ -351,23 +325,7 @@ mod tests {
     #[test]
     fn empty_feature_map_is_an_error() {
         assert!(build_table(&[Vec::new()], &Bitwidth::SEARCH_CANDIDATES, 512).is_err());
-        assert!(build_table_parallel(&[Vec::new()], &Bitwidth::SEARCH_CANDIDATES, 512, 4).is_err());
         assert!(naive::build_table(&[Vec::new()], &Bitwidth::SEARCH_CANDIDATES, 512).is_err());
-    }
-
-    #[test]
-    fn parallel_table_is_bit_identical_to_serial() {
-        let fms: Vec<Vec<f32>> = (0..7)
-            .map(|s| {
-                (0..2048).map(|i| ((i + 97 * s) as f32 * 0.013).sin() * (s + 1) as f32).collect()
-            })
-            .collect();
-        let serial = build_table(&fms, &Bitwidth::SEARCH_CANDIDATES, 512).unwrap();
-        for workers in [2, 3, 7, 16] {
-            let parallel =
-                build_table_parallel(&fms, &Bitwidth::SEARCH_CANDIDATES, 512, workers).unwrap();
-            assert_eq!(serial, parallel, "worker count {workers} changed the table");
-        }
     }
 
     #[test]

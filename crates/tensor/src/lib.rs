@@ -9,8 +9,8 @@
 //!   allocation-free substrate of the executors in `quantmcu_nn`.
 //! * [`Bitwidth`] — the quantization bitwidths supported by the paper
 //!   (8/4/2-bit activations, plus 16/32 for accounting).
-//! * [`QuantParams`] / [`QTensor`] — affine quantization parameters and
-//!   quantized tensors with sub-byte-aware memory accounting.
+//! * [`QuantParams`] — affine quantization parameters (per tensor, or
+//!   per channel via [`ChannelQuantParams`]).
 //! * [`pack`] — CMix-NN-style sub-byte packing (two 4-bit or four 2-bit
 //!   values per byte).
 //! * [`stats`] — histograms, empirical entropy, Gaussian fitting and the
@@ -23,9 +23,8 @@
 //!
 //! let t = Tensor::from_fn(Shape::new(1, 2, 2, 1), |i| i as f32 - 1.5);
 //! let params = QuantParams::from_tensor(&t, Bitwidth::W8);
-//! let q = params.quantize_tensor(&t);
-//! let back = q.dequantize();
-//! assert!((back.data()[0] - t.data()[0]).abs() < params.scale());
+//! let back = params.dequantize(params.quantize(t.data()[0]));
+//! assert!((back - t.data()[0]).abs() < params.scale());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,8 +34,6 @@ mod arena;
 mod bitwidth;
 mod error;
 pub mod pack;
-pub mod par;
-mod qtensor;
 mod quantize;
 mod shape;
 pub mod stats;
@@ -45,7 +42,6 @@ mod tensor;
 pub use arena::Arena;
 pub use bitwidth::Bitwidth;
 pub use error::TensorError;
-pub use qtensor::QTensor;
 pub use quantize::{ChannelQuantParams, QuantParams};
 pub use shape::{Region, Shape};
 pub use tensor::Tensor;

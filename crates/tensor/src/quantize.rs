@@ -1,6 +1,5 @@
 use crate::bitwidth::Bitwidth;
 use crate::error::TensorError;
-use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
 /// Affine (asymmetric) quantization parameters for one tensor:
@@ -131,12 +130,6 @@ impl QuantParams {
     #[inline]
     pub fn dequantize(&self, q: i32) -> f32 {
         self.scale * (q - self.zero_point) as f32
-    }
-
-    /// Quantizes a full tensor into a [`QTensor`].
-    pub fn quantize_tensor(&self, t: &Tensor) -> QTensor {
-        let data = t.data().iter().map(|&v| self.quantize(v) as i8).collect();
-        QTensor::from_parts(t.shape(), data, *self)
     }
 
     /// Quantize-dequantize in the real domain ("fake quantization").

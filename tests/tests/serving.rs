@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use quantmcu::models::Model;
-use quantmcu::tensor::Tensor;
+use quantmcu::tensor::{Shape, Tensor};
 use quantmcu::{Deployment, Engine, Session, SramBudget};
 use quantmcu_integration::{calib, eval, graph};
 
@@ -64,6 +64,22 @@ fn parallel_run_batch_matches_serial_for_any_worker_count() {
     for workers in [2, 3, 4, 16] {
         let parallel = dep.run_batch(&inputs, workers).unwrap();
         assert_eq!(serial, parallel, "worker count {workers} changed outputs");
+    }
+}
+
+/// A batch with two bad inputs fails with the lowest-indexed one's error
+/// for every worker count, whichever worker hits its bad input first.
+#[test]
+fn run_batch_returns_the_lowest_indexed_error_for_any_worker_count() {
+    let dep = deployment();
+    let mut inputs = eval(8);
+    inputs[3] = Tensor::zeros(Shape::hwc(8, 8, 3));
+    inputs[6] = Tensor::zeros(Shape::hwc(5, 5, 3));
+    let expected = dep.session().run(&inputs[3]).unwrap_err();
+    assert_ne!(expected, dep.session().run(&inputs[6]).unwrap_err());
+    for workers in [1, 2, 3, 4, 16] {
+        let err = dep.run_batch(&inputs, workers).unwrap_err();
+        assert_eq!(err, expected, "worker count {workers} reported another input's error");
     }
 }
 
