@@ -86,7 +86,69 @@ struct QuantTables {
     /// Packed weight words per node, in the node's execution layout.
     packed_weights: Vec<Vec<u8>>,
     node_quant: Vec<Option<NodeQuant>>,
+    /// Exact activation tables per node (see [`ActivationLut`]); `None`
+    /// for nodes that take another arm of the integer loop.
+    luts: Vec<Option<ActivationLut>>,
     weight_bits: Bitwidth,
+}
+
+/// The integer form of a `Relu`, `Relu6` or `MaxPool` node whose input
+/// grid is a storage grid (≤ 8 bits): one output grid value per input
+/// grid level, `out.quantize(f(in.dequantize(q)))` with `f` the node's
+/// float kernel — the exact arithmetic of the dequantize → float kernel
+/// → requantize round trip, evaluated once per level at compile time
+/// instead of once per element at run time. `MaxPool` takes the window
+/// maximum on the input grid first ([`kernels::max_pool_q`]); dequantize
+/// is monotone, so that is the element the float max selects.
+#[derive(Debug)]
+struct ActivationLut {
+    /// Smallest input grid level (entry 0).
+    q_min: i32,
+    /// Output grid value per input level, `2^bits` entries.
+    table: Vec<i32>,
+}
+
+impl ActivationLut {
+    /// The table for node `op` between grids `input` and `output`; `None`
+    /// when the op has no table form or the input grid is wider than
+    /// 8 bits.
+    fn new(op: OpSpec, input: QuantParams, output: QuantParams) -> Option<Self> {
+        let bits = input.bitwidth();
+        if bits.bits() > 8 {
+            return None;
+        }
+        let levels: Vec<f32> =
+            (bits.min_value()..=bits.max_value()).map(|q| input.dequantize(q)).collect();
+        let shape = Shape::hwc(1, 1, levels.len());
+        let mut real = vec![0.0f32; levels.len()];
+        match op {
+            OpSpec::Relu => {
+                kernels::relu(&levels, shape, &mut real, f32::INFINITY, shape.full_region())
+            }
+            OpSpec::Relu6 => kernels::relu(&levels, shape, &mut real, 6.0, shape.full_region()),
+            OpSpec::MaxPool { .. } => real.copy_from_slice(&levels),
+            _ => return None,
+        }
+        let table = real.iter().map(|&v| output.quantize(v)).collect();
+        Some(ActivationLut { q_min: bits.min_value(), table })
+    }
+
+    /// The output grid value of input level `q`.
+    #[inline]
+    fn get(&self, q: i32) -> i32 {
+        self.table[(q - self.q_min) as usize]
+    }
+}
+
+/// One [`ActivationLut`] slot per node of `spec` under `act_params`.
+fn activation_luts(spec: &GraphSpec, act_params: &[QuantParams]) -> Vec<Option<ActivationLut>> {
+    spec.nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            ActivationLut::new(node.op, act_params[source_fm(node.inputs[0])], act_params[i + 1])
+        })
+        .collect()
 }
 
 /// A serializable snapshot of one weighted node's integer tables: the
@@ -296,6 +358,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
             }));
         }
         let quant = QuantTables {
+            luts: activation_luts(spec, &state.act_params),
             act_params: state.act_params,
             packed_weights,
             node_quant,
@@ -538,8 +601,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
             let mut qout = arena_q.take(out_shape.len());
             let in0_fm = source_fm(node.inputs[0]);
             let in_shape = spec.feature_map_shape(FeatureMapId(in0_fm));
-            match node.op {
-                OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
+            match (node.op, &qt.luts[i]) {
+                (OpSpec::Conv2d { out_ch, kernel, stride, pad }, _) => {
                     let dot = qt.dot(i, in0_fm, out_fm);
                     kernels::conv2d(
                         &dot,
@@ -553,7 +616,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                         out_shape.full_region(),
                     );
                 }
-                OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
+                (OpSpec::DepthwiseConv2d { kernel, stride, pad }, _) => {
                     let dot = qt.dot(i, in0_fm, out_fm);
                     kernels::dwconv(
                         &dot,
@@ -566,7 +629,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                         out_shape.full_region(),
                     );
                 }
-                OpSpec::Dense { out } => {
+                (OpSpec::Dense { out }, _) => {
                     let dot = qt.dot(i, in0_fm, out_fm);
                     kernels::dense(
                         &dot,
@@ -576,8 +639,29 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                         out,
                     );
                 }
+                (OpSpec::MaxPool { kernel, stride }, Some(lut)) => {
+                    let q = qslots[in0_fm].as_ref().expect("liveness keeps inputs alive");
+                    kernels::max_pool_q(
+                        q,
+                        in_shape,
+                        &mut qout,
+                        kernel,
+                        stride,
+                        out_shape.full_region(),
+                    );
+                    for v in qout.iter_mut() {
+                        *v = lut.get(*v);
+                    }
+                }
+                (_, Some(lut)) => {
+                    let q = qslots[in0_fm].as_ref().expect("liveness keeps inputs alive");
+                    for (o, &v) in qout.iter_mut().zip(q) {
+                        *o = lut.get(v);
+                    }
+                }
                 _ => {
-                    // Value-preserving ops: dequantize inputs into arena
+                    // Remaining value-preserving ops (and activations over
+                    // accounting-width grids): dequantize inputs into arena
                     // scratch, run the shared float kernel, requantize.
                     for &s in &node.inputs {
                         let fm = source_fm(s);
@@ -724,7 +808,8 @@ impl QuantTables {
             packed_weights.push(pack::pack(&qw, weight_bits));
             node_quant.push(Some(NodeQuant { bias_q, acc_scale, zp_fold }));
         }
-        Ok(QuantTables { act_params, packed_weights, node_quant, weight_bits })
+        let luts = activation_luts(spec, &act_params);
+        Ok(QuantTables { act_params, packed_weights, node_quant, luts, weight_bits })
     }
 
     /// Builds the integer kernel strategy for weighted node `i`: a
@@ -1016,6 +1101,8 @@ fn regroup_by_channel(op: OpSpec, in_shape: Shape, w: &[f32]) -> Vec<f32> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::builder::GraphSpecBuilder;
     use crate::init;
@@ -1160,5 +1247,182 @@ mod tests {
         assert_eq!(out, expected);
         compiled.run_float_into(&mut state, &input, &mut out).unwrap();
         assert_eq!(out, expected);
+    }
+
+    /// A restored copy of `compiled`'s tables with every activation table
+    /// dropped, so each `Relu`/`Relu6`/`MaxPool` node takes the float
+    /// round-trip arm the tables replace.
+    fn round_trip_twin<'g>(compiled: &CompiledGraph<&'g Graph>) -> CompiledGraph<&'g Graph> {
+        let state = compiled.quant_state().expect("compiled with quantization");
+        let mut twin = CompiledGraph::with_quant_state(compiled.graph, state).unwrap();
+        for lut in &mut twin.quant.as_mut().expect("restored with quantization").luts {
+            *lut = None;
+        }
+        twin
+    }
+
+    /// The pre-table integer arm for one weightless node: dequantize,
+    /// run the float kernel, requantize.
+    fn round_trip(
+        op: OpSpec,
+        q: &[i32],
+        in_shape: Shape,
+        p_in: QuantParams,
+        p_out: QuantParams,
+    ) -> Vec<i32> {
+        let x: Vec<f32> = q.iter().map(|&v| p_in.dequantize(v)).collect();
+        let out_shape = match op {
+            OpSpec::MaxPool { kernel, stride } => Shape::new(
+                in_shape.n,
+                (in_shape.h - kernel) / stride + 1,
+                (in_shape.w - kernel) / stride + 1,
+                in_shape.c,
+            ),
+            _ => in_shape,
+        };
+        let mut y = vec![0.0f32; out_shape.len()];
+        let region = out_shape.full_region();
+        match op {
+            OpSpec::Relu => kernels::relu(&x, in_shape, &mut y, f32::INFINITY, region),
+            OpSpec::Relu6 => kernels::relu(&x, in_shape, &mut y, 6.0, region),
+            OpSpec::MaxPool { kernel, stride } => {
+                kernels::max_pool(&x, in_shape, &mut y, kernel, stride, region)
+            }
+            _ => unreachable!("only table ops"),
+        }
+        y.iter().map(|&v| p_out.quantize(v)).collect()
+    }
+
+    /// Deterministic pseudo-random grid level in `lo..=hi`.
+    fn level(i: usize, seed: u64, lo: i32, hi: i32) -> i32 {
+        let x =
+            (i as u64 ^ seed).wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        lo + ((x >> 33) % (hi - lo + 1) as u64) as i32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every input level of every storage grid, through the table arm
+        /// of the executor, equals the dequantize → float kernel →
+        /// requantize reference and the executor's own round-trip arm.
+        #[test]
+        fn table_activations_match_the_round_trip_at_every_level(
+            in_bits in prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8]),
+            out_bits in prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8, Bitwidth::W16]),
+            in_lo in -9.0f32..0.5,
+            in_hi in -0.5f32..9.0,
+            out_lo in -9.0f32..0.5,
+            out_hi in -0.5f32..9.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let (q_min, q_max) = (in_bits.min_value(), in_bits.max_value());
+            let n = (q_max - q_min + 1) as usize;
+            for op in [OpSpec::Relu, OpSpec::Relu6, OpSpec::MaxPool { kernel: 2, stride: 2 }] {
+                // Relu sees each level once; MaxPool gets one 2×2 window
+                // per level whose maximum is that level.
+                let (in_shape, q) = match op {
+                    OpSpec::MaxPool { .. } => {
+                        let shape = Shape::hwc(2, 2 * n, 1);
+                        let mut q = vec![0i32; shape.len()];
+                        for j in 0..n {
+                            let top = q_min + j as i32;
+                            let peak = level(j, seed, 0, 3) as usize;
+                            for t in 0..4 {
+                                let v = if t == peak { top } else { level(4 * j + t, seed, q_min, top) };
+                                q[shape.index(0, t / 2, 2 * j + t % 2, 0)] = v;
+                            }
+                        }
+                        (shape, q)
+                    }
+                    _ => {
+                        let shape = Shape::hwc(1, n, 1);
+                        (shape, (0..n).map(|j| q_min + ((j + seed as usize) % n) as i32).collect())
+                    }
+                };
+                let spec = match op {
+                    OpSpec::Relu => GraphSpecBuilder::new(in_shape).relu(),
+                    OpSpec::Relu6 => GraphSpecBuilder::new(in_shape).relu6(),
+                    _ => GraphSpecBuilder::new(in_shape).max_pool(2, 2),
+                }
+                .build()
+                .unwrap();
+                let graph = init::with_structured_weights(spec, 0);
+                let compiled = CompiledGraph::with_quantization(
+                    &graph,
+                    &[(in_lo, in_hi), (out_lo, out_hi)],
+                    &[in_bits, out_bits],
+                    Bitwidth::W8,
+                )
+                .unwrap();
+                prop_assert!(compiled.quant.as_ref().unwrap().luts[0].is_some());
+                let (p_in, p_out) = (compiled.activation_params(0), compiled.activation_params(1));
+                let input = Tensor::from_vec(in_shape, q.iter().map(|&v| p_in.dequantize(v)).collect()).unwrap();
+                prop_assert!(input.data().iter().zip(&q).all(|(&x, &v)| p_in.quantize(x) == v));
+                let expected = round_trip(op, &q, in_shape, p_in, p_out);
+                let table = compiled.run_quant(&mut ExecState::new(), &input).unwrap();
+                let old = round_trip_twin(&compiled).run_quant(&mut ExecState::new(), &input).unwrap();
+                for (j, &e) in expected.iter().enumerate() {
+                    let e = p_out.dequantize(e).to_bits();
+                    prop_assert!(table.data()[j].to_bits() == e, "{} table level {}", op.name(), j);
+                    prop_assert!(old.data()[j].to_bits() == e, "{} round trip level {}", op.name(), j);
+                }
+            }
+        }
+
+        /// A whole graph mixing convolutions, `Relu`, `Relu6`, `MaxPool`
+        /// and storage grids of every width gives bit-identical outputs
+        /// with and without the tables, on the same compiled tables.
+        #[test]
+        fn whole_graph_table_arm_matches_the_round_trip_arm(
+            seed in 0u64..1_000_000,
+            bits in prop::collection::vec(prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8]), 11),
+        ) {
+            let spec = GraphSpecBuilder::new(Shape::hwc(12, 12, 3))
+                .conv2d(8, 3, 1, 1)
+                .relu()
+                .max_pool(2, 2)
+                .dwconv(3, 1, 1)
+                .relu6()
+                .conv2d(6, 1, 1, 0)
+                .relu6()
+                .max_pool(3, 1)
+                .global_avg_pool()
+                .dense(5)
+                .build()
+                .unwrap();
+            let graph = init::with_structured_weights(spec, seed);
+            let fm_count = graph.spec().feature_map_count();
+            prop_assert_eq!(fm_count, bits.len());
+            let ranges: Vec<(f32, f32)> = (0..fm_count)
+                .map(|i| (-(level(i, seed, 1, 40) as f32) * 0.1, level(i, seed ^ 7, 1, 80) as f32 * 0.1))
+                .collect();
+            let compiled = CompiledGraph::with_quantization(&graph, &ranges, &bits, Bitwidth::W4).unwrap();
+            let twin = round_trip_twin(&compiled);
+            for k in 0..4u64 {
+                let input = Tensor::from_fn(Shape::hwc(12, 12, 3), |i| ((i as u64 * 31 + k * 7 + seed) as f32 * 0.37).sin() * 3.0);
+                let a = compiled.run_quant(&mut ExecState::new(), &input).unwrap();
+                let b = twin.run_quant(&mut ExecState::new(), &input).unwrap();
+                prop_assert!(a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn accounting_width_inputs_keep_the_round_trip() {
+        let spec =
+            GraphSpecBuilder::new(Shape::hwc(4, 4, 2)).relu6().max_pool(2, 2).build().unwrap();
+        let graph = init::with_structured_weights(spec, 0);
+        let ranges = vec![(-3.0, 7.0); 3];
+        let compiled = CompiledGraph::with_quantization(
+            &graph,
+            &ranges,
+            &[Bitwidth::W16, Bitwidth::W8, Bitwidth::W8],
+            Bitwidth::W8,
+        )
+        .unwrap();
+        let luts = &compiled.quant.as_ref().unwrap().luts;
+        assert!(luts[0].is_none(), "a 16-bit input grid gets no table");
+        assert!(luts[1].is_some(), "an 8-bit input grid does");
     }
 }

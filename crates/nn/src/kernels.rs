@@ -659,7 +659,33 @@ pub fn max_pool(
     stride: usize,
     region: Region,
 ) {
-    pool_impl(input, in_shape, out, k, stride, region, true)
+    pool_impl(
+        input,
+        in_shape,
+        out,
+        k,
+        stride,
+        region,
+        f32::NEG_INFINITY,
+        |o, v| *o = o.max(v),
+        |_| {},
+    )
+}
+
+/// Integer max pooling (no padding) over `region`: the window maximum of
+/// grid values, on the input's grid. Because dequantization is monotone,
+/// this selects exactly the element [`max_pool`] selects on the
+/// dequantized map, so requantizing its result reproduces the float
+/// round trip bit-for-bit.
+pub fn max_pool_q(
+    input: &[i32],
+    in_shape: Shape,
+    out: &mut [i32],
+    k: usize,
+    stride: usize,
+    region: Region,
+) {
+    pool_impl(input, in_shape, out, k, stride, region, i32::MIN, |o, v| *o = (*o).max(v), |_| {})
 }
 
 /// Average pooling (no padding) over `region` of the output map.
@@ -671,17 +697,39 @@ pub fn avg_pool(
     stride: usize,
     region: Region,
 ) {
-    pool_impl(input, in_shape, out, k, stride, region, false)
+    let inv = 1.0 / (k * k) as f32;
+    pool_impl(
+        input,
+        in_shape,
+        out,
+        k,
+        stride,
+        region,
+        0.0,
+        |o, v| *o += v,
+        |cell| {
+            for o in cell {
+                *o *= inv;
+            }
+        },
+    )
 }
 
-fn pool_impl(
-    input: &[f32],
+/// The shared pooling loop nest: every output cell of `region` starts at
+/// `init`, folds in each window row with `fold`, then passes through
+/// `finish`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pool_impl<T: Copy>(
+    input: &[T],
     in_shape: Shape,
-    out: &mut [f32],
+    out: &mut [T],
     k: usize,
     stride: usize,
     region: Region,
-    is_max: bool,
+    init: T,
+    fold: impl Fn(&mut T, T),
+    finish: impl Fn(&mut [T]),
 ) {
     debug_assert!(k > 0 && stride > 0, "degenerate pool window k={k} stride={stride}");
     debug_assert!(in_shape.h >= k && in_shape.w >= k, "pool window exceeds the input");
@@ -693,33 +741,21 @@ fn pool_impl(
     debug_assert_eq!(out.len(), os.len());
     let y_end = region.y_end().min(oh);
     let x_end = region.x_end().min(ow);
-    let inv = 1.0 / (k * k) as f32;
     for n in 0..in_shape.n {
         for oy in region.y..y_end {
             for ox in region.x..x_end {
                 let o_base = os.index(n, oy, ox, 0);
                 let cell = &mut out[o_base..o_base + c];
-                cell.fill(if is_max { f32::NEG_INFINITY } else { 0.0 });
+                cell.fill(init);
                 for ky in 0..k {
                     for kx in 0..k {
                         let i_base = in_shape.index(n, oy * stride + ky, ox * stride + kx, 0);
-                        let row = &input[i_base..i_base + c];
-                        if is_max {
-                            for (o, &v) in cell.iter_mut().zip(row) {
-                                *o = o.max(v);
-                            }
-                        } else {
-                            for (o, &v) in cell.iter_mut().zip(row) {
-                                *o += v;
-                            }
+                        for (o, &v) in cell.iter_mut().zip(&input[i_base..i_base + c]) {
+                            fold(o, v);
                         }
                     }
                 }
-                if !is_max {
-                    for o in cell.iter_mut() {
-                        *o *= inv;
-                    }
-                }
+                finish(cell);
             }
         }
     }
