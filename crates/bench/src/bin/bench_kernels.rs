@@ -11,6 +11,10 @@
 //! * **tiled** — the same kernels with `PackedDot` computing dot products
 //!   directly on packed W8/W4/W2 words, register-tiled accumulator lanes.
 //!
+//! Conv2d sweeps every packed width (W8/W4/W2), each with naive and
+//! blocked rows over the same range-clamped weights, so every speedup in
+//! the snapshot compares strategies at one weight width.
+//!
 //! The binary asserts the perf-regression tripwire (tiled must not be
 //! slower than naive on any integer op) and finishes with end-to-end
 //! images/second through the float and quantized executors. Set
@@ -20,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use quantmcu::models::Model;
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
-use quantmcu::nn::kernels::{self, naive, IntDot, PackedDot, Requant, GENERATION};
+use quantmcu::nn::kernels::{self, naive, FixedMultiplier, IntDot, PackedDot, Requant, GENERATION};
 use quantmcu::tensor::{pack, Bitwidth, Shape, Tensor};
 use quantmcu_bench::{exec_dataset, exec_graph, smoke};
 
@@ -52,32 +56,29 @@ fn varied_q(len: usize, seed: u64, lo: i32, hi: i32) -> Vec<i32> {
 /// bit-identity of outputs follows from bit-identity of accumulators).
 struct Tables {
     bias_q: Vec<i64>,
-    acc_scale: Vec<f64>,
+    scale: Vec<FixedMultiplier>,
 }
 
 impl Tables {
     fn new(channels: usize) -> Self {
         Tables {
             bias_q: varied_q(channels, 0xB1A5, -500, 500).into_iter().map(i64::from).collect(),
-            acc_scale: (0..channels).map(|ch| 1e-3 * (1.0 + ch as f64 * 0.31)).collect(),
+            scale: (0..channels)
+                .map(|ch| FixedMultiplier::from_real(1e-3 * (1.0 + ch as f64 * 0.31) / 0.037))
+                .collect(),
         }
     }
 
     fn requant(&self) -> Requant<'_> {
-        Requant {
-            bias_q: &self.bias_q,
-            acc_scale: &self.acc_scale,
-            out_scale: 0.037,
-            zp_out: 3,
-            q_min: -128,
-            q_max: 127,
-        }
+        Requant { bias_q: &self.bias_q, scale: &self.scale, zp_out: 3, q_min: -128, q_max: 127 }
     }
 }
 
-/// One timed strategy row for the JSON snapshot.
+/// One timed strategy row for the JSON snapshot. Speedups compare rows of
+/// the same op at the same weight width.
 struct Row {
     op: &'static str,
+    weight_bits: u32,
     strategy: String,
     seconds: f64,
     vs_naive: f64,
@@ -87,9 +88,9 @@ struct Row {
 impl Row {
     fn json(&self) -> String {
         format!(
-            "    {{\"op\": \"{}\", \"strategy\": \"{}\", \"seconds\": {:.6}, \
+            "    {{\"op\": \"{}\", \"weight_bits\": {}, \"strategy\": \"{}\", \"seconds\": {:.6}, \
              \"speedup_vs_naive\": {:.4}, \"speedup_vs_blocked\": {:.4}}}",
-            self.op, self.strategy, self.seconds, self.vs_naive, self.vs_blocked
+            self.op, self.weight_bits, self.strategy, self.seconds, self.vs_naive, self.vs_blocked
         )
     }
 }
@@ -97,26 +98,37 @@ impl Row {
 /// One named strategy closure in a [`sweep`].
 type Run<'a> = (String, Box<dyn FnMut() -> Vec<i32> + 'a>);
 
-/// Times the naive/blocked/tiled trio for one op. `runs` is
-/// `[("naive", f), ("blocked", f), ("tiled_8", f), ...]`; every entry is
-/// asserted bit-identical to the first before timing, and every `tiled_*`
-/// entry must beat naive (the CI perf-regression tripwire).
-fn sweep(op: &'static str, reps: usize, iters: usize, runs: Vec<Run<'_>>, rows: &mut Vec<Row>) {
-    let mut runs = runs;
+/// Times the naive/blocked/tiled trio for one op at one weight width.
+/// `runs` is `[("naive", f), ("blocked", f), ("tiled_N", f)]`, all over the
+/// same `bits`-ranged weights; every entry is asserted bit-identical to
+/// the first before timing, and the `tiled_*` entry must beat naive (the
+/// CI perf-regression tripwire).
+fn sweep(
+    op: &'static str,
+    bits: Bitwidth,
+    reps: usize,
+    iters: usize,
+    mut runs: Vec<Run<'_>>,
+    rows: &mut Vec<Row>,
+) {
     let reference = (runs[0].1)();
     for (name, run) in runs.iter_mut().skip(1) {
-        assert_eq!(run(), reference, "{op}: {name} output diverged from naive");
+        assert_eq!(run(), reference, "{op} {bits}: {name} output diverged from naive");
     }
-    let mut naive_t = 0.0;
-    let mut blocked_t = 0.0;
-    println!("{op}:");
-    for (name, mut run) in runs {
-        let t = measure(reps, iters, &mut run).as_secs_f64();
-        match name.as_str() {
-            "naive" => naive_t = t,
-            "blocked" => blocked_t = t,
-            _ => {}
-        }
+    let timed: Vec<(String, f64)> = runs
+        .into_iter()
+        .map(|(name, mut run)| (name, measure(reps, iters, &mut run).as_secs_f64()))
+        .collect();
+    let time_of = |strategy: &str| {
+        timed
+            .iter()
+            .find(|(name, _)| name == strategy)
+            .expect("every sweep times naive and blocked")
+            .1
+    };
+    let (naive_t, blocked_t) = (time_of("naive"), time_of("blocked"));
+    println!("{op} ({bits} weights):");
+    for (name, t) in timed {
         let (vs_naive, vs_blocked) = (naive_t / t, blocked_t / t);
         println!(
             "  {name:9} {:9.3} ms  ({vs_naive:.2}x vs naive, {vs_blocked:.2}x vs blocked)",
@@ -127,9 +139,22 @@ fn sweep(op: &'static str, reps: usize, iters: usize, runs: Vec<Run<'_>>, rows: 
             // fall behind the oracle loops it replaced.
             assert!(t <= naive_t, "{op}: {name} ({t:.6}s) slower than naive ({naive_t:.6}s)");
         }
-        rows.push(Row { op, strategy: name, seconds: t, vs_naive, vs_blocked });
+        let weight_bits = bits.bits();
+        rows.push(Row { op, weight_bits, strategy: name, seconds: t, vs_naive, vs_blocked });
     }
     println!();
+}
+
+/// `bits`-ranged quantized weights.
+fn weights(len: usize, seed: u64, bits: Bitwidth) -> Vec<i8> {
+    varied_q(len, seed, bits.min_value(), bits.max_value()).into_iter().map(|v| v as i8).collect()
+}
+
+/// Runs `kernel` into a fresh `len`-element output.
+fn fresh(len: usize, kernel: impl FnOnce(&mut [i32])) -> Vec<i32> {
+    let mut out = vec![0i32; len];
+    kernel(&mut out);
+    out
 }
 
 fn main() {
@@ -150,166 +175,81 @@ fn main() {
     let q_in = varied_q(shape.len(), 1, -100, 100);
 
     // ---- conv2d (pad > 0: per-element zero-point correction) ----
-    // Weights are W8-ranged so every bitwidth's packed decode runs the
-    // same arithmetic workload as blocked/naive, clamped per bitwidth.
-    {
-        let out_shape = Shape::hwc(hw, hw, oc);
+    // One sweep per packed width, each on its own range-clamped weights,
+    // so every tiled row is measured against naive and blocked loops
+    // running the same arithmetic workload.
+    for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
+        let out_len = Shape::hwc(hw, hw, oc).len();
+        let region = Shape::hwc(hw, hw, oc).full_region();
         let tables = Tables::new(oc);
-        let rq = tables.requant();
-        let qw: Vec<i8> =
-            varied_q(oc * k * k * c, 2, -128, 127).into_iter().map(|v| v as i8).collect();
-        let packed = pack::pack(&qw, Bitwidth::W8);
-        let tables_b = Tables::new(oc);
-        let tables_t = Tables::new(oc);
-        let (qw_ref, q_in_ref) = (&qw, &q_in);
+        let qw = weights(oc * k * k * c, 2, bits);
+        let packed = pack::pack(&qw, bits);
+        let (qw, q_in, tables) = (&qw, &q_in, &tables);
         let runs: Vec<Run<'_>> = vec![
             (
                 "naive".into(),
                 Box::new(move || {
-                    naive::conv2d_q(q_in_ref, shape, qw_ref, zp_in, &rq, oc, k, stride, pad)
+                    naive::conv2d_q(q_in, shape, qw, zp_in, &tables.requant(), oc, k, stride, pad)
                 }),
             ),
             (
                 "blocked".into(),
-                Box::new(|| {
-                    let mut out = vec![0i32; out_shape.len()];
-                    let dot = IntDot { qw: &qw, zp_in, rq: tables_b.requant() };
-                    kernels::conv2d(
-                        &dot,
-                        &q_in,
-                        shape,
-                        &mut out,
-                        oc,
-                        k,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
-                    out
+                Box::new(move || {
+                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
+                    fresh(out_len, |out| {
+                        kernels::conv2d(&dot, q_in, shape, out, oc, k, stride, pad, region)
+                    })
                 }),
             ),
             (
-                "tiled_8".into(),
+                format!("tiled_{}", bits.bits()),
                 Box::new(|| {
-                    let mut out = vec![0i32; out_shape.len()];
-                    let dot = PackedDot::new(&packed, Bitwidth::W8, zp_in, tables_t.requant())
+                    let dot = PackedDot::new(&packed, bits, zp_in, tables.requant())
                         .assuming_i16_activations();
-                    kernels::conv2d(
-                        &dot,
-                        &q_in,
-                        shape,
-                        &mut out,
-                        oc,
-                        k,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
-                    out
+                    fresh(out_len, |out| {
+                        kernels::conv2d(&dot, q_in, shape, out, oc, k, stride, pad, region)
+                    })
                 }),
             ),
         ];
-        sweep("conv2d_int", reps, iters, runs, &mut rows);
-
-        // Sub-byte decodes run on their own (range-clamped) weights, each
-        // checked against its own naive reference, timed on the same
-        // geometry so the rows are comparable.
-        for bits in [Bitwidth::W4, Bitwidth::W2] {
-            let qw_b: Vec<i8> = varied_q(oc * k * k * c, 2, bits.min_value(), bits.max_value())
-                .into_iter()
-                .map(|v| v as i8)
-                .collect();
-            let packed_b = pack::pack(&qw_b, bits);
-            let tables_s = Tables::new(oc);
-            let rq_s = tables_s.requant();
-            let naive_ref = naive::conv2d_q(&q_in, shape, &qw_b, zp_in, &rq_s, oc, k, stride, pad);
-            let mut run = || {
-                let mut out = vec![0i32; out_shape.len()];
-                let dot = PackedDot::new(&packed_b, bits, zp_in, tables_s.requant())
-                    .assuming_i16_activations();
-                kernels::conv2d(
-                    &dot,
-                    &q_in,
-                    shape,
-                    &mut out,
-                    oc,
-                    k,
-                    stride,
-                    pad,
-                    out_shape.full_region(),
-                );
-                out
-            };
-            assert_eq!(run(), naive_ref, "conv2d_int: tiled {bits} diverged from naive");
-            let t = measure(reps, iters, &mut run).as_secs_f64();
-            println!("conv2d_int tiled_{}: {:9.3} ms (sub-byte decode)", bits.bits(), t * 1e3);
-            rows.push(Row {
-                op: "conv2d_int",
-                strategy: format!("tiled_{}", bits.bits()),
-                seconds: t,
-                vs_naive: 0.0,
-                vs_blocked: 0.0,
-            });
-        }
-        println!();
+        sweep("conv2d_int", bits, reps, iters, runs, &mut rows);
     }
 
     // ---- dwconv (pad > 0) ----
     {
-        let dw_out = Shape::hwc(hw, hw, c);
+        let region = shape.full_region();
         let tables = Tables::new(c);
-        let rq = tables.requant();
-        let qw: Vec<i8> = varied_q(k * k * c, 3, -128, 127).into_iter().map(|v| v as i8).collect();
+        let qw = weights(k * k * c, 3, Bitwidth::W8);
         let packed = pack::pack(&qw, Bitwidth::W8);
-        let (qw_ref, q_in_ref) = (&qw, &q_in);
-        let tables_b = Tables::new(c);
-        let tables_t = Tables::new(c);
+        let (qw, q_in, tables) = (&qw, &q_in, &tables);
         let runs: Vec<Run<'_>> = vec![
             (
                 "naive".into(),
                 Box::new(move || {
-                    naive::dwconv_q(q_in_ref, shape, qw_ref, zp_in, &rq, k, stride, pad)
+                    naive::dwconv_q(q_in, shape, qw, zp_in, &tables.requant(), k, stride, pad)
                 }),
             ),
             (
                 "blocked".into(),
-                Box::new(|| {
-                    let mut out = vec![0i32; dw_out.len()];
-                    let dot = IntDot { qw: &qw, zp_in, rq: tables_b.requant() };
-                    kernels::dwconv(
-                        &dot,
-                        &q_in,
-                        shape,
-                        &mut out,
-                        k,
-                        stride,
-                        pad,
-                        dw_out.full_region(),
-                    );
-                    out
+                Box::new(move || {
+                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
+                    fresh(shape.len(), |out| {
+                        kernels::dwconv(&dot, q_in, shape, out, k, stride, pad, region)
+                    })
                 }),
             ),
             (
                 "tiled_8".into(),
                 Box::new(|| {
-                    let mut out = vec![0i32; dw_out.len()];
-                    let dot = PackedDot::new(&packed, Bitwidth::W8, zp_in, tables_t.requant())
+                    let dot = PackedDot::new(&packed, Bitwidth::W8, zp_in, tables.requant())
                         .assuming_i16_activations();
-                    kernels::dwconv(
-                        &dot,
-                        &q_in,
-                        shape,
-                        &mut out,
-                        k,
-                        stride,
-                        pad,
-                        dw_out.full_region(),
-                    );
-                    out
+                    fresh(shape.len(), |out| {
+                        kernels::dwconv(&dot, q_in, shape, out, k, stride, pad, region)
+                    })
                 }),
             ),
         ];
-        sweep("dwconv_int", reps, iters, runs, &mut rows);
+        sweep("dwconv_int", Bitwidth::W8, reps, iters, runs, &mut rows);
     }
 
     // ---- dense (folded zero point: every weight touches every output) ----
@@ -317,9 +257,7 @@ fn main() {
         let out_f = if smoke() { 32 } else { 64 };
         let fan_in = shape.per_sample();
         let tables = Tables::new(out_f);
-        let rq = tables.requant();
-        let qw: Vec<i8> =
-            varied_q(out_f * fan_in, 5, -128, 127).into_iter().map(|v| v as i8).collect();
+        let qw = weights(out_f * fan_in, 5, Bitwidth::W8);
         let packed = pack::pack(&qw, Bitwidth::W8);
         let init: Vec<i64> = (0..out_f)
             .map(|o| {
@@ -327,41 +265,34 @@ fn main() {
                 -(zp_in as i64) * sum
             })
             .collect();
-        let (qw_ref, q_in_ref) = (&qw, &q_in);
-        let tables_b = Tables::new(out_f);
-        let tables_t = Tables::new(out_f);
-        let init_ref = &init;
+        let (qw, q_in, tables, init) = (&qw, &q_in, &tables, &init);
         let runs: Vec<Run<'_>> = vec![
             (
                 "naive".into(),
-                Box::new(move || naive::dense_q(q_in_ref, shape, qw_ref, zp_in, &rq, out_f)),
+                Box::new(move || naive::dense_q(q_in, shape, qw, zp_in, &tables.requant(), out_f)),
             ),
             (
                 "blocked".into(),
-                Box::new(|| {
-                    let mut out = vec![0i32; out_f];
-                    let dot = IntDot { qw: &qw, zp_in, rq: tables_b.requant() };
-                    kernels::dense(&dot, &q_in, shape, &mut out, out_f);
-                    out
+                Box::new(move || {
+                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
+                    fresh(out_f, |out| kernels::dense(&dot, q_in, shape, out, out_f))
                 }),
             ),
             (
                 "tiled_8".into(),
                 Box::new(|| {
-                    let mut out = vec![0i32; out_f];
                     let dot = PackedDot::with_folded_zero_point(
                         &packed,
                         Bitwidth::W8,
-                        init_ref,
-                        tables_t.requant(),
+                        init,
+                        tables.requant(),
                     )
                     .assuming_i16_activations();
-                    kernels::dense(&dot, &q_in, shape, &mut out, out_f);
-                    out
+                    fresh(out_f, |out| kernels::dense(&dot, q_in, shape, out, out_f))
                 }),
             ),
         ];
-        sweep("dense_int", reps, iters, runs, &mut rows);
+        sweep("dense_int", Bitwidth::W8, reps, iters, runs, &mut rows);
     }
 
     // ---- end-to-end images/second through the executors ----
@@ -395,10 +326,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"kernel_throughput\",\n  \"kernel_generation\": \"{GENERATION}\",\n  \
-         \"reps\": {reps},\n  \"iters\": {iters},\n  \"ops\": [\n{}\n  ],\n  \
+         \"host_parallelism\": {},\n  \"reps\": {reps},\n  \"iters\": {iters},\n  \"ops\": [\n{}\n  ],\n  \
          \"end_to_end\": {{\"model\": \"MobileNetV2 (exec scale)\", \"images\": {}, \
          \"float_images_per_second\": {float_ips:.2}, \
          \"quant_images_per_second\": {quant_ips:.2}}}\n}}\n",
+        quantmcu::default_workers(),
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n"),
         images.len()
     );

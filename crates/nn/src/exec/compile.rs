@@ -19,6 +19,27 @@
 //! The [`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor) façades bundle the two
 //! halves back together for single-threaded callers.
+//!
+//! # The integer loop
+//!
+//! Each node of the integer path takes one of three arms, fixed at
+//! compile time:
+//!
+//! * **Weighted** (`Conv2d`, `DepthwiseConv2d`, `Dense`): packed-weight
+//!   dot products into an `i64` accumulator, then fixed-point
+//!   requantization ([`kernels::Requant`]) by a per-channel
+//!   [`FixedMultiplier`] derived from `acc_scale / out_scale`.
+//! * **Table** (`Relu`, `Relu6`, `MaxPool` over a ≤ 8-bit input grid): one
+//!   lookup per element in a table built from the float round trip's own
+//!   arithmetic, so the outputs are exactly the round trip's; `MaxPool`
+//!   first takes the integer window maximum.
+//! * **Round trip** (`Add`, `Concat`, `AvgPool`, `GlobalAvgPool`, and
+//!   activations over accounting-width grids): dequantize the inputs, run
+//!   the float kernel, requantize.
+//!
+//! Both the multipliers and the tables are derived from state a
+//! [`QuantState`] already carries, so a restored compilation executes
+//! bit-identically to the calibrated one it was captured from.
 
 use std::borrow::Borrow;
 
@@ -26,7 +47,7 @@ use quantmcu_tensor::{pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Sh
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::kernels::{self, FloatDot, PackedDot, Requant};
+use crate::kernels::{self, FixedMultiplier, FloatDot, PackedDot, Requant};
 use crate::spec::{FeatureMapId, GraphSpec, OpSpec, Source};
 
 /// An immutable, shareable compilation of a [`Graph`].
@@ -73,6 +94,20 @@ struct NodeQuant {
     /// and unpadded convolutions — every weight participates in every
     /// output element); empty when padding forces per-element correction.
     zp_fold: Vec<i64>,
+    /// `acc_scale(oc) / s_out` in fixed point: what requantization runs.
+    scale: Vec<FixedMultiplier>,
+}
+
+impl NodeQuant {
+    /// Derives the fixed-point rescale from `acc_scale` and the output
+    /// grid's scale. Calibrated compilation and restore from a
+    /// [`QuantState`] both come through here, so they requantize
+    /// identically without the state storing the multipliers.
+    fn new(bias_q: Vec<i64>, acc_scale: Vec<f64>, zp_fold: Vec<i64>, out: QuantParams) -> Self {
+        let out_scale = out.scale() as f64;
+        let scale = acc_scale.iter().map(|&s| FixedMultiplier::from_real(s / out_scale)).collect();
+        NodeQuant { bias_q, acc_scale, zp_fold, scale }
+    }
 }
 
 /// The quantized half of a compiled graph: activation grids, per-channel
@@ -351,11 +386,12 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                 });
             }
             packed_weights.push(ns.packed_weights);
-            node_quant.push(Some(NodeQuant {
-                bias_q: ns.bias_q,
-                acc_scale: ns.acc_scale,
-                zp_fold: ns.zp_fold,
-            }));
+            node_quant.push(Some(NodeQuant::new(
+                ns.bias_q,
+                ns.acc_scale,
+                ns.zp_fold,
+                state.act_params[i + 1],
+            )));
         }
         let quant = QuantTables {
             luts: activation_luts(spec, &state.act_params),
@@ -573,8 +609,9 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         Ok(())
     }
 
-    /// Core loop over the graph in quantized storage. When `observer` is
-    /// present, each map is dequantized into arena scratch and yielded.
+    /// Core loop over the graph in quantized storage, one arm per node
+    /// (see the module docs). When `observer` is present, each map is
+    /// dequantized into arena scratch and yielded.
     fn execute_quant(
         &self,
         state: &mut ExecState,
@@ -806,7 +843,7 @@ impl QuantTables {
             // The i8 working copy dies here: only the packed words — the
             // form the device would keep in SRAM — survive compilation.
             packed_weights.push(pack::pack(&qw, weight_bits));
-            node_quant.push(Some(NodeQuant { bias_q, acc_scale, zp_fold }));
+            node_quant.push(Some(NodeQuant::new(bias_q, acc_scale, zp_fold, act_params[i + 1])));
         }
         let luts = activation_luts(spec, &act_params);
         Ok(QuantTables { act_params, packed_weights, node_quant, luts, weight_bits })
@@ -820,8 +857,7 @@ impl QuantTables {
         let nq = self.node_quant[i].as_ref().expect("weighted node has quantization");
         let rq = Requant {
             bias_q: &nq.bias_q,
-            acc_scale: &nq.acc_scale,
-            out_scale: out_params.scale() as f64,
+            scale: &nq.scale,
             zp_out: out_params.zero_point(),
             q_min: out_params.bitwidth().min_value(),
             q_max: out_params.bitwidth().max_value(),

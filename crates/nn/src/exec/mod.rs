@@ -38,8 +38,9 @@
 //!   weights held in packed W2/W4/W8 words and consumed directly by the
 //!   packed dot-product kernels (no unpacking pass), `i32` register
 //!   lanes widened into an `i64` accumulator with the zero-point term
-//!   folded into its seed where exact, and requantization between
-//!   layers.
+//!   folded into its seed where exact, fixed-point (multiplier and
+//!   shift) requantization between layers, and exact lookup tables for
+//!   `Relu`/`Relu6`/`MaxPool`.
 //!   Mixed-precision deployment plans are evaluated by giving each
 //!   feature map its own bitwidth.
 

@@ -8,8 +8,8 @@
 //! element/accumulator strategy: [`FloatDot`] instantiates them as the
 //! `f32` reference, [`PackedDot`] is the deployed integer strategy
 //! (dot products computed *directly on packed W2/W4/W8 words* from
-//! [`quantmcu_tensor::pack`], `i64` accumulation, per-channel
-//! requantization), and [`IntDot`] is the previous-generation unpacked
+//! [`quantmcu_tensor::pack`], `i64` accumulation, per-channel fixed-point
+//! requantization by [`Requant`]), and [`IntDot`] is the previous-generation unpacked
 //! `i8` scalar strategy retained as the "blocked" benchmark baseline and
 //! parity reference.
 //!
@@ -151,17 +151,101 @@ impl Dot for FloatDot<'_> {
     }
 }
 
+/// A positive real multiplier in fixed point: `multiplier · 2^-(31 + shift)`,
+/// the (Q31 mantissa, shift) pair gemmlowp and CMSIS-NN's
+/// `arm_nn_requantize` apply between layers.
+///
+/// The mantissa is normalized to `[2^30, 2^31)`, so it carries 31
+/// significant bits and any representable multiplier is within a relative
+/// `2^-31` of the real one. `shift` is the right shift after the Q31
+/// product; multipliers ≥ 1 have a negative shift (fewer bits shifted
+/// out), down to `-31` (a total shift of 0). Multipliers ≥ `2^31`
+/// saturate to that largest pair, and multipliers below `2^-64` (whose
+/// product with any `i64` accumulator plus bias rounds to 0) become the
+/// zero multiplier.
+///
+/// The fields are private so every pair in existence came out of
+/// [`FixedMultiplier::from_real`] and keeps the shift in range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FixedMultiplier {
+    multiplier: i32,
+    shift: i32,
+}
+
+impl FixedMultiplier {
+    /// The zero multiplier.
+    pub const ZERO: FixedMultiplier = FixedMultiplier { multiplier: 0, shift: 0 };
+
+    /// The pair nearest to `real`, read exactly off its `f64` bits: the
+    /// 53-bit significand rounds to 31 bits (half up), so the result is a
+    /// pure function of `real` on every host. Non-positive, non-finite
+    /// and subnormal inputs give [`FixedMultiplier::ZERO`].
+    pub fn from_real(real: f64) -> Self {
+        if !(real.is_finite() && real > 0.0) {
+            return FixedMultiplier::ZERO;
+        }
+        let bits = real.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        if biased == 0 {
+            return FixedMultiplier::ZERO;
+        }
+        // real = significand · 2^(biased - 1075), significand in [2^52, 2^53).
+        let significand = (bits & ((1 << 52) - 1)) | (1 << 52);
+        let mut mantissa = (significand + (1 << 21)) >> 22;
+        // real ≈ mantissa · 2^exp.
+        let mut exp = biased - 1075 + 22;
+        if mantissa == 1 << 31 {
+            mantissa >>= 1;
+            exp += 1;
+        }
+        let shift = -exp - 31;
+        if shift > 63 {
+            FixedMultiplier::ZERO
+        } else if shift < -31 {
+            FixedMultiplier { multiplier: i32::MAX, shift: -31 }
+        } else {
+            FixedMultiplier { multiplier: mantissa as i32, shift }
+        }
+    }
+
+    /// The Q31 mantissa, in `[2^30, 2^31)`, or `0` for the zero multiplier.
+    pub fn multiplier(self) -> i32 {
+        self.multiplier
+    }
+
+    /// The right shift applied after the Q31 product, in `-31..=63`.
+    pub fn shift(self) -> i32 {
+        self.shift
+    }
+
+    /// `x · multiplier`, rounded to the nearest integer with ties away
+    /// from zero (the rounding of `f64::round`). Exact for every `|x| ≤
+    /// 2^64`: the product with a 31-bit mantissa stays below `2^95`, so
+    /// nothing wraps in `i128`.
+    pub fn apply(self, x: i128) -> i128 {
+        let total = (31 + self.shift) as u32;
+        let product = x * self.multiplier as i128;
+        let magnitude = ((product.unsigned_abs() + ((1u128 << total) >> 1)) >> total) as i128;
+        if product < 0 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+}
+
 /// Per-channel requantization constants shared by the integer strategies:
 /// bias enters the accumulator in its own grid, then the total is rescaled
-/// to the output feature map's grid and clamped to its bitwidth.
+/// to the output feature map's grid by a [`FixedMultiplier`] (the
+/// per-channel `acc_scale / out_scale`), shifted by the output zero point
+/// and clamped to the output bitwidth — integer arithmetic only, as the
+/// device executes it.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
     /// Bias in accumulator grid units, per output channel.
     pub bias_q: &'a [i64],
-    /// `s_in * s_w(oc)`: the accumulator's real-value scale, per channel.
-    pub acc_scale: &'a [f64],
-    /// The output feature map's quantization scale.
-    pub out_scale: f64,
+    /// Accumulator-to-output rescale `s_in · s_w(oc) / s_out`, per channel.
+    pub scale: &'a [FixedMultiplier],
     /// The output feature map's zero point.
     pub zp_out: i32,
     /// Smallest representable output grid value.
@@ -171,13 +255,35 @@ pub struct Requant<'a> {
 }
 
 impl Requant<'_> {
-    /// Finalizes an `i64` accumulator into output channel `oc`'s grid.
-    #[inline]
+    /// Finalizes an `i64` accumulator into output channel `oc`'s grid:
+    /// `clamp(round(scale(oc) · (acc + bias_q(oc))) + zp_out)`, rounding
+    /// ties away from zero ([`FixedMultiplier::apply`]). Never wraps or
+    /// panics, for any accumulator and bias.
+    ///
+    /// When `acc + bias_q` fits `i32` (every accumulator the analyzer's
+    /// `Q001` proof admits, plus any realistic bias) and the total shift
+    /// is in `1..63`, the same value comes out of `i64` arithmetic: the
+    /// product stays below `2^62`, and `(p + half - [p < 0]) >> shift`
+    /// is round-half-away-from-zero division by a power of two.
+    #[inline(always)]
     pub fn finish(&self, acc: i64, oc: usize) -> i32 {
-        let acc = acc + self.bias_q[oc];
-        let real = acc as f64 * self.acc_scale[oc];
-        let q = (real / self.out_scale).round() as i32 + self.zp_out;
-        q.clamp(self.q_min, self.q_max)
+        let m = self.scale[oc];
+        let total = 31 + m.shift;
+        let (x, wrapped) = acc.overflowing_add(self.bias_q[oc]);
+        if wrapped || x as i32 as i64 != x || !(1..63).contains(&total) {
+            return self.finish_wide(acc, oc);
+        }
+        let product = x * m.multiplier as i64;
+        let v = (product + (1i64 << (total - 1)) - (product < 0) as i64) >> total;
+        (v + self.zp_out as i64).clamp(self.q_min as i64, self.q_max as i64) as i32
+    }
+
+    /// [`Requant::finish`] in `i128`, for inputs outside the `i64` route.
+    #[cold]
+    #[inline(never)]
+    fn finish_wide(&self, acc: i64, oc: usize) -> i32 {
+        let v = self.scale[oc].apply(acc as i128 + self.bias_q[oc] as i128);
+        (v + self.zp_out as i128).clamp(self.q_min as i128, self.q_max as i128) as i32
     }
 }
 
@@ -222,7 +328,7 @@ impl Dot for IntDot<'_> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn finish(&self, acc: i64, oc: usize) -> i32 {
         self.rq.finish(acc, oc)
     }
@@ -358,7 +464,7 @@ impl Dot for PackedDot<'_> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn finish(&self, acc: i64, oc: usize) -> i32 {
         self.rq.finish(acc, oc)
     }
@@ -1238,10 +1344,12 @@ mod tests {
 
     /// A plausible requantization table for strategy-level tests: varied
     /// per-channel scales and biases, full `W8` output grid.
-    fn test_requant(channels: usize) -> (Vec<i64>, Vec<f64>) {
+    fn test_requant(channels: usize, out_scale: f64) -> (Vec<i64>, Vec<FixedMultiplier>) {
         let bias_q: Vec<i64> = (0..channels).map(|c| (c as i64 * 7) % 23 - 11).collect();
-        let acc_scale: Vec<f64> = (0..channels).map(|c| 1e-4 * (1.0 + c as f64 * 0.01)).collect();
-        (bias_q, acc_scale)
+        let scale = (0..channels)
+            .map(|c| FixedMultiplier::from_real(1e-4 * (1.0 + c as f64 * 0.01) / out_scale))
+            .collect();
+        (bias_q, scale)
     }
 
     #[test]
@@ -1250,11 +1358,10 @@ mod tests {
         let input: Vec<i32> = (0..h * w * c).map(|i| ((i * 37) % 256) as i32 - 128).collect();
         let in_shape = Shape::hwc(h, w, c);
         let zp = -3;
-        let (bias_q, acc_scale) = test_requant(oc);
+        let (bias_q, scale) = test_requant(oc, 0.05);
         let rq = Requant {
             bias_q: &bias_q,
-            acc_scale: &acc_scale,
-            out_scale: 0.05,
+            scale: &scale,
             zp_out: 2,
             q_min: Bitwidth::W8.min_value(),
             q_max: Bitwidth::W8.max_value(),
@@ -1312,11 +1419,10 @@ mod tests {
             let (k, stride, pad) = (3, 1, 1);
             let qw: Vec<i8> =
                 (0..k * k * c).map(|i| (((i * 13) % 31) as i8 - 15).clamp(lo, hi)).collect();
-            let (bias_q, acc_scale) = test_requant(c);
+            let (bias_q, scale) = test_requant(c, 0.04);
             let rq = Requant {
                 bias_q: &bias_q,
-                acc_scale: &acc_scale,
-                out_scale: 0.04,
+                scale: &scale,
                 zp_out: -1,
                 q_min: Bitwidth::W8.min_value(),
                 q_max: Bitwidth::W8.max_value(),
@@ -1332,11 +1438,10 @@ mod tests {
             let fan_in = in_shape.per_sample();
             let dqw: Vec<i8> =
                 (0..out_f * fan_in).map(|i| (((i * 17) % 27) as i8 - 13).clamp(lo, hi)).collect();
-            let (bias_q, acc_scale) = test_requant(out_f);
+            let (bias_q, scale) = test_requant(out_f, 0.03);
             let rq = Requant {
                 bias_q: &bias_q,
-                acc_scale: &acc_scale,
-                out_scale: 0.03,
+                scale: &scale,
                 zp_out: 0,
                 q_min: Bitwidth::W8.min_value(),
                 q_max: Bitwidth::W8.max_value(),

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 
-use quantmcu_nn::kernels::{self, naive, FloatDot, IntDot, PackedDot, Requant};
+use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, IntDot, PackedDot, Requant};
 use quantmcu_tensor::{pack, Bitwidth, Shape, Tensor};
 
 /// Deterministic pseudo-random buffer (the proptest shim drives shape and
@@ -59,27 +59,24 @@ fn ulp_close(a: f32, e: f32) -> bool {
 /// rounding and clamping.
 struct RequantTables {
     bias_q: Vec<i64>,
-    acc_scale: Vec<f64>,
+    scale: Vec<FixedMultiplier>,
 }
 
 impl RequantTables {
     fn new(channels: usize, seed: u64) -> Self {
         let bias_q =
             varied_q(channels, seed ^ 0xB1A5, -500, 500).into_iter().map(i64::from).collect();
-        let acc_scale =
-            (0..channels).map(|ch| 1e-3 * (1.0 + (ch as f64 + (seed % 7) as f64) * 0.31)).collect();
-        RequantTables { bias_q, acc_scale }
+        let scale = (0..channels)
+            .map(|ch| {
+                let acc_scale = 1e-3 * (1.0 + (ch as f64 + (seed % 7) as f64) * 0.31);
+                FixedMultiplier::from_real(acc_scale / 0.037)
+            })
+            .collect();
+        RequantTables { bias_q, scale }
     }
 
     fn requant(&self) -> Requant<'_> {
-        Requant {
-            bias_q: &self.bias_q,
-            acc_scale: &self.acc_scale,
-            out_scale: 0.037,
-            zp_out: 3,
-            q_min: -128,
-            q_max: 127,
-        }
+        Requant { bias_q: &self.bias_q, scale: &self.scale, zp_out: 3, q_min: -128, q_max: 127 }
     }
 }
 

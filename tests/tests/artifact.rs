@@ -21,6 +21,7 @@ use proptest::prelude::*;
 
 use quantmcu::artifact::{graph_fingerprint, ArtifactError, PlanArtifact, FORMAT_VERSION};
 use quantmcu::models::Model;
+use quantmcu::nn::codec::fnv1a64;
 use quantmcu::nn::{init, GraphSpecBuilder};
 use quantmcu::tensor::{Shape, Tensor};
 use quantmcu::{Engine, Error, SramBudget};
@@ -143,16 +144,6 @@ fn reference() -> &'static (Engine, Vec<u8>) {
         let bytes = dep.save().expect("save");
         (engine, bytes)
     })
-}
-
-/// FNV-1a 64, mirrored from the format spec.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 proptest! {
