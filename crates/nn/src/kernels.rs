@@ -217,21 +217,6 @@ impl FixedMultiplier {
     pub fn shift(self) -> i32 {
         self.shift
     }
-
-    /// `x · multiplier`, rounded to the nearest integer with ties away
-    /// from zero (the rounding of `f64::round`). Exact for every `|x| ≤
-    /// 2^64`: the product with a 31-bit mantissa stays below `2^95`, so
-    /// nothing wraps in `i128`.
-    pub fn apply(self, x: i128) -> i128 {
-        let total = (31 + self.shift) as u32;
-        let product = x * self.multiplier as i128;
-        let magnitude = ((product.unsigned_abs() + ((1u128 << total) >> 1)) >> total) as i128;
-        if product < 0 {
-            -magnitude
-        } else {
-            magnitude
-        }
-    }
 }
 
 /// Per-channel requantization constants shared by the integer strategies:
@@ -257,8 +242,8 @@ pub struct Requant<'a> {
 impl Requant<'_> {
     /// Finalizes an `i64` accumulator into output channel `oc`'s grid:
     /// `clamp(round(scale(oc) · (acc + bias_q(oc))) + zp_out)`, rounding
-    /// ties away from zero ([`FixedMultiplier::apply`]). Never wraps or
-    /// panics, for any accumulator and bias.
+    /// ties away from zero like `f64::round`. Never wraps or panics, for
+    /// any accumulator and bias.
     ///
     /// When `acc + bias_q` fits `i32` (every accumulator the analyzer's
     /// `Q001` proof admits, plus any realistic bias) and the total shift
@@ -278,11 +263,17 @@ impl Requant<'_> {
         (v + self.zp_out as i64).clamp(self.q_min as i64, self.q_max as i64) as i32
     }
 
-    /// [`Requant::finish`] in `i128`, for inputs outside the `i64` route.
+    /// [`Requant::finish`] in `i128`, for inputs outside the `i64` route:
+    /// `|acc + bias_q| ≤ 2^64` times a 31-bit mantissa stays below
+    /// `2^95`, so nothing wraps.
     #[cold]
     #[inline(never)]
     fn finish_wide(&self, acc: i64, oc: usize) -> i32 {
-        let v = self.scale[oc].apply(acc as i128 + self.bias_q[oc] as i128);
+        let m = self.scale[oc];
+        let total = (31 + m.shift) as u32;
+        let product = (acc as i128 + self.bias_q[oc] as i128) * m.multiplier as i128;
+        let magnitude = ((product.unsigned_abs() + ((1u128 << total) >> 1)) >> total) as i128;
+        let v = if product < 0 { -magnitude } else { magnitude };
         (v + self.zp_out as i128).clamp(self.q_min as i128, self.q_max as i128) as i32
     }
 }
@@ -783,7 +774,7 @@ pub fn max_pool(
 /// this selects exactly the element [`max_pool`] selects on the
 /// dequantized map, so requantizing its result reproduces the float
 /// round trip bit-for-bit.
-pub fn max_pool_q(
+pub(crate) fn max_pool_q(
     input: &[i32],
     in_shape: Shape,
     out: &mut [i32],

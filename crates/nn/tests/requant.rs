@@ -8,8 +8,8 @@
 //! to one grid step everywhere, and exactly unless the real value sits
 //! within `|v| · 2^-31` of a half-integer — for `|v| ≤ 2^10`, which covers
 //! every value that survives the clamp of an 8-bit grid, that is within
-//! `2^-20`. Separately, the `i64` route inside `finish` must be the exact
-//! `i128` product [`FixedMultiplier::apply`] computes.
+//! `2^-20`. Separately, `finish` must equal the exact `i128` product of
+//! the sum and the pair, rounded half away from zero ([`exact`]).
 
 use proptest::prelude::*;
 
@@ -40,6 +40,15 @@ fn fixed_finish(acc: i64, bias: i64, m: FixedMultiplier, zp: i32, bits: Bitwidth
     rq.finish(acc, 0) as i64
 }
 
+/// `x · multiplier · 2^-(31 + shift)` in exact `i128` arithmetic, rounded
+/// half away from zero: the reference every route of `finish` must hit.
+fn exact(m: FixedMultiplier, x: i128) -> i128 {
+    let scaled = x * m.multiplier() as i128;
+    let unit = 1i128 << (31 + m.shift());
+    let (quotient, remainder) = (scaled / unit, scaled % unit);
+    quotient + if 2 * remainder.abs() >= unit { scaled.signum() } else { 0 }
+}
+
 /// Distance from `v` to the nearest half-integer.
 fn half_distance(v: f64) -> f64 {
     ((v.abs().fract()) - 0.5).abs()
@@ -57,8 +66,9 @@ fn check(
     let m = FixedMultiplier::from_real(acc_scale / out_scale);
     let x = acc as i128 + bias as i128;
     let fixed = fixed_finish(acc, bias, m, zp, bits);
-    let exact = (m.apply(x) + zp as i128).clamp(bits.min_value() as i128, bits.max_value() as i128);
-    prop_assert!(fixed as i128 == exact, "i64 route {} vs i128 product {}", fixed, exact);
+    let exact =
+        (exact(m, x) + zp as i128).clamp(bits.min_value() as i128, bits.max_value() as i128);
+    prop_assert!(fixed as i128 == exact, "finish {} vs exact product {}", fixed, exact);
     let (real, float) = float_finish(x, acc_scale, out_scale, zp, bits);
     prop_assert!(
         (fixed - float).abs() <= 1,
@@ -139,13 +149,14 @@ fn unit_and_power_of_two_multipliers_are_exact() {
     let pair = |m: FixedMultiplier| (m.multiplier(), m.shift());
     assert_eq!(pair(FixedMultiplier::from_real(1.0)), (1 << 30, -1));
     assert_eq!(pair(FixedMultiplier::from_real(0.5)), (1 << 30, 0));
-    for x in [-7i128, -3, -1, 0, 1, 2, 5, 1 << 40] {
-        assert_eq!(FixedMultiplier::from_real(1.0).apply(x), x);
-        assert_eq!(FixedMultiplier::from_real(4.0).apply(x), 4 * x);
+    for acc in [-7i64, -3, -1, 0, 1, 2, 5, 1 << 40] {
+        let scaled =
+            |real| fixed_finish(acc, 0, FixedMultiplier::from_real(real), 0, Bitwidth::W32);
+        assert_eq!(scaled(1.0), acc.clamp(i32::MIN as i64, i32::MAX as i64));
+        assert_eq!(scaled(4.0), (4 * acc).clamp(i32::MIN as i64, i32::MAX as i64));
     }
     // Ties round away from zero, like f64::round.
     let half = FixedMultiplier::from_real(0.5);
-    assert_eq!([half.apply(3), half.apply(-3), half.apply(5), half.apply(-5)], [2, -2, 3, -3]);
     let finish = |acc| fixed_finish(acc, 0, half, 0, Bitwidth::W16);
     assert_eq!([finish(3), finish(-3), finish(5), finish(-5)], [2, -2, 3, -3]);
     let quarter = FixedMultiplier::from_real(0.25);
