@@ -152,19 +152,23 @@ impl ActivationLut {
         if bits.bits() > 8 {
             return None;
         }
-        let levels: Vec<f32> =
-            (bits.min_value()..=bits.max_value()).map(|q| input.dequantize(q)).collect();
-        let shape = Shape::hwc(1, 1, levels.len());
-        let mut real = vec![0.0f32; levels.len()];
-        match op {
-            OpSpec::Relu => {
-                kernels::relu(&levels, shape, &mut real, f32::INFINITY, shape.full_region())
-            }
-            OpSpec::Relu6 => kernels::relu(&levels, shape, &mut real, 6.0, shape.full_region()),
-            OpSpec::MaxPool { .. } => real.copy_from_slice(&levels),
+        let hi = match op {
+            OpSpec::Relu => Some(f32::INFINITY),
+            OpSpec::Relu6 => Some(6.0),
+            OpSpec::MaxPool { .. } => None,
             _ => return None,
-        }
-        let table = real.iter().map(|&v| output.quantize(v)).collect();
+        };
+        let one = Shape::hwc(1, 1, 1);
+        let table = (bits.min_value()..=bits.max_value())
+            .map(|q| {
+                let x = [input.dequantize(q)];
+                let mut y = x;
+                if let Some(hi) = hi {
+                    kernels::relu(&x, one, &mut y, hi, one.full_region());
+                }
+                output.quantize(y[0])
+            })
+            .collect();
         Some(ActivationLut { q_min: bits.min_value(), table })
     }
 
