@@ -354,15 +354,11 @@ impl Planner {
                 }
             }
         }
-        let items: Vec<(Vec<f32>, bool)> = unique_values.into_iter().zip(need_row).collect();
-        let unique_results = pool.map(items, move |_, (values, need_row): (Vec<f32>, bool)| {
-            let range = min_max(&values);
-            let row = if need_row {
-                Some(entropy::table_row(&values, candidates, hist_bins)?)
-            } else {
-                None
-            };
-            Ok::<_, PlanError>((range, row))
+        let items: Vec<(Segments, bool)> = unique_values.into_iter().zip(need_row).collect();
+        let unique_results = pool.map(items, move |_, (parts, need_row): (Segments, bool)| {
+            let sample = entropy::Sample::new(&parts);
+            let row = if need_row { Some(sample.table_row(candidates, hist_bins)?) } else { None };
+            Ok::<_, PlanError>((finite_or_unit(sample.range()), row))
         })?;
         let branch_ranges: Vec<Vec<(f32, f32)>> =
             slots.iter().map(|maps| maps.iter().map(|&u| unique_results[u].0).collect()).collect();
@@ -444,16 +440,16 @@ impl Planner {
             ..self.cfg.vdqs.clone()
         });
         let tail_bins = self.cfg.vdqs.hist_bins * 16;
-        let tail_items: Vec<(usize, Vec<f32>)> = tail_values.into_iter().enumerate().collect();
-        let tail_results = pool.map(tail_items, {
+        let tail_results = pool.map(tail_values, {
             let tail_cfg = Arc::clone(&tail_cfg);
-            move |_, (_, mut values): (usize, Vec<f32>)| {
-                let range = clipped_range(&values);
+            move |_, mut parts: Segments| {
+                let range = clipped_range(&parts);
                 let (lo, hi) = range;
-                for v in values.iter_mut() {
+                for v in parts.iter_mut().flatten() {
                     *v = v.clamp(lo, hi);
                 }
-                let row = entropy::table_row(&values, &tail_cfg.candidates, tail_bins)?;
+                let row =
+                    entropy::Sample::new(&parts).table_row(&tail_cfg.candidates, tail_bins)?;
                 Ok::<_, PlanError>((range, row))
             }
         })?;
@@ -591,11 +587,13 @@ impl Planner {
     /// The calibration pass fans out over the pool in contiguous chunks:
     /// each job streams its chunk into an accumulator whose buffers are
     /// reserved at their **exact** final size (the per-image sample count
-    /// per feature map is known up front from the branch regions), and the
-    /// per-chunk accumulators are merged front to back into exact-capacity
-    /// buffers — exactly the serial observation order, so the samples (and
-    /// therefore the resulting plan) are bit-identical for every worker
-    /// count, with zero reallocation anywhere on the path.
+    /// per feature map is known up front from the branch regions). The
+    /// per-chunk buffers are never merged: each target keeps them as its
+    /// [`Segments`], in chunk order, which is image order. Every later
+    /// stage reads a target as the concatenation of its segments, so the
+    /// samples (and therefore the resulting plan) are bit-identical for
+    /// every worker count, with no copy and no reallocation anywhere on
+    /// the path.
     fn prologue_on_pool<'env>(
         &self,
         pool: &ScopedPool<'env, ExecState>,
@@ -659,78 +657,67 @@ impl Planner {
         let chunk_count = pool.workers().min(calibration.len()).max(1);
         let chunk_size = calibration.len().div_ceil(chunk_count);
         let chunks: Vec<&'env [Tensor]> = calibration.chunks(chunk_size).collect();
-        let accs = pool.map(chunks, {
-            let by_g = Arc::clone(&by_g);
-            let per_image_unique = Arc::clone(&per_image_unique);
-            let per_image_tail = Arc::clone(&per_image_tail);
-            move |state: &mut ExecState, chunk: &[Tensor]| {
-                let mut acc = ValueSamples {
-                    unique: per_image_unique
-                        .iter()
-                        .map(|&c| Vec::with_capacity(c * chunk.len()))
-                        .collect(),
-                    tail: per_image_tail
-                        .iter()
-                        .map(|&c| Vec::with_capacity(c * chunk.len()))
-                        .collect(),
-                };
-                for input in chunk {
-                    compiled.run_float_with(state, input, |fm, t| {
-                        let g = fm.0;
-                        if g <= split {
-                            for &(u, region) in &by_g[g] {
-                                extend_region_values(&mut acc.unique[u], t, region);
-                            }
+        let accs = pool.map(chunks, move |state: &mut ExecState, chunk: &[Tensor]| {
+            let mut acc = ValueSamples {
+                unique: per_image_unique
+                    .iter()
+                    .map(|&c| Vec::with_capacity(c * chunk.len()))
+                    .collect(),
+                tail: per_image_tail.iter().map(|&c| Vec::with_capacity(c * chunk.len())).collect(),
+            };
+            for input in chunk {
+                compiled.run_float_with(state, input, |fm, t| {
+                    let g = fm.0;
+                    if g <= split {
+                        for &(u, region) in &by_g[g] {
+                            extend_region_values(&mut acc.unique[u], t, region);
                         }
-                        if g >= split {
-                            acc.tail[g - split].extend_from_slice(t.data());
-                        }
-                    })?;
-                }
-                Ok::<_, PlanError>(acc)
+                    }
+                    if g >= split {
+                        acc.tail[g - split].extend_from_slice(t.data());
+                    }
+                })?;
             }
+            Ok::<_, PlanError>(acc)
         })?;
-        // Merge per-chunk samples in chunk order == image order. The
-        // single-chunk case is moved out wholesale (its buffers already
-        // have the exact final capacity).
-        let (unique_values, tail_values) = if accs.len() == 1 {
-            let ValueSamples { unique, tail } =
-                accs.into_iter().next().expect("length checked above");
-            (unique, tail)
-        } else {
-            let images = calibration.len();
-            let mut unique_values: Vec<Vec<f32>> =
-                per_image_unique.iter().map(|&c| Vec::with_capacity(c * images)).collect();
-            let mut tail_values: Vec<Vec<f32>> =
-                per_image_tail.iter().map(|&c| Vec::with_capacity(c * images)).collect();
-            for acc in accs {
-                for (dst, src) in unique_values.iter_mut().zip(acc.unique) {
-                    dst.extend_from_slice(&src);
-                }
-                for (dst, src) in tail_values.iter_mut().zip(acc.tail) {
-                    dst.extend_from_slice(&src);
-                }
+        let mut unique_values: Vec<Segments> =
+            unique.iter().map(|_| Vec::with_capacity(accs.len())).collect();
+        let mut tail_values: Vec<Segments> =
+            (0..tail_fm_count).map(|_| Vec::with_capacity(accs.len())).collect();
+        for acc in accs {
+            for (dst, src) in unique_values.iter_mut().zip(acc.unique) {
+                dst.push(src);
             }
-            (unique_values, tail_values)
-        };
+            for (dst, src) in tail_values.iter_mut().zip(acc.tail) {
+                dst.push(src);
+            }
+        }
         Ok(Prologue { head, tail, branches, slots, unique_values, tail_values })
     }
 }
 
 /// The 0.1%/99.9% percentile range of a sample (falls back to min/max for
 /// tiny samples).
-fn clipped_range(values: &[f32]) -> (f32, f32) {
-    if values.len() < 1000 {
-        return min_max(values);
+fn clipped_range(parts: &[Vec<f32>]) -> (f32, f32) {
+    let len: usize = parts.iter().map(Vec::len).sum();
+    if len < 1000 {
+        return min_max(parts);
     }
-    // Subsample; percentiles of 65k values are plenty stable. NaN values
-    // are dropped — they carry no range information and break the
+    // Subsample; percentiles of 65k values are plenty stable. The
+    // subsample is positional over the concatenation — every value whose
+    // index across all segments is a multiple of `stride`. NaN values are
+    // dropped — they carry no range information and break the
     // comparator's total order.
-    let stride = (values.len() / 65_536).max(1);
-    let mut sample: Vec<f32> =
-        values.iter().step_by(stride).copied().filter(|v| !v.is_nan()).collect();
+    let stride = (len / 65_536).max(1);
+    let mut sample = Vec::with_capacity(len / stride + 1);
+    let mut offset = 0;
+    for part in parts {
+        let first = (stride - offset % stride) % stride;
+        sample.extend(part.iter().skip(first).step_by(stride).copied().filter(|v| !v.is_nan()));
+        offset += part.len();
+    }
     if sample.is_empty() {
-        return min_max(values);
+        return min_max(parts);
     }
     // Only the two clip percentiles are needed, not the full order: two
     // O(n) selections instead of a sort. A selected k-th order statistic
@@ -744,9 +731,13 @@ fn clipped_range(values: &[f32]) -> (f32, f32) {
     if lo < hi {
         (lo, hi)
     } else {
-        min_max(values)
+        min_max(parts)
     }
 }
+
+/// A sample target's calibration values: one buffer per prologue chunk,
+/// in chunk order (= image order), read as their concatenation.
+type Segments = Vec<Vec<f32>>;
 
 /// One calibration chunk's accumulated value samples (see
 /// [`Planner::prologue_on_pool`]): region-restricted values per unique
@@ -770,9 +761,9 @@ struct Prologue {
     slots: Vec<Vec<usize>>,
     /// Per unique (map, region) target: the region-restricted values over
     /// the calibration set.
-    unique_values: Vec<Vec<f32>>,
+    unique_values: Vec<Segments>,
     /// Per tail feature map: the full-map values over the calibration set.
-    tail_values: Vec<Vec<f32>>,
+    tail_values: Vec<Segments>,
 }
 
 /// One searched (non-outlier) branch's budget-independent search inputs:
@@ -818,16 +809,12 @@ fn extend_region_values(values: &mut Vec<f32>, t: &Tensor, region: Region) {
 /// The min/max of a sample, skipping NaN values (a single NaN produced by
 /// a degenerate calibration image must not poison the range). All-NaN or
 /// empty samples fall back to `(0.0, 1.0)`.
-fn min_max(values: &[f32]) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &v in values {
-        if v.is_nan() {
-            continue;
-        }
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+fn min_max<S: AsRef<[f32]>>(parts: &[S]) -> (f32, f32) {
+    finite_or_unit(entropy::Sample::new(parts).range())
+}
+
+/// A folded `(min, max)`, or `(0.0, 1.0)` when either end is not finite.
+fn finite_or_unit((lo, hi): (f32, f32)) -> (f32, f32) {
     if !lo.is_finite() || !hi.is_finite() {
         (0.0, 1.0)
     } else {
@@ -838,6 +825,8 @@ fn min_max(values: &[f32]) -> (f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quantmcu_data::classification::ClassificationDataset;
+    use quantmcu_models::{Model, ModelConfig};
     use quantmcu_nn::{init, GraphSpecBuilder};
     use quantmcu_tensor::Shape;
 
@@ -951,11 +940,111 @@ mod tests {
 
     #[test]
     fn min_max_skips_nan_values() {
-        assert_eq!(min_max(&[1.0, f32::NAN, 3.0, -2.0]), (-2.0, 3.0));
-        assert_eq!(min_max(&[f32::NAN, 5.0]), (5.0, 5.0));
+        assert_eq!(min_max(&[[1.0, f32::NAN, 3.0, -2.0]]), (-2.0, 3.0));
+        assert_eq!(min_max(&[[f32::NAN, 5.0]]), (5.0, 5.0));
         // All-NaN and empty samples fall back to the unit range.
-        assert_eq!(min_max(&[f32::NAN, f32::NAN]), (0.0, 1.0));
-        assert_eq!(min_max(&[]), (0.0, 1.0));
+        assert_eq!(min_max(&[[f32::NAN, f32::NAN]]), (0.0, 1.0));
+        assert_eq!(min_max::<[f32; 0]>(&[]), (0.0, 1.0));
+    }
+
+    /// Seeded values with NaNs and signed zeros mixed in, split into 1–5
+    /// segments at seeded cut points (coinciding cuts leave some empty).
+    fn segmented(len: usize, seed: u64) -> (Vec<f32>, Segments) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let values: Vec<f32> = (0..len)
+            .map(|_| match next() % 64 {
+                0 => f32::NAN,
+                1 => 0.0,
+                2 => -0.0,
+                r => (r as f32 - 32.0) * (next() % 1000) as f32 * 1e-3,
+            })
+            .collect();
+        let mut cuts: Vec<usize> = (0..next() % 5).map(|_| next() as usize % (len + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(len);
+        let mut start = 0;
+        let parts = cuts
+            .into_iter()
+            .map(|end| {
+                let part = values[start..end].to_vec();
+                start = end;
+                part
+            })
+            .collect();
+        (values, parts)
+    }
+
+    #[test]
+    fn segmented_ranges_match_the_concatenated_sample() {
+        let bits = |(lo, hi): (f32, f32)| (lo.to_bits(), hi.to_bits());
+        for len in [999, 1000, 131_071, 131_072, 196_609] {
+            for seed in 1..=4 {
+                let (values, parts) = segmented(len, seed);
+                let whole = [values];
+                assert_eq!(bits(min_max(&parts)), bits(min_max(&whole)), "len {len} seed {seed}");
+                assert_eq!(
+                    bits(clipped_range(&parts)),
+                    bits(clipped_range(&whole)),
+                    "len {len} seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Pins the fused row of a segmented sample to the oracle's row of
+    /// its concatenation, bit for bit.
+    fn assert_rows_match_naive(parts: &Segments, candidates: &[Bitwidth], k: usize) {
+        let (h_fast, row_fast) = entropy::Sample::new(parts).table_row(candidates, k).unwrap();
+        let (h_slow, row_slow) = entropy::naive::table_row(&parts.concat(), candidates, k).unwrap();
+        assert_eq!(h_fast.to_bits(), h_slow.to_bits(), "H diverged: {h_fast} vs {h_slow}");
+        for (f, s) in row_fast.iter().zip(&row_slow) {
+            assert_eq!(f.to_bits(), s.to_bits(), "ΔH diverged: {f} vs {s}");
+        }
+    }
+
+    #[test]
+    fn fused_rows_match_naive_on_real_relu6_maps() {
+        // Real ReLU6 maps hold masses of exact 0.0 and 6.0, on level and
+        // bin edges that synthetic samples rarely reach. Capture
+        // MobileNetV2's exec-scale samples from 4 images through the
+        // planner's own prologue (2 workers, so 2 segments per sample),
+        // clip and clamp the tail maps as `build_context` does, and pin
+        // every fused row to the oracle.
+        let spec = Model::MobileNetV2.spec(ModelConfig::exec_scale()).unwrap();
+        let g = init::with_structured_weights(spec, 7);
+        let images = ClassificationDataset::new(32, 10, 7).images(4);
+        let planner = Planner::new(QuantMcuConfig { workers: 2, ..QuantMcuConfig::paper() });
+        let spec = g.spec().clone();
+        let patch_plan = PatchPlan::fitted(&spec, planner.cfg.grid, 16 * 1024).unwrap();
+        let compiled = CompiledGraph::new(&g).unwrap();
+        let pro = thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, planner.cfg.workers, |_| ExecState::new());
+            planner.prologue_on_pool(&pool, &compiled, &images, &spec, &patch_plan)
+        })
+        .unwrap();
+        let holds = |x: f32| pro.tail_values.iter().flatten().flatten().any(|&v| v == x);
+        assert!(holds(0.0) && holds(6.0), "the tail maps should saturate ReLU6 at both ends");
+
+        let vdqs = &planner.cfg.vdqs;
+        for parts in &pro.unique_values {
+            assert_eq!(parts.len(), 2);
+            assert_rows_match_naive(parts, &vdqs.candidates, vdqs.hist_bins);
+        }
+        let tail_candidates: Vec<Bitwidth> =
+            vdqs.candidates.iter().copied().filter(|b| *b >= Bitwidth::W4).collect();
+        for mut parts in pro.tail_values {
+            let (lo, hi) = clipped_range(&parts);
+            for v in parts.iter_mut().flatten() {
+                *v = v.clamp(lo, hi);
+            }
+            assert_rows_match_naive(&parts, &tail_candidates, vdqs.hist_bins * 16);
+        }
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //!
 //! The fused path replaces naive's `3 + 7·C` passes per feature map
 //! (moments re-scans, dequantized `Vec<f32>` copies, fresh histograms)
-//! with one min/max pass, one full-precision histogram, and one
-//! LUT-scatter pass per candidate — but it applies *exactly* the same
-//! arithmetic to every value, so every output must match to the last
-//! mantissa bit across arbitrary samples, candidate sets and bin counts.
-//! This is the contract that lets the planner swap the fast path in
-//! without perturbing a single deployment plan.
+//! with one min/max fold and one blocked scan that bins every value and
+//! levels it on every candidate grid at once, reading the sample as
+//! ordered segments. Its `floor`/`round` replacements must agree with the
+//! originals on every value the scan sees, so every output must match to
+//! the last mantissa bit across arbitrary samples, segmentations,
+//! candidate sets and bin counts. This is the contract that lets the
+//! planner swap the fast path in without perturbing a single deployment
+//! plan.
 
 use proptest::prelude::*;
 
-use quantmcu_quant::entropy::{self, naive};
-use quantmcu_tensor::Bitwidth;
+use quantmcu_quant::entropy::{self, naive, Sample};
+use quantmcu_quant::QuantError;
+use quantmcu_tensor::{Bitwidth, TensorError};
 
 /// Deterministic pseudo-random sample with tunable spread and offset;
 /// optionally salted with NaN values (which the range fold and the bin
@@ -30,6 +33,63 @@ fn sample(len: usize, seed: u64, spread: f32, offset: f32, nans: usize) -> Vec<f
         v[at] = f32::NAN;
     }
     v
+}
+
+/// Seeded 64-bit mixer (SplitMix64's finalizer).
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A sample on the edges the fused arithmetic must get exactly right.
+/// The range is `[qmin·s, qmax·s]` of `tie_bits` with `s = 2^exp`, so that
+/// grid's scale is exactly `s`, its zero point 0, and `(n + ½)·s` lies
+/// exactly on a half-level tie for every level `n`. Around the ties: both
+/// range ends, masses of `+0.0`, `-0.0` and of the top value (what ReLU6
+/// maps hold), uniform values in between, and `nans` NaNs.
+fn edge_sample(len: usize, seed: u64, exp: i32, tie_bits: Bitwidth, nans: usize) -> Vec<f32> {
+    let s = 2f32.powi(exp);
+    let (qmin, qmax) = (tie_bits.min_value(), tie_bits.max_value());
+    let (lo, hi) = (qmin as f32 * s, qmax as f32 * s);
+    let mut v = vec![lo, hi];
+    v.extend((qmin..qmax).map(|n| (n as f32 + 0.5) * s));
+    for i in 0..len as u64 {
+        let r = mix(seed ^ (i << 8));
+        v.push(match r % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => hi,
+            _ => lo + (hi - lo) * ((r >> 11) as f32 / (1u64 << 53) as f32),
+        });
+    }
+    for j in 0..nans {
+        let at = mix(seed.wrapping_add(j as u64)) as usize % v.len();
+        v[at] = f32::NAN;
+    }
+    // Shuffle so ties, zeros and range ends spread across segments.
+    for i in (1..v.len()).rev() {
+        v.swap(i, mix(seed ^ i as u64) as usize % (i + 1));
+    }
+    v
+}
+
+/// Splits `v` into `n` segments at seeded cut points; cut points may
+/// coincide, so some segments are empty.
+fn split(v: &[f32], n: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut cuts: Vec<usize> =
+        (1..n).map(|j| mix(seed.wrapping_mul(31) + j as u64) as usize % (v.len() + 1)).collect();
+    cuts.sort_unstable();
+    cuts.push(v.len());
+    let mut start = 0;
+    cuts.into_iter()
+        .map(|end| {
+            let part = v[start..end].to_vec();
+            start = end;
+            part
+        })
+        .collect()
 }
 
 /// Bit-level equality for f64 — `==` would paper over -0.0 vs 0.0.
@@ -75,6 +135,27 @@ proptest! {
     }
 
     #[test]
+    fn segmented_rows_match_naive_on_the_concatenation(
+        len in 0usize..2500,
+        seed in 0u64..10_000,
+        exp in -12i32..4,
+        tie_bits in prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8]),
+        k in prop::sample::select(vec![1usize, 2, 31, 32, 512, 513]),
+        segments in 1usize..6,
+        nans in 0usize..3,
+    ) {
+        let v = edge_sample(len, seed, exp, tie_bits, nans);
+        let parts = split(&v, segments, seed);
+        let candidates = [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2, Bitwidth::W16];
+        let (h_fast, row_fast) = Sample::new(&parts).table_row(&candidates, k).unwrap();
+        let (h_slow, row_slow) = naive::table_row(&v, &candidates, k).unwrap();
+        prop_assert!(bits_eq(h_fast, h_slow), "H diverged: {h_fast} vs {h_slow}");
+        for (b, (f, s)) in candidates.iter().zip(row_fast.iter().zip(&row_slow)) {
+            prop_assert!(bits_eq(*f, *s), "ΔH at {b} diverged: {f} vs {s}");
+        }
+    }
+
+    #[test]
     fn constant_and_degenerate_samples_agree(
         len in 1usize..64,
         value in prop::sample::select(vec![0.0f32, -0.0, 1.0, -3.5, 1e-30, 1e30]),
@@ -87,4 +168,15 @@ proptest! {
             prop_assert!(bits_eq(fast, slow), "{b} diverged on constant {value}: {fast} vs {slow}");
         }
     }
+}
+
+#[test]
+fn all_empty_segments_are_an_empty_tensor() {
+    let none: [Vec<f32>; 0] = [];
+    for parts in [&none[..], &[Vec::new(), Vec::new(), Vec::new()][..]] {
+        let err = Sample::new(parts).table_row(&Bitwidth::SEARCH_CANDIDATES, 32).unwrap_err();
+        assert_eq!(err, QuantError::Statistics(TensorError::EmptyTensor));
+    }
+    let oracle = naive::table_row(&[], &Bitwidth::SEARCH_CANDIDATES, 32).unwrap_err();
+    assert_eq!(oracle, QuantError::Statistics(TensorError::EmptyTensor));
 }

@@ -1,10 +1,12 @@
 //! Determinism of the parallel planner: `Planner::plan` (and
 //! `plan_uniform`) must produce a **bit-identical** `DeploymentPlan` for
-//! every worker count. The parallel calibration prologue merges
-//! per-chunk value samples in image order, so nothing downstream — VDPC
-//! classification, entropy tables, the VDQS searches, the calibrated
+//! every worker count. The parallel calibration prologue keeps one value
+//! buffer per chunk, in image order, and every later stage reads a
+//! sample as the concatenation of its chunks, so nothing downstream —
+//! VDPC classification, entropy tables, the VDQS searches, the calibrated
 //! ranges — can observe which worker count produced its inputs.
 
+use quantmcu::models::Model;
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 use quantmcu::{Planner, QuantMcuConfig};
 
@@ -83,5 +85,30 @@ fn ranges_and_classes_survive_odd_chunkings() {
         assert_eq!(serial.patch_classes(), parallel.patch_classes());
         assert_eq!(serial.branch_bits(), parallel.branch_bits());
         assert_eq!(serial.tail_bits(), parallel.tail_bits());
+    }
+}
+
+#[test]
+fn exec_scale_ranges_are_bit_identical_across_worker_counts() {
+    // MobileNetV2's exec-scale tail maps over 32 images are long enough
+    // that the percentile clip subsamples with a stride above 1, across
+    // chunk boundaries — a path the 16x16 graph above never reaches.
+    let g = quantmcu_integration::graph(Model::MobileNetV2);
+    let images = quantmcu_integration::calib(32);
+    let bits = |ranges: &[(f32, f32)]| -> Vec<(u32, u32)> {
+        ranges.iter().map(|(lo, hi)| (lo.to_bits(), hi.to_bits())).collect()
+    };
+    let serial = planner(1).plan(&g, &images, 16 * 1024).unwrap().timeless();
+    for workers in [2, 3] {
+        let parallel = planner(workers).plan(&g, &images, 16 * 1024).unwrap().timeless();
+        for (b, (s, p)) in serial.branch_ranges().iter().zip(parallel.branch_ranges()).enumerate() {
+            assert_eq!(bits(s), bits(p), "{workers} workers moved branch {b}'s ranges");
+        }
+        assert_eq!(
+            bits(serial.tail_ranges()),
+            bits(parallel.tail_ranges()),
+            "{workers} workers moved the tail ranges"
+        );
+        assert_eq!(serial, parallel, "worker count {workers} changed the plan");
     }
 }
