@@ -11,23 +11,24 @@ use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
 use quantmcu_tensor::{QuantParams, Tensor};
 
 use crate::artifact::{graph_fingerprint, ArtifactError, PlanArtifact};
-use crate::error::Error;
+use crate::error::{Error, PlanError};
 use crate::plan::DeploymentPlan;
 
 /// An executable QuantMCU deployment: quantized patch branches plus a
 /// quantized tail, runnable on host for fidelity measurements — and the
 /// **immutable** serving artifact one process shares across threads.
 ///
-/// The branch stage runs through the region-restricted patch executor with
-/// per-branch fake quantization; the tail runs through the integer
-/// executor. Both paths mirror what the MCU kernels compute (see the
-/// `quantmcu_nn::exec` docs for the validation of that equivalence).
+/// The branch stage runs the compiled head once per branch over the
+/// branch's region schedule, snapping every computed region to the
+/// branch's grids (fake quantization over float weights); the tail runs
+/// through the integer executor.
 ///
-/// A deployment owns its graph behind an `Arc` (no lifetime parameter),
-/// is `Send + Sync`, and holds **only** compiled state: the patch
-/// executor with its float tail, the integer tail (weights regrouped and
-/// quantized, requantization tables built — all once, at construction)
-/// and the per-branch quantization grids. Everything mutable lives in a
+/// A deployment holds its graph behind an `Arc` (no lifetime parameter),
+/// is `Send + Sync`, and otherwise holds **only** compiled state: the
+/// stage-only patch executor (the head compiled once over a copy of the
+/// head's weights), the integer tail (weights quantized and packed,
+/// requantization tables built — all once, at construction) and the
+/// per-branch quantization grids. Everything mutable lives in a
 /// [`Session`]; put the deployment in an `Arc` and open one session per
 /// thread:
 ///
@@ -59,7 +60,8 @@ use crate::plan::DeploymentPlan;
 /// ```
 #[derive(Debug)]
 pub struct Deployment {
-    executor: PatchExecutor<Arc<Graph>>,
+    graph: Arc<Graph>,
+    executor: PatchExecutor,
     branch_params: Vec<Vec<QuantParams>>,
     /// The tail, compiled with the plan's tail quantization.
     tail: CompiledGraph,
@@ -72,23 +74,19 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Plan`] when the plan's quantization metadata
+    /// Returns [`Error::Plan`] when the plan was made for a different
+    /// graph ([`PlanError::GraphMismatch`]) or its quantization metadata
     /// cannot be materialized (degenerate calibration ranges), or
     /// [`Error::Patch`] when the plan's split does not fit the graph.
     pub fn new(graph: impl Into<Arc<Graph>>, plan: DeploymentPlan) -> Result<Self, Error> {
-        let graph: Arc<Graph> = graph.into();
-        let branch_params = Deployment::branch_params_for(&plan)?;
-        let tail = CompiledGraph::with_quantization(
-            Deployment::tail_graph(&graph, &plan)?,
-            &plan.tail_ranges,
-            &plan.tail_bits,
-            plan.weight_bits,
-        )?;
-        // Stage-only: the serving path runs the integer tail compiled
-        // above, so the executor's float tail (a second copy of the tail
-        // weights) is never built.
-        let executor = PatchExecutor::stage_only(Arc::clone(&graph), plan.patch_plan().clone())?;
-        Ok(Deployment { executor, branch_params, tail, plan })
+        Deployment::build(graph.into(), plan, |tail, plan| {
+            CompiledGraph::with_quantization(
+                tail,
+                &plan.tail_ranges,
+                &plan.tail_bits,
+                plan.weight_bits,
+            )
+        })
     }
 
     /// Restores a deployment from a decoded plan artifact with **zero**
@@ -98,10 +96,25 @@ impl Deployment {
     /// weights — outputs are bit-identical to the calibrated original.
     pub(crate) fn from_artifact(graph: Arc<Graph>, artifact: PlanArtifact) -> Result<Self, Error> {
         let (_, plan, state) = artifact.into_parts();
+        Deployment::build(graph, plan, |tail, _| CompiledGraph::with_quant_state(tail, state))
+    }
+
+    /// The one construction path: rejects a plan made for a different
+    /// graph (its grids, regions and tail ranges would be applied to maps
+    /// they were never fitted to), then compiles the tail sub-graph with
+    /// `compile_tail` and the head into a stage-only patch executor.
+    fn build(
+        graph: Arc<Graph>,
+        plan: DeploymentPlan,
+        compile_tail: impl FnOnce(Graph, &DeploymentPlan) -> Result<CompiledGraph, GraphError>,
+    ) -> Result<Self, Error> {
+        if plan.spec() != graph.spec() {
+            return Err(Error::Plan(PlanError::GraphMismatch));
+        }
         let branch_params = Deployment::branch_params_for(&plan)?;
-        let tail = CompiledGraph::with_quant_state(Deployment::tail_graph(&graph, &plan)?, state)?;
-        let executor = PatchExecutor::stage_only(Arc::clone(&graph), plan.patch_plan().clone())?;
-        Ok(Deployment { executor, branch_params, tail, plan })
+        let tail = compile_tail(Deployment::tail_graph(&graph, &plan)?, &plan)?;
+        let executor = PatchExecutor::stage_only(&*graph, plan.patch_plan().clone())?;
+        Ok(Deployment { graph, executor, branch_params, tail, plan })
     }
 
     /// Per-branch activation grids from the plan's calibrated ranges.
@@ -167,7 +180,7 @@ impl Deployment {
 
     /// The served network.
     pub fn graph(&self) -> &Arc<Graph> {
-        self.executor.graph_handle()
+        &self.graph
     }
 
     /// Opens a session borrowing this deployment — the single-threaded
@@ -201,8 +214,8 @@ impl Deployment {
 }
 
 /// The mutable, per-thread half of serving: one in-flight inference's
-/// scratch (patch arenas, tail [`ExecState`], the reused stage
-/// [`PatchOutput`]) over a shared [`Deployment`].
+/// scratch (the head's [`PatchState`], the tail's [`ExecState`], the
+/// reused stage [`PatchOutput`]) over a shared [`Deployment`].
 ///
 /// Generic over how the deployment is held — `Session<&Deployment>`
 /// (from [`Deployment::session`]) borrows for scoped use,

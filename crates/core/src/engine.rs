@@ -320,9 +320,11 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`Error::Analysis`] when the static analyzer rejects the
-    /// graph, [`Error::Plan`] when the plan's quantization metadata
-    /// cannot be materialized (degenerate calibration ranges), or
-    /// [`Error::Patch`] when the plan does not fit the graph.
+    /// graph, [`Error::Plan`] when the plan was made for a different graph
+    /// ([`PlanError::GraphMismatch`](crate::PlanError::GraphMismatch)) or
+    /// its quantization metadata cannot be materialized (degenerate
+    /// calibration ranges), or [`Error::Patch`] when the plan does not fit
+    /// the graph.
     pub fn deploy(&self, plan: DeploymentPlan) -> Result<Deployment, Error> {
         self.verify()?;
         Deployment::new(Arc::clone(&self.graph), plan)
@@ -345,6 +347,7 @@ impl Engine {
     /// saved for a different model
     /// ([`ArtifactError::FingerprintMismatch`](crate::artifact::ArtifactError::FingerprintMismatch));
     /// [`Error::Analysis`] when the static analyzer rejects the graph;
+    /// [`Error::Plan`] when the decoded plan was made for another graph;
     /// and [`Error::Graph`] / [`Error::Patch`] when the decoded state
     /// does not fit the graph.
     pub fn deploy_from_artifact(&self, bytes: &[u8]) -> Result<Deployment, Error> {
@@ -373,12 +376,6 @@ impl Engine {
             return Err(crate::artifact::ArtifactError::FingerprintMismatch {
                 expected,
                 found: artifact.fingerprint(),
-            }
-            .into());
-        }
-        if artifact.plan().spec() != self.graph.spec() {
-            return Err(crate::artifact::ArtifactError::Plan {
-                detail: "artifact spec does not match the engine graph".to_string(),
             }
             .into());
         }
@@ -464,7 +461,12 @@ mod tests {
     use quantmcu_tensor::{Shape, Tensor};
 
     fn graph() -> Graph {
-        let spec = GraphSpecBuilder::new(Shape::hwc(16, 16, 3))
+        graph_at(16)
+    }
+
+    /// The test network at a `side`×`side` input.
+    fn graph_at(side: usize) -> Graph {
+        let spec = GraphSpecBuilder::new(Shape::hwc(side, side, 3))
             .conv2d(8, 3, 2, 1)
             .relu6()
             .pwconv(12)
@@ -479,8 +481,14 @@ mod tests {
     }
 
     fn calib(n: usize) -> Vec<Tensor> {
+        calib_at(16, n)
+    }
+
+    fn calib_at(side: usize, n: usize) -> Vec<Tensor> {
         (0..n)
-            .map(|s| Tensor::from_fn(Shape::hwc(16, 16, 3), |i| ((i + 97 * s) as f32 * 0.19).sin()))
+            .map(|s| {
+                Tensor::from_fn(Shape::hwc(side, side, 3), |i| ((i + 97 * s) as f32 * 0.19).sin())
+            })
             .collect()
     }
 
@@ -566,6 +574,23 @@ mod tests {
             crate::Error::Artifact(ArtifactError::FingerprintMismatch { expected, found })
                 if expected != found
         ));
+    }
+
+    #[test]
+    fn plan_for_another_input_size_is_rejected() {
+        // Without the check, a 16x16 plan on the 32x32 network served
+        // `Ok` outputs whose stage map was zero outside its top-left
+        // quarter; the other way round it failed only at run time.
+        let small = Engine::builder(graph_at(16)).sram_budget(SramBudget::kib(256)).build();
+        let large = Engine::builder(graph_at(32)).sram_budget(SramBudget::kib(256)).build();
+        let small_plan = small.plan(calib_at(16, 3)).unwrap();
+        let large_plan = large.plan(calib_at(32, 3)).unwrap();
+        for (engine, plan) in [(&large, small_plan), (&small, large_plan)] {
+            assert!(matches!(
+                engine.deploy(plan),
+                Err(crate::Error::Plan(crate::PlanError::GraphMismatch))
+            ));
+        }
     }
 
     #[test]

@@ -150,6 +150,8 @@ pub enum PlanError {
     Graph(GraphError),
     /// The calibration set is empty.
     NoCalibration,
+    /// A plan was deployed on a graph other than the one it was made for.
+    GraphMismatch,
 }
 
 impl fmt::Display for PlanError {
@@ -159,6 +161,7 @@ impl fmt::Display for PlanError {
             PlanError::Quant(e) => write!(f, "quantization search failed: {e}"),
             PlanError::Graph(e) => write!(f, "graph error: {e}"),
             PlanError::NoCalibration => write!(f, "calibration set is empty"),
+            PlanError::GraphMismatch => write!(f, "plan was made for a different graph"),
         }
     }
 }
@@ -169,7 +172,7 @@ impl std::error::Error for PlanError {
             PlanError::Patch(e) => Some(e),
             PlanError::Quant(e) => Some(e),
             PlanError::Graph(e) => Some(e),
-            PlanError::NoCalibration => None,
+            PlanError::NoCalibration | PlanError::GraphMismatch => None,
         }
     }
 }

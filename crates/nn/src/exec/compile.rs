@@ -20,6 +20,17 @@
 //! [`QuantExecutor`](crate::exec::QuantExecutor) façades bundle the two
 //! halves back together for single-threaded callers.
 //!
+//! # The float loop
+//!
+//! One loop serves full-graph runs and patch branches. A full run computes
+//! every node's whole output map. A branch run
+//! ([`CompiledGraph::run_float_region_into`]) passes a region schedule —
+//! one region per feature map, from receptive-field back-propagation — and
+//! node `i` computes only `regions[i + 1]`, optionally snapped to a
+//! per-feature-map grid (fake quantization). Both go through the same
+//! kernel dispatch, so a branch's region is bit-identical to the same
+//! region of a full run.
+//!
 //! # The integer loop
 //!
 //! Each node of the integer path takes one of three arms, fixed at
@@ -43,7 +54,9 @@
 
 use std::borrow::Borrow;
 
-use quantmcu_tensor::{pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Shape, Tensor};
+use quantmcu_tensor::{
+    pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Region, Shape, Tensor,
+};
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -54,7 +67,7 @@ use crate::spec::{FeatureMapId, GraphSpec, OpSpec, Source};
 ///
 /// Generic over `G: Borrow<Graph>`, so it can *borrow* a graph
 /// (`CompiledGraph<&Graph>`, the façades' choice), *own* it
-/// (`CompiledGraph<Graph>`, how the patch executor caches its tail), or
+/// (`CompiledGraph<Graph>`, how the patch executor holds its head), or
 /// share it (`CompiledGraph<std::sync::Arc<Graph>>`). A compiled graph is
 /// `Send + Sync`; execution mutates only the caller's [`ExecState`].
 ///
@@ -475,7 +488,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
     /// Returns [`GraphError::InputShapeMismatch`] when `input` does not
     /// match the spec.
     pub fn run_float(&self, state: &mut ExecState, input: &Tensor) -> Result<Tensor, GraphError> {
-        self.execute_float(state, input, |_, _| {})?;
+        self.execute_float(state, input, None, |_, _| {})?;
         let last = self.spec().feature_map_count() - 1;
         // Copy the final map into an exact-size buffer (the documented one
         // steady-state allocation) instead of handing out the recycled
@@ -503,7 +516,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         input: &Tensor,
         out: &mut Tensor,
     ) -> Result<(), GraphError> {
-        self.execute_float(state, input, |_, _| {})?;
+        self.execute_float(state, input, None, |_, _| {})?;
         let last = self.spec().feature_map_count() - 1;
         let t = state.slots[last].as_ref().expect("final feature map is never released early");
         if out.shape() == t.shape() {
@@ -532,18 +545,66 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         input: &Tensor,
         observer: impl FnMut(FeatureMapId, &Tensor),
     ) -> Result<(), GraphError> {
-        self.execute_float(state, input, observer)?;
+        self.execute_float(state, input, None, observer)?;
         state.release_all_float();
         Ok(())
+    }
+
+    /// Runs one dataflow branch of a patch-based stage: node `i` computes
+    /// only `regions[i + 1]` of its output map, snapped to `grids[i + 1]`
+    /// when grids are given (the input's `regions[0]` too). The final map's
+    /// region is copied into the same region of the output-shaped `out`,
+    /// and the rest of `out` is left as is, so branches that tile the
+    /// output stitch into one map. Map values outside a branch's regions
+    /// are arena scratch, which a receptive-field schedule never reads.
+    /// Allocation-free once warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InputShapeMismatch`] for a wrong input,
+    /// [`GraphError::InvalidHyperparameter`] unless `regions` (and `grids`)
+    /// hold one entry per feature map, and [`GraphError::Tensor`] when a
+    /// region does not fit its map or `out` is not output-shaped.
+    pub fn run_float_region_into(
+        &self,
+        state: &mut ExecState,
+        input: &Tensor,
+        regions: &[Region],
+        grids: Option<&[QuantParams]>,
+        out: &mut Tensor,
+    ) -> Result<(), GraphError> {
+        let spec = self.spec();
+        let fm_count = spec.feature_map_count();
+        if regions.len() != fm_count || grids.is_some_and(|g| g.len() != fm_count) {
+            return Err(GraphError::InvalidHyperparameter {
+                op: "region schedule",
+                detail: "needs one region (and grid) per feature map",
+            });
+        }
+        for (fm, region) in regions.iter().enumerate() {
+            let shape = spec.feature_map_shape(FeatureMapId(fm));
+            region.check_within(shape.h, shape.w)?;
+        }
+        self.execute_float(state, input, Some((regions, grids)), |_, _| {})?;
+        let last = state.slots[fm_count - 1].as_ref().expect("final feature map is never released");
+        let copied = out.copy_region(last, regions[fm_count - 1]);
+        state.release_all_float();
+        Ok(copied?)
     }
 
     /// Core float loop: computes every node, yielding maps to `observer`
     /// and recycling them per the liveness schedule. Leaves unreleased
     /// maps (at least the final one) in `state.slots` for the caller.
+    ///
+    /// Without a `schedule` every node computes its whole output map; with
+    /// one, node `i` computes only `regions[i + 1]`, snapped to
+    /// `grids[i + 1]` when grids are given (see
+    /// [`CompiledGraph::run_float_region_into`]).
     fn execute_float(
         &self,
         state: &mut ExecState,
         input: &Tensor,
+        schedule: Option<RegionSchedule<'_>>,
         mut observer: impl FnMut(FeatureMapId, &Tensor),
     ) -> Result<(), GraphError> {
         let graph = self.graph();
@@ -552,13 +613,21 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         state.ensure_slots(spec.feature_map_count());
         let mut buf = state.arena_f.take(input.data().len());
         buf.copy_from_slice(input.data());
-        state.slots[0] = Some(Tensor::from_vec(input.shape(), buf).expect("arena length matches"));
+        let mut t0 = Tensor::from_vec(input.shape(), buf).expect("arena length matches");
+        if let Some((regions, Some(grids))) = schedule {
+            fake_quant_region(&mut t0, regions[0], &grids[0]);
+        }
+        state.slots[0] = Some(t0);
         observer(FeatureMapId::INPUT, state.slots[0].as_ref().expect("just stored"));
         for i in 0..spec.len() {
             let out_shape = spec.node_shape(i);
             let mut out = Tensor::from_vec(out_shape, state.arena_f.take(out_shape.len()))
                 .expect("arena length matches");
-            eval_node(graph, &state.slots, i, &mut out);
+            let region = schedule.map_or(out_shape.full_region(), |(regions, _)| regions[i + 1]);
+            eval_node(graph, &state.slots, i, &mut out, region);
+            if let Some((_, Some(grids))) = schedule {
+                fake_quant_region(&mut out, region, &grids[i + 1]);
+            }
             state.slots[i + 1] = Some(out);
             observer(FeatureMapId::of_node(i), state.slots[i + 1].as_ref().expect("just stored"));
             for &fm in &self.release_after[i] {
@@ -1003,8 +1072,16 @@ impl ExecState {
 /// A streaming observer over dequantized feature maps.
 type MapObserver<'o> = &'o mut dyn FnMut(FeatureMapId, &Tensor);
 
-/// Evaluates node `i` into `out`, dispatching to the shared kernel layer.
-fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor) {
+/// A branch's per-feature-map regions plus, optionally, the grid each
+/// computed region is snapped to (see
+/// [`CompiledGraph::run_float_region_into`]).
+type RegionSchedule<'s> = (&'s [Region], Option<&'s [QuantParams]>);
+
+/// Evaluates node `i` within `region` of `out`, dispatching to the shared
+/// kernel layer. Reads outside an input map's bounds behave as zero
+/// padding; non-spatial ops (`Dense`, `GlobalAvgPool`) compute all of
+/// `out`.
+fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor, region: Region) {
     let spec = graph.spec();
     let node = &spec.nodes()[i];
     let slot = |s: Source| -> &Tensor {
@@ -1013,7 +1090,6 @@ fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor
     let in0 = slot(node.inputs[0]);
     let in_shape = in0.shape();
     let out_shape = out.shape();
-    let region = out_shape.full_region();
     let dot = FloatDot { weights: graph.params(i).weights(), bias: graph.params(i).bias() };
     match node.op {
         OpSpec::Conv2d { out_ch, kernel, stride, pad } => kernels::conv2d(
@@ -1054,6 +1130,22 @@ fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor
             out_shape,
             region,
         ),
+    }
+}
+
+/// Quantize-dequantizes the values inside `region` (all channels) in
+/// place, leaving the rest of the tensor untouched.
+fn fake_quant_region(t: &mut Tensor, region: Region, params: &QuantParams) {
+    let shape = t.shape();
+    for n in 0..shape.n {
+        for y in region.y..region.y_end().min(shape.h) {
+            for x in region.x..region.x_end().min(shape.w) {
+                for c in 0..shape.c {
+                    let v = t.at(n, y, x, c);
+                    t.set(n, y, x, c, params.dequantize(params.quantize(v)));
+                }
+            }
+        }
     }
 }
 

@@ -15,6 +15,12 @@
 //! workers, bounded micro-batching queue) keeps serving runtimes warm
 //! across calls.
 //!
+//! The float loop also runs one dataflow branch of a patch-based stage:
+//! [`CompiledGraph::run_float_region_into`] gives it a region schedule,
+//! so each node computes only the region the branch needs (optionally
+//! snapped to a per-feature-map grid). Full-graph and branch runs share
+//! one loop and one kernel dispatch.
+//!
 //! All execution dispatches into the shared op-kernel layer in
 //! [`crate::kernels`] — one cache-blocked, register-tiled loop nest per
 //! operator, generic over an element/accumulator strategy — and holds

@@ -24,9 +24,14 @@ pub enum PatchError {
         /// Stage output width.
         out_w: usize,
     },
-    /// A full-inference entry point was called on an executor built with
-    /// [`crate::PatchExecutor::stage_only`] (no compiled tail).
-    MissingTail,
+    /// The plan was made for a different graph: it tiles a stage output
+    /// of another size than the graph's head produces.
+    PlanMismatch {
+        /// `(height, width)` of the stage output the plan tiles.
+        planned: (usize, usize),
+        /// `(height, width)` of the stage output the graph's head produces.
+        actual: (usize, usize),
+    },
     /// A per-branch bitwidth vector has the wrong length.
     BitwidthLength {
         /// Feature maps in the branch (head length + 1).
@@ -47,9 +52,10 @@ impl fmt::Display for PatchError {
             PatchError::GridTooFine { rows, cols, out_h, out_w } => {
                 write!(f, "{rows}x{cols} patch grid exceeds the {out_h}x{out_w} stage output")
             }
-            PatchError::MissingTail => {
-                write!(f, "executor was built stage-only: it has no tail to run")
-            }
+            PatchError::PlanMismatch { planned: (ph, pw), actual: (h, w) } => write!(
+                f,
+                "plan tiles a {ph}x{pw} stage output but the graph's head produces {h}x{w}"
+            ),
             PatchError::BitwidthLength { expected, actual } => {
                 write!(f, "branch bitwidth vector needs {expected} entries, got {actual}")
             }
@@ -73,12 +79,6 @@ impl From<GraphError> for PatchError {
     }
 }
 
-impl From<quantmcu_tensor::TensorError> for PatchError {
-    fn from(e: quantmcu_tensor::TensorError) -> Self {
-        PatchError::Graph(GraphError::Tensor(e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +88,7 @@ mod tests {
         assert!(PatchError::NotSplittable { at: 3 }.to_string().contains("3"));
         let e = PatchError::GridTooFine { rows: 9, cols: 9, out_h: 4, out_w: 4 };
         assert!(e.to_string().contains("9x9"));
+        let e = PatchError::PlanMismatch { planned: (8, 8), actual: (16, 16) };
+        assert!(e.to_string().contains("8x8") && e.to_string().contains("16x16"));
     }
 }

@@ -13,12 +13,15 @@
 //! * [`PatchPlan`] — split point + patch grid, with validity checks;
 //! * [`Branch`] — the per-layer regions of one dataflow branch, derived by
 //!   receptive-field back-propagation;
-//! * [`PatchExecutor`] — runs a plan numerically (optionally with
-//!   per-feature-map fake quantization, which is how mixed-precision
-//!   branches are evaluated) and is bit-identical to full execution on
-//!   patch interiors. The executor is the immutable, `Send + Sync` half
-//!   (generic over `Borrow<Graph>`); all per-inference scratch lives in a
-//!   caller-owned [`PatchState`], so one executor serves many threads;
+//! * [`PatchExecutor`] — runs a plan's per-patch stage numerically: the
+//!   head is compiled once into a `quantmcu_nn::exec::CompiledGraph`, and
+//!   each branch runs it with its region schedule through the same float
+//!   loop a full-graph run uses (optionally snapping every computed
+//!   region to a per-feature-map grid, which is how mixed-precision
+//!   branches are evaluated). The stitched stage output is bit-identical
+//!   to full execution. The executor is immutable and `Send + Sync`; all
+//!   per-inference scratch lives in a caller-owned [`PatchState`], so one
+//!   executor serves many threads;
 //! * [`redundancy`] — the overlap accounting behind Fig. 1b;
 //! * [`memory`] — the per-branch peak-SRAM model behind Table I;
 //! * [`baselines`] — layer-based inference, MCUNetV2, Cipolletta et al.'s

@@ -170,6 +170,11 @@ impl PatchPlan {
         self.cols
     }
 
+    /// The `(height, width)` of the stage output the grid tiles.
+    pub fn stage_size(&self) -> (usize, usize) {
+        (self.stage_out_h, self.stage_out_w)
+    }
+
     /// Number of dataflow branches (`rows × cols`).
     pub fn branch_count(&self) -> usize {
         self.rows * self.cols

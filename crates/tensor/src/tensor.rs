@@ -107,70 +107,39 @@ impl Tensor {
         // Validate before sizing the output: a bogus region must error,
         // not drive a huge zero-fill allocation.
         region.check_within(self.shape.h, self.shape.w)?;
-        let out_shape = Shape::new(self.shape.n, region.h, region.w, self.shape.c);
-        let mut out = Tensor::zeros(out_shape);
-        self.crop_into(region, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes the spatial crop `region` of `self` into `out`, which must
-    /// already have the crop's shape — the allocation-free counterpart of
-    /// [`Tensor::crop`] for callers reusing an output buffer across runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RegionOutOfBounds`] when `region` extends
-    /// past the spatial bounds, or [`TensorError::ShapeMismatch`] when
-    /// `out` does not have the crop's shape.
-    pub fn crop_into(&self, region: Region, out: &mut Tensor) -> Result<(), TensorError> {
-        region.check_within(self.shape.h, self.shape.w)?;
-        let out_shape = Shape::new(self.shape.n, region.h, region.w, self.shape.c);
-        if out.shape != out_shape {
-            return Err(TensorError::ShapeMismatch {
-                expected: out_shape.len(),
-                actual: out.shape.len(),
-            });
-        }
-        for n in 0..self.shape.n {
-            for y in 0..region.h {
-                for x in 0..region.w {
-                    let src = self.shape.index(n, region.y + y, region.x + x, 0);
-                    let dst = out_shape.index(n, y, x, 0);
-                    out.data[dst..dst + self.shape.c]
-                        .copy_from_slice(&self.data[src..src + self.shape.c]);
-                }
+        let Shape { n, h, w, c } = self.shape;
+        let mut data = Vec::with_capacity(n * region.h * region.w * c);
+        for b in 0..n {
+            for y in region.y..region.y_end() {
+                let start = ((b * h + y) * w + region.x) * c;
+                data.extend_from_slice(&self.data[start..start + region.w * c]);
             }
         }
-        Ok(())
+        Ok(Tensor { shape: Shape::new(n, region.h, region.w, c), data })
     }
 
-    /// Writes `patch` into the spatial crop `region` of `self`.
-    ///
-    /// The inverse of [`Tensor::crop`], used to stitch patch outputs back
-    /// into a full feature map.
+    /// Copies the spatial region `region` of `src` (all batch items and
+    /// channels) into the same region of `self`, leaving the rest of
+    /// `self` untouched — how patch outputs are stitched into one map.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RegionOutOfBounds`] when `region` does not fit,
-    /// or [`TensorError::ShapeMismatch`] when `patch` does not have the
-    /// region's shape.
-    pub fn paste(&mut self, region: Region, patch: &Tensor) -> Result<(), TensorError> {
-        region.check_within(self.shape.h, self.shape.w)?;
-        let expected = Shape::new(self.shape.n, region.h, region.w, self.shape.c);
-        if patch.shape != expected {
+    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ, or
+    /// [`TensorError::RegionOutOfBounds`] when `region` does not fit.
+    pub fn copy_region(&mut self, src: &Tensor, region: Region) -> Result<(), TensorError> {
+        if src.shape != self.shape {
             return Err(TensorError::ShapeMismatch {
-                expected: expected.len(),
-                actual: patch.shape.len(),
+                expected: self.shape.len(),
+                actual: src.shape.len(),
             });
         }
+        region.check_within(self.shape.h, self.shape.w)?;
+        let Shape { h, w, c, .. } = self.shape;
+        let run = region.w * c;
         for n in 0..self.shape.n {
-            for y in 0..region.h {
-                for x in 0..region.w {
-                    let dst = self.shape.index(n, region.y + y, region.x + x, 0);
-                    let src = patch.shape.index(n, y, x, 0);
-                    self.data[dst..dst + self.shape.c]
-                        .copy_from_slice(&patch.data[src..src + self.shape.c]);
-                }
+            for y in region.y..region.y_end() {
+                let start = ((n * h + y) * w + region.x) * c;
+                self.data[start..start + run].copy_from_slice(&src.data[start..start + run]);
             }
         }
         Ok(())
@@ -252,6 +221,19 @@ mod tests {
         assert_eq!(c.shape(), Shape::hwc(2, 2, 2));
         assert_eq!(c.at(0, 0, 0, 0), t.at(0, 1, 1, 0));
         assert_eq!(c.at(0, 1, 1, 1), t.at(0, 2, 2, 1));
+        // Every batch item, row and channel lands in place.
+        let t = seq(Shape::new(2, 5, 4, 3));
+        let c = t.crop(Region::new(1, 2, 3, 2)).unwrap();
+        assert_eq!(c.shape(), Shape::new(2, 3, 2, 3));
+        for n in 0..2 {
+            for y in 0..3 {
+                for x in 0..2 {
+                    for ch in 0..3 {
+                        assert_eq!(c.at(n, y, x, ch), t.at(n, 1 + y, 2 + x, ch));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -261,26 +243,32 @@ mod tests {
     }
 
     #[test]
-    fn paste_roundtrips_crop() {
-        let t = seq(Shape::hwc(4, 4, 3));
-        let region = Region::new(1, 2, 2, 2);
-        let c = t.crop(region).unwrap();
-        let mut out = Tensor::zeros(t.shape());
-        out.paste(region, &c).unwrap();
-        for y in 0..2 {
-            for x in 0..2 {
-                for ch in 0..3 {
-                    assert_eq!(out.at(0, 1 + y, 2 + x, ch), t.at(0, 1 + y, 2 + x, ch));
+    fn copy_region_copies_only_the_region() {
+        let src = seq(Shape::new(2, 4, 4, 3));
+        let region = Region::new(1, 2, 3, 2);
+        let mut out = Tensor::full(src.shape(), -1.0);
+        out.copy_region(&src, region).unwrap();
+        for n in 0..2 {
+            for y in 0..4 {
+                for x in 0..4 {
+                    let inside = (1..4).contains(&y) && (2..4).contains(&x);
+                    for ch in 0..3 {
+                        let expected = if inside { src.at(n, y, x, ch) } else { -1.0 };
+                        assert_eq!(out.at(n, y, x, ch), expected);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn paste_rejects_wrong_patch_shape() {
-        let mut t = Tensor::zeros(Shape::hwc(4, 4, 1));
-        let patch = Tensor::zeros(Shape::hwc(3, 2, 1));
-        assert!(t.paste(Region::new(0, 0, 2, 2), &patch).is_err());
+    fn copy_region_rejects_wrong_shapes() {
+        let src = seq(Shape::hwc(4, 4, 3));
+        let mut out = Tensor::zeros(src.shape());
+        assert!(out.copy_region(&src, Region::new(2, 0, 3, 1)).is_err());
+        assert!(out
+            .copy_region(&Tensor::zeros(Shape::hwc(4, 3, 3)), Region::new(0, 0, 2, 2))
+            .is_err());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Integration tests for DAG-shaped patch stages: the engine must stay
 //! bit-exact when residual adds and fire-style concats sit inside the
-//! per-patch stage, and the cost models must stay consistent with the
-//! numeric engine on those graphs.
+//! per-patch stage (and on every zoo model), and the cost models must stay
+//! consistent with the numeric engine on those graphs.
 
 use quantmcu::mcusim::{Device, LatencyModel};
+use quantmcu::models::{Model, ModelConfig};
 use quantmcu::nn::cost::BitwidthAssignment;
 use quantmcu::nn::exec::FloatExecutor;
 use quantmcu::nn::{init, Graph, GraphSpecBuilder};
-use quantmcu::patch::{redundancy, PatchExecutor, PatchPlan};
+use quantmcu::patch::{largest_straight_prefix, redundancy, PatchExecutor, PatchPlan, PatchState};
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 
 fn input(shape: Shape, seed: u64) -> Tensor {
@@ -44,34 +45,65 @@ fn concat_graph() -> Graph {
     init::with_structured_weights(spec, 23)
 }
 
+/// The stitched stage output of a `rows`×`cols` plan split at `split`.
+fn patched_stage(g: &Graph, x: &Tensor, split: usize, rows: usize, cols: usize) -> Tensor {
+    let plan = PatchPlan::new(g.spec(), split, rows, cols).unwrap();
+    let pe = PatchExecutor::stage_only(g, plan).unwrap();
+    let mut out = pe.make_output();
+    pe.run_stage_into(&mut PatchState::new(), x, None, &mut out).unwrap();
+    out.stage_output
+}
+
+/// Number of values where `a` and `b` differ bit for bit.
+fn bit_mismatches(a: &Tensor, b: &Tensor) -> usize {
+    assert_eq!(a.shape(), b.shape());
+    a.data().iter().zip(b.data()).filter(|(x, y)| x.to_bits() != y.to_bits()).count()
+}
+
 #[test]
 fn residual_head_patching_is_exact() {
     let g = residual_graph();
     // Split after the strided conv: head = conv,relu6,conv,add,conv.
-    let plan = PatchPlan::new(g.spec(), 5, 2, 2).unwrap();
-    let pe = PatchExecutor::new(&g, plan).unwrap();
     let x = input(Shape::hwc(16, 16, 6), 1);
-    let patched = pe.run(&mut pe.make_state(), &x).unwrap();
-    let full = FloatExecutor::new(&g).run(&x).unwrap();
-    assert!(
-        patched.final_output.mean_abs_diff(&full) < 1e-4,
-        "residual-head patching diverged: {}",
-        patched.final_output.mean_abs_diff(&full)
-    );
+    let full = FloatExecutor::new(&g).run_trace(&x).unwrap();
+    let mismatches = bit_mismatches(&patched_stage(&g, &x, 5, 2, 2), &full[5]);
+    assert_eq!(mismatches, 0, "residual-head patching diverged in {mismatches} values");
 }
 
 #[test]
 fn concat_head_patching_is_exact() {
     let g = concat_graph();
     // Head covers the whole fire module (6 nodes) plus the strided conv.
-    let split = quantmcu::patch::largest_straight_prefix(g.spec());
+    let split = largest_straight_prefix(g.spec());
     assert!(split >= 7, "fire module should be patchable, prefix = {split}");
-    let plan = PatchPlan::new(g.spec(), split, 3, 3).unwrap();
-    let pe = PatchExecutor::new(&g, plan).unwrap();
     let x = input(Shape::hwc(16, 16, 8), 2);
-    let patched = pe.run(&mut pe.make_state(), &x).unwrap();
-    let full = FloatExecutor::new(&g).run(&x).unwrap();
-    assert!(patched.final_output.mean_abs_diff(&full) < 1e-4);
+    let full = FloatExecutor::new(&g).run_trace(&x).unwrap();
+    assert_eq!(bit_mismatches(&patched_stage(&g, &x, split, 3, 3), &full[split]), 0);
+}
+
+#[test]
+fn zoo_patch_stages_are_bit_exact() {
+    // Every zoo model, split at its earliest and its deepest boundary that
+    // hosts a 3x3 grid, at 2x2 and 3x3: the stitched stage equals the full
+    // float run's map at the split, bit for bit. Exec-scale resolution at
+    // a quarter width keeps the debug-build run to a few seconds.
+    for model in Model::ALL {
+        let spec = model.spec(ModelConfig::new(32, 0.25, 10)).unwrap();
+        let g = init::with_structured_weights(spec, 7);
+        let x = input(g.spec().input_shape(), 5);
+        let full = FloatExecutor::new(&g).run_trace(&x).unwrap();
+        let splits: Vec<usize> = (1..=largest_straight_prefix(g.spec()))
+            .filter(|&at| PatchPlan::new(g.spec(), at, 3, 3).is_ok())
+            .collect();
+        let (&early, &last) = (splits.first().unwrap(), splits.last().unwrap());
+        for split in [early, last] {
+            for grid in [2, 3] {
+                let stage = patched_stage(&g, &x, split, grid, grid);
+                let mismatches = bit_mismatches(&stage, &full[split]);
+                assert_eq!(mismatches, 0, "{} split {split} grid {grid}", model.name());
+            }
+        }
+    }
 }
 
 #[test]
