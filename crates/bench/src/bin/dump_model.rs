@@ -7,7 +7,9 @@
 //!   exec scale (deterministic structured weights) into
 //!   `<dir>/<name>.qmcu`.
 //! * `dump_model show <file>` — decode a model file (without optimizing)
-//!   and print its header and node records.
+//!   and print its header, its node records and the analyzer's report on
+//!   the decoded IR (`lint_model` sees files only after the optimizer has
+//!   removed dead nodes; this shows the file as written).
 //! * `dump_model verify <file ...>` — import each file through the full
 //!   pipeline (decode → optimizer passes → analyzer → lower), re-export
 //!   it, and check the round trip reproduces the same graph bit-exactly.
@@ -16,6 +18,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use quantmcu::models::{Model, ModelConfig};
+use quantmcu::nn::analyze::{analyze_ir, AnalyzeOptions, RawInput};
 use quantmcu::nn::import::{decode, load_model_with_stats, save_model, save_model_to_path};
 use quantmcu::nn::opt::ModelIr;
 
@@ -105,8 +108,8 @@ fn show(path: &str) -> ExitCode {
             .inputs
             .iter()
             .map(|i| match i {
-                quantmcu::nn::analyze::RawInput::Image => "image".to_string(),
-                quantmcu::nn::analyze::RawInput::Node(id) => format!("#{id}"),
+                RawInput::Image => "image".to_string(),
+                RawInput::Node(id) => format!("#{id}"),
             })
             .collect();
         println!(
@@ -118,6 +121,7 @@ fn show(path: &str) -> ExitCode {
             n.bias.len()
         );
     }
+    println!("analysis (unoptimized): {}", analyze_ir(&ir, &AnalyzeOptions::default()));
     ExitCode::SUCCESS
 }
 

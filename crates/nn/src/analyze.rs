@@ -16,11 +16,13 @@
 //!    liveness schedule (and the best patch split) and checks it against
 //!    the device budget before any calibration work runs.
 //!
-//! Results come back as a [`Report`] of structured [`Diagnostic`]s. Two
-//! input forms are supported: a *raw* graph ([`RawGraph`]) with explicit
-//! node ids — the form a deserializer produces, where structural defects
-//! are representable — and a validated [`GraphSpec`] via
-//! [`analyze_spec`], which [`RawGraph::from_spec`] bridges.
+//! Results come back as a [`Report`] of structured [`Diagnostic`]s. The
+//! passes read the one graph IR, [`ModelIr`]: explicit node ids and free
+//! declaration order, so every structural defect is representable. The
+//! `.qmcu` decoder produces it ([`analyze_ir`]); a validated
+//! [`GraphSpec`] is viewed through [`ModelIr::from_spec`]
+//! ([`analyze_spec`]). The import-only [`IrOp::BiasAdd`] takes one input
+//! and keeps its shape; having no accumulator, it is exempt from `Q001`.
 //!
 //! Diagnostic codes are stable strings (grep-able, CI-pinnable):
 //!
@@ -41,7 +43,9 @@ use std::fmt;
 
 use quantmcu_tensor::{Bitwidth, Shape};
 
+use crate::cost::{self, BitwidthAssignment};
 use crate::error::GraphError;
+use crate::opt::{IrOp, LowerError, ModelIr};
 use crate::spec::{FeatureMapId, GraphSpec, NodeSpec, OpSpec, Source};
 
 // ---------------------------------------------------------------------------
@@ -253,10 +257,10 @@ impl fmt::Display for Report {
 impl std::error::Error for Report {}
 
 // ---------------------------------------------------------------------------
-// Raw (pre-validation) graph form
+// IR edges and lowering
 // ---------------------------------------------------------------------------
 
-/// Where a [`RawNode`] reads from.
+/// Where an IR node ([`crate::opt::IrNode`]) reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RawInput {
     /// The graph's input image.
@@ -265,139 +269,79 @@ pub enum RawInput {
     Node(usize),
 }
 
-/// One node of a [`RawGraph`], identified by an explicit id.
+/// Lowers an IR into a validated [`GraphSpec`]: the nodes that reach the
+/// output, topologically sorted and renumbered to execution indices.
+/// Dead nodes are dropped, so an explicit output stays the graph output
+/// even when a dead node sorts after it.
 ///
-/// Unlike [`NodeSpec`], ids are arbitrary and declaration order carries no
-/// meaning — exactly what a serialized model yields before validation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawNode {
-    /// The node's id (referenced by [`RawInput::Node`]).
-    pub id: usize,
-    /// The operator.
-    pub op: OpSpec,
-    /// Input sources, in operator order.
-    pub inputs: Vec<RawInput>,
-}
-
-/// An unvalidated graph: the analyzer's native input form.
+/// Also returns the execution-order permutation: `order[p]` is the
+/// declaration index of the node at execution position `p`, which
+/// callers use to reorder per-node payloads (weights, biases).
 ///
-/// Every structural defect — dangling references, cycles, duplicate ids —
-/// is representable here, unlike in [`GraphSpec`] whose constructor already
-/// enforces a topological order. [`RawGraph::from_spec`] bridges validated
-/// graphs into this form; a future model importer produces it directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawGraph {
-    /// Shape of the input image.
-    pub input_shape: Shape,
-    /// The nodes, in declaration (not necessarily execution) order.
-    pub nodes: Vec<RawNode>,
-    /// Id of the output node; `None` selects the last declared node.
-    pub output: Option<usize>,
-}
-
-impl RawGraph {
-    /// Re-expresses a validated spec in raw form (ids = node indices).
-    pub fn from_spec(spec: &GraphSpec) -> Self {
-        let nodes = spec
-            .nodes()
+/// # Errors
+///
+/// [`LowerError::Analysis`] with the structural and shape diagnostics
+/// when the IR has errors, and [`LowerError::Unlowerable`] when a live
+/// node is an import-only [`IrOp::BiasAdd`].
+pub(crate) fn lower(ir: &ModelIr) -> Result<(GraphSpec, Vec<usize>), LowerError> {
+    let mut report = Report::new();
+    let structure = check_structure(ir, &mut report);
+    infer_shapes_inner(ir, structure.as_ref(), &mut report);
+    let Some(structure) = structure.filter(|_| !report.has_errors()) else {
+        return Err(LowerError::Analysis(report));
+    };
+    let order: Vec<usize> =
+        structure.order.iter().copied().filter(|&idx| structure.live[idx]).collect();
+    // Renumber: declaration index -> execution position. Live nodes only
+    // read live nodes, so every input resolves.
+    let mut pos = vec![usize::MAX; ir.nodes.len()];
+    for (p, &idx) in order.iter().enumerate() {
+        pos[idx] = p;
+    }
+    let mut nodes = Vec::with_capacity(order.len());
+    for &idx in &order {
+        let n = &ir.nodes[idx];
+        let IrOp::Core(op) = n.op else {
+            return Err(LowerError::Unlowerable { id: n.id, op: n.op.name() });
+        };
+        let inputs = n
+            .inputs
             .iter()
-            .enumerate()
-            .map(|(i, n)| RawNode {
-                id: i,
-                op: n.op,
-                inputs: n
-                    .inputs
-                    .iter()
-                    .map(|s| match *s {
-                        Source::Input => RawInput::Image,
-                        Source::Node(j) => RawInput::Node(j),
-                    })
-                    .collect(),
+            .map(|&inp| match inp {
+                RawInput::Image => Source::Input,
+                RawInput::Node(id) => Source::Node(
+                    pos[resolve(&structure.ids, id).expect("live nodes read defined ids")],
+                ),
             })
             .collect();
-        RawGraph { input_shape: spec.input_shape(), nodes, output: None }
+        nodes.push(NodeSpec { op, inputs });
     }
-
-    /// Lowers a structurally clean raw graph into a validated
-    /// [`GraphSpec`]: topologically sorts the nodes, renumbers ids to
-    /// execution indices, and runs the spec's own validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the analysis [`Report`] when the graph has structural or
-    /// shape errors (the same report [`analyze_raw`] would produce).
-    pub fn lower(&self) -> Result<GraphSpec, Report> {
-        self.lower_with_order().map(|(spec, _)| spec)
-    }
-
-    /// Like [`RawGraph::lower`], but also returns the execution-order
-    /// permutation: `order[p]` is the raw declaration index of the node
-    /// placed at execution position `p`.
-    ///
-    /// Importers use the permutation to reorder per-node payloads (weights,
-    /// biases) that were recorded in declaration order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RawGraph::lower`].
-    pub fn lower_with_order(&self) -> Result<(GraphSpec, Vec<usize>), Report> {
-        let mut report = Report::new();
-        let structure = check_structure(self, &mut report);
-        let _ = infer_shapes_inner(self, structure.as_ref(), &mut report);
-        if report.has_errors() {
-            return Err(report);
-        }
-        let structure = structure.expect("clean report implies resolvable structure");
-        // Renumber: raw index -> execution position.
-        let mut pos = vec![usize::MAX; self.nodes.len()];
-        for (p, &idx) in structure.order.iter().enumerate() {
-            pos[idx] = p;
-        }
-        let nodes = structure
-            .order
-            .iter()
-            .map(|&idx| {
-                let n = &self.nodes[idx];
-                NodeSpec {
-                    op: n.op,
-                    inputs: n
-                        .inputs
-                        .iter()
-                        .map(|&inp| match inp {
-                            RawInput::Image => Source::Input,
-                            RawInput::Node(id) => Source::Node(pos[structure.id_to_idx(id)]),
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let spec = GraphSpec::new(self.input_shape, nodes).map_err(|e| {
-            let mut r = Report::new();
-            r.push(Diagnostic::new(Code::BadHyperparameter, None, e.to_string()));
-            r
-        })?;
-        Ok((spec, structure.order))
-    }
+    let spec = GraphSpec::new(ir.input_shape, nodes).map_err(|e| {
+        let mut r = Report::new();
+        r.push(Diagnostic::new(Code::BadHyperparameter, None, e.to_string()));
+        LowerError::Analysis(r)
+    })?;
+    Ok((spec, order))
 }
 
 // ---------------------------------------------------------------------------
 // Pass 1: structural verification
 // ---------------------------------------------------------------------------
 
-/// Resolved structure of a raw graph, produced by the structural pass.
+/// Resolved structure of an IR, produced by the structural pass.
 struct Structure {
-    /// Raw node indices in a valid execution order (nodes on cycles are
-    /// absent).
+    /// Declaration indices in a valid execution order (nodes on cycles
+    /// are absent).
     order: Vec<usize>,
-    /// id -> first defining raw index, sorted by id for binary search.
+    /// id -> first defining declaration index, sorted by id.
     ids: Vec<(usize, usize)>,
+    /// Per declaration index: does the node reach the graph output?
+    live: Vec<bool>,
 }
 
-impl Structure {
-    fn id_to_idx(&self, id: usize) -> usize {
-        let at = self.ids.binary_search_by_key(&id, |&(i, _)| i).expect("resolved id");
-        self.ids[at].1
-    }
+/// The declaration index defining `id`, if any.
+fn resolve(ids: &[(usize, usize)], id: usize) -> Option<usize> {
+    ids.binary_search_by_key(&id, |&(i, _)| i).ok().map(|at| ids[at].1)
 }
 
 /// Structural verification: duplicate ids (`S003`), dangling references
@@ -405,11 +349,11 @@ impl Structure {
 ///
 /// Returns `None` when the structure is too broken for later passes
 /// (duplicate ids or cycles).
-fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
-    let n = raw.nodes.len();
+fn check_structure(ir: &ModelIr, report: &mut Report) -> Option<Structure> {
+    let n = ir.nodes.len();
     // Duplicate ids; keep the first definition for resolution.
     let mut ids: Vec<(usize, usize)> = Vec::with_capacity(n);
-    for (idx, node) in raw.nodes.iter().enumerate() {
+    for (idx, node) in ir.nodes.iter().enumerate() {
         match ids.binary_search_by_key(&node.id, |&(i, _)| i) {
             Ok(at) => {
                 let first = ids[at].1;
@@ -428,11 +372,10 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
             Err(at) => ids.insert(at, (node.id, idx)),
         }
     }
-    let resolve = |id: usize| ids.binary_search_by_key(&id, |&(i, _)| i).ok().map(|at| ids[at].1);
 
     // Arity and dangling references.
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (idx, node) in raw.nodes.iter().enumerate() {
+    for (idx, node) in ir.nodes.iter().enumerate() {
         let arity = node.op.arity();
         if node.inputs.is_empty() || (arity != usize::MAX && node.inputs.len() != arity) {
             let expected = if arity == usize::MAX { 1 } else { arity };
@@ -449,7 +392,7 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
         }
         for &inp in &node.inputs {
             if let RawInput::Node(target) = inp {
-                match resolve(target) {
+                match resolve(&ids, target) {
                     Some(t) => deps[idx].push(t),
                     None => report.push(
                         Diagnostic::new(
@@ -466,7 +409,6 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
 
     // Cycle detection: iterative DFS over the dependency edges.
     let mut color = vec![0u8; n]; // 0 white, 1 on stack, 2 done
-    let mut in_cycle = vec![false; n];
     for start in 0..n {
         if color[start] != 0 {
             continue;
@@ -489,17 +431,14 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
                             .position(|&(x, _)| x == v)
                             .expect("gray nodes are on the stack");
                         let members: Vec<usize> =
-                            stack[pos..].iter().map(|&(x, _)| raw.nodes[x].id).collect();
-                        for &(x, _) in &stack[pos..] {
-                            in_cycle[x] = true;
-                        }
+                            stack[pos..].iter().map(|&(x, _)| ir.nodes[x].id).collect();
                         let path =
                             members.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(" -> ");
                         report.push(
                             Diagnostic::new(
                                 Code::Cycle,
-                                Some(raw.nodes[v].id),
-                                format!("dependency cycle: {path} -> {}", raw.nodes[v].id),
+                                Some(ir.nodes[v].id),
+                                format!("dependency cycle: {path} -> {}", ir.nodes[v].id),
                             )
                             .with_related(members),
                         );
@@ -514,8 +453,8 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
     }
 
     // Dead nodes: backward reachability from the output.
-    let output_idx = match raw.output {
-        Some(id) => match resolve(id) {
+    let output_idx = match ir.output {
+        Some(id) => match resolve(&ids, id) {
             Some(idx) => Some(idx),
             None => {
                 report.push(Diagnostic::new(
@@ -528,8 +467,8 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
         },
         None => n.checked_sub(1),
     };
+    let mut live = vec![false; n];
     if let Some(out) = output_idx {
-        let mut live = vec![false; n];
         let mut queue = vec![out];
         live[out] = true;
         while let Some(u) = queue.pop() {
@@ -540,7 +479,7 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
                 }
             }
         }
-        for (idx, node) in raw.nodes.iter().enumerate() {
+        for (idx, node) in ir.nodes.iter().enumerate() {
             if !live[idx] {
                 report.push(Diagnostic::new(
                     Code::DeadNode,
@@ -583,17 +522,17 @@ fn check_structure(raw: &RawGraph, report: &mut Report) -> Option<Structure> {
             }
         }
     }
-    Some(Structure { order, ids })
+    Some(Structure { order, ids, live })
 }
 
 // ---------------------------------------------------------------------------
 // Pass 2: shape inference
 // ---------------------------------------------------------------------------
 
-/// The shapes the analyzer proved: one entry per raw node (by declaration
+/// The shapes the analyzer proved: one entry per IR node (by declaration
 /// index), `None` where inference could not complete.
 ///
-/// For graphs built via [`RawGraph::from_spec`], node indices coincide
+/// For an IR viewed through [`ModelIr::from_spec`], node indices coincide
 /// with execution order, so [`ShapeTable::feature_map`] mirrors
 /// [`GraphSpec::feature_map_shape`].
 #[derive(Debug, Clone, PartialEq)]
@@ -630,24 +569,24 @@ impl ShapeTable {
 
 /// Runs the structural and shape passes, returning the proved shapes and
 /// every diagnostic found so far.
-pub fn infer_shapes(raw: &RawGraph) -> (ShapeTable, Report) {
+pub fn infer_shapes(ir: &ModelIr) -> (ShapeTable, Report) {
     let mut report = Report::new();
-    let structure = check_structure(raw, &mut report);
-    let table = infer_shapes_inner(raw, structure.as_ref(), &mut report);
+    let structure = check_structure(ir, &mut report);
+    let table = infer_shapes_inner(ir, structure.as_ref(), &mut report);
     (table, report)
 }
 
 fn infer_shapes_inner(
-    raw: &RawGraph,
+    ir: &ModelIr,
     structure: Option<&Structure>,
     report: &mut Report,
 ) -> ShapeTable {
-    let mut shapes: Vec<Option<Shape>> = vec![None; raw.nodes.len()];
+    let mut shapes: Vec<Option<Shape>> = vec![None; ir.nodes.len()];
     let Some(structure) = structure else {
-        return ShapeTable { input: raw.input_shape, shapes };
+        return ShapeTable { input: ir.input_shape, shapes };
     };
     for &idx in &structure.order {
-        let node = &raw.nodes[idx];
+        let node = &ir.nodes[idx];
         // Gather input shapes; a missing one (dangling ref or an upstream
         // failure) silently skips this node — the root cause is already
         // reported, cascading diagnostics would only add noise.
@@ -657,16 +596,11 @@ fn infer_shapes_inner(
         for &inp in &node.inputs {
             match inp {
                 RawInput::Image => {
-                    in_shapes.push(raw.input_shape);
+                    in_shapes.push(ir.input_shape);
                     in_ids.push(None);
                 }
                 RawInput::Node(id) => {
-                    let Some(shape) = structure
-                        .ids
-                        .binary_search_by_key(&id, |&(i, _)| i)
-                        .ok()
-                        .and_then(|at| shapes[structure.ids[at].1])
-                    else {
+                    let Some(shape) = resolve(&structure.ids, id).and_then(|i| shapes[i]) else {
                         complete = false;
                         break;
                     };
@@ -720,7 +654,7 @@ fn infer_shapes_inner(
             }
         }
     }
-    ShapeTable { input: raw.input_shape, shapes }
+    ShapeTable { input: ir.input_shape, shapes }
 }
 
 // ---------------------------------------------------------------------------
@@ -761,35 +695,31 @@ pub fn accumulator_bound(
 
 /// Overflow pass over proved shapes: emits `Q001` for every weighted node
 /// whose worst-case accumulator exceeds [`ACC_LIMIT`] at the widest
-/// candidate activation/weight bitwidths.
+/// candidate activation/weight bitwidths. `BiasAdd` has no accumulator.
 fn check_overflow(
-    raw: &RawGraph,
+    ir: &ModelIr,
     structure: &Structure,
     table: &ShapeTable,
     act: Bitwidth,
     weights: Bitwidth,
     report: &mut Report,
 ) {
-    for node in &raw.nodes {
-        if !node.op.has_weights() {
+    for node in &ir.nodes {
+        let IrOp::Core(op) = node.op else { continue };
+        if !op.has_weights() {
             continue;
         }
         let in_shape = match node.inputs.first() {
-            Some(RawInput::Image) => raw.input_shape,
+            Some(RawInput::Image) => ir.input_shape,
             Some(&RawInput::Node(id)) => {
-                match structure
-                    .ids
-                    .binary_search_by_key(&id, |&(i, _)| i)
-                    .ok()
-                    .and_then(|at| table.node(structure.ids[at].1))
-                {
+                match resolve(&structure.ids, id).and_then(|i| table.node(i)) {
                     Some(s) => s,
                     None => continue, // upstream failure already reported
                 }
             }
             None => continue,
         };
-        if let Some(d) = overflow_diagnostic(node.id, node.op, in_shape, act, weights) {
+        if let Some(d) = overflow_diagnostic(node.id, op, in_shape, act, weights) {
             report.push(d);
         }
     }
@@ -824,36 +754,6 @@ pub(crate) fn overflow_diagnostic(
 // Pass 4: SRAM feasibility
 // ---------------------------------------------------------------------------
 
-/// Peak activation bytes of layer-at-a-time execution at a uniform
-/// bitwidth, with the node where the peak occurs.
-fn peak_profile(spec: &GraphSpec, bits: Bitwidth) -> (usize, usize) {
-    if spec.is_empty() {
-        return (bits.bytes_for(spec.input_shape().len()), 0);
-    }
-    let mut last_use = vec![0usize; spec.feature_map_count()];
-    for (i, node) in spec.nodes().iter().enumerate() {
-        for src in &node.inputs {
-            last_use[src.feature_map().0] = i;
-        }
-    }
-    let bytes = |fm: usize| bits.bytes_for(spec.feature_map_shape(FeatureMapId(fm)).len());
-    let mut peak = 0usize;
-    let mut peak_node = 0usize;
-    for i in 0..spec.len() {
-        let mut live = bytes(i + 1);
-        for (fm, &lu) in last_use.iter().enumerate().take(i + 1) {
-            if lu >= i {
-                live += bytes(fm);
-            }
-        }
-        if live > peak {
-            peak = live;
-            peak_node = i;
-        }
-    }
-    (peak, peak_node)
-}
-
 /// Optimistic lower bound on the peak of a patch split at `at`: the
 /// stitched stage output plus the input must coexist during the branch
 /// phase, and the tail then runs layer-at-a-time — all at the narrowest
@@ -866,15 +766,19 @@ fn split_lower_bound(spec: &GraphSpec, at: usize, bits: Bitwidth) -> Option<usiz
     let (head, tail) = spec.split_at(at).ok()?;
     let input = bits.bytes_for(head.input_shape().len());
     let stage = bits.bytes_for(head.output_shape().len());
-    let (tail_peak, _) = peak_profile(&tail, bits);
+    let tail_peak = cost::peak_activation_bytes(&tail, &BitwidthAssignment::uniform(&tail, bits));
     Some((input + stage).max(tail_peak))
 }
 
 /// SRAM feasibility pass: `M001` when no execution strategy can fit the
 /// budget even at the narrowest candidate bitwidth, `M002` (info) when
-/// layer-at-a-time execution cannot fit but a patch split can.
-fn check_sram(spec: &GraphSpec, budget_bytes: usize, narrowest: Bitwidth, report: &mut Report) {
-    let (layer_peak, peak_node) = peak_profile(spec, narrowest);
+/// layer-at-a-time execution cannot fit but a patch split can. Skipped
+/// without an SRAM budget.
+fn check_sram(spec: &GraphSpec, opts: &AnalyzeOptions, report: &mut Report) {
+    let Some(budget_bytes) = opts.sram_budget else { return };
+    let narrowest = opts.narrowest_bits;
+    let (layer_peak, peak_node) =
+        cost::peak_activation(spec, &BitwidthAssignment::uniform(spec, narrowest));
     if layer_peak <= budget_bytes {
         return;
     }
@@ -958,66 +862,41 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// Runs every analysis pass over a raw graph.
-pub fn analyze_raw(raw: &RawGraph, opts: &AnalyzeOptions) -> Report {
-    let mut report = Report::new();
-    let structure = check_structure(raw, &mut report);
-    let table = infer_shapes_inner(raw, structure.as_ref(), &mut report);
-    if let Some(structure) = &structure {
-        check_overflow(raw, structure, &table, opts.act_bits, opts.weight_bits, &mut report);
-    }
-    if let Some(budget) = opts.sram_budget {
-        if !report.has_errors() {
-            if let Ok(spec) = raw.lower() {
-                check_sram(&spec, budget, opts.narrowest_bits, &mut report);
-            }
+/// Runs every analysis pass over an IR, e.g. a decoded `.qmcu` file
+/// before optimization. The SRAM pass measures the lowered graph (the
+/// nodes that reach the output) and needs an error-free IR that lowers:
+/// a live, unfused `BiasAdd` skips it.
+pub fn analyze_ir(ir: &ModelIr, opts: &AnalyzeOptions) -> Report {
+    let mut report = check_ir(ir, opts);
+    if opts.sram_budget.is_some() && !report.has_errors() {
+        if let Ok((spec, _)) = lower(ir) {
+            check_sram(&spec, opts, &mut report);
         }
     }
     report
 }
 
-/// Runs every analysis pass over a validated spec.
+/// Runs every analysis pass over a validated spec, viewed through
+/// [`ModelIr::from_spec`]; the SRAM pass measures `spec` itself.
 ///
 /// Structure and shapes re-derive from scratch (the analyzer is the source
 /// of truth, not the spec's cached shapes); on a spec this mostly
 /// contributes dead-node detection, overflow, and SRAM feasibility.
 pub fn analyze_spec(spec: &GraphSpec, opts: &AnalyzeOptions) -> Report {
-    let raw = RawGraph::from_spec(spec);
-    let mut report = Report::new();
-    let structure = check_structure(&raw, &mut report);
-    let table = infer_shapes_inner(&raw, structure.as_ref(), &mut report);
-    if let Some(structure) = &structure {
-        check_overflow(&raw, structure, &table, opts.act_bits, opts.weight_bits, &mut report);
-    }
-    if let Some(budget) = opts.sram_budget {
-        if !report.has_errors() {
-            check_sram(spec, budget, opts.narrowest_bits, &mut report);
-        }
+    let mut report = check_ir(&ModelIr::from_spec(spec), opts);
+    if !report.has_errors() {
+        check_sram(spec, opts, &mut report);
     }
     report
 }
 
-/// Strict structural + shape verification of a spec, the gate
-/// `CompiledGraph::new` runs. Quantization- and budget-dependent passes
-/// are deferred to [`analyze_spec`] / the engine.
-pub fn verify_spec(spec: &GraphSpec) -> Report {
-    let raw = RawGraph::from_spec(spec);
-    let (table, mut report) = infer_shapes(&raw);
-    // Cross-check the inference against the spec's cached shapes: any
-    // disagreement means executor bookkeeping drifted from the analyzer.
-    for i in 0..spec.len() {
-        if let Some(inferred) = table.node(i) {
-            if inferred != spec.node_shape(i) {
-                report.push(Diagnostic::new(
-                    Code::ShapeMismatch,
-                    Some(i),
-                    format!(
-                        "spec caches shape {} for node {i} but inference proves {inferred}",
-                        spec.node_shape(i)
-                    ),
-                ));
-            }
-        }
+/// The structural, shape and overflow passes.
+fn check_ir(ir: &ModelIr, opts: &AnalyzeOptions) -> Report {
+    let mut report = Report::new();
+    let structure = check_structure(ir, &mut report);
+    let table = infer_shapes_inner(ir, structure.as_ref(), &mut report);
+    if let Some(structure) = &structure {
+        check_overflow(ir, structure, &table, opts.act_bits, opts.weight_bits, &mut report);
     }
     report
 }
@@ -1026,10 +905,6 @@ pub fn verify_spec(spec: &GraphSpec) -> Report {
 mod tests {
     use super::*;
     use crate::builder::GraphSpecBuilder;
-
-    fn conv(out_ch: usize) -> OpSpec {
-        OpSpec::Conv2d { out_ch, kernel: 3, stride: 1, pad: 1 }
-    }
 
     fn small_spec() -> GraphSpec {
         GraphSpecBuilder::new(Shape::hwc(8, 8, 3))
@@ -1049,121 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn dangling_reference_fires_s001() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![RawNode { id: 0, op: OpSpec::Relu, inputs: vec![RawInput::Node(7)] }],
-            output: None,
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        assert!(r.has_code(Code::DanglingReference));
-        assert!(r.has_errors());
-    }
-
-    #[test]
-    fn cycle_fires_s002_with_members() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![
-                RawNode { id: 0, op: conv(3), inputs: vec![RawInput::Node(1)] },
-                RawNode { id: 1, op: conv(3), inputs: vec![RawInput::Node(0)] },
-            ],
-            output: None,
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        let d = r.diagnostics().iter().find(|d| d.code == Code::Cycle).expect("cycle reported");
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.related.len(), 2);
-    }
-
-    #[test]
-    fn duplicate_id_fires_s003() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![
-                RawNode { id: 0, op: conv(3), inputs: vec![RawInput::Image] },
-                RawNode { id: 0, op: OpSpec::Relu, inputs: vec![RawInput::Image] },
-            ],
-            output: None,
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        assert!(r.has_code(Code::DuplicateId));
-    }
-
-    #[test]
-    fn bad_arity_fires_s004() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![RawNode { id: 0, op: OpSpec::Add, inputs: vec![RawInput::Image] }],
-            output: None,
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        assert!(r.has_code(Code::BadArity));
-    }
-
-    #[test]
-    fn dead_node_warns_d001_but_is_not_an_error() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![
-                RawNode { id: 0, op: conv(3), inputs: vec![RawInput::Image] },
-                RawNode { id: 1, op: conv(5), inputs: vec![RawInput::Image] },
-            ],
-            output: Some(0),
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        let d = r.diagnostics().iter().find(|d| d.code == Code::DeadNode).expect("dead node");
-        assert_eq!(d.severity, Severity::Warning);
-        assert_eq!(d.node, Some(1));
-        assert!(!r.has_errors());
-    }
-
-    #[test]
-    fn shape_mismatch_names_both_producers() {
-        let raw = RawGraph {
-            input_shape: Shape::hwc(4, 4, 3),
-            nodes: vec![
-                RawNode { id: 10, op: conv(4), inputs: vec![RawInput::Image] },
-                RawNode { id: 11, op: conv(8), inputs: vec![RawInput::Image] },
-                RawNode {
-                    id: 12,
-                    op: OpSpec::Add,
-                    inputs: vec![RawInput::Node(10), RawInput::Node(11)],
-                },
-            ],
-            output: None,
-        };
-        let r = analyze_raw(&raw, &AnalyzeOptions::default());
-        let d = r.diagnostics().iter().find(|d| d.code == Code::ShapeMismatch).expect("mismatch");
-        assert_eq!(d.node, Some(12));
-        assert_eq!(d.related, vec![10, 11]);
-        assert!(d.message.contains("node 10") && d.message.contains("node 11"));
-    }
-
-    #[test]
-    fn overflowable_dense_fires_q001() {
-        // Fan-in 64*64*12 = 49152; at 8x8 bits each MAC contributes up to
-        // 255 * 128, so the bound exceeds i32::MAX / 2.
-        let spec = GraphSpecBuilder::new(Shape::hwc(64, 64, 12)).dense(10).build().unwrap();
-        let r = analyze_spec(&spec, &AnalyzeOptions::default());
-        let d = r.errors().next().expect("overflow error");
-        assert_eq!(d.code, Code::AccumulatorOverflow);
-        // Narrow activations bring the bound back in range.
-        let narrow = AnalyzeOptions { act_bits: Bitwidth::W2, ..AnalyzeOptions::default() };
-        assert!(analyze_spec(&spec, &narrow).is_empty());
-    }
-
-    #[test]
-    fn infeasible_budget_fires_m001() {
-        let spec = small_spec();
-        let opts = AnalyzeOptions { sram_budget: Some(8), ..AnalyzeOptions::default() };
-        let r = analyze_spec(&spec, &opts);
-        assert!(r.has_code(Code::InfeasibleSram));
-        let generous = AnalyzeOptions { sram_budget: Some(1 << 20), ..AnalyzeOptions::default() };
-        assert!(analyze_spec(&spec, &generous).is_empty());
-    }
-
-    #[test]
     fn tight_budget_with_viable_split_suggests_patching() {
         // Fat early maps, tiny tail: layer-based cannot fit, patching can.
         let spec = GraphSpecBuilder::new(Shape::hwc(32, 32, 8))
@@ -1174,7 +934,8 @@ mod tests {
             .dense(4)
             .build()
             .unwrap();
-        let layer_peak = peak_profile(&spec, Bitwidth::W2).0;
+        let layer_peak =
+            cost::peak_activation_bytes(&spec, &BitwidthAssignment::uniform(&spec, Bitwidth::W2));
         let bound = split_lower_bound(&spec, 3, Bitwidth::W2).expect("splittable");
         assert!(bound < layer_peak);
         let opts = AnalyzeOptions {
@@ -1190,16 +951,28 @@ mod tests {
     #[test]
     fn lower_roundtrips_out_of_order_declarations() {
         // Declared backwards: output first.
-        let raw = RawGraph {
+        let node = |id, op, input| crate::opt::IrNode {
+            id,
+            op: IrOp::Core(op),
+            inputs: vec![input],
+            weights: vec![],
+            bias: vec![],
+        };
+        let ir = ModelIr {
             input_shape: Shape::hwc(8, 8, 3),
             nodes: vec![
-                RawNode { id: 5, op: OpSpec::Relu, inputs: vec![RawInput::Node(2)] },
-                RawNode { id: 2, op: conv(4), inputs: vec![RawInput::Image] },
+                node(5, OpSpec::Relu, RawInput::Node(2)),
+                node(
+                    2,
+                    OpSpec::Conv2d { out_ch: 4, kernel: 3, stride: 1, pad: 1 },
+                    RawInput::Image,
+                ),
             ],
             output: Some(5),
         };
-        let spec = raw.lower().expect("clean graph lowers");
+        let (spec, order) = lower(&ir).expect("clean graph lowers");
         assert_eq!(spec.len(), 2);
+        assert_eq!(order, vec![1, 0]);
         assert_eq!(spec.output_shape(), Shape::hwc(8, 8, 4));
         assert!(matches!(spec.nodes()[0].op, OpSpec::Conv2d { .. }));
     }
@@ -1207,8 +980,7 @@ mod tests {
     #[test]
     fn from_spec_matches_stored_shapes() {
         let spec = small_spec();
-        let raw = RawGraph::from_spec(&spec);
-        let (table, report) = infer_shapes(&raw);
+        let (table, report) = infer_shapes(&ModelIr::from_spec(&spec));
         assert!(report.is_empty());
         assert!(table.is_complete());
         for id in spec.feature_map_ids() {

@@ -163,8 +163,14 @@ pub fn feature_map_bytes(shape: Shape, b: Bitwidth) -> usize {
 /// node (residual edges). The peak is the maximum live-set footprint —
 /// the quantity a static SRAM allocator must provision.
 pub fn peak_activation_bytes(spec: &GraphSpec, assignment: &BitwidthAssignment) -> usize {
+    peak_activation(spec, assignment).0
+}
+
+/// [`peak_activation_bytes`] together with the first node at which the
+/// peak occurs (`0` for an empty spec, whose peak is the input alone).
+pub fn peak_activation(spec: &GraphSpec, assignment: &BitwidthAssignment) -> (usize, usize) {
     if spec.is_empty() {
-        return feature_map_bytes(spec.input_shape(), assignment.of(FeatureMapId::INPUT));
+        return (feature_map_bytes(spec.input_shape(), assignment.of(FeatureMapId::INPUT)), 0);
     }
     // last_use[fm] = last node index that reads the feature map.
     let fm_count = spec.feature_map_count();
@@ -178,7 +184,7 @@ pub fn peak_activation_bytes(spec: &GraphSpec, assignment: &BitwidthAssignment) 
         let shape = spec.feature_map_shape(FeatureMapId(fm));
         feature_map_bytes(shape, assignment.of(FeatureMapId(fm)))
     };
-    let mut peak = 0usize;
+    let (mut peak, mut peak_node) = (0usize, 0usize);
     for i in 0..spec.len() {
         // Live during node i: its output plus every map produced earlier
         // (or the input) whose last use is >= i.
@@ -188,9 +194,11 @@ pub fn peak_activation_bytes(spec: &GraphSpec, assignment: &BitwidthAssignment) 
                 live += bytes(fm);
             }
         }
-        peak = peak.max(live);
+        if live > peak {
+            (peak, peak_node) = (live, i);
+        }
     }
-    peak
+    (peak, peak_node)
 }
 
 #[cfg(test)]

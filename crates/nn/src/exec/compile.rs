@@ -58,6 +58,7 @@ use quantmcu_tensor::{
     pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Region, Shape, Tensor,
 };
 
+use crate::analyze::{overflow_diagnostic, Report};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::kernels::{self, FixedMultiplier, FloatDot, PackedDot, Requant};
@@ -239,21 +240,19 @@ pub struct QuantState {
 }
 
 impl<G: Borrow<Graph>> CompiledGraph<G> {
-    /// Compiles `graph` for float execution: runs the static analyzer in
-    /// strict mode ([`crate::analyze::verify_spec`]) and derives the
-    /// feature-map liveness schedule from [`GraphSpec::consumers_of`].
+    /// Compiles `graph` for float execution: derives the feature-map
+    /// liveness schedule from [`GraphSpec::consumers_of`].
+    ///
+    /// No structural check runs here: [`GraphSpec::new`], a spec's only
+    /// constructor, already rejects bad arity, forward references and
+    /// shape errors, with the same shape inference the analyzer uses.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Analysis`] when the analyzer finds a
-    /// structural or shape error. A [`GraphSpec`] that came out of
-    /// [`GraphSpec::new`] always passes; the gate exists for graphs that
-    /// arrive through less-validated paths (e.g. a future importer).
+    /// None today: every [`Graph`] compiles for float execution. The
+    /// `Result` leaves room for compile-time checks without breaking
+    /// callers.
     pub fn new(graph: G) -> Result<Self, GraphError> {
-        let report = crate::analyze::verify_spec(graph.borrow().spec());
-        if report.has_errors() {
-            return Err(GraphError::Analysis(report));
-        }
         let release_after = release_schedule(graph.borrow().spec());
         Ok(CompiledGraph { graph, release_after, quant: None })
     }
@@ -272,9 +271,9 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
     /// Returns [`GraphError::MissingQuantization`] when `ranges` or
     /// `act_bits` do not have one entry per feature map, or when a range
     /// is degenerate, and [`GraphError::Analysis`] when the analyzer
-    /// rejects the graph or proves a deployed `i32` accumulator could
-    /// overflow at the assigned bitwidths (so the integer kernels never
-    /// need a runtime check).
+    /// proves a deployed `i32` accumulator could overflow at the assigned
+    /// bitwidths (`Q001`; so the integer kernels never need a runtime
+    /// check).
     pub fn with_quantization(
         graph: G,
         ranges: &[(f32, f32)],
@@ -282,27 +281,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         weight_bits: Bitwidth,
     ) -> Result<Self, GraphError> {
         let spec = graph.borrow().spec();
-        let mut report = crate::analyze::verify_spec(spec);
         if act_bits.len() == spec.feature_map_count() {
-            for (i, node) in spec.nodes().iter().enumerate() {
-                if !node.op.has_weights() {
-                    continue;
-                }
-                let in_fm = source_fm(node.inputs[0]);
-                let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
-                if let Some(d) = crate::analyze::overflow_diagnostic(
-                    i,
-                    node.op,
-                    in_shape,
-                    act_bits[in_fm],
-                    weight_bits,
-                ) {
-                    report.push(d);
-                }
-            }
-        }
-        if report.has_errors() {
-            return Err(GraphError::Analysis(report));
+            check_accumulators(spec, |fm| act_bits[fm], weight_bits)?;
         }
         let quant = QuantTables::build(graph.borrow(), ranges, act_bits, weight_bits)?;
         let release_after = release_schedule(graph.borrow().spec());
@@ -311,10 +291,9 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
 
     /// Recompiles a graph from a previously captured [`QuantState`]
     /// instead of quantizing from calibration ranges — the bit-exact
-    /// restore path plan artifacts use. The same analyzer gates as
-    /// [`CompiledGraph::with_quantization`] run (strict structural
-    /// verification plus accumulator overflow proofs at the state's
-    /// activation bitwidths), and every buffer length is validated
+    /// restore path plan artifacts use. The same accumulator overflow
+    /// proofs as [`CompiledGraph::with_quantization`] run at the state's
+    /// activation bitwidths, and every buffer length is validated
     /// against the graph before the state is accepted.
     ///
     /// # Errors
@@ -322,8 +301,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
     /// Returns [`GraphError::MissingQuantization`] when the state does
     /// not carry one activation grid per feature map,
     /// [`GraphError::QuantState`] when a node's buffers do not fit the
-    /// graph's geometry, and [`GraphError::Analysis`] when the analyzer
-    /// rejects the graph or the overflow proof fails.
+    /// graph's geometry, and [`GraphError::Analysis`] when the overflow
+    /// proof fails.
     pub fn with_quant_state(graph: G, state: QuantState) -> Result<Self, GraphError> {
         let spec = graph.borrow().spec();
         let fm_count = spec.feature_map_count();
@@ -336,26 +315,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                 detail: "state carries the wrong number of node entries",
             });
         }
-        let mut report = crate::analyze::verify_spec(spec);
-        for (i, node) in spec.nodes().iter().enumerate() {
-            if !node.op.has_weights() {
-                continue;
-            }
-            let in_fm = source_fm(node.inputs[0]);
-            let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
-            if let Some(d) = crate::analyze::overflow_diagnostic(
-                i,
-                node.op,
-                in_shape,
-                state.act_params[in_fm].bitwidth(),
-                state.weight_bits,
-            ) {
-                report.push(d);
-            }
-        }
-        if report.has_errors() {
-            return Err(GraphError::Analysis(report));
-        }
+        check_accumulators(spec, |fm| state.act_params[fm].bitwidth(), state.weight_bits)?;
         let mut packed_weights = Vec::with_capacity(spec.len());
         let mut node_quant = Vec::with_capacity(spec.len());
         for (i, ns) in state.nodes.into_iter().enumerate() {
@@ -1183,6 +1143,29 @@ pub(crate) fn check_input(spec: &GraphSpec, actual: Shape) -> Result<(), GraphEr
 /// Slot index of a node input source ([`FeatureMapId`] numbering).
 pub(crate) fn source_fm(s: Source) -> usize {
     s.feature_map().0
+}
+
+/// The strict `Q001` gate of the integer path: every weighted node's
+/// worst-case `i32` accumulator, at its input map's activation width
+/// (`act_bits(feature map)`) and `weight_bits`, must be provably in range.
+fn check_accumulators(
+    spec: &GraphSpec,
+    act_bits: impl Fn(usize) -> Bitwidth,
+    weight_bits: Bitwidth,
+) -> Result<(), GraphError> {
+    let mut report = Report::new();
+    for (i, node) in spec.nodes().iter().enumerate() {
+        let in_fm = source_fm(node.inputs[0]);
+        let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
+        if let Some(d) = overflow_diagnostic(i, node.op, in_shape, act_bits(in_fm), weight_bits) {
+            report.push(d);
+        }
+    }
+    if report.is_empty() {
+        Ok(())
+    } else {
+        Err(GraphError::Analysis(report))
+    }
 }
 
 /// The feature-map liveness schedule executors recycle buffers by: entry

@@ -50,10 +50,11 @@ pub fn calibrate_ranges(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<(f32, f3
 /// their packed W2/W4/W8 words, the input zero-point correction is
 /// folded into the accumulator seed where exact (per-element otherwise),
 /// and the finished `i64` accumulator is rescaled to the output feature
-/// map's grid. Value-preserving operators
-/// (activations, pooling, add, concat) are evaluated through
-/// dequantize→kernel→requantize, which is numerically equivalent to their
-/// fixed-point forms and keeps the kernel inventory small.
+/// map's grid. `Relu`, `Relu6` and `MaxPool` over a ≤ 8-bit input grid
+/// run as exact per-element lookup tables (`MaxPool` after an integer
+/// window maximum). The other value-preserving operators (`Add`,
+/// `Concat`, `AvgPool`, `GlobalAvgPool`, and activations over wider
+/// grids) are evaluated through dequantize→kernel→requantize.
 ///
 /// Feature maps live in the state's arenas and are recycled per the
 /// graph's liveness schedule, so steady-state runs perform no heap

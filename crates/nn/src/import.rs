@@ -341,7 +341,8 @@ pub fn load_model_with_stats(bytes: &[u8]) -> Result<(Graph, OptStats), ImportEr
 }
 
 /// Imports a serialized model *without* running optimizer passes — the
-/// reference path for fused-vs-unfused parity testing.
+/// reference path for fused-vs-unfused parity testing. Lowering still
+/// keeps only the nodes that reach the output.
 ///
 /// # Errors
 ///

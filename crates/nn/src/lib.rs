@@ -20,8 +20,12 @@
 //!
 //! Before anything is compiled or planned, the [`analyze`] module runs a
 //! multi-pass static analyzer (structure, shape inference, accumulator
-//! overflow, SRAM feasibility) and reports typed diagnostics; the
-//! executors run it in strict mode via [`exec::CompiledGraph::new`].
+//! overflow, SRAM feasibility) over the graph IR ([`opt::ModelIr`]) and
+//! reports typed diagnostics. A [`GraphSpec`] is valid by construction
+//! ([`GraphSpec::new`] checks arity, order and shapes), so compiling one
+//! needs no second check; the integer path re-proves only the
+//! accumulator bounds (`Q001`) at its actual bitwidths
+//! ([`exec::CompiledGraph::with_quantization`]).
 //!
 //! Models also enter from *outside* the process: the [`import`] module
 //! defines the versioned `.qmcu` serialized model format

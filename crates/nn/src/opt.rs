@@ -1,11 +1,12 @@
 //! Graph-optimizer pass pipeline over the importer IR.
 //!
-//! The optimizer works on [`ModelIr`] — a parameter-carrying superset of
-//! the analyzer's [`RawGraph`]: explicit node ids, declaration order free
-//! of topological meaning, plus per-node weight/bias payloads and one
-//! operator ([`IrOp::BiasAdd`]) that exists only at import time. Rewrite
-//! [`Pass`]es run *before* lowering, so `FloatExecutor`, `QuantExecutor`,
-//! the patch engine and the planner all execute the optimized graph.
+//! The optimizer works on [`ModelIr`], the one graph IR between decode and
+//! lowering, which the static analyzer ([`crate::analyze`]) also reads:
+//! explicit node ids, declaration order free of topological meaning,
+//! per-node weight/bias payloads, and one operator ([`IrOp::BiasAdd`])
+//! that exists only at import time. Rewrite [`Pass`]es run *before*
+//! lowering, so `FloatExecutor`, `QuantExecutor`, the patch engine and
+//! the planner all execute the optimized graph.
 //!
 //! [`PassManager::standard`] runs four passes to a fixed point:
 //!
@@ -25,17 +26,18 @@
 //! reached in at most `nodes + 1` rounds; [`PassManager`] additionally
 //! caps rounds and reports both in [`OptStats`].
 //!
-//! [`ModelIr::lower`] validates the result through the static analyzer
-//! ([`RawGraph::lower_with_order`]) and through parameter-length checks,
-//! returning typed [`LowerError`]s instead of panicking.
+//! [`ModelIr::lower`] validates the result through the analyzer's
+//! structural and shape passes and through parameter-length checks, keeps
+//! the nodes that reach the output, and returns typed [`LowerError`]s
+//! instead of panicking.
 
 use std::fmt;
 
 use quantmcu_tensor::Shape;
 
-use crate::analyze::{RawGraph, RawInput, RawNode, Report};
+use crate::analyze::{self, RawInput, Report};
 use crate::graph::expected_param_lens;
-use crate::{Graph, OpParams, OpSpec, Source};
+use crate::{Graph, GraphError, GraphSpec, OpParams, OpSpec, Source};
 
 // ---------------------------------------------------------------------------
 // IR
@@ -46,9 +48,10 @@ use crate::{Graph, OpParams, OpSpec, Source};
 pub enum IrOp {
     /// An operator of the core executable IR ([`OpSpec`]).
     Core(OpSpec),
-    /// Per-channel bias addition (ONNX `Conv` + `Add` idiom). Exists only
-    /// at import time: [`FuseConvBiasRelu`] folds it into the producing
-    /// node's fused bias, and lowering rejects any instance that survives.
+    /// Per-channel bias addition (ONNX `Conv` + `Add` idiom): one input,
+    /// whose shape it keeps. Exists only at import time:
+    /// [`FuseConvBiasRelu`] folds it into the producing node's fused bias,
+    /// and lowering rejects any live instance that survives.
     BiasAdd,
 }
 
@@ -58,6 +61,32 @@ impl IrOp {
         match self {
             IrOp::Core(op) => op.name(),
             IrOp::BiasAdd => "biasadd",
+        }
+    }
+
+    /// Number of inputs the operator consumes (`usize::MAX` marks
+    /// variadic), as [`OpSpec::arity`].
+    pub fn arity(&self) -> usize {
+        match self {
+            IrOp::Core(op) => op.arity(),
+            IrOp::BiasAdd => 1,
+        }
+    }
+
+    /// Infers the output shape from the input shapes, as
+    /// [`OpSpec::output_shape`]; `BiasAdd` keeps its input's shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError`] when arity or shapes are incompatible.
+    pub fn output_shape(&self, inputs: &[Shape]) -> Result<Shape, GraphError> {
+        match self {
+            IrOp::Core(op) => op.output_shape(inputs),
+            IrOp::BiasAdd => inputs.first().copied().ok_or(GraphError::ArityMismatch {
+                op: self.name(),
+                expected: 1,
+                actual: 0,
+            }),
         }
     }
 }
@@ -89,11 +118,11 @@ pub struct IrNode {
     pub bias: Vec<f32>,
 }
 
-/// The importer IR: a [`RawGraph`] with per-node parameters attached.
+/// The graph IR: nodes with explicit ids and per-node parameters.
 ///
-/// This is the form the [`crate::import`] decoder produces and the
-/// optimizer passes rewrite. [`ModelIr::lower`] turns it into an
-/// executable [`Graph`] after analyzer validation.
+/// This is the form the [`crate::import`] decoder produces, the analyzer
+/// checks and the optimizer passes rewrite. [`ModelIr::lower`] turns it
+/// into an executable [`Graph`] after analyzer validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelIr {
     /// Shape of the input image.
@@ -105,9 +134,9 @@ pub struct ModelIr {
 }
 
 impl ModelIr {
-    /// Re-expresses an executable graph in IR form (ids = node indices).
-    pub fn from_graph(graph: &Graph) -> Self {
-        let spec = graph.spec();
+    /// Re-expresses a validated spec in IR form, without parameters (ids =
+    /// node indices, the last node as explicit output).
+    pub fn from_spec(spec: &GraphSpec) -> Self {
         let nodes = spec
             .nodes()
             .iter()
@@ -123,12 +152,22 @@ impl ModelIr {
                         Source::Node(j) => RawInput::Node(j),
                     })
                     .collect(),
-                weights: graph.params(i).weights().to_vec(),
-                bias: graph.params(i).bias().to_vec(),
+                weights: Vec::new(),
+                bias: Vec::new(),
             })
             .collect();
-        let output = spec.len().checked_sub(1);
-        ModelIr { input_shape: spec.input_shape(), nodes, output }
+        ModelIr { input_shape: spec.input_shape(), nodes, output: spec.len().checked_sub(1) }
+    }
+
+    /// Re-expresses an executable graph in IR form: [`ModelIr::from_spec`]
+    /// plus the parameters.
+    pub fn from_graph(graph: &Graph) -> Self {
+        let mut ir = ModelIr::from_spec(graph.spec());
+        for (i, node) in ir.nodes.iter_mut().enumerate() {
+            node.weights = graph.params(i).weights().to_vec();
+            node.bias = graph.params(i).bias().to_vec();
+        }
+        ir
     }
 
     /// The id of the output node: the explicit `output`, or the last
@@ -173,40 +212,20 @@ impl ModelIr {
     }
 
     /// Lowers the IR into an executable [`Graph`]: analyzer validation
-    /// (structure + shape inference via [`RawGraph::lower_with_order`]),
-    /// parameter reordering into execution order, and parameter-length
-    /// validation. Never panics on malformed input.
+    /// (structure + shape inference), topological order over the nodes
+    /// that reach the output (dead nodes are dropped), parameter
+    /// reordering into that order, and parameter-length validation. Never
+    /// panics on malformed input.
     ///
     /// # Errors
     ///
-    /// [`LowerError::Unlowerable`] when an import-only operator (e.g. an
-    /// unfused `BiasAdd`) survives, [`LowerError::Analysis`] when the
-    /// analyzer rejects the structure or shapes, and
+    /// [`LowerError::Analysis`] when the analyzer rejects the structure or
+    /// shapes, [`LowerError::Unlowerable`] when a live import-only
+    /// operator (an unfused `BiasAdd`) survives, and
     /// [`LowerError::ParamLength`] when a weight or bias buffer does not
     /// match its operator's required length.
     pub fn lower(&self) -> Result<Graph, LowerError> {
-        for n in &self.nodes {
-            if let IrOp::BiasAdd = n.op {
-                return Err(LowerError::Unlowerable { id: n.id, op: n.op.name() });
-            }
-        }
-        let raw = RawGraph {
-            input_shape: self.input_shape,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| RawNode {
-                    id: n.id,
-                    op: match n.op {
-                        IrOp::Core(op) => op,
-                        IrOp::BiasAdd => unreachable!("rejected above"),
-                    },
-                    inputs: n.inputs.clone(),
-                })
-                .collect(),
-            output: self.output,
-        };
-        let (spec, order) = raw.lower_with_order().map_err(LowerError::Analysis)?;
+        let (spec, order) = analyze::lower(self)?;
         let mut params = Vec::with_capacity(order.len());
         for (p, &idx) in order.iter().enumerate() {
             let node = &self.nodes[idx];
@@ -721,8 +740,7 @@ impl Pass for EliminateDead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze_raw;
-    use crate::analyze::Code;
+    use crate::analyze::{analyze_ir, Code};
     use crate::builder::GraphSpecBuilder;
     use crate::init;
 
@@ -888,46 +906,14 @@ mod tests {
             conv(2, RawInput::Node(1), 2, vec![]),    // dead (depends on dead)
             plain(3, OpSpec::GlobalAvgPool, RawInput::Node(0)),
         ]);
-        let raw = RawGraph {
-            input_shape: m0.input_shape,
-            nodes: m0
-                .nodes
-                .iter()
-                .map(|n| RawNode {
-                    id: n.id,
-                    op: match n.op {
-                        IrOp::Core(op) => op,
-                        IrOp::BiasAdd => unreachable!(),
-                    },
-                    inputs: n.inputs.clone(),
-                })
-                .collect(),
-            output: Some(3),
-        };
-        let report = analyze_raw(&raw, &Default::default());
+        let mut m = ModelIr { output: Some(3), ..m0 };
+        let report = analyze_ir(&m, &Default::default());
         assert!(report.diagnostics().iter().any(|d| d.code == Code::DeadNode));
 
-        let mut m = ModelIr { output: Some(3), ..m0 };
         let stats = PassManager::standard().run(&mut m);
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2);
-        let raw_after = RawGraph {
-            input_shape: m.input_shape,
-            nodes: m
-                .nodes
-                .iter()
-                .map(|n| RawNode {
-                    id: n.id,
-                    op: match n.op {
-                        IrOp::Core(op) => op,
-                        IrOp::BiasAdd => unreachable!(),
-                    },
-                    inputs: n.inputs.clone(),
-                })
-                .collect(),
-            output: m.output,
-        };
-        let after = analyze_raw(&raw_after, &Default::default());
+        let after = analyze_ir(&m, &Default::default());
         assert!(!after.diagnostics().iter().any(|d| d.code == Code::DeadNode));
     }
 

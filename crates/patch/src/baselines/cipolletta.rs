@@ -13,10 +13,10 @@ use quantmcu_nn::GraphSpec;
 use quantmcu_tensor::Bitwidth;
 
 use crate::error::PatchError;
+use crate::memory::uniform8_peak;
 use crate::plan::PatchPlan;
 use crate::redundancy;
 
-use super::mcunetv2::uniform_peak;
 use super::ScheduleCost;
 
 /// The restructured schedule found by the search.
@@ -46,7 +46,7 @@ pub fn schedule(spec: &GraphSpec) -> Result<RestructuredSchedule, PatchError> {
                 Ok(p) => p,
                 Err(_) => continue,
             };
-            let peak = uniform_peak(spec, &plan)?;
+            let peak = uniform8_peak(spec, &plan)?;
             let macs = redundancy::analyze(spec, &plan)?.patch_based_total();
             let better = match &best {
                 None => true,

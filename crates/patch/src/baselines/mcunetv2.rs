@@ -13,7 +13,7 @@ use quantmcu_nn::GraphSpec;
 use quantmcu_tensor::Bitwidth;
 
 use crate::error::PatchError;
-use crate::memory::patch_peak_bytes;
+use crate::memory::uniform8_peak;
 use crate::plan::{largest_straight_prefix, PatchPlan};
 use crate::redundancy;
 
@@ -45,7 +45,7 @@ pub fn schedule(spec: &GraphSpec, sram_bytes: usize) -> Result<McuNetV2Schedule,
             Err(PatchError::GridTooFine { .. } | PatchError::NotSplittable { .. }) => continue,
             Err(e) => return Err(e),
         };
-        let peak = uniform_peak(spec, &plan)?;
+        let peak = uniform8_peak(spec, &plan)?;
         match &chosen {
             Some((_, best)) if *best <= peak => {}
             _ => chosen = Some((plan, peak)),
@@ -66,14 +66,6 @@ pub fn schedule(spec: &GraphSpec, sram_bytes: usize) -> Result<McuNetV2Schedule,
             bitops: ScheduleCost::uniform_bitops(macs, Bitwidth::W8, Bitwidth::W8),
         },
     })
-}
-
-/// Peak memory of `plan` at uniform 8-bit.
-pub fn uniform_peak(spec: &GraphSpec, plan: &PatchPlan) -> Result<usize, PatchError> {
-    let (head, tail) = spec.split_at(plan.split_at())?;
-    let branch_bits = vec![vec![Bitwidth::W8; head.len() + 1]; plan.branch_count()];
-    let tail_bits = vec![Bitwidth::W8; tail.feature_map_count()];
-    patch_peak_bytes(spec, plan, &branch_bits, &tail_bits)
 }
 
 #[cfg(test)]

@@ -115,11 +115,18 @@ pub fn patch_peak_bytes(
     Ok(branch_phase.max(tail_phase))
 }
 
-/// Peak SRAM of plain layer-based inference under an assignment
-/// (convenience re-export of the `quantmcu_nn` liveness model, so Table I
-/// rows all come from one place).
-pub fn layer_peak_bytes(spec: &GraphSpec, assignment: &BitwidthAssignment) -> usize {
-    cost::peak_activation_bytes(spec, assignment)
+/// [`patch_peak_bytes`] with every feature map at 8 bits: the MCUNetV2
+/// baseline's peak and the fit policy's criterion
+/// ([`PatchPlan::fitted`]).
+///
+/// # Errors
+///
+/// Returns [`PatchError::Graph`] for an invalid split.
+pub fn uniform8_peak(spec: &GraphSpec, plan: &PatchPlan) -> Result<usize, PatchError> {
+    let (head, tail) = spec.split_at(plan.split_at())?;
+    let branch_bits = vec![vec![Bitwidth::W8; head.len() + 1]; plan.branch_count()];
+    let tail_bits = vec![Bitwidth::W8; tail.feature_map_count()];
+    patch_peak_bytes(spec, plan, &branch_bits, &tail_bits)
 }
 
 #[cfg(test)]
@@ -153,7 +160,7 @@ mod tests {
         let branch_bits = vec![uniform(head.len() + 1, Bitwidth::W8); 4];
         let tail_bits = uniform(tail.feature_map_count(), Bitwidth::W8);
         let patch = patch_peak_bytes(&s, &plan, &branch_bits, &tail_bits).unwrap();
-        let layer = layer_peak_bytes(&s, &BitwidthAssignment::uniform(&s, Bitwidth::W8));
+        let layer = cost::peak_activation_bytes(&s, &BitwidthAssignment::uniform(&s, Bitwidth::W8));
         assert!(patch < layer, "patch {patch} should be below layer {layer}");
     }
 

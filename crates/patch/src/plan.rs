@@ -143,7 +143,7 @@ impl PatchPlan {
                 continue;
             }
             let Ok(plan) = PatchPlan::new(spec, at, grid, grid) else { continue };
-            let Ok(peak) = uniform8_peak(spec, &plan) else { continue };
+            let Ok(peak) = crate::memory::uniform8_peak(spec, &plan) else { continue };
             if peak <= sram_bytes {
                 return Ok(plan);
             }
@@ -213,16 +213,6 @@ pub fn grid_regions(h: usize, w: usize, rows: usize, cols: usize) -> Vec<Region>
 /// `parts + 1` cut points dividing `len` as evenly as possible.
 fn split_points(len: usize, parts: usize) -> Vec<usize> {
     (0..=parts).map(|i| i * len / parts).collect()
-}
-
-/// Uniform-8-bit peak memory of a plan (helper for the fit policy; the
-/// full model lives in [`crate::memory`]).
-fn uniform8_peak(spec: &GraphSpec, plan: &PatchPlan) -> Result<usize, PatchError> {
-    let (head, tail) = spec.split_at(plan.split_at())?;
-    let branch_bits =
-        vec![vec![quantmcu_tensor::Bitwidth::W8; head.len() + 1]; plan.branch_count()];
-    let tail_bits = vec![quantmcu_tensor::Bitwidth::W8; tail.feature_map_count()];
-    crate::memory::patch_peak_bytes(spec, plan, &branch_bits, &tail_bits)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 
 use quantmcu::models::Model;
-use quantmcu::nn::analyze::RawInput;
+use quantmcu::nn::analyze::{analyze_ir, AnalyzeOptions, Code, RawInput};
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
 use quantmcu::nn::import::{
     decode, load_model, load_model_unoptimized, load_model_with_stats, save_model,
@@ -299,11 +299,45 @@ fn d001_dead_node_warning_becomes_auto_fix() {
     // The raw graph carries a dead branch: analyzer flags D001 on load…
     let bytes = quantmcu::nn::import::encode(&ir);
     let unopt = load_model_unoptimized(&bytes).unwrap();
-    assert_eq!(unopt.spec().len(), 8);
+    // Lowering keeps only the nodes that reach the output.
+    assert_eq!(unopt.spec().len(), 6);
     // …and the optimizing path removes it instead of warning.
     let stats = PassManager::standard().run(&mut ir);
     assert!(stats.fixed_point);
     assert!(ir.nodes.iter().all(|n| ![4usize, 5].contains(&n.id)), "dead branch must be gone");
+}
+
+/// An explicit output stays the output when a dead node sorts after it:
+/// lowering (optimized or not) and the analyzer's SRAM pass all see the
+/// 4-channel conv, never the dead 8-channel one declared last.
+#[test]
+fn explicit_output_survives_a_dead_node_declared_after_it() {
+    let conv = |id, out_ch: usize| IrNode {
+        id,
+        op: IrOp::Core(OpSpec::Conv2d { out_ch, kernel: 1, stride: 1, pad: 0 }),
+        inputs: vec![RawInput::Image],
+        weights: vec![0.25; out_ch * 3],
+        bias: vec![],
+    };
+    let ir = ModelIr {
+        input_shape: Shape::hwc(4, 4, 3),
+        nodes: vec![conv(0, 4), conv(1, 8)],
+        output: Some(0),
+    };
+    let lowered = ir.lower().unwrap();
+    assert_eq!(lowered.spec().len(), 1);
+    assert_eq!(lowered.spec().output_shape(), Shape::hwc(4, 4, 4));
+    let bytes = quantmcu::nn::import::encode(&ir);
+    assert_eq!(load_model_unoptimized(&bytes).unwrap(), lowered);
+    assert_eq!(load_model(&bytes).unwrap(), lowered);
+
+    // At 2 bits the live graph needs (48 + 64) values = 28 B; the dead
+    // conv's 4x4x8 output would push layer-at-a-time past 32 B.
+    let opts = AnalyzeOptions { sram_budget: Some(32), ..AnalyzeOptions::default() };
+    let report = analyze_ir(&ir, &opts);
+    assert!(report.has_code(Code::DeadNode), "{report}");
+    assert!(!report.has_code(Code::PatchingRequired), "{report}");
+    assert!(!report.has_code(Code::InfeasibleSram), "{report}");
 }
 
 // --- malformed IR through the import pipeline -------------------------
