@@ -905,6 +905,19 @@ fn check_ir(ir: &ModelIr, opts: &AnalyzeOptions) -> Report {
 mod tests {
     use super::*;
     use crate::builder::GraphSpecBuilder;
+    use crate::opt::IrNode;
+
+    fn conv(out_ch: usize) -> OpSpec {
+        OpSpec::Conv2d { out_ch, kernel: 3, stride: 1, pad: 1 }
+    }
+
+    fn node(id: usize, op: OpSpec, inputs: Vec<RawInput>) -> IrNode {
+        IrNode { id, op: IrOp::Core(op), inputs, weights: vec![], bias: vec![] }
+    }
+
+    fn ir(nodes: Vec<IrNode>, output: Option<usize>) -> ModelIr {
+        ModelIr { input_shape: Shape::hwc(4, 4, 3), nodes, output }
+    }
 
     fn small_spec() -> GraphSpec {
         GraphSpecBuilder::new(Shape::hwc(8, 8, 3))
@@ -921,6 +934,102 @@ mod tests {
         let r = analyze_spec(&small_spec(), &AnalyzeOptions::default());
         assert!(r.is_empty(), "unexpected diagnostics: {r}");
         assert!(!r.has_errors());
+    }
+
+    #[test]
+    fn dangling_reference_fires_s001() {
+        let ir = ir(vec![node(0, OpSpec::Relu, vec![RawInput::Node(7)])], None);
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        assert!(r.has_code(Code::DanglingReference));
+        assert!(r.has_errors());
+    }
+
+    #[test]
+    fn cycle_fires_s002_with_members() {
+        let ir = ir(
+            vec![
+                node(0, conv(3), vec![RawInput::Node(1)]),
+                node(1, conv(3), vec![RawInput::Node(0)]),
+            ],
+            None,
+        );
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        let d = r.diagnostics().iter().find(|d| d.code == Code::Cycle).expect("cycle reported");
+        assert_eq!(d.severity, Severity::Error);
+        assert_eq!(d.related.len(), 2);
+    }
+
+    #[test]
+    fn duplicate_id_fires_s003() {
+        let ir = ir(
+            vec![
+                node(0, conv(3), vec![RawInput::Image]),
+                node(0, OpSpec::Relu, vec![RawInput::Image]),
+            ],
+            None,
+        );
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        assert!(r.has_code(Code::DuplicateId));
+    }
+
+    #[test]
+    fn bad_arity_fires_s004() {
+        let ir = ir(vec![node(0, OpSpec::Add, vec![RawInput::Image])], None);
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        assert!(r.has_code(Code::BadArity));
+    }
+
+    #[test]
+    fn dead_node_warns_d001_but_is_not_an_error() {
+        let ir = ir(
+            vec![node(0, conv(3), vec![RawInput::Image]), node(1, conv(5), vec![RawInput::Image])],
+            Some(0),
+        );
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        let d = r.diagnostics().iter().find(|d| d.code == Code::DeadNode).expect("dead node");
+        assert_eq!(d.severity, Severity::Warning);
+        assert_eq!(d.node, Some(1));
+        assert!(!r.has_errors());
+    }
+
+    #[test]
+    fn shape_mismatch_names_both_producers() {
+        let ir = ir(
+            vec![
+                node(10, conv(4), vec![RawInput::Image]),
+                node(11, conv(8), vec![RawInput::Image]),
+                node(12, OpSpec::Add, vec![RawInput::Node(10), RawInput::Node(11)]),
+            ],
+            None,
+        );
+        let r = analyze_ir(&ir, &AnalyzeOptions::default());
+        let d = r.diagnostics().iter().find(|d| d.code == Code::ShapeMismatch).expect("mismatch");
+        assert_eq!(d.node, Some(12));
+        assert_eq!(d.related, vec![10, 11]);
+        assert!(d.message.contains("node 10") && d.message.contains("node 11"));
+    }
+
+    #[test]
+    fn overflowable_dense_fires_q001() {
+        // Fan-in 64*64*12 = 49152; at 8x8 bits each MAC contributes up to
+        // 255 * 128, so the bound exceeds i32::MAX / 2.
+        let spec = GraphSpecBuilder::new(Shape::hwc(64, 64, 12)).dense(10).build().unwrap();
+        let r = analyze_spec(&spec, &AnalyzeOptions::default());
+        let d = r.errors().next().expect("overflow error");
+        assert_eq!(d.code, Code::AccumulatorOverflow);
+        // Narrow activations bring the bound back in range.
+        let narrow = AnalyzeOptions { act_bits: Bitwidth::W2, ..AnalyzeOptions::default() };
+        assert!(analyze_spec(&spec, &narrow).is_empty());
+    }
+
+    #[test]
+    fn infeasible_budget_fires_m001() {
+        let spec = small_spec();
+        let opts = AnalyzeOptions { sram_budget: Some(8), ..AnalyzeOptions::default() };
+        let r = analyze_spec(&spec, &opts);
+        assert!(r.has_code(Code::InfeasibleSram));
+        let generous = AnalyzeOptions { sram_budget: Some(1 << 20), ..AnalyzeOptions::default() };
+        assert!(analyze_spec(&spec, &generous).is_empty());
     }
 
     #[test]
@@ -951,22 +1060,11 @@ mod tests {
     #[test]
     fn lower_roundtrips_out_of_order_declarations() {
         // Declared backwards: output first.
-        let node = |id, op, input| crate::opt::IrNode {
-            id,
-            op: IrOp::Core(op),
-            inputs: vec![input],
-            weights: vec![],
-            bias: vec![],
-        };
         let ir = ModelIr {
             input_shape: Shape::hwc(8, 8, 3),
             nodes: vec![
-                node(5, OpSpec::Relu, RawInput::Node(2)),
-                node(
-                    2,
-                    OpSpec::Conv2d { out_ch: 4, kernel: 3, stride: 1, pad: 1 },
-                    RawInput::Image,
-                ),
+                node(5, OpSpec::Relu, vec![RawInput::Node(2)]),
+                node(2, conv(4), vec![RawInput::Image]),
             ],
             output: Some(5),
         };
