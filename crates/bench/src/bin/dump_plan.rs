@@ -6,8 +6,8 @@
 //! * `dump_plan export <dir> [seed]` — plan every zoo model at exec
 //!   scale (deterministic structured weights + calibration set), deploy,
 //!   and save each deployment into `<dir>/<name>.qplan`.
-//! * `dump_plan show <file>` — decode an artifact and print its header,
-//!   patch schedule and quantization summary.
+//! * `dump_plan show <file>` — decode an artifact and print its byte
+//!   size, header, patch schedule and quantization summary.
 //! * `dump_plan verify <file ...>` — decode each artifact, re-encode it,
 //!   and check the round trip is byte-identical.
 //! * `dump_plan coldstart <file> [seed]` — the calibration-free restore
@@ -123,9 +123,16 @@ fn export(dir: &Path, seed: u64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Decodes and prints one artifact's header and plan summary.
+/// Decodes and prints one artifact's size, header and plan summary.
 fn show(path: &str) -> ExitCode {
-    let artifact = match PlanArtifact::decode_from_path(path) {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("dump_plan: {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let artifact = match PlanArtifact::decode(&bytes) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("dump_plan: {path}: {e}");
@@ -136,6 +143,7 @@ fn show(path: &str) -> ExitCode {
     let s = plan.spec().input_shape();
     let pp = plan.patch_plan();
     println!("{path}");
+    println!("size         {} byte(s)", bytes.len());
     println!("fingerprint  {:#018x}", artifact.fingerprint());
     println!("input        {}x{}x{} (n={})", s.h, s.w, s.c, s.n);
     println!("nodes        {}", plan.spec().len());

@@ -1,21 +1,27 @@
-//! Versioned `.qplan` plan artifacts: a complete [`DeploymentPlan`] plus
-//! the packed quantized state of its compiled integer tail, persisted to
+//! Versioned `.qplan` plan artifacts: a complete [`DeploymentPlan`]
+//! bound to the fingerprint of the model it was planned for, persisted to
 //! a dependency-free binary format so a deployment can be restored
 //! **bit-identically** with no calibration source at all (see
 //! [`crate::Engine::deploy_from_artifact`]).
 //!
+//! The plan is all an artifact stores. Quantization is post-training and
+//! the fingerprint pins the exact float graph, so the integer tail's
+//! packed weights and requantization tables are a deterministic function
+//! of the graph and the plan's ranges and bitwidths. A restore
+//! recompiles them through the same [`crate::Engine::deploy`] path a
+//! freshly calibrated plan takes.
+//!
 //! # Format
 //!
 //! Little-endian throughout; floats are stored as their IEEE-754 bit
-//! patterns (so calibrated ranges and quantization grids round-trip
-//! bit-exactly). Layout:
+//! patterns (so calibrated ranges round-trip bit-exactly). Layout:
 //!
 //! | field | encoding |
 //! |---|---|
 //! | magic | `QPLN` (4 bytes) |
 //! | format version | `u32` |
 //! | checksum | `u64` FNV-1a/64 over everything after this field |
-//! | graph fingerprint | `u64` (FNV-1a/64 of the model's `.qmcu` bytes) |
+//! | graph fingerprint | `u64` (the checksum of the model's `.qmcu` serialization, see [`graph_fingerprint`]) |
 //! | spec: input shape | `u32 × 4` (`n, h, w, c`) |
 //! | spec: node count, then per node | opcode `u8`, attrs `u32 × attr_count`, input count `u16`, inputs `(u8, u32)` each |
 //! | patch plan | `split_at, rows, cols` as `u32` |
@@ -26,9 +32,6 @@
 //! | branch ranges | branch count `u32`, per branch: len `u32` + `(f32, f32)` bit pairs |
 //! | tail ranges | len `u32` + `(f32, f32)` bit pairs |
 //! | search time | secs `u64` + subsec nanos `u32` |
-//! | tail act params | count `u32`, per entry: scale `f32` bits, zero point `i32`, bitwidth `u8` |
-//! | tail node state | count `u32`, per node: packed weights (`u32` len + bytes), bias (`u32` len + `i64` each), acc scales (`u32` len + `f64` bits each), zp folds (`u32` len + `i64` each) |
-//! | tail weight bitwidth | `u8` (must equal the plan's) |
 //!
 //! The header framing, the little-endian reader/writer and the spec's
 //! operator records (opcodes 1–10) come from [`quantmcu_nn::codec`],
@@ -43,19 +46,18 @@
 //! # Versioning rules
 //!
 //! The magic is fixed forever. Readers accept exactly the versions they
-//! know ([`FORMAT_VERSION`]); a higher version is
+//! know ([`FORMAT_VERSION`]); any other version is
 //! [`ArtifactError::UnsupportedVersion`], never a best-effort parse.
 
 use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
-use quantmcu_nn::codec::{self, fnv1a64, CodecError, Reader, Writer};
-use quantmcu_nn::exec::{NodeQuantState, QuantState};
+use quantmcu_nn::codec::{self, CodecError, Reader, Writer};
 use quantmcu_nn::{Graph, GraphSpec, NodeSpec};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::vdpc::PatchClass;
-use quantmcu_tensor::{Bitwidth, QuantParams, Shape};
+use quantmcu_tensor::{Bitwidth, Shape};
 
 use crate::plan::DeploymentPlan;
 
@@ -63,7 +65,7 @@ use crate::plan::DeploymentPlan;
 pub const MAGIC: [u8; 4] = *b"QPLN";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -126,8 +128,8 @@ pub enum ArtifactError {
         found: u64,
     },
     /// The decoded fields are individually well-formed but do not
-    /// assemble into a valid plan (spec validation, patch fit, or a
-    /// cross-field length invariant failed).
+    /// assemble into a valid plan (spec validation, patch fit, a
+    /// cross-field length invariant, or a non-finite range).
     Plan {
         /// Human-readable description of the failing invariant.
         detail: String,
@@ -194,12 +196,12 @@ impl From<CodecError> for ArtifactError {
     }
 }
 
-/// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 hash of
-/// the model's canonical `.qmcu` serialization
-/// ([`quantmcu_nn::import::save_model`]), which covers the spec *and*
-/// every weight bit-exactly.
+/// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 checksum
+/// [`quantmcu_nn::import::save_model`] stamps over the model's canonical
+/// `.qmcu` body, which holds the spec *and* every weight bit-exactly.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    fnv1a64(&quantmcu_nn::import::save_model(graph))
+    let bytes = quantmcu_nn::import::save_model(graph);
+    u64::from_le_bytes(bytes[8..codec::BODY_OFFSET].try_into().expect("8-byte checksum field"))
 }
 
 // ---------------------------------------------------------------------------
@@ -207,8 +209,7 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A decoded (or to-be-encoded) `.qplan` artifact: the model fingerprint
-/// it binds to, the full [`DeploymentPlan`], and the packed quantized
-/// state of the plan's compiled integer tail.
+/// it binds to and the full [`DeploymentPlan`].
 ///
 /// Produced by [`crate::Deployment::save`] / [`PlanArtifact::decode`] and
 /// consumed by [`crate::Engine::deploy_from_artifact`] — the round trip
@@ -216,18 +217,18 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
 /// to the calibrated original with **zero** calibration work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanArtifact {
-    fingerprint: u64,
-    plan: DeploymentPlan,
-    tail: QuantState,
+    pub(crate) fingerprint: u64,
+    pub(crate) plan: DeploymentPlan,
 }
 
 impl PlanArtifact {
     /// Assembles an artifact from its parts. The caller is responsible
-    /// for internal consistency (use [`crate::Deployment::save`] to
-    /// persist a live deployment); [`PlanArtifact::decode`] re-validates
-    /// everything on the way back in.
-    pub fn new(fingerprint: u64, plan: DeploymentPlan, tail: QuantState) -> Self {
-        PlanArtifact { fingerprint, plan, tail }
+    /// for pairing the plan with its model's [`graph_fingerprint`] (use
+    /// [`crate::Deployment::save`] to persist a live deployment);
+    /// [`PlanArtifact::decode`] re-validates everything on the way back
+    /// in.
+    pub fn new(fingerprint: u64, plan: DeploymentPlan) -> Self {
+        PlanArtifact { fingerprint, plan }
     }
 
     /// Fingerprint of the model this plan was built for
@@ -239,16 +240,6 @@ impl PlanArtifact {
     /// The deployment plan.
     pub fn plan(&self) -> &DeploymentPlan {
         &self.plan
-    }
-
-    /// The packed quantized state of the plan's integer tail.
-    pub fn tail_state(&self) -> &QuantState {
-        &self.tail
-    }
-
-    /// Decomposes the artifact into `(fingerprint, plan, tail state)`.
-    pub fn into_parts(self) -> (u64, DeploymentPlan, QuantState) {
-        (self.fingerprint, self.plan, self.tail)
     }
 
     /// Serializes the artifact to `.qplan` bytes.
@@ -308,32 +299,6 @@ impl PlanArtifact {
 
         w.u64(plan.search_time.as_secs());
         w.u32(plan.search_time.subsec_nanos());
-
-        let tail = &self.tail;
-        w.count(tail.act_params.len());
-        for p in &tail.act_params {
-            w.u32(p.scale().to_bits());
-            w.u32(p.zero_point() as u32);
-            w.u8(p.bitwidth().bits() as u8);
-        }
-        w.count(tail.nodes.len());
-        for n in &tail.nodes {
-            w.count(n.packed_weights.len());
-            w.bytes(&n.packed_weights);
-            w.count(n.bias_q.len());
-            for &v in &n.bias_q {
-                w.u64(v as u64);
-            }
-            w.count(n.acc_scale.len());
-            for &v in &n.acc_scale {
-                w.u64(v.to_bits());
-            }
-            w.count(n.zp_fold.len());
-            for &v in &n.zp_fold {
-                w.u64(v as u64);
-            }
-        }
-        w.u8(tail.weight_bits.bits() as u8);
         w.finish()
     }
 
@@ -351,9 +316,10 @@ impl PlanArtifact {
     /// The checksum is verified before the body is parsed; the decoded
     /// fields are then re-validated end to end — the spec through
     /// [`GraphSpec::new`], the patch schedule through [`PatchPlan::new`],
-    /// and every cross-field length invariant the planner established —
-    /// so a successfully decoded artifact is structurally sound even when
-    /// the input came from an untrusted file.
+    /// every cross-field length invariant the planner established, and
+    /// finite calibrated ranges — so a successfully decoded artifact is
+    /// structurally sound even when the input came from an untrusted
+    /// file.
     ///
     /// # Errors
     ///
@@ -408,7 +374,6 @@ impl PlanArtifact {
         }
         let search_time = Duration::new(secs, nanos);
 
-        let tail = decode_quant_state(r)?;
         r.end("trailing bytes after artifact body")?;
 
         // Cross-field invariants: everything Deployment construction (and
@@ -442,21 +407,13 @@ impl PlanArtifact {
             tail_bits.len() == tail_maps && tail_ranges.len() == tail_maps,
             "tail bitwidths/ranges do not cover the tail",
         )?;
+        // The planner never writes a non-finite range (it substitutes a
+        // unit range), and the deploy path compiles grids from them.
+        let finite = |&(lo, hi): &(f32, f32)| lo.is_finite() && hi.is_finite();
         invariant(
-            tail.act_params.len() == tail_maps,
-            "tail activation params do not cover the tail",
+            branch_ranges.iter().flatten().chain(&tail_ranges).all(finite),
+            "a calibrated range is not finite",
         )?;
-        invariant(
-            tail.nodes.len() == spec.len() - split,
-            "tail node state does not cover the tail",
-        )?;
-        invariant(tail.weight_bits == weight_bits, "tail weight bitwidth disagrees with the plan")?;
-        for (p, &b) in tail.act_params.iter().zip(&tail_bits) {
-            invariant(
-                p.bitwidth() == b,
-                "tail activation params disagree with the tail bitwidths",
-            )?;
-        }
 
         let branches = Branch::build_all(&spec, &patch_plan);
         let plan = DeploymentPlan {
@@ -471,7 +428,7 @@ impl PlanArtifact {
             tail_ranges,
             search_time,
         };
-        Ok(PlanArtifact { fingerprint, plan, tail })
+        Ok(PlanArtifact { fingerprint, plan })
     }
 
     /// Reads and decodes a `.qplan` file.
@@ -528,42 +485,11 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<GraphSpec, ArtifactError> {
     GraphSpec::new(input_shape, nodes).map_err(|e| ArtifactError::Plan { detail: e.to_string() })
 }
 
-fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
-    // Smallest act-param record: scale (4) + zero point (4) + bitwidth (1).
-    let n_params = r.count(9, "activation param count")?;
-    let mut act_params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
-        let at = r.offset();
-        let scale = f32::from_bits(r.u32("activation scale")?);
-        let zero_point = r.u32("activation zero point")? as i32;
-        let bitwidth = read_bitwidth(r, "activation bitwidth")?;
-        act_params.push(
-            QuantParams::from_raw_parts(scale, zero_point, bitwidth).map_err(|_| {
-                ArtifactError::Corrupted { offset: at, detail: "bad activation grid" }
-            })?,
-        );
-    }
-    // Smallest node record: four empty length fields.
-    let n_nodes = r.count(16, "tail node count")?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let n_packed = r.count(1, "packed weight length")?;
-        let packed_weights = r.take(n_packed, "packed weights")?.to_vec();
-        let bias_q = r.u64s("bias length")?.into_iter().map(|v| v as i64).collect();
-        let acc_scale =
-            r.u64s("accumulator scale length")?.into_iter().map(f64::from_bits).collect();
-        let zp_fold = r.u64s("zero-point fold length")?.into_iter().map(|v| v as i64).collect();
-        nodes.push(NodeQuantState { packed_weights, bias_q, acc_scale, zp_fold });
-    }
-    let weight_bits = read_bitwidth(r, "tail weight bitwidth")?;
-    Ok(QuantState { act_params, nodes, weight_bits })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Engine, SramBudget};
-    use quantmcu_nn::codec::BODY_OFFSET;
+    use quantmcu_nn::codec::{fnv1a64, BODY_OFFSET};
     use quantmcu_nn::{init, GraphSpecBuilder};
     use quantmcu_tensor::Tensor;
 
@@ -663,6 +589,17 @@ mod tests {
             PlanArtifact::decode(&bytes),
             Err(ArtifactError::Corrupted { detail: "trailing bytes after artifact body", .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_range_is_rejected() {
+        let mut bytes = artifact().encode();
+        // The last tail range's max sits just before the 12-byte search time.
+        let at = bytes.len() - 12 - 4;
+        bytes[at..at + 4].copy_from_slice(&f32::NAN.to_bits().to_le_bytes());
+        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(PlanArtifact::decode(&bytes), Err(ArtifactError::Plan { .. })));
     }
 
     #[test]

@@ -5,12 +5,12 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 use std::thread;
 
-use quantmcu_nn::exec::{CompiledGraph, ExecState, QuantState, ScopedPool};
+use quantmcu_nn::exec::{CompiledGraph, ExecState, ScopedPool};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
-use quantmcu_tensor::{QuantParams, Tensor};
+use quantmcu_tensor::{Bitwidth, QuantParams, Tensor, TensorError};
 
-use crate::artifact::{graph_fingerprint, ArtifactError, PlanArtifact};
+use crate::artifact::{graph_fingerprint, PlanArtifact};
 use crate::error::{Error, PlanError};
 use crate::plan::DeploymentPlan;
 
@@ -28,7 +28,10 @@ use crate::plan::DeploymentPlan;
 /// stage-only patch executor (the head compiled once over a copy of the
 /// head's weights), the integer tail (weights quantized and packed,
 /// requantization tables built — all once, at construction) and the
-/// per-branch quantization grids. Everything mutable lives in a
+/// per-branch quantization grids. All of it is derived from the graph
+/// and the [`DeploymentPlan`] by [`Deployment::new`], the one
+/// construction path: a calibrated plan and a plan restored from a
+/// `.qplan` artifact both take it. Everything mutable lives in a
 /// [`Session`]; put the deployment in an `Arc` and open one session per
 /// thread:
 ///
@@ -75,44 +78,33 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`Error::Plan`] when the plan was made for a different
-    /// graph ([`PlanError::GraphMismatch`]) or its quantization metadata
-    /// cannot be materialized (degenerate calibration ranges), or
-    /// [`Error::Patch`] when the plan's split does not fit the graph.
+    /// graph ([`PlanError::GraphMismatch`]), [`Error::Graph`] when its
+    /// quantization cannot be materialized (a non-finite range, weights
+    /// wider than 8 bits, a 32-bit activation grid, or a `Q001`
+    /// accumulator overflow), or [`Error::Patch`] when the plan's split
+    /// does not fit the graph.
     pub fn new(graph: impl Into<Arc<Graph>>, plan: DeploymentPlan) -> Result<Self, Error> {
-        Deployment::build(graph.into(), plan, |tail, plan| {
-            CompiledGraph::with_quantization(
-                tail,
-                &plan.tail_ranges,
-                &plan.tail_bits,
-                plan.weight_bits,
-            )
-        })
-    }
-
-    /// Restores a deployment from a decoded plan artifact with **zero**
-    /// calibration work: the branch grids are rebuilt from the stored
-    /// ranges and the integer tail is re-seated from the artifact's
-    /// packed quantized state instead of being re-derived from float
-    /// weights — outputs are bit-identical to the calibrated original.
-    pub(crate) fn from_artifact(graph: Arc<Graph>, artifact: PlanArtifact) -> Result<Self, Error> {
-        let (_, plan, state) = artifact.into_parts();
-        Deployment::build(graph, plan, |tail, _| CompiledGraph::with_quant_state(tail, state))
-    }
-
-    /// The one construction path: rejects a plan made for a different
-    /// graph (its grids, regions and tail ranges would be applied to maps
-    /// they were never fitted to), then compiles the tail sub-graph with
-    /// `compile_tail` and the head into a stage-only patch executor.
-    fn build(
-        graph: Arc<Graph>,
-        plan: DeploymentPlan,
-        compile_tail: impl FnOnce(Graph, &DeploymentPlan) -> Result<CompiledGraph, GraphError>,
-    ) -> Result<Self, Error> {
+        let graph = graph.into();
+        // A plan for another graph would apply its grids, regions and tail
+        // ranges to maps they were never fitted to.
         if plan.spec() != graph.spec() {
             return Err(Error::Plan(PlanError::GraphMismatch));
         }
+        // Packed weights are at most 8 bits wide, and a 32-bit grid's
+        // zero-point offset overflows `i32` arithmetic.
+        if plan.weight_bits.bits() > 8 {
+            return Err(TensorError::UnsupportedBitwidth(plan.weight_bits.bits()).into());
+        }
+        if plan.branch_bits.iter().flatten().chain(&plan.tail_bits).any(|&b| b == Bitwidth::W32) {
+            return Err(TensorError::UnsupportedBitwidth(32).into());
+        }
         let branch_params = Deployment::branch_params_for(&plan)?;
-        let tail = compile_tail(Deployment::tail_graph(&graph, &plan)?, &plan)?;
+        let tail = CompiledGraph::with_quantization(
+            Deployment::tail_graph(&graph, &plan)?,
+            &plan.tail_ranges,
+            &plan.tail_bits,
+            plan.weight_bits,
+        )?;
         let executor = PatchExecutor::stage_only(&*graph, plan.patch_plan().clone())?;
         Ok(Deployment { graph, executor, branch_params, tail, plan })
     }
@@ -141,18 +133,17 @@ impl Deployment {
         Ok(Graph::new(tail_spec, tail_params))
     }
 
-    /// Serializes this deployment to `.qplan` bytes: the full plan plus
-    /// the packed quantized weights and requantization tables of the
-    /// compiled integer tail, bound to the served model's fingerprint.
+    /// Serializes this deployment to `.qplan` bytes: the full plan,
+    /// bound to the served model's fingerprint.
     /// [`crate::Engine::deploy_from_artifact`] restores a bit-identical
     /// deployment from them with no calibration source at all.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Artifact`] only for internally inconsistent
-    /// deployments (a tail without quantization state).
+    /// None today: every deployment serializes. The `Result` leaves room
+    /// for encode-time checks without breaking callers.
     pub fn save(&self) -> Result<Vec<u8>, Error> {
-        Ok(self.artifact()?.encode())
+        Ok(self.artifact().encode())
     }
 
     /// Writes this deployment to a `.qplan` file — the file-path
@@ -162,15 +153,12 @@ impl Deployment {
     ///
     /// Returns [`Error::Artifact`] when the file cannot be written.
     pub fn save_to_path(&self, path: impl AsRef<std::path::Path>) -> Result<(), Error> {
-        Ok(self.artifact()?.encode_to_path(path)?)
+        Ok(self.artifact().encode_to_path(path)?)
     }
 
     /// The artifact capturing this deployment.
-    fn artifact(&self) -> Result<PlanArtifact, Error> {
-        let state: QuantState = self.tail.quant_state().ok_or_else(|| ArtifactError::Plan {
-            detail: "deployment tail carries no quantization state".to_string(),
-        })?;
-        Ok(PlanArtifact::new(graph_fingerprint(self.graph()), self.plan.clone(), state))
+    fn artifact(&self) -> PlanArtifact {
+        PlanArtifact::new(graph_fingerprint(self.graph()), self.plan.clone())
     }
 
     /// The plan being executed.
@@ -375,6 +363,24 @@ mod tests {
         let original = dep.session().run_batch(&test).unwrap();
         let cold = restored.session().run_batch(&test).unwrap();
         assert_eq!(original, cold, "cold-start outputs must be bit-identical");
+    }
+
+    #[test]
+    fn bitwidths_the_integer_layout_cannot_hold_are_a_typed_error() {
+        let g = graph();
+        let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &inputs(4), 256 * 1024).unwrap();
+        let mut wide_weights = plan.clone();
+        wide_weights.weight_bits = Bitwidth::W16;
+        let mut wide_branch = plan.clone();
+        wide_branch.branch_bits[0][0] = Bitwidth::W32;
+        let mut wide_tail = plan;
+        *wide_tail.tail_bits.last_mut().unwrap() = Bitwidth::W32;
+        for (plan, bits) in [(wide_weights, 16), (wide_branch, 32), (wide_tail, 32)] {
+            assert!(matches!(
+                Deployment::new(g.clone(), plan),
+                Err(Error::Graph(GraphError::Tensor(TensorError::UnsupportedBitwidth(b)))) if b == bits
+            ));
+        }
     }
 
     #[test]

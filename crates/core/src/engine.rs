@@ -320,11 +320,11 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`Error::Analysis`] when the static analyzer rejects the
-    /// graph, [`Error::Plan`] when the plan was made for a different graph
-    /// ([`PlanError::GraphMismatch`](crate::PlanError::GraphMismatch)) or
-    /// its quantization metadata cannot be materialized (degenerate
-    /// calibration ranges), or [`Error::Patch`] when the plan does not fit
-    /// the graph.
+    /// graph, and otherwise the errors of [`Deployment::new`]: a plan made
+    /// for a different graph
+    /// ([`PlanError::GraphMismatch`](crate::PlanError::GraphMismatch)),
+    /// quantization that cannot be materialized, or a split that does not
+    /// fit the graph.
     pub fn deploy(&self, plan: DeploymentPlan) -> Result<Deployment, Error> {
         self.verify()?;
         Deployment::new(Arc::clone(&self.graph), plan)
@@ -334,11 +334,11 @@ impl Engine {
     /// [`crate::artifact`]) with **no calibration source at all** — the
     /// cold-start path. The artifact is decoded and fully re-validated,
     /// its stored graph fingerprint is checked against the engine's
-    /// graph, the static analyzer vets the graph as for
-    /// [`Engine::deploy`], and the integer tail is re-seated from the
-    /// artifact's packed quantized state. The restored deployment
-    /// computes outputs **bit-identical** to the calibrated deployment
-    /// that [`Deployment::save`]d the artifact.
+    /// graph, and the decoded plan then takes the same [`Engine::deploy`]
+    /// path a calibrated plan takes (analyzer gate, then compilation of
+    /// the branch grids and the integer tail from the plan's ranges).
+    /// The restored deployment computes outputs **bit-identical** to the
+    /// calibrated deployment that [`Deployment::save`]d the artifact.
     ///
     /// # Errors
     ///
@@ -346,10 +346,7 @@ impl Engine {
     /// unsupported format version, decode to an invalid plan, or were
     /// saved for a different model
     /// ([`ArtifactError::FingerprintMismatch`](crate::artifact::ArtifactError::FingerprintMismatch));
-    /// [`Error::Analysis`] when the static analyzer rejects the graph;
-    /// [`Error::Plan`] when the decoded plan was made for another graph;
-    /// and [`Error::Graph`] / [`Error::Patch`] when the decoded state
-    /// does not fit the graph.
+    /// otherwise the same errors as [`Engine::deploy`].
     pub fn deploy_from_artifact(&self, bytes: &[u8]) -> Result<Deployment, Error> {
         let artifact = crate::artifact::PlanArtifact::decode(bytes)?;
         self.deploy_decoded(artifact)
@@ -379,8 +376,7 @@ impl Engine {
             }
             .into());
         }
-        self.verify()?;
-        Deployment::from_artifact(Arc::clone(&self.graph), artifact)
+        self.deploy(artifact.plan)
     }
 
     /// Runs the static analyzer in strict mode against the engine's

@@ -76,6 +76,8 @@ pub struct FleetPoint {
     /// Whether the point is on its (model, device) group's Pareto
     /// frontier: no other budget of the same group is at least as good on
     /// all of (BitOPs, peak SRAM, latency) and strictly better on one.
+    /// Budgets that yield the same (BitOPs, peak SRAM, latency) share one
+    /// frontier entry: only the smallest of them is marked.
     pub pareto: bool,
 }
 
@@ -176,14 +178,22 @@ pub fn plan_fleet(
 /// Marks the Pareto frontier of one (model, device) group in place: a
 /// point is on the frontier iff no other point weakly dominates it on
 /// (BitOPs, peak SRAM, latency) while being strictly better somewhere.
-/// Duplicate metric tuples are all kept on the frontier.
+/// Of points with identical metric tuples, only the one with the
+/// smallest budget (the earliest, on equal budgets) is kept: a larger
+/// budget buys nothing the smaller one does not already deliver.
 fn mark_pareto(group: &mut [FleetPoint]) {
-    let metrics: Vec<(u64, usize, Duration)> =
-        group.iter().map(|p| (p.bitops, p.peak_bytes, p.latency)).collect();
+    let metrics: Vec<(u64, usize, Duration, SramBudget)> =
+        group.iter().map(|p| (p.bitops, p.peak_bytes, p.latency, p.budget)).collect();
     for (i, point) in group.iter_mut().enumerate() {
-        let (b, m, l) = metrics[i];
-        let dominated = metrics.iter().enumerate().any(|(j, &(ob, om, ol))| {
-            j != i && ob <= b && om <= m && ol <= l && (ob < b || om < m || ol < l)
+        let (b, m, l, budget) = metrics[i];
+        let dominated = metrics.iter().enumerate().any(|(j, &(ob, om, ol, obudget))| {
+            // Weakly better everywhere: strictly better somewhere, or the
+            // same tuple at a smaller budget.
+            j != i
+                && ob <= b
+                && om <= m
+                && ol <= l
+                && ((ob, om, ol) != (b, m, l) || (obudget, j) < (budget, i))
         });
         point.pareto = !dominated;
     }
@@ -262,6 +272,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn budgets_with_identical_plans_keep_only_the_smallest_on_the_frontier() {
+        // Both budgets are generous enough that the search returns the
+        // same plan; listing the larger first pins the rule to the budget,
+        // not the input order.
+        let budgets = [SramBudget::kib(512), SramBudget::kib(256)];
+        let models = vec![FleetModel::new("net-a", graph(31), calib(3))];
+        let report =
+            plan_fleet(&QuantMcuConfig::paper(), &models, &[Device::nano33_ble_sense()], &budgets)
+                .unwrap();
+        let [large, small] = &report.points[..] else { panic!("expected two points") };
+        assert_eq!(
+            (large.bitops, large.peak_bytes, large.latency),
+            (small.bitops, small.peak_bytes, small.latency)
+        );
+        assert!(small.pareto, "the smallest identical budget represents the tuple");
+        assert!(!large.pareto, "a larger budget with the same plan is not a frontier point");
     }
 
     #[test]

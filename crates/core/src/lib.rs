@@ -93,12 +93,13 @@
 //!
 //! Planning needs calibration data; serving should not. A finished
 //! [`Deployment`] persists to the versioned `.qplan` binary format
-//! ([`artifact`]) via [`Deployment::save`] — the complete plan plus the
-//! packed quantized weights and requantization tables of its integer
-//! tail, bound to the model's fingerprint — and
-//! [`Engine::deploy_from_artifact`] restores a **bit-identical**
-//! deployment from those bytes with no calibration source at all (the
-//! calibration-free cold start). Damage, version skew and wrong-model
+//! ([`artifact`]) via [`Deployment::save`] — the complete plan, bound to
+//! the model's fingerprint — and [`Engine::deploy_from_artifact`]
+//! restores a **bit-identical** deployment from those bytes with no
+//! calibration source at all (the calibration-free cold start). The
+//! restore decodes the plan, checks the fingerprint, and then takes the
+//! same [`Engine::deploy`] path as a freshly calibrated plan, so the
+//! integer tail is recompiled from the plan's ranges rather than stored. Damage, version skew and wrong-model
 //! loads surface as typed [`Error::Artifact`] values; loading never
 //! panics.
 //!

@@ -58,14 +58,6 @@ pub enum GraphError {
         /// Index of the feature map without parameters.
         feature_map: usize,
     },
-    /// A restored quantization state does not fit the graph it is being
-    /// applied to (see [`crate::exec::CompiledGraph::with_quant_state`]).
-    QuantState {
-        /// The node the mismatch was detected at.
-        node: usize,
-        /// Human-readable reason.
-        detail: &'static str,
-    },
     /// An underlying tensor operation failed.
     Tensor(TensorError),
     /// Static analysis rejected the graph ([`crate::analyze`]).
@@ -95,9 +87,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::MissingQuantization { feature_map } => {
                 write!(f, "no quantization parameters for feature map {feature_map}")
-            }
-            GraphError::QuantState { node, detail } => {
-                write!(f, "quantization state does not fit node {node}: {detail}")
             }
             GraphError::Tensor(e) => write!(f, "tensor error: {e}"),
             GraphError::Analysis(report) => {

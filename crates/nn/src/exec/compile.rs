@@ -48,9 +48,11 @@
 //!   activations over accounting-width grids): dequantize the inputs, run
 //!   the float kernel, requantize.
 //!
-//! Both the multipliers and the tables are derived from state a
-//! [`QuantState`] already carries, so a restored compilation executes
-//! bit-identically to the calibrated one it was captured from.
+//! Both the multipliers and the tables are derived at compile time from
+//! the graph's float weights and the activation ranges, so two
+//! compilations of one graph from the same ranges and bitwidths execute
+//! bit-identically: a deployment restored from a plan artifact
+//! recompiles its tail this way.
 
 use std::borrow::Borrow;
 
@@ -101,27 +103,13 @@ pub struct CompiledGraph<G: Borrow<Graph> = Graph> {
 struct NodeQuant {
     /// Bias in accumulator grid units, per output channel.
     bias_q: Vec<i64>,
-    /// `s_in * s_w(oc)`: the accumulator's real-value scale, per channel.
-    acc_scale: Vec<f64>,
     /// `-zp_in * Σ w[oc]` per channel when the node's zero-point
     /// correction can be folded into [`kernels::Dot::init`] (dense layers
     /// and unpadded convolutions — every weight participates in every
     /// output element); empty when padding forces per-element correction.
     zp_fold: Vec<i64>,
-    /// `acc_scale(oc) / s_out` in fixed point: what requantization runs.
+    /// `s_in * s_w(oc) / s_out` in fixed point: what requantization runs.
     scale: Vec<FixedMultiplier>,
-}
-
-impl NodeQuant {
-    /// Derives the fixed-point rescale from `acc_scale` and the output
-    /// grid's scale. Calibrated compilation and restore from a
-    /// [`QuantState`] both come through here, so they requantize
-    /// identically without the state storing the multipliers.
-    fn new(bias_q: Vec<i64>, acc_scale: Vec<f64>, zp_fold: Vec<i64>, out: QuantParams) -> Self {
-        let out_scale = out.scale() as f64;
-        let scale = acc_scale.iter().map(|&s| FixedMultiplier::from_real(s / out_scale)).collect();
-        NodeQuant { bias_q, acc_scale, zp_fold, scale }
-    }
 }
 
 /// The quantized half of a compiled graph: activation grids, per-channel
@@ -204,41 +192,6 @@ fn activation_luts(spec: &GraphSpec, act_params: &[QuantParams]) -> Vec<Option<A
         .collect()
 }
 
-/// A serializable snapshot of one weighted node's integer tables: the
-/// packed CMix-NN weight words plus the requantization constants the
-/// executor's per-node tables carry. Weightless nodes carry all-empty
-/// buffers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeQuantState {
-    /// Packed weight words in the node's execution layout; empty for
-    /// weightless nodes.
-    pub packed_weights: Vec<u8>,
-    /// Bias in accumulator grid units, per output channel.
-    pub bias_q: Vec<i64>,
-    /// The accumulator's real-value scale, per output channel.
-    pub acc_scale: Vec<f64>,
-    /// Folded zero-point init terms; empty when the node's geometry
-    /// requires per-element correction.
-    pub zp_fold: Vec<i64>,
-}
-
-/// A serializable snapshot of a compiled graph's quantized half — what
-/// plan artifacts persist so a deployment can be restored bit-exactly
-/// without recompiling (or recalibrating) anything.
-///
-/// Produced by [`CompiledGraph::quant_state`], consumed by
-/// [`CompiledGraph::with_quant_state`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantState {
-    /// Activation grid per feature map.
-    pub act_params: Vec<QuantParams>,
-    /// Per-node packed weights and requantization tables, one entry per
-    /// graph node (all-empty for weightless nodes).
-    pub nodes: Vec<NodeQuantState>,
-    /// The deployed weight bitwidth.
-    pub weight_bits: Bitwidth,
-}
-
 impl<G: Borrow<Graph>> CompiledGraph<G> {
     /// Compiles `graph` for float execution: derives the feature-map
     /// liveness schedule from [`GraphSpec::consumers_of`].
@@ -287,125 +240,6 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         let quant = QuantTables::build(graph.borrow(), ranges, act_bits, weight_bits)?;
         let release_after = release_schedule(graph.borrow().spec());
         Ok(CompiledGraph { graph, release_after, quant: Some(quant) })
-    }
-
-    /// Recompiles a graph from a previously captured [`QuantState`]
-    /// instead of quantizing from calibration ranges — the bit-exact
-    /// restore path plan artifacts use. The same accumulator overflow
-    /// proofs as [`CompiledGraph::with_quantization`] run at the state's
-    /// activation bitwidths, and every buffer length is validated
-    /// against the graph before the state is accepted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingQuantization`] when the state does
-    /// not carry one activation grid per feature map,
-    /// [`GraphError::QuantState`] when a node's buffers do not fit the
-    /// graph's geometry, and [`GraphError::Analysis`] when the overflow
-    /// proof fails.
-    pub fn with_quant_state(graph: G, state: QuantState) -> Result<Self, GraphError> {
-        let spec = graph.borrow().spec();
-        let fm_count = spec.feature_map_count();
-        if state.act_params.len() != fm_count {
-            return Err(GraphError::MissingQuantization { feature_map: state.act_params.len() });
-        }
-        if state.nodes.len() != spec.len() {
-            return Err(GraphError::QuantState {
-                node: state.nodes.len(),
-                detail: "state carries the wrong number of node entries",
-            });
-        }
-        check_accumulators(spec, |fm| state.act_params[fm].bitwidth(), state.weight_bits)?;
-        let mut packed_weights = Vec::with_capacity(spec.len());
-        let mut node_quant = Vec::with_capacity(spec.len());
-        for (i, ns) in state.nodes.into_iter().enumerate() {
-            let w_len = graph.borrow().params(i).weights().len();
-            if w_len == 0 {
-                if !ns.packed_weights.is_empty()
-                    || !ns.bias_q.is_empty()
-                    || !ns.acc_scale.is_empty()
-                    || !ns.zp_fold.is_empty()
-                {
-                    return Err(GraphError::QuantState {
-                        node: i,
-                        detail: "weightless node carries quantization tables",
-                    });
-                }
-                packed_weights.push(Vec::new());
-                node_quant.push(None);
-                continue;
-            }
-            let op = spec.nodes()[i].op;
-            let in_shape = spec.input_shapes_of(i)[0];
-            let (channels, _) = weight_channel_layout(op, in_shape, w_len);
-            if ns.packed_weights.len() != state.weight_bits.bytes_for(w_len) {
-                return Err(GraphError::QuantState {
-                    node: i,
-                    detail: "packed weight buffer length does not match the node",
-                });
-            }
-            if ns.bias_q.len() != channels || ns.acc_scale.len() != channels {
-                return Err(GraphError::QuantState {
-                    node: i,
-                    detail: "requantization tables do not carry one entry per channel",
-                });
-            }
-            if !(ns.zp_fold.is_empty() || ns.zp_fold.len() == channels) {
-                return Err(GraphError::QuantState {
-                    node: i,
-                    detail: "zero-point fold does not carry one entry per channel",
-                });
-            }
-            if ns.acc_scale.iter().any(|s| !s.is_finite() || *s <= 0.0) {
-                return Err(GraphError::QuantState {
-                    node: i,
-                    detail: "accumulator scale is not a positive finite number",
-                });
-            }
-            packed_weights.push(ns.packed_weights);
-            node_quant.push(Some(NodeQuant::new(
-                ns.bias_q,
-                ns.acc_scale,
-                ns.zp_fold,
-                state.act_params[i + 1],
-            )));
-        }
-        let quant = QuantTables {
-            luts: activation_luts(spec, &state.act_params),
-            act_params: state.act_params,
-            packed_weights,
-            node_quant,
-            weight_bits: state.weight_bits,
-        };
-        let release_after = release_schedule(graph.borrow().spec());
-        Ok(CompiledGraph { graph, release_after, quant: Some(quant) })
-    }
-
-    /// Captures the quantized half of this compilation as a serializable
-    /// [`QuantState`] (see [`CompiledGraph::with_quant_state`]). `None`
-    /// when the graph was compiled without quantization.
-    pub fn quant_state(&self) -> Option<QuantState> {
-        let qt = self.quant.as_ref()?;
-        let nodes = qt
-            .packed_weights
-            .iter()
-            .zip(&qt.node_quant)
-            .map(|(packed, nq)| match nq {
-                Some(nq) => NodeQuantState {
-                    packed_weights: packed.clone(),
-                    bias_q: nq.bias_q.clone(),
-                    acc_scale: nq.acc_scale.clone(),
-                    zp_fold: nq.zp_fold.clone(),
-                },
-                None => NodeQuantState {
-                    packed_weights: Vec::new(),
-                    bias_q: Vec::new(),
-                    acc_scale: Vec::new(),
-                    zp_fold: Vec::new(),
-                },
-            })
-            .collect();
-        Some(QuantState { act_params: qt.act_params.clone(), nodes, weight_bits: qt.weight_bits })
     }
 
     /// The compiled graph.
@@ -869,14 +703,17 @@ impl QuantTables {
             let zp_fold = zero_point_fold(op, in_shape, &qw, channels, per_channel, zp_in);
             let s_in = act_params[source_fm(spec.nodes()[i].inputs[0])].scale() as f64;
             let bias = graph.params(i).bias();
+            // `s_in * s_w(oc)`: the accumulator's real-value scale.
             let acc_scale: Vec<f64> =
                 (0..channels).map(|ch| s_in * params.scale(ch) as f64).collect();
             let bias_q: Vec<i64> =
                 bias.iter().zip(&acc_scale).map(|(&b, &s)| (b as f64 / s).round() as i64).collect();
+            let s_out = act_params[i + 1].scale() as f64;
+            let scale = acc_scale.iter().map(|&s| FixedMultiplier::from_real(s / s_out)).collect();
             // The i8 working copy dies here: only the packed words — the
             // form the device would keep in SRAM — survive compilation.
             packed_weights.push(pack::pack(&qw, weight_bits));
-            node_quant.push(Some(NodeQuant::new(bias_q, acc_scale, zp_fold, act_params[i + 1])));
+            node_quant.push(Some(NodeQuant { bias_q, zp_fold, scale }));
         }
         let luts = activation_luts(spec, &act_params);
         Ok(QuantTables { act_params, packed_weights, node_quant, luts, weight_bits })
@@ -1283,72 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_state_round_trip_is_bit_identical() {
-        let spec = GraphSpecBuilder::new(Shape::hwc(8, 8, 3))
-            .conv2d(4, 3, 1, 1)
-            .relu6()
-            .dwconv(3, 1, 1)
-            .global_avg_pool()
-            .dense(5)
-            .build()
-            .unwrap();
-        let graph = init::with_structured_weights(spec, 11);
-        let ranges: Vec<(f32, f32)> =
-            (0..graph.spec().feature_map_count()).map(|i| (-1.0 - i as f32 * 0.1, 2.0)).collect();
-        let act_bits = vec![Bitwidth::W8; graph.spec().feature_map_count()];
-        let compiled =
-            CompiledGraph::with_quantization(&graph, &ranges, &act_bits, Bitwidth::W4).unwrap();
-        let state = compiled.quant_state().expect("compiled with quantization");
-        let restored = CompiledGraph::with_quant_state(&graph, state.clone()).unwrap();
-        assert_eq!(restored.quant_state().unwrap(), state);
-        let input = Tensor::from_fn(Shape::hwc(8, 8, 3), |i| (i as f32 * 0.13).sin());
-        let a = compiled.run_quant(&mut ExecState::new(), &input).unwrap();
-        let b = restored.run_quant(&mut ExecState::new(), &input).unwrap();
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn quant_state_that_does_not_fit_is_rejected() {
-        let spec = GraphSpecBuilder::new(Shape::hwc(4, 4, 2)).conv2d(3, 3, 1, 1).build().unwrap();
-        let graph = init::with_structured_weights(spec, 2);
-        let ranges = vec![(-1.0, 1.0); 2];
-        let act_bits = vec![Bitwidth::W8; 2];
-        let compiled =
-            CompiledGraph::with_quantization(&graph, &ranges, &act_bits, Bitwidth::W8).unwrap();
-        let state = compiled.quant_state().unwrap();
-
-        let mut short = state.clone();
-        short.act_params.pop();
-        assert!(matches!(
-            CompiledGraph::with_quant_state(&graph, short),
-            Err(GraphError::MissingQuantization { feature_map: 1 })
-        ));
-
-        let mut bad_packed = state.clone();
-        bad_packed.nodes[0].packed_weights.pop();
-        assert!(matches!(
-            CompiledGraph::with_quant_state(&graph, bad_packed),
-            Err(GraphError::QuantState { node: 0, .. })
-        ));
-
-        let mut bad_bias = state.clone();
-        bad_bias.nodes[0].bias_q.push(0);
-        assert!(matches!(
-            CompiledGraph::with_quant_state(&graph, bad_bias),
-            Err(GraphError::QuantState { node: 0, .. })
-        ));
-
-        let mut bad_scale = state;
-        bad_scale.nodes[0].acc_scale[0] = f64::NAN;
-        assert!(matches!(
-            CompiledGraph::with_quant_state(&graph, bad_scale),
-            Err(GraphError::QuantState { node: 0, .. })
-        ));
-    }
-
-    #[test]
     fn run_float_into_reuses_the_output_buffer() {
         let spec = GraphSpecBuilder::new(Shape::hwc(4, 4, 2)).conv2d(3, 3, 1, 1).build().unwrap();
         let graph = init::with_structured_weights(spec, 5);
@@ -1364,16 +1135,14 @@ mod tests {
         assert_eq!(out, expected);
     }
 
-    /// A restored copy of `compiled`'s tables with every activation table
-    /// dropped, so each `Relu`/`Relu6`/`MaxPool` node takes the float
-    /// round-trip arm the tables replace.
-    fn round_trip_twin<'g>(compiled: &CompiledGraph<&'g Graph>) -> CompiledGraph<&'g Graph> {
-        let state = compiled.quant_state().expect("compiled with quantization");
-        let mut twin = CompiledGraph::with_quant_state(compiled.graph, state).unwrap();
-        for lut in &mut twin.quant.as_mut().expect("restored with quantization").luts {
+    /// `compiled` with every activation table dropped, so each
+    /// `Relu`/`Relu6`/`MaxPool` node takes the float round-trip arm the
+    /// tables replace.
+    fn round_trip_twin(mut compiled: CompiledGraph<&Graph>) -> CompiledGraph<&Graph> {
+        for lut in &mut compiled.quant.as_mut().expect("compiled with quantization").luts {
             *lut = None;
         }
-        twin
+        compiled
     }
 
     /// The pre-table integer arm for one weightless node: dequantize,
@@ -1463,20 +1232,23 @@ mod tests {
                 .build()
                 .unwrap();
                 let graph = init::with_structured_weights(spec, 0);
-                let compiled = CompiledGraph::with_quantization(
-                    &graph,
-                    &[(in_lo, in_hi), (out_lo, out_hi)],
-                    &[in_bits, out_bits],
-                    Bitwidth::W8,
-                )
-                .unwrap();
+                let compile = || {
+                    CompiledGraph::with_quantization(
+                        &graph,
+                        &[(in_lo, in_hi), (out_lo, out_hi)],
+                        &[in_bits, out_bits],
+                        Bitwidth::W8,
+                    )
+                    .unwrap()
+                };
+                let compiled = compile();
                 prop_assert!(compiled.quant.as_ref().unwrap().luts[0].is_some());
                 let (p_in, p_out) = (compiled.activation_params(0), compiled.activation_params(1));
                 let input = Tensor::from_vec(in_shape, q.iter().map(|&v| p_in.dequantize(v)).collect()).unwrap();
                 prop_assert!(input.data().iter().zip(&q).all(|(&x, &v)| p_in.quantize(x) == v));
                 let expected = round_trip(op, &q, in_shape, p_in, p_out);
                 let table = compiled.run_quant(&mut ExecState::new(), &input).unwrap();
-                let old = round_trip_twin(&compiled).run_quant(&mut ExecState::new(), &input).unwrap();
+                let old = round_trip_twin(compile()).run_quant(&mut ExecState::new(), &input).unwrap();
                 for (j, &e) in expected.iter().enumerate() {
                     let e = p_out.dequantize(e).to_bits();
                     prop_assert!(table.data()[j].to_bits() == e, "{} table level {}", op.name(), j);
@@ -1487,7 +1259,7 @@ mod tests {
 
         /// A whole graph mixing convolutions, `Relu`, `Relu6`, `MaxPool`
         /// and storage grids of every width gives bit-identical outputs
-        /// with and without the tables, on the same compiled tables.
+        /// with and without the tables, from the same ranges and bitwidths.
         #[test]
         fn whole_graph_table_arm_matches_the_round_trip_arm(
             seed in 0u64..1_000_000,
@@ -1512,8 +1284,9 @@ mod tests {
             let ranges: Vec<(f32, f32)> = (0..fm_count)
                 .map(|i| (-(level(i, seed, 1, 40) as f32) * 0.1, level(i, seed ^ 7, 1, 80) as f32 * 0.1))
                 .collect();
-            let compiled = CompiledGraph::with_quantization(&graph, &ranges, &bits, Bitwidth::W4).unwrap();
-            let twin = round_trip_twin(&compiled);
+            let compile = || CompiledGraph::with_quantization(&graph, &ranges, &bits, Bitwidth::W4).unwrap();
+            let compiled = compile();
+            let twin = round_trip_twin(compile());
             for k in 0..4u64 {
                 let input = Tensor::from_fn(Shape::hwc(12, 12, 3), |i| ((i as u64 * 31 + k * 7 + seed) as f32 * 0.37).sin() * 3.0);
                 let a = compiled.run_quant(&mut ExecState::new(), &input).unwrap();

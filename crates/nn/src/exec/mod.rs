@@ -55,7 +55,7 @@ mod float;
 pub mod pool;
 mod quantized;
 
-pub use compile::{CompiledGraph, ExecState, NodeQuantState, QuantState};
+pub use compile::{CompiledGraph, ExecState};
 pub use float::FloatExecutor;
 pub use pool::{PoolError, PoolJob, ScopedJob, ScopedPool, WorkerPool};
 pub use quantized::{calibrate_ranges, QuantExecutor};

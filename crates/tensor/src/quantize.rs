@@ -50,29 +50,6 @@ impl QuantParams {
         Ok(QuantParams { scale, zero_point, bitwidth })
     }
 
-    /// Rebuilds parameters from previously observed raw parts — the
-    /// bit-exact restore path used by plan-artifact deserialization,
-    /// where recomputing from a min/max range could round differently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidScale`] when `scale` is not a
-    /// positive finite number or `zero_point` is outside the bitwidth's
-    /// representable range.
-    pub fn from_raw_parts(
-        scale: f32,
-        zero_point: i32,
-        bitwidth: Bitwidth,
-    ) -> Result<Self, TensorError> {
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(TensorError::InvalidScale(scale));
-        }
-        if zero_point < bitwidth.min_value() || zero_point > bitwidth.max_value() {
-            return Err(TensorError::InvalidScale(scale));
-        }
-        Ok(QuantParams { scale, zero_point, bitwidth })
-    }
-
     /// Builds parameters from a tensor's observed min/max.
     ///
     /// Empty tensors get a unit range.

@@ -1,9 +1,10 @@
 //! Plan-artifact round-trip and corrupted-input suites.
 //!
-//! * Every zoo model's calibrated deployment saves to `.qplan` bytes and
-//!   restores through `Engine::deploy_from_artifact` — with **no**
-//!   calibration source — to a deployment whose plan compares equal and
-//!   whose outputs are bit-identical to the original's.
+//! * Every zoo model's calibrated deployment, at 8-bit and 4-bit
+//!   weights, saves to `.qplan` bytes and restores through
+//!   `Engine::deploy_from_artifact` — with **no** calibration source — to
+//!   a deployment whose plan compares equal and whose outputs are
+//!   bit-identical to the original's.
 //! * The file-path spellings (`save_to_path` /
 //!   `deploy_from_artifact_path`) round-trip through a real file.
 //! * An artifact saved for one model is rejected with a typed
@@ -23,7 +24,7 @@ use quantmcu::artifact::{graph_fingerprint, ArtifactError, PlanArtifact, FORMAT_
 use quantmcu::models::Model;
 use quantmcu::nn::codec::fnv1a64;
 use quantmcu::nn::{init, GraphSpecBuilder};
-use quantmcu::tensor::{Shape, Tensor};
+use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 use quantmcu::{Engine, Error, SramBudget};
 use quantmcu_integration::{calib, eval, graph, SEED};
 
@@ -52,22 +53,30 @@ fn assert_bit_identical(a: &[Tensor], b: &[Tensor], what: &str) {
 
 #[test]
 fn zoo_cold_start_is_bit_identical_to_calibrated() {
-    for model in zoo() {
-        let engine = engine(model);
-        let calibrated =
-            engine.plan(calib(4)).and_then(|p| engine.deploy(p)).expect("calibrated deploy");
-        let bytes = calibrated.save().expect("save artifact");
-        // The cold start needs the engine and the bytes — nothing else.
-        let cold = engine.deploy_from_artifact(&bytes).expect("cold-start deploy");
-        assert_eq!(calibrated.plan(), cold.plan(), "{model}: plans diverged");
-        let inputs = eval(4);
-        let warm_out = calibrated.session().run_batch(&inputs).expect("calibrated outputs");
-        let cold_out = cold.session().run_batch(&inputs).expect("cold-start outputs");
-        assert_bit_identical(&warm_out, &cold_out, model.name());
-        // Decode → re-encode must reproduce the exact same bytes.
-        let decoded = PlanArtifact::decode(&bytes).expect("decode");
-        assert_eq!(decoded.encode(), bytes, "{model}: re-encode diverged");
-        assert_eq!(decoded.fingerprint(), graph_fingerprint(engine.graph()), "{model}");
+    // W4 makes the restore re-pack sub-byte weight words.
+    for weight_bits in [Bitwidth::W8, Bitwidth::W4] {
+        for model in zoo() {
+            let engine = Engine::builder(graph(model))
+                .sram_budget(SramBudget::kib(16))
+                .weight_bits(weight_bits)
+                .build();
+            let what = format!("{model} at {weight_bits:?} weights");
+            let calibrated =
+                engine.plan(calib(4)).and_then(|p| engine.deploy(p)).expect("calibrated deploy");
+            assert_eq!(calibrated.plan().weight_bits(), weight_bits, "{what}");
+            let bytes = calibrated.save().expect("save artifact");
+            // The cold start needs the engine and the bytes — nothing else.
+            let cold = engine.deploy_from_artifact(&bytes).expect("cold-start deploy");
+            assert_eq!(calibrated.plan(), cold.plan(), "{what}: plans diverged");
+            let inputs = eval(4);
+            let warm_out = calibrated.session().run_batch(&inputs).expect("calibrated outputs");
+            let cold_out = cold.session().run_batch(&inputs).expect("cold-start outputs");
+            assert_bit_identical(&warm_out, &cold_out, &what);
+            // Decode → re-encode must reproduce the exact same bytes.
+            let decoded = PlanArtifact::decode(&bytes).expect("decode");
+            assert_eq!(decoded.encode(), bytes, "{what}: re-encode diverged");
+            assert_eq!(decoded.fingerprint(), graph_fingerprint(engine.graph()), "{what}");
+        }
     }
 }
 
