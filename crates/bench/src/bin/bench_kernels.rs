@@ -2,18 +2,21 @@
 //! kernel-speed trajectory is machine-readable across revisions — the
 //! kernel-level companion of `bench_plan` / `bench_serve`.
 //!
-//! For each weighted op's integer path, three strategies run the same
-//! workload and are cross-checked **bit-identical** before timing counts:
+//! Each integer op runs three strategies on one shape:
 //!
-//! * **naive** — the `kernels::naive::*_q` oracle loop nests;
-//! * **blocked** — the cache-blocked kernels with the scalar `IntDot`
-//!   strategy over unpacked `i8` weights (the pre-tiling integer path);
-//! * **tiled** — the same kernels with `PackedDot` computing dot products
-//!   directly on packed W8/W4/W2 words, register-tiled accumulator lanes.
+//! * **naive** — the `kernels::naive::*_q` oracle loop nests over `i32`
+//!   grid values and unpacked `i8` weights;
+//! * **tiled** — the deployed integer kernels (`kernels::{conv2d_q,
+//!   dwconv_q, dense_q}`): `i8` feature maps in and out, receptive rows
+//!   gathered as `i16` lanes, dot products directly on packed W8/W4/W2
+//!   words;
+//! * **float** — the float kernels on the same shape, the reference the
+//!   integer path should beat (`speedup_vs_float`).
 //!
-//! Conv2d sweeps every packed width (W8/W4/W2), each with naive and
-//! blocked rows over the same range-clamped weights, so every speedup in
-//! the snapshot compares strategies at one weight width.
+//! The tiled output is asserted bit-identical to naive before timing
+//! counts. Conv2d sweeps every packed width (W8/W4/W2), each with its own
+//! naive row over the same range-clamped weights; `pwconv_int` is the
+//! 1×1 shape that dominates MobileNetV2's integer tail.
 //!
 //! The binary asserts the perf-regression tripwire (tiled must not be
 //! slower than naive on any integer op) and finishes with end-to-end
@@ -24,7 +27,9 @@ use std::time::{Duration, Instant};
 
 use quantmcu::models::Model;
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
-use quantmcu::nn::kernels::{self, naive, FixedMultiplier, IntDot, PackedDot, Requant, GENERATION};
+use quantmcu::nn::kernels::{
+    self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, GENERATION,
+};
 use quantmcu::tensor::{pack, Bitwidth, Shape, Tensor};
 use quantmcu_bench::{exec_dataset, exec_graph, smoke};
 
@@ -52,26 +57,26 @@ fn varied_q(len: usize, seed: u64, lo: i32, hi: i32) -> Vec<i32> {
         .collect()
 }
 
-/// Per-channel requantization constants (identical across strategies, so
-/// bit-identity of outputs follows from bit-identity of accumulators).
-struct Tables {
-    bias_q: Vec<i64>,
-    scale: Vec<FixedMultiplier>,
+/// Deterministic pseudo-random floats in `[-0.5, 0.5)`.
+fn varied_f(len: usize, seed: u64) -> Vec<f32> {
+    varied_q(len, seed, -500, 499).into_iter().map(|v| v as f32 * 1e-3).collect()
 }
 
-impl Tables {
-    fn new(channels: usize) -> Self {
-        Tables {
-            bias_q: varied_q(channels, 0xB1A5, -500, 500).into_iter().map(i64::from).collect(),
-            scale: (0..channels)
-                .map(|ch| FixedMultiplier::from_real(1e-3 * (1.0 + ch as f64 * 0.31) / 0.037))
-                .collect(),
-        }
-    }
+/// Per-channel requantization onto an 8-bit output grid (identical for
+/// naive and tiled, so bit-identity of outputs follows from bit-identity
+/// of accumulators).
+fn requant(channels: usize) -> Requant {
+    let bias_q: Vec<i64> =
+        varied_q(channels, 0xB1A5, -500, 500).into_iter().map(i64::from).collect();
+    let scale: Vec<FixedMultiplier> = (0..channels)
+        .map(|ch| FixedMultiplier::from_real(1e-3 * (1.0 + ch as f64 * 0.31) / 0.037))
+        .collect();
+    Requant::new(&bias_q, &scale, 3, -128, 127)
+}
 
-    fn requant(&self) -> Requant<'_> {
-        Requant { bias_q: &self.bias_q, scale: &self.scale, zp_out: 3, q_min: -128, q_max: 127 }
-    }
+/// `bits`-ranged quantized weights.
+fn weights(len: usize, seed: u64, bits: Bitwidth) -> Vec<i8> {
+    varied_q(len, seed, bits.min_value(), bits.max_value()).into_iter().map(|v| v as i8).collect()
 }
 
 /// One timed strategy row for the JSON snapshot. Speedups compare rows of
@@ -82,218 +87,168 @@ struct Row {
     strategy: String,
     seconds: f64,
     vs_naive: f64,
-    vs_blocked: f64,
+    vs_float: f64,
 }
 
 impl Row {
     fn json(&self) -> String {
         format!(
-            "    {{\"op\": \"{}\", \"weight_bits\": {}, \"strategy\": \"{}\", \"seconds\": {:.6}, \
-             \"speedup_vs_naive\": {:.4}, \"speedup_vs_blocked\": {:.4}}}",
-            self.op, self.weight_bits, self.strategy, self.seconds, self.vs_naive, self.vs_blocked
+            "    {{\"op\": \"{}\", \"weight_bits\": {}, \"strategy\": \"{}\", \"seconds\": {:.7}, \
+             \"speedup_vs_naive\": {:.4}, \"speedup_vs_float\": {:.4}}}",
+            self.op, self.weight_bits, self.strategy, self.seconds, self.vs_naive, self.vs_float
         )
     }
 }
 
-/// One named strategy closure in a [`sweep`].
-type Run<'a> = (String, Box<dyn FnMut() -> Vec<i32> + 'a>);
+/// A weighted layer's shape; `k == 0` marks a dense layer over the whole
+/// input.
+#[derive(Clone, Copy)]
+struct Layer {
+    input: Shape,
+    out_ch: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    depthwise: bool,
+}
 
-/// Times the naive/blocked/tiled trio for one op at one weight width.
-/// `runs` is `[("naive", f), ("blocked", f), ("tiled_N", f)]`, all over the
-/// same `bits`-ranged weights; every entry is asserted bit-identical to
-/// the first before timing, and the `tiled_*` entry must beat naive (the
-/// CI perf-regression tripwire).
+impl Layer {
+    fn conv(input: Shape, out_ch: usize, k: usize, stride: usize, pad: usize) -> Self {
+        Layer { input, out_ch, k, stride, pad, depthwise: false }
+    }
+
+    fn output(&self) -> Shape {
+        if self.k == 0 {
+            return Shape::new(self.input.n, 1, 1, self.out_ch);
+        }
+        let (oh, ow) = kernels::conv_output_hw(self.input, self.k, self.stride, self.pad);
+        Shape::new(self.input.n, oh, ow, self.out_ch)
+    }
+
+    /// Weight count in the op's canonical layout.
+    fn weight_len(&self) -> usize {
+        match (self.k, self.depthwise) {
+            (0, _) => self.out_ch * self.input.per_sample(),
+            (k, true) => k * k * self.input.c,
+            (k, false) => self.out_ch * k * k * self.input.c,
+        }
+    }
+}
+
+/// Times naive, tiled and float for one op at one weight width, after
+/// asserting tiled is bit-identical to naive, and applies the tripwire.
 fn sweep(
     op: &'static str,
+    layer: Layer,
     bits: Bitwidth,
-    reps: usize,
-    iters: usize,
-    mut runs: Vec<Run<'_>>,
+    timing: (usize, usize),
     rows: &mut Vec<Row>,
 ) {
-    let reference = (runs[0].1)();
-    for (name, run) in runs.iter_mut().skip(1) {
-        assert_eq!(run(), reference, "{op} {bits}: {name} output diverged from naive");
-    }
-    let timed: Vec<(String, f64)> = runs
-        .into_iter()
-        .map(|(name, mut run)| (name, measure(reps, iters, &mut run).as_secs_f64()))
-        .collect();
-    let time_of = |strategy: &str| {
-        timed
-            .iter()
-            .find(|(name, _)| name == strategy)
-            .expect("every sweep times naive and blocked")
-            .1
+    let (reps, iters) = timing;
+    let zp_in = 4;
+    let (input, out) = (layer.input, layer.output());
+    let (Layer { out_ch, k, stride, pad, .. }, c) = (layer, out.c);
+    let q_in = varied_q(input.len(), 1, -100, 100);
+    let q8: Vec<i8> = q_in.iter().map(|&q| q as i8).collect();
+    let qw = weights(layer.weight_len(), 2, bits);
+    let packed = pack::pack(&qw, bits);
+    let rq = requant(c);
+    let dot = PackedDot::new(&packed, bits, zp_in, &rq);
+    let x = varied_f(input.len(), 3);
+    let (w, b) = (varied_f(qw.len(), 4), varied_f(c, 5));
+    let fdot = FloatDot { weights: &w, bias: &b };
+
+    let naive = || match (k, layer.depthwise) {
+        (0, _) => naive::dense_q(&q_in, input, &qw, zp_in, &rq, out_ch),
+        (_, true) => naive::dwconv_q(&q_in, input, &qw, zp_in, &rq, k, stride, pad),
+        _ => naive::conv2d_q(&q_in, input, &qw, zp_in, &rq, out_ch, k, stride, pad),
     };
-    let (naive_t, blocked_t) = (time_of("naive"), time_of("blocked"));
-    println!("{op} ({bits} weights):");
+    let mut row = Vec::new();
+    let mut tiled = || {
+        let mut o = vec![0i8; out.len()];
+        match (k, layer.depthwise) {
+            (0, _) => kernels::dense_q(&dot, &q8, input, &mut o, out_ch, &mut row),
+            (_, true) => kernels::dwconv_q(&dot, &q8, input, &mut o, k, stride, pad),
+            _ => kernels::conv2d_q(&dot, &q8, input, &mut o, out_ch, k, stride, pad, &mut row),
+        }
+        o
+    };
+    let float = || {
+        let mut o = vec![0.0f32; out.len()];
+        let region = out.full_region();
+        match (k, layer.depthwise) {
+            (0, _) => kernels::dense(&fdot, &x, input, &mut o, out_ch),
+            (_, true) => kernels::dwconv(&fdot, &x, input, &mut o, k, stride, pad, region),
+            _ => kernels::conv2d(&fdot, &x, input, &mut o, out_ch, k, stride, pad, region),
+        }
+        o
+    };
+    let reference = naive();
+    let got: Vec<i32> = tiled().into_iter().map(i32::from).collect();
+    assert_eq!(got, reference, "{op} {bits}: tiled output diverged from naive");
+
+    let tiled_name = format!("tiled_{}", bits.bits());
+    let timed = [
+        ("naive".to_string(), measure(reps, iters, naive).as_secs_f64()),
+        (tiled_name, measure(reps, iters, &mut tiled).as_secs_f64()),
+        ("float".to_string(), measure(reps, iters, float).as_secs_f64()),
+    ];
+    let (naive_t, tiled_t, float_t) = (timed[0].1, timed[1].1, timed[2].1);
+    println!(
+        "{op} ({bits} weights, {}x{}x{} -> {}x{}x{}):",
+        input.h, input.w, input.c, out.h, out.w, out.c
+    );
     for (name, t) in timed {
-        let (vs_naive, vs_blocked) = (naive_t / t, blocked_t / t);
+        let (vs_naive, vs_float) = (naive_t / t, float_t / t);
         println!(
-            "  {name:9} {:9.3} ms  ({vs_naive:.2}x vs naive, {vs_blocked:.2}x vs blocked)",
+            "  {name:9} {:10.4} ms  ({vs_naive:.2}x vs naive, {vs_float:.2}x vs float)",
             t * 1e3
         );
-        if name.starts_with("tiled") {
-            // Perf-regression tripwire: the packed tiled path must never
-            // fall behind the oracle loops it replaced.
-            assert!(t <= naive_t, "{op}: {name} ({t:.6}s) slower than naive ({naive_t:.6}s)");
-        }
         let weight_bits = bits.bits();
-        rows.push(Row { op, weight_bits, strategy: name, seconds: t, vs_naive, vs_blocked });
+        rows.push(Row { op, weight_bits, strategy: name, seconds: t, vs_naive, vs_float });
     }
+    // Perf-regression tripwire: the packed integer path must never fall
+    // behind the oracle loops it replaced.
+    assert!(tiled_t <= naive_t, "{op}: tiled ({tiled_t:.7}s) slower than naive ({naive_t:.7}s)");
     println!();
 }
 
-/// `bits`-ranged quantized weights.
-fn weights(len: usize, seed: u64, bits: Bitwidth) -> Vec<i8> {
-    varied_q(len, seed, bits.min_value(), bits.max_value()).into_iter().map(|v| v as i8).collect()
-}
-
-/// Runs `kernel` into a fresh `len`-element output.
-fn fresh(len: usize, kernel: impl FnOnce(&mut [i32])) -> Vec<i32> {
-    let mut out = vec![0i32; len];
-    kernel(&mut out);
-    out
+/// The host's CPU model from `/proc/cpuinfo`, or `"unknown"`.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {
-    let (reps, iters) = if smoke() { (2, 1) } else { (5, 3) };
+    let (reps, iters) = if smoke() { (2, 1) } else { (15, 5) };
     // Conv geometry mirrors the acceptance-layer criterion bench
     // (32×32×32 through 32 3×3 filters); smoke shrinks it.
     let (hw, c, oc) = if smoke() { (12, 16, 16) } else { (32, 32, 32) };
-    let (k, stride, pad) = (3usize, 1usize, 1usize);
-    let zp_in = 4;
+    let shape = Shape::hwc(hw, hw, c);
     let mut rows = Vec::new();
 
     println!(
         "Integer micro-kernels ({GENERATION}), best of {reps}x{iters}; \
-         all strategies bit-identical to naive\n"
+         tiled bit-identical to naive\n"
     );
-
-    let shape = Shape::hwc(hw, hw, c);
-    let q_in = varied_q(shape.len(), 1, -100, 100);
-
-    // ---- conv2d (pad > 0: per-element zero-point correction) ----
-    // One sweep per packed width, each on its own range-clamped weights,
-    // so every tiled row is measured against naive and blocked loops
-    // running the same arithmetic workload.
     for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
-        let out_len = Shape::hwc(hw, hw, oc).len();
-        let region = Shape::hwc(hw, hw, oc).full_region();
-        let tables = Tables::new(oc);
-        let qw = weights(oc * k * k * c, 2, bits);
-        let packed = pack::pack(&qw, bits);
-        let (qw, q_in, tables) = (&qw, &q_in, &tables);
-        let runs: Vec<Run<'_>> = vec![
-            (
-                "naive".into(),
-                Box::new(move || {
-                    naive::conv2d_q(q_in, shape, qw, zp_in, &tables.requant(), oc, k, stride, pad)
-                }),
-            ),
-            (
-                "blocked".into(),
-                Box::new(move || {
-                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
-                    fresh(out_len, |out| {
-                        kernels::conv2d(&dot, q_in, shape, out, oc, k, stride, pad, region)
-                    })
-                }),
-            ),
-            (
-                format!("tiled_{}", bits.bits()),
-                Box::new(|| {
-                    let dot = PackedDot::new(&packed, bits, zp_in, tables.requant())
-                        .assuming_i16_activations();
-                    fresh(out_len, |out| {
-                        kernels::conv2d(&dot, q_in, shape, out, oc, k, stride, pad, region)
-                    })
-                }),
-            ),
-        ];
-        sweep("conv2d_int", bits, reps, iters, runs, &mut rows);
+        sweep("conv2d_int", Layer::conv(shape, oc, 3, 1, 1), bits, (reps, iters), &mut rows);
     }
-
-    // ---- dwconv (pad > 0) ----
-    {
-        let region = shape.full_region();
-        let tables = Tables::new(c);
-        let qw = weights(k * k * c, 3, Bitwidth::W8);
-        let packed = pack::pack(&qw, Bitwidth::W8);
-        let (qw, q_in, tables) = (&qw, &q_in, &tables);
-        let runs: Vec<Run<'_>> = vec![
-            (
-                "naive".into(),
-                Box::new(move || {
-                    naive::dwconv_q(q_in, shape, qw, zp_in, &tables.requant(), k, stride, pad)
-                }),
-            ),
-            (
-                "blocked".into(),
-                Box::new(move || {
-                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
-                    fresh(shape.len(), |out| {
-                        kernels::dwconv(&dot, q_in, shape, out, k, stride, pad, region)
-                    })
-                }),
-            ),
-            (
-                "tiled_8".into(),
-                Box::new(|| {
-                    let dot = PackedDot::new(&packed, Bitwidth::W8, zp_in, tables.requant())
-                        .assuming_i16_activations();
-                    fresh(shape.len(), |out| {
-                        kernels::dwconv(&dot, q_in, shape, out, k, stride, pad, region)
-                    })
-                }),
-            ),
-        ];
-        sweep("dwconv_int", Bitwidth::W8, reps, iters, runs, &mut rows);
-    }
-
-    // ---- dense (folded zero point: every weight touches every output) ----
-    {
-        let out_f = if smoke() { 32 } else { 64 };
-        let fan_in = shape.per_sample();
-        let tables = Tables::new(out_f);
-        let qw = weights(out_f * fan_in, 5, Bitwidth::W8);
-        let packed = pack::pack(&qw, Bitwidth::W8);
-        let init: Vec<i64> = (0..out_f)
-            .map(|o| {
-                let sum: i64 = qw[o * fan_in..(o + 1) * fan_in].iter().map(|&w| w as i64).sum();
-                -(zp_in as i64) * sum
-            })
-            .collect();
-        let (qw, q_in, tables, init) = (&qw, &q_in, &tables, &init);
-        let runs: Vec<Run<'_>> = vec![
-            (
-                "naive".into(),
-                Box::new(move || naive::dense_q(q_in, shape, qw, zp_in, &tables.requant(), out_f)),
-            ),
-            (
-                "blocked".into(),
-                Box::new(move || {
-                    let dot = IntDot { qw, zp_in, rq: tables.requant() };
-                    fresh(out_f, |out| kernels::dense(&dot, q_in, shape, out, out_f))
-                }),
-            ),
-            (
-                "tiled_8".into(),
-                Box::new(|| {
-                    let dot = PackedDot::with_folded_zero_point(
-                        &packed,
-                        Bitwidth::W8,
-                        init,
-                        tables.requant(),
-                    )
-                    .assuming_i16_activations();
-                    fresh(out_f, |out| kernels::dense(&dot, q_in, shape, out, out_f))
-                }),
-            ),
-        ];
-        sweep("dense_int", Bitwidth::W8, reps, iters, runs, &mut rows);
-    }
+    // MobileNetV2's pointwise expansion at exec scale.
+    let pw = Layer::conv(Shape::hwc(8, 8, 16), 96, 1, 1, 0);
+    sweep("pwconv_int", pw, Bitwidth::W8, (reps, iters), &mut rows);
+    let dw = Layer { depthwise: true, ..Layer::conv(shape, c, 3, 1, 1) };
+    sweep("dwconv_int", dw, Bitwidth::W8, (reps, iters), &mut rows);
+    let out_f = if smoke() { 32 } else { 64 };
+    let dense = Layer { k: 0, ..Layer::conv(shape, out_f, 0, 1, 0) };
+    sweep("dense_int", dense, Bitwidth::W8, (reps, iters), &mut rows);
 
     // ---- end-to-end images/second through the executors ----
     let graph = exec_graph(Model::MobileNetV2);
@@ -326,11 +281,13 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"kernel_throughput\",\n  \"kernel_generation\": \"{GENERATION}\",\n  \
-         \"host_parallelism\": {},\n  \"reps\": {reps},\n  \"iters\": {iters},\n  \"ops\": [\n{}\n  ],\n  \
+         \"host_parallelism\": {},\n  \"host_cpu\": \"{}\",\n  \"reps\": {reps},\n  \
+         \"iters\": {iters},\n  \"ops\": [\n{}\n  ],\n  \
          \"end_to_end\": {{\"model\": \"MobileNetV2 (exec scale)\", \"images\": {}, \
          \"float_images_per_second\": {float_ips:.2}, \
          \"quant_images_per_second\": {quant_ips:.2}}}\n}}\n",
         quantmcu::default_workers(),
+        host_cpu(),
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n"),
         images.len()
     );

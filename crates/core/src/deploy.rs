@@ -366,6 +366,38 @@ mod tests {
     }
 
     #[test]
+    fn extreme_inputs_saturate_to_the_grid_edges() {
+        let engine = Engine::builder(graph()).sram_budget(SramBudget::kib(256)).build();
+        // Calibrating on `[-0.1, 0.9]` puts every branch's input zero point
+        // well below 0: the case where adding it to a saturated quotient
+        // used to overflow.
+        let calib: Vec<Tensor> = inputs(4).iter().map(|t| t.map(|v| 0.5 * v + 0.4)).collect();
+        let dep = engine.deploy(engine.plan(calib).unwrap()).unwrap();
+        let plan = dep.plan();
+        for (ranges, bits) in plan.branch_ranges.iter().zip(&plan.branch_bits) {
+            let (lo, hi) = ranges[0];
+            assert!(QuantParams::from_min_max(lo, hi, bits[0]).unwrap().zero_point() < 0);
+        }
+        let base = inputs(1).remove(0);
+        let with = |v: f32| {
+            let mut x = base.clone();
+            x.data_mut()[5] = v;
+            x
+        };
+        let mut session = dep.session();
+        // ±1e6 is far outside the grid yet far inside `i32` quotients.
+        let low = session.run(&with(-1e6)).unwrap();
+        for v in [-1e9, -1e30, f32::NEG_INFINITY] {
+            assert_eq!(session.run(&with(v)).unwrap(), low, "input {v}");
+        }
+        let high = session.run(&with(1e6)).unwrap();
+        for v in [1e9, 1e30, f32::INFINITY] {
+            assert_eq!(session.run(&with(v)).unwrap(), high, "input {v}");
+        }
+        assert_eq!(session.run(&with(f32::NAN)).unwrap(), session.run(&with(0.0)).unwrap());
+    }
+
+    #[test]
     fn bitwidths_the_integer_layout_cannot_hold_are_a_typed_error() {
         let g = graph();
         let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &inputs(4), 256 * 1024).unwrap();

@@ -671,9 +671,9 @@ pub const ACC_LIMIT: u128 = (i32::MAX / 2) as u128;
 /// weight-free operators.
 ///
 /// The bound models the *deployment* kernels (CMix-NN-style `i32`
-/// accumulators); the simulator's own `i64` accumulation is exact, so a
-/// graph passing this check behaves identically on device and in
-/// simulation.
+/// accumulators). The host's integer kernels accumulate in `i32` too, and
+/// `CompiledGraph::with_quantization` rejects any graph failing this
+/// check, so their accumulators never overflow.
 pub fn accumulator_bound(
     op: OpSpec,
     in_shape: Shape,

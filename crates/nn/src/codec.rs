@@ -375,15 +375,6 @@ impl<'a> Reader<'a> {
         Ok(self.elements(field)?.map(|b| f32::from_bits(u32::from_le_bytes(b))).collect())
     }
 
-    /// Reads a length-prefixed vector of `u64`s.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reader::count`].
-    pub fn u64s(&mut self, field: &'static str) -> Result<Vec<u64>, CodecError> {
-        Ok(self.elements(field)?.map(u64::from_le_bytes).collect())
-    }
-
     /// Reads an operator record. `decode` maps the opcode and its
     /// attributes to the caller's operator type, returning `None` for an
     /// opcode the format does not define.

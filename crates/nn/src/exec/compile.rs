@@ -33,20 +33,28 @@
 //!
 //! # The integer loop
 //!
-//! Each node of the integer path takes one of three arms, fixed at
+//! Integer feature maps are stored as `i8` when their grid has at most 8
+//! bits (every storage width the search assigns) and as `i32` for the
+//! wider accounting grids. Each node takes one of three arms, fixed at
 //! compile time:
 //!
-//! * **Weighted** (`Conv2d`, `DepthwiseConv2d`, `Dense`): packed-weight
-//!   dot products into an `i64` accumulator, then fixed-point
-//!   requantization ([`kernels::Requant`]) by a per-channel
-//!   [`FixedMultiplier`] derived from `acc_scale / out_scale`.
+//! * **Weighted** (`Conv2d`, `DepthwiseConv2d`, `Dense`): the packed-weight
+//!   kernels ([`kernels::conv2d_q`], [`kernels::dwconv_q`],
+//!   [`kernels::dense_q`]). Each output pixel gathers its receptive row
+//!   once as `q − zp_in` lanes (`i16` from `i8` storage, `i32` from wide
+//!   storage; the gather scratch lives in [`ExecState`]), accumulates in
+//!   `i32` — which the `Q001` proof bounds — and requantizes through the
+//!   node's [`Requant`]: a per-channel [`FixedMultiplier`] derived from
+//!   `acc_scale / out_scale`, with the `i64`-or-`i128` route chosen per
+//!   channel at compile time. There is one zero-point mode: padding taps
+//!   gather as 0, so `(q − zp) · w` covers padded and unpadded nodes alike.
 //! * **Table** (`Relu`, `Relu6`, `MaxPool` over a ≤ 8-bit input grid): one
 //!   lookup per element in a table built from the float round trip's own
 //!   arithmetic, so the outputs are exactly the round trip's; `MaxPool`
 //!   first takes the integer window maximum.
 //! * **Round trip** (`Add`, `Concat`, `AvgPool`, `GlobalAvgPool`, and
 //!   activations over accounting-width grids): dequantize the inputs, run
-//!   the float kernel, requantize.
+//!   the float kernel, requantize with [`QuantParams::quantize_slice`].
 //!
 //! Both the multipliers and the tables are derived at compile time from
 //! the graph's float weights and the activation ranges, so two
@@ -57,7 +65,7 @@
 use std::borrow::Borrow;
 
 use quantmcu_tensor::{
-    pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Region, Shape, Tensor,
+    pack, Arena, Bitwidth, ChannelQuantParams, Level, QuantParams, Region, Shape, Tensor,
 };
 
 use crate::analyze::{overflow_diagnostic, Report};
@@ -98,20 +106,6 @@ pub struct CompiledGraph<G: Borrow<Graph> = Graph> {
     quant: Option<QuantTables>,
 }
 
-/// Per-node integer requantization constants, precomputed once.
-#[derive(Debug)]
-struct NodeQuant {
-    /// Bias in accumulator grid units, per output channel.
-    bias_q: Vec<i64>,
-    /// `-zp_in * Σ w[oc]` per channel when the node's zero-point
-    /// correction can be folded into [`kernels::Dot::init`] (dense layers
-    /// and unpadded convolutions — every weight participates in every
-    /// output element); empty when padding forces per-element correction.
-    zp_fold: Vec<i64>,
-    /// `s_in * s_w(oc) / s_out` in fixed point: what requantization runs.
-    scale: Vec<FixedMultiplier>,
-}
-
 /// The quantized half of a compiled graph: activation grids, per-channel
 /// quantized weights kept **packed** (the CMix-NN SRAM layout — the
 /// [`PackedDot`] micro-kernels compute dot products directly on the
@@ -122,7 +116,8 @@ struct QuantTables {
     act_params: Vec<QuantParams>,
     /// Packed weight words per node, in the node's execution layout.
     packed_weights: Vec<Vec<u8>>,
-    node_quant: Vec<Option<NodeQuant>>,
+    /// Requantization per weighted node (`None` for weightless nodes).
+    requant: Vec<Option<Requant>>,
     /// Exact activation tables per node (see [`ActivationLut`]); `None`
     /// for nodes that take another arm of the integer loop.
     luts: Vec<Option<ActivationLut>>,
@@ -176,8 +171,15 @@ impl ActivationLut {
 
     /// The output grid value of input level `q`.
     #[inline]
-    fn get(&self, q: i32) -> i32 {
-        self.table[(q - self.q_min) as usize]
+    fn get(&self, q: i8) -> i32 {
+        self.table[(q as i32 - self.q_min) as usize]
+    }
+
+    /// Maps every input level of `x` into `out`.
+    fn apply<O: Level>(&self, x: &[i8], out: &mut [O]) {
+        for (o, &q) in out.iter_mut().zip(x) {
+            *o = O::from_level(self.get(q));
+        }
     }
 }
 
@@ -450,11 +452,11 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         let spec = self.spec();
         let last = spec.feature_map_count() - 1;
         let q = state.qslots[last].as_ref().expect("final feature map is never released early");
-        let p = qt.act_params[last];
-        let out =
-            Tensor::from_fn(spec.feature_map_shape(FeatureMapId(last)), |j| p.dequantize(q[j]));
+        let shape = spec.feature_map_shape(FeatureMapId(last));
+        let mut out = vec![0.0f32; shape.len()];
+        q.dequantize_into(&qt.act_params[last], &mut out);
         state.release_all_quant();
-        Ok(out)
+        Ok(Tensor::from_vec(shape, out).expect("lengths match"))
     }
 
     /// Runs the integer pipeline, streaming every feature map to
@@ -490,11 +492,10 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         let spec = graph.spec();
         check_input(spec, input.shape())?;
         state.ensure_slots(spec.feature_map_count());
-        let ExecState { arena_f, arena_q, qslots, scratch, .. } = state;
-        let mut q0 = arena_q.take(input.data().len());
-        for (q, &v) in q0.iter_mut().zip(input.data()) {
-            *q = qt.act_params[0].quantize(v);
-        }
+        let ExecState { arena_f, arena_q, qslots, scratch, gather, .. } = state;
+        let p0 = &qt.act_params[0];
+        let mut q0 = arena_q.take(p0.bitwidth(), input.data().len());
+        q0.quantize_from(p0, input.data());
         qslots[0] = Some(q0);
         if let Some(obs) = observer.as_deref_mut() {
             yield_map(arena_f, spec, &qt.act_params, qslots, 0, obs);
@@ -502,80 +503,70 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         for (i, node) in spec.nodes().iter().enumerate() {
             let out_fm = i + 1;
             let out_shape = spec.node_shape(i);
-            let mut qout = arena_q.take(out_shape.len());
+            let p_out = &qt.act_params[out_fm];
+            let mut qout = arena_q.take(p_out.bitwidth(), out_shape.len());
             let in0_fm = source_fm(node.inputs[0]);
             let in_shape = spec.feature_map_shape(FeatureMapId(in0_fm));
-            match (node.op, &qt.luts[i]) {
-                (OpSpec::Conv2d { out_ch, kernel, stride, pad }, _) => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::conv2d(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        out_ch,
-                        kernel,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
-                }
-                (OpSpec::DepthwiseConv2d { kernel, stride, pad }, _) => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::dwconv(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        kernel,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
-                }
-                (OpSpec::Dense { out }, _) => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::dense(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        out,
-                    );
-                }
-                (OpSpec::MaxPool { kernel, stride }, Some(lut)) => {
-                    let q = qslots[in0_fm].as_ref().expect("liveness keeps inputs alive");
-                    kernels::max_pool_q(
-                        q,
-                        in_shape,
-                        &mut qout,
-                        kernel,
-                        stride,
-                        out_shape.full_region(),
-                    );
-                    for v in qout.iter_mut() {
-                        *v = lut.get(*v);
+            let q_in = qslots[in0_fm].as_ref().expect("liveness keeps inputs alive");
+            match (node.op.has_weights(), &qt.luts[i]) {
+                (true, _) => {
+                    let rq = qt.requant[i].as_ref().expect("weighted node has requantization");
+                    let zp_in = qt.act_params[in0_fm].zero_point();
+                    let dot = PackedDot::new(&qt.packed_weights[i], qt.weight_bits, zp_in, rq);
+                    match (q_in, &mut qout) {
+                        (QMap::Narrow(x), QMap::Narrow(o)) => {
+                            weighted(node.op, &dot, x, in_shape, o, &mut gather.narrow)
+                        }
+                        (QMap::Narrow(x), QMap::Wide(o)) => {
+                            weighted(node.op, &dot, x, in_shape, o, &mut gather.narrow)
+                        }
+                        (QMap::Wide(x), QMap::Narrow(o)) => {
+                            weighted(node.op, &dot, x, in_shape, o, &mut gather.wide)
+                        }
+                        (QMap::Wide(x), QMap::Wide(o)) => {
+                            weighted(node.op, &dot, x, in_shape, o, &mut gather.wide)
+                        }
                     }
                 }
-                (_, Some(lut)) => {
-                    let q = qslots[in0_fm].as_ref().expect("liveness keeps inputs alive");
-                    for (o, &v) in qout.iter_mut().zip(q) {
-                        *o = lut.get(v);
+                (false, Some(lut)) => {
+                    let QMap::Narrow(x) = q_in else {
+                        unreachable!("tables exist only for ≤ 8-bit input grids")
+                    };
+                    match (node.op, &mut qout) {
+                        (OpSpec::MaxPool { kernel, stride }, QMap::Narrow(o)) => {
+                            kernels::max_pool_q(
+                                x,
+                                in_shape,
+                                o,
+                                kernel,
+                                stride,
+                                out_shape.full_region(),
+                            );
+                            for v in o.iter_mut() {
+                                *v = i8::from_level(lut.get(*v));
+                            }
+                        }
+                        (OpSpec::MaxPool { kernel, stride }, QMap::Wide(o)) => {
+                            let mut pooled = arena_q.narrow.take(out_shape.len());
+                            let region = out_shape.full_region();
+                            kernels::max_pool_q(x, in_shape, &mut pooled, kernel, stride, region);
+                            lut.apply(&pooled, o);
+                            arena_q.narrow.give(pooled);
+                        }
+                        (_, QMap::Narrow(o)) => lut.apply(x, o),
+                        (_, QMap::Wide(o)) => lut.apply(x, o),
                     }
                 }
-                _ => {
+                (false, None) => {
                     // Remaining value-preserving ops (and activations over
                     // accounting-width grids): dequantize inputs into arena
                     // scratch, run the shared float kernel, requantize.
                     for &s in &node.inputs {
                         let fm = source_fm(s);
                         let shape = spec.feature_map_shape(FeatureMapId(fm));
-                        let p = qt.act_params[fm];
-                        let q = qslots[fm].as_ref().expect("liveness keeps inputs alive");
                         let mut buf = arena_f.take(shape.len());
-                        for (o, &qv) in buf.iter_mut().zip(q) {
-                            *o = p.dequantize(qv);
-                        }
+                        let q = qslots[fm].as_ref().expect("liveness keeps inputs alive");
+                        q.dequantize_into(&qt.act_params[fm], &mut buf);
                         scratch.push(Tensor::from_vec(shape, buf).expect("arena length matches"));
                     }
                     let mut outf = arena_f.take(out_shape.len());
@@ -618,10 +609,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                         ),
                         _ => unreachable!("weighted ops handled above"),
                     }
-                    let p = qt.act_params[out_fm];
-                    for (q, &v) in qout.iter_mut().zip(&outf) {
-                        *q = p.quantize(v);
-                    }
+                    qout.quantize_from(p_out, &outf);
                     arena_f.give(outf);
                     for t in scratch.drain(..) {
                         arena_f.give(t.into_vec());
@@ -639,6 +627,28 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
             }
         }
         Ok(())
+    }
+}
+
+/// Runs weighted node `op` over `input` into `out`, with `row` as the
+/// gather scratch of the conv and dense kernels.
+fn weighted<I: Level, O: Level>(
+    op: OpSpec,
+    dot: &PackedDot<'_>,
+    input: &[I],
+    in_shape: Shape,
+    out: &mut [O],
+    row: &mut Vec<I::Lane>,
+) {
+    match op {
+        OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
+            kernels::conv2d_q(dot, input, in_shape, out, out_ch, kernel, stride, pad, row)
+        }
+        OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
+            kernels::dwconv_q(dot, input, in_shape, out, kernel, stride, pad)
+        }
+        OpSpec::Dense { out: out_f } => kernels::dense_q(dot, input, in_shape, out, out_f, row),
+        _ => unreachable!("only weighted ops have requantization"),
     }
 }
 
@@ -666,12 +676,12 @@ impl QuantTables {
             act_params.push(p);
         }
         let mut packed_weights = Vec::with_capacity(spec.len());
-        let mut node_quant = Vec::with_capacity(spec.len());
+        let mut requant = Vec::with_capacity(spec.len());
         for i in 0..spec.len() {
             let w = graph.params(i).weights();
             if w.is_empty() {
                 packed_weights.push(Vec::new());
-                node_quant.push(None);
+                requant.push(None);
                 continue;
             }
             let op = spec.nodes()[i].op;
@@ -699,8 +709,6 @@ impl QuantTables {
                     .map(|(j, &v)| params.quantize(j / per_channel, v) as i8)
                     .collect(),
             };
-            let zp_in = act_params[source_fm(spec.nodes()[i].inputs[0])].zero_point() as i64;
-            let zp_fold = zero_point_fold(op, in_shape, &qw, channels, per_channel, zp_in);
             let s_in = act_params[source_fm(spec.nodes()[i].inputs[0])].scale() as f64;
             let bias = graph.params(i).bias();
             // `s_in * s_w(oc)`: the accumulator's real-value scale.
@@ -708,88 +716,18 @@ impl QuantTables {
                 (0..channels).map(|ch| s_in * params.scale(ch) as f64).collect();
             let bias_q: Vec<i64> =
                 bias.iter().zip(&acc_scale).map(|(&b, &s)| (b as f64 / s).round() as i64).collect();
-            let s_out = act_params[i + 1].scale() as f64;
-            let scale = acc_scale.iter().map(|&s| FixedMultiplier::from_real(s / s_out)).collect();
+            let out = act_params[i + 1];
+            let s_out = out.scale() as f64;
+            let scale: Vec<FixedMultiplier> =
+                acc_scale.iter().map(|&s| FixedMultiplier::from_real(s / s_out)).collect();
+            let (q_min, q_max) = (out.bitwidth().min_value(), out.bitwidth().max_value());
             // The i8 working copy dies here: only the packed words — the
             // form the device would keep in SRAM — survive compilation.
             packed_weights.push(pack::pack(&qw, weight_bits));
-            node_quant.push(Some(NodeQuant { bias_q, zp_fold, scale }));
+            requant.push(Some(Requant::new(&bias_q, &scale, out.zero_point(), q_min, q_max)));
         }
         let luts = activation_luts(spec, &act_params);
-        Ok(QuantTables { act_params, packed_weights, node_quant, luts, weight_bits })
-    }
-
-    /// Builds the integer kernel strategy for weighted node `i`: a
-    /// [`PackedDot`] over the node's packed words, in folded-zero-point
-    /// mode whenever the fold is exact for the node's geometry.
-    fn dot(&self, i: usize, in_fm: usize, out_fm: usize) -> PackedDot<'_> {
-        let out_params = self.act_params[out_fm];
-        let nq = self.node_quant[i].as_ref().expect("weighted node has quantization");
-        let rq = Requant {
-            bias_q: &nq.bias_q,
-            scale: &nq.scale,
-            zp_out: out_params.zero_point(),
-            q_min: out_params.bitwidth().min_value(),
-            q_max: out_params.bitwidth().max_value(),
-        };
-        let dot = if nq.zp_fold.is_empty() {
-            let zp_in = self.act_params[in_fm].zero_point();
-            PackedDot::new(&self.packed_weights[i], self.weight_bits, zp_in, rq)
-        } else {
-            PackedDot::with_folded_zero_point(
-                &self.packed_weights[i],
-                self.weight_bits,
-                &nq.zp_fold,
-                rq,
-            )
-        };
-        // Storage activation grids (≤ 8 bits) keep `q - zp` within i16,
-        // unlocking the widening-multiply lanes; accounting-width
-        // activations fall back to full i32 multiplies.
-        if self.act_params[in_fm].bitwidth().bits() <= 8 {
-            dot.assuming_i16_activations()
-        } else {
-            dot
-        }
-    }
-}
-
-/// Per-channel `-zp_in * Σ w[ch]` init terms when the zero-point
-/// correction can fold into [`kernels::Dot::init`], empty otherwise.
-///
-/// The identity `Σ (q - zp)·w = Σ q·w - zp · Σ w` holds per output element
-/// only when every weight of the channel participates in that element:
-/// dense layers always, convolutions only when `pad == 0` (zero padding
-/// makes tap participation element-dependent, so padded nodes keep the
-/// per-element correction).
-fn zero_point_fold(
-    op: OpSpec,
-    in_shape: Shape,
-    qw: &[i8],
-    channels: usize,
-    per_channel: usize,
-    zp_in: i64,
-) -> Vec<i64> {
-    match op {
-        OpSpec::Conv2d { pad: 0, .. } | OpSpec::Dense { .. } => (0..channels)
-            .map(|ch| {
-                let sum: i64 =
-                    qw[ch * per_channel..(ch + 1) * per_channel].iter().map(|&w| w as i64).sum();
-                -zp_in * sum
-            })
-            .collect(),
-        OpSpec::DepthwiseConv2d { pad: 0, .. } => {
-            // Execution layout is `[kh][kw][c]`: channel `ch`'s taps sit
-            // at stride `c`.
-            let c = in_shape.c;
-            (0..channels)
-                .map(|ch| {
-                    let sum: i64 = qw[ch..].iter().step_by(c).map(|&w| w as i64).sum();
-                    -zp_in * sum
-                })
-                .collect()
-        }
-        _ => Vec::new(),
+        Ok(QuantTables { act_params, packed_weights, requant, luts, weight_bits })
     }
 }
 
@@ -804,13 +742,78 @@ fn zero_point_fold(
 #[derive(Debug, Default)]
 pub struct ExecState {
     arena_f: Arena<f32>,
-    arena_q: Arena<i32>,
+    arena_q: QArena,
     /// Live float feature maps, indexed by [`FeatureMapId`].
     slots: Vec<Option<Tensor>>,
     /// Live quantized feature maps, indexed by [`FeatureMapId`].
-    qslots: Vec<Option<Vec<i32>>>,
+    qslots: Vec<Option<QMap>>,
     /// Dequantized input scratch for value-preserving ops.
     scratch: Vec<Tensor>,
+    /// Receptive-row scratch of the integer conv and dense kernels.
+    gather: Gather,
+}
+
+/// One quantized feature map in its storage width: `i8` for grids of at
+/// most 8 bits, `i32` for the wider accounting grids.
+#[derive(Debug)]
+enum QMap {
+    Narrow(Vec<i8>),
+    Wide(Vec<i32>),
+}
+
+impl QMap {
+    /// Quantizes `src` onto grid `p` into this map.
+    fn quantize_from(&mut self, p: &QuantParams, src: &[f32]) {
+        match self {
+            QMap::Narrow(q) => p.quantize_slice(src, q),
+            QMap::Wide(q) => p.quantize_slice(src, q),
+        }
+    }
+
+    /// Dequantizes this map (on grid `p`) into `dst`.
+    fn dequantize_into(&self, p: &QuantParams, dst: &mut [f32]) {
+        match self {
+            QMap::Narrow(q) => p.dequantize_slice(q, dst),
+            QMap::Wide(q) => p.dequantize_slice(q, dst),
+        }
+    }
+}
+
+/// The two buffer pools behind [`QMap`].
+#[derive(Debug, Default)]
+struct QArena {
+    narrow: Arena<i8>,
+    wide: Arena<i32>,
+}
+
+impl QArena {
+    /// A `len`-element map in the storage width of a `bits` grid.
+    fn take(&mut self, bits: Bitwidth, len: usize) -> QMap {
+        if bits.bits() <= i8::BITS {
+            QMap::Narrow(self.narrow.take(len))
+        } else {
+            QMap::Wide(self.wide.take(len))
+        }
+    }
+
+    fn give(&mut self, map: QMap) {
+        match map {
+            QMap::Narrow(q) => self.narrow.give(q),
+            QMap::Wide(q) => self.wide.give(q),
+        }
+    }
+
+    fn fresh_allocations(&self) -> usize {
+        self.narrow.fresh_allocations() + self.wide.fresh_allocations()
+    }
+}
+
+/// Gathered receptive rows: `i16` lanes from `i8` storage, `i32` lanes
+/// from wide storage.
+#[derive(Debug, Default)]
+struct Gather {
+    narrow: Vec<i16>,
+    wide: Vec<i32>,
 }
 
 impl ExecState {
@@ -931,19 +934,14 @@ fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor
 }
 
 /// Quantize-dequantizes the values inside `region` (all channels) in
-/// place, leaving the rest of the tensor untouched.
+/// place, one contiguous row run of `(x_end − x)·c` values at a time,
+/// leaving the rest of the tensor untouched.
 fn fake_quant_region(t: &mut Tensor, region: Region, params: &QuantParams) {
     let shape = t.shape();
-    for n in 0..shape.n {
-        for y in region.y..region.y_end().min(shape.h) {
-            for x in region.x..region.x_end().min(shape.w) {
-                for c in 0..shape.c {
-                    let v = t.at(n, y, x, c);
-                    t.set(n, y, x, c, params.dequantize(params.quantize(v)));
-                }
-            }
-        }
-    }
+    let data = t.data_mut();
+    kernels::for_row_runs(shape, region, |start, len| {
+        params.fake_quantize_slice(&mut data[start..start + len]);
+    });
 }
 
 /// Dequantizes feature map `fm` into arena scratch and yields it.
@@ -951,17 +949,14 @@ fn yield_map(
     arena_f: &mut Arena<f32>,
     spec: &GraphSpec,
     act_params: &[QuantParams],
-    qslots: &[Option<Vec<i32>>],
+    qslots: &[Option<QMap>],
     fm: usize,
     observer: &mut dyn FnMut(FeatureMapId, &Tensor),
 ) {
     let shape = spec.feature_map_shape(FeatureMapId(fm));
-    let p = act_params[fm];
     let q = qslots[fm].as_ref().expect("just produced");
     let mut buf = arena_f.take(shape.len());
-    for (o, &qv) in buf.iter_mut().zip(q) {
-        *o = p.dequantize(qv);
-    }
+    q.dequantize_into(&act_params[fm], &mut buf);
     let t = Tensor::from_vec(shape, buf).expect("arena length matches");
     observer(FeatureMapId(fm), &t);
     arena_f.give(t.into_vec());

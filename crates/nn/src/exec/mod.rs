@@ -40,13 +40,13 @@
 //!   without materializing full traces.
 //! * [`QuantExecutor`] — an integer executor modeling the CMSIS-NN /
 //!   CMix-NN kernel stack: integer activation storage at a
-//!   per-feature-map [`Bitwidth`](quantmcu_tensor::Bitwidth), per-channel
-//!   weights held in packed W2/W4/W8 words and consumed directly by the
-//!   packed dot-product kernels (no unpacking pass), `i32` register
-//!   lanes widened into an `i64` accumulator with the zero-point term
-//!   folded into its seed where exact, fixed-point (multiplier and
-//!   shift) requantization between layers, and exact lookup tables for
-//!   `Relu`/`Relu6`/`MaxPool`.
+//!   per-feature-map [`Bitwidth`](quantmcu_tensor::Bitwidth) (`i8` up to
+//!   8 bits, `i32` above), per-channel weights held in packed W2/W4/W8
+//!   words and consumed directly by the packed dot-product kernels (no
+//!   unpacking pass), receptive rows gathered once per output pixel as
+//!   zero-point-corrected `i16` lanes, `i32` accumulation, fixed-point
+//!   (multiplier and shift) requantization between layers, and exact
+//!   lookup tables for `Relu`/`Relu6`/`MaxPool`.
 //!   Mixed-precision deployment plans are evaluated by giving each
 //!   feature map its own bitwidth.
 

@@ -43,14 +43,13 @@ pub fn calibrate_ranges(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<(f32, f3
 /// thin façade bundling a quantization-compiled [`CompiledGraph`] with
 /// its own [`ExecState`].
 ///
-/// Weighted operators (convolutions, dense) run in true integer
-/// arithmetic through the same cache-blocked, register-tiled kernels as
-/// the float executor ([`crate::kernels`]), instantiated with the packed
-/// integer strategy ([`crate::kernels::PackedDot`]): weights stay in
-/// their packed W2/W4/W8 words, the input zero-point correction is
-/// folded into the accumulator seed where exact (per-element otherwise),
-/// and the finished `i64` accumulator is rescaled to the output feature
-/// map's grid. `Relu`, `Relu6` and `MaxPool` over a ≤ 8-bit input grid
+/// Feature maps are stored as `i8` on grids of at most 8 bits and as
+/// `i32` on wider grids. Weighted operators (convolutions, dense) run in
+/// true integer arithmetic through the integer kernels of
+/// [`crate::kernels`] over a [`crate::kernels::PackedDot`]: weights stay
+/// in their packed W2/W4/W8 words, each output pixel's receptive row is
+/// gathered once as zero-point-corrected `i16` lanes, and the `i32`
+/// accumulator is rescaled to the output feature map's grid. `Relu`, `Relu6` and `MaxPool` over a ≤ 8-bit input grid
 /// run as exact per-element lookup tables (`MaxPool` after an integer
 /// window maximum). The other value-preserving operators (`Add`,
 /// `Concat`, `AvgPool`, `GlobalAvgPool`, and activations over wider

@@ -83,11 +83,6 @@ impl Graph {
     pub fn params(&self, i: usize) -> &OpParams {
         &self.params[i]
     }
-
-    /// Consumes the graph, returning its parts.
-    pub fn into_parts(self) -> (GraphSpec, Vec<OpParams>) {
-        (self.spec, self.params)
-    }
 }
 
 /// Weight and bias buffer lengths required by node `i` of `spec`.

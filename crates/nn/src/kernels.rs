@@ -3,43 +3,50 @@
 //! Both executors ([`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor)) and the patch engine's
 //! region-restricted branch evaluation dispatch into this module, so every
-//! operator's loop nest exists exactly once. The weighted kernels
-//! ([`conv2d`], [`dwconv`], [`dense`]) are generic over a [`Dot`]
-//! element/accumulator strategy: [`FloatDot`] instantiates them as the
-//! `f32` reference, [`PackedDot`] is the deployed integer strategy
-//! (dot products computed *directly on packed W2/W4/W8 words* from
-//! [`quantmcu_tensor::pack`], `i64` accumulation, per-channel fixed-point
-//! requantization by [`Requant`]), and [`IntDot`] is the previous-generation unpacked
-//! `i8` scalar strategy retained as the "blocked" benchmark baseline and
-//! parity reference.
+//! operator's loop nest exists exactly once. The float weighted kernels
+//! ([`conv2d`], [`dwconv`], [`dense`]) run a [`FloatDot`]; their integer
+//! twins ([`conv2d_q`], [`dwconv_q`], [`dense_q`]) run a [`PackedDot`]:
+//! dot products computed *directly on packed W2/W4/W8 words* from
+//! [`quantmcu_tensor::pack`], `i32` accumulation and per-channel
+//! fixed-point requantization by [`Requant`].
 //!
-//! # Tiling and micro-kernels
+//! # Float tiling and micro-kernels
 //!
-//! The loop nests are cache-blocked: output channels are tiled so each
-//! input row slice loaded into L1 is reused across a whole tile of
+//! The float loop nests are cache-blocked: output channels are tiled so
+//! each input row slice loaded into L1 is reused across a whole tile of
 //! filters, output rows are tiled to keep the working set resident, the
 //! valid kernel-tap ranges are hoisted out of the inner loops (no
 //! per-element padding branches), and — at stride 1 — the contiguous
 //! `(kx, ic)` tap block of one kernel row collapses into a *single*
-//! dot-product run, so the micro-kernel sees long contiguous spans
-//! instead of one call per tap.
+//! dot-product run. Inside a run, [`FloatDot`] feeds [`LANES`]
+//! independent accumulator lanes (explicit unrolling on the stable
+//! toolchain — no `std::simd`), which breaks the serial add dependency.
 //!
-//! Inside a run, each strategy is a register-tiled micro-kernel: the run
-//! is consumed in [`LANES`]-wide chunks feeding that many *independent*
-//! accumulator lanes (explicit unrolling on the stable toolchain — no
-//! `std::simd`), which breaks the serial add dependency of a folded dot
-//! product and lets the compiler keep the lanes in vector registers. For
-//! the integer strategies the lanes are `i32` (products of zero-point
-//! corrected activations, an `i16`-range value, with `i8`-range weights),
-//! widened into the `i64` accumulator once per run.
+//! # Integer storage and the gathered row
+//!
+//! Integer feature maps are stored as [`Level`]s: `i8` for the storage
+//! grids (≤ 8 bits), `i32` for the wider accounting grids. For each
+//! output pixel, [`conv2d_q`] gathers the pixel's receptive row once as
+//! zero-point-corrected lanes `q − zp_in` — `i16` for `i8` storage
+//! (`|q − zp| ≤ 255`), `i32` for wide storage — with padding taps set to
+//! 0, and then runs one multiply-add reduction per output channel over
+//! that row and the channel's packed weights — two pixels at a time, so
+//! each decoded weight serves both rows (the shape of CMSIS-NN's
+//! `arm_nn_mat_mult_kernel_s8_s16`). Dense is the one-pixel case.
+//! Depthwise reads its taps straight from storage, with the same lanes.
+//! The lane type carries the `i16` contract, so there is one zero-point
+//! mode: every product is `(q − zp) · w`, and a padding tap contributes
+//! an exact 0.
 //!
 //! # Parity contract
 //!
-//! Integer arithmetic is exact, so lane regrouping cannot change results:
-//! the integer strategies are **bit-for-bit** identical to the scalar
-//! [`naive`] reference loops (`i32`-lane partial sums stay in range
-//! because the static analyzer's `Q001` overflow proof bounds the whole
-//! accumulator — see [`crate::analyze::accumulator_bound`]). Float lane
+//! Integer arithmetic is exact, so regrouping cannot change results: the
+//! integer kernels are **bit-for-bit** identical to the scalar [`naive`]
+//! reference loops. Accumulators are `i32`, which cannot overflow on any
+//! graph that passed the static analyzer's `Q001` proof (it bounds the
+//! whole accumulator by [`crate::analyze::ACC_LIMIT`], half the `i32`
+//! range — see [`crate::analyze::accumulator_bound`]); [`Requant::finish`]
+//! widens to `i64` only to add the bias and rescale. Float lane
 //! accumulation *reassociates* the summation, so the float kernels match
 //! [`naive`] to an ULP bound rather than bit-for-bit; per output element
 //! the run decomposition is a pure function of the element's tap
@@ -47,50 +54,21 @@
 //! thread-count-independent. The kernel-parity proptest suite pins both
 //! properties down.
 //!
-//! Every kernel writes into a caller-provided output slice and takes a
+//! The float kernels write into a caller-provided output slice and take a
 //! [`Region`] selecting the output rows/columns to compute (pass
 //! [`Shape::full_region`] for whole-map execution), which is what lets the
 //! patch engine compute only the halo-expanded regions a branch needs.
+//! The integer kernels always compute the whole map.
 
-use quantmcu_tensor::{pack, Bitwidth, Region, Shape};
+use quantmcu_tensor::{pack, Bitwidth, Level, Region, Shape};
 
 /// Identifies the kernel generation in benchmark snapshots
 /// (`BENCH_kernels.json`, `BENCH_serve.json`), so throughput trajectories
 /// recorded before and after a kernel rewrite stay comparable.
-pub const GENERATION: &str = "tiled-packed-v1";
+pub const GENERATION: &str = "gather-i16-v2";
 
-/// Accumulator-lane width of the unrolled micro-kernels.
+/// Accumulator-lane width of the unrolled float micro-kernel.
 pub const LANES: usize = 4;
-
-/// Element/accumulator strategy for the weighted kernels.
-///
-/// A strategy owns the weight buffer (in the node's canonical layout,
-/// addressed by flat index) and defines how a kernel initializes,
-/// accumulates and finalizes one output element. The float strategy
-/// preloads the bias and accumulates in `f32`; the integer strategy
-/// accumulates zero-point-corrected products in `i64` and requantizes on
-/// [`Dot::finish`].
-pub trait Dot {
-    /// Feature-map element type (`f32` for float, `i32` grid values for
-    /// the integer executor).
-    type Elem: Copy;
-    /// Accumulator type.
-    type Acc: Copy;
-
-    /// Initial accumulator for output channel `oc`.
-    fn init(&self, oc: usize) -> Self::Acc;
-
-    /// Accumulates the dot product of `x` with the weights starting at
-    /// flat index `w_base`, in element order.
-    fn dot(&self, acc: Self::Acc, x: &[Self::Elem], w_base: usize) -> Self::Acc;
-
-    /// Depthwise per-channel MAC: `acc[j] += x[j] * w[w_base + j]` for
-    /// every `j`.
-    fn mac_rows(&self, acc: &mut [Self::Acc], x: &[Self::Elem], w_base: usize);
-
-    /// Finalizes an accumulator into an output element for channel `oc`.
-    fn finish(&self, acc: Self::Acc, oc: usize) -> Self::Elem;
-}
 
 /// The full-precision strategy: `f32` elements, `f32` accumulation, bias
 /// preloaded into the accumulator.
@@ -103,10 +81,8 @@ pub struct FloatDot<'a> {
     pub bias: &'a [f32],
 }
 
-impl Dot for FloatDot<'_> {
-    type Elem = f32;
-    type Acc = f32;
-
+impl FloatDot<'_> {
+    /// Initial accumulator for output channel `oc`: its bias.
     #[inline]
     fn init(&self, oc: usize) -> f32 {
         self.bias[oc]
@@ -135,19 +111,15 @@ impl Dot for FloatDot<'_> {
         acc + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail)
     }
 
+    /// Depthwise per-channel MAC: `acc[j] += x[j] * w[w_base + j]`. Each
+    /// channel owns an independent accumulator, so the loop is
+    /// lane-parallel as written and stays bit-exact vs naive.
     #[inline]
     fn mac_rows(&self, acc: &mut [f32], x: &[f32], w_base: usize) {
-        // Each channel already owns an independent accumulator, so the
-        // loop is lane-parallel as written and stays bit-exact vs naive.
         let w = &self.weights[w_base..w_base + acc.len()];
         for ((a, &xv), &wv) in acc.iter_mut().zip(x).zip(w) {
             *a += xv * wv;
         }
-    }
-
-    #[inline]
-    fn finish(&self, acc: f32, _oc: usize) -> f32 {
-        acc
     }
 }
 
@@ -219,338 +191,205 @@ impl FixedMultiplier {
     }
 }
 
-/// Per-channel requantization constants shared by the integer strategies:
-/// bias enters the accumulator in its own grid, then the total is rescaled
-/// to the output feature map's grid by a [`FixedMultiplier`] (the
-/// per-channel `acc_scale / out_scale`), shifted by the output zero point
-/// and clamped to the output bitwidth — integer arithmetic only, as the
-/// device executes it.
-#[derive(Debug, Clone, Copy)]
-pub struct Requant<'a> {
-    /// Bias in accumulator grid units, per output channel.
-    pub bias_q: &'a [i64],
-    /// Accumulator-to-output rescale `s_in · s_w(oc) / s_out`, per channel.
-    pub scale: &'a [FixedMultiplier],
-    /// The output feature map's zero point.
-    pub zp_out: i32,
-    /// Smallest representable output grid value.
-    pub q_min: i32,
-    /// Largest representable output grid value.
-    pub q_max: i32,
+/// Per-channel requantization, fixed when a node is compiled: bias enters
+/// the accumulator in its own grid, then the total is rescaled to the
+/// output feature map's grid by a [`FixedMultiplier`] (the per-channel
+/// `acc_scale / out_scale`), shifted by the output zero point and clamped
+/// to the output bitwidth — integer arithmetic only, as the device
+/// executes it.
+#[derive(Debug, Clone)]
+pub struct Requant {
+    channels: Vec<ChannelRequant>,
+    zp_out: i32,
+    q_min: i32,
+    q_max: i32,
 }
 
-impl Requant<'_> {
-    /// Finalizes an `i64` accumulator into output channel `oc`'s grid:
+/// One channel's requantization constants, with the choice of route made
+/// once instead of per element.
+#[derive(Debug, Clone, Copy)]
+struct ChannelRequant {
+    /// Bias in accumulator grid units.
+    bias: i64,
+    /// The [`FixedMultiplier`] mantissa.
+    multiplier: i64,
+    /// Total right shift, `31 + shift`.
+    total: u32,
+    /// `true` when the `i64` route is exact for every `i32` accumulator:
+    /// `|bias| ≤ 2^30` and `1 ≤ total ≤ 61`. Then `|acc + bias| < 3·2^30`,
+    /// the product stays below `3·2^61` in magnitude, and adding the
+    /// rounding half (`≤ 2^60`) cannot leave `i64`.
+    fast: bool,
+}
+
+impl Requant {
+    /// The requantization of one node: `bias_q` (accumulator grid units)
+    /// and `scale` (accumulator-to-output rescale `s_in · s_w(oc) /
+    /// s_out`) per output channel, then the output grid's zero point and
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bias_q` and `scale` differ in length.
+    pub fn new(
+        bias_q: &[i64],
+        scale: &[FixedMultiplier],
+        zp_out: i32,
+        q_min: i32,
+        q_max: i32,
+    ) -> Self {
+        assert_eq!(bias_q.len(), scale.len(), "one bias and one multiplier per channel");
+        let channels = bias_q
+            .iter()
+            .zip(scale)
+            .map(|(&bias, m)| {
+                let total = (31 + m.shift) as u32;
+                let fast = bias.unsigned_abs() <= 1 << 30 && (1..=61).contains(&total);
+                ChannelRequant { bias, multiplier: m.multiplier as i64, total, fast }
+            })
+            .collect();
+        Requant { channels, zp_out, q_min, q_max }
+    }
+
+    /// Finalizes an `i32` accumulator into output channel `oc`'s grid:
     /// `clamp(round(scale(oc) · (acc + bias_q(oc))) + zp_out)`, rounding
     /// ties away from zero like `f64::round`. Never wraps or panics, for
     /// any accumulator and bias.
     ///
-    /// When `acc + bias_q` fits `i32` (every accumulator the analyzer's
-    /// `Q001` proof admits, plus any realistic bias) and the total shift
-    /// is in `1..63`, the same value comes out of `i64` arithmetic: the
-    /// product stays below `2^62`, and `(p + half - [p < 0]) >> shift`
-    /// is round-half-away-from-zero division by a power of two.
+    /// On the `i64` route (see `ChannelRequant::fast`),
+    /// `(p + half - [p < 0]) >> total` is round-half-away-from-zero
+    /// division by a power of two; other channels take the same formula
+    /// in `i128`.
     #[inline(always)]
-    pub fn finish(&self, acc: i64, oc: usize) -> i32 {
-        let m = self.scale[oc];
-        let total = 31 + m.shift;
-        let (x, wrapped) = acc.overflowing_add(self.bias_q[oc]);
-        if wrapped || x as i32 as i64 != x || !(1..63).contains(&total) {
-            return self.finish_wide(acc, oc);
+    pub fn finish(&self, acc: i32, oc: usize) -> i32 {
+        let ch = self.channels[oc];
+        if !ch.fast {
+            return self.finish_wide(acc, ch);
         }
-        let product = x * m.multiplier as i64;
-        let v = (product + (1i64 << (total - 1)) - (product < 0) as i64) >> total;
+        let product = (acc as i64 + ch.bias) * ch.multiplier;
+        let v = (product + (1i64 << (ch.total - 1)) - (product < 0) as i64) >> ch.total;
         (v + self.zp_out as i64).clamp(self.q_min as i64, self.q_max as i64) as i32
     }
 
-    /// [`Requant::finish`] in `i128`, for inputs outside the `i64` route:
-    /// `|acc + bias_q| ≤ 2^64` times a 31-bit mantissa stays below
-    /// `2^95`, so nothing wraps.
+    /// [`Requant::finish`] in `i128`: `|acc + bias| < 2^64` times a
+    /// 31-bit mantissa stays below `2^95`, so nothing wraps.
     #[cold]
     #[inline(never)]
-    fn finish_wide(&self, acc: i64, oc: usize) -> i32 {
-        let m = self.scale[oc];
-        let total = (31 + m.shift) as u32;
-        let product = (acc as i128 + self.bias_q[oc] as i128) * m.multiplier as i128;
-        let magnitude = ((product.unsigned_abs() + ((1u128 << total) >> 1)) >> total) as i128;
+    fn finish_wide(&self, acc: i32, ch: ChannelRequant) -> i32 {
+        let product = (acc as i128 + ch.bias as i128) * ch.multiplier as i128;
+        let magnitude = ((product.unsigned_abs() + ((1u128 << ch.total) >> 1)) >> ch.total) as i128;
         let v = if product < 0 { -magnitude } else { magnitude };
         (v + self.zp_out as i128).clamp(self.q_min as i128, self.q_max as i128) as i32
     }
 }
 
-/// The previous-generation integer strategy: unpacked `i8` weights, one
-/// folded `i64` accumulation chain, per-element zero-point correction.
-///
-/// Production execution uses [`PackedDot`]; this strategy is retained as
-/// the "blocked" baseline the kernels benchmark measures the tiled packed
-/// strategy against, and as a second bit-for-bit parity witness (all
-/// integer strategies compute in exact arithmetic, so they must agree
-/// exactly with [`naive`]'s `*_q` loops).
-#[derive(Debug, Clone, Copy)]
-pub struct IntDot<'a> {
-    /// Quantized weights in the node's canonical execution layout.
-    pub qw: &'a [i8],
-    /// Zero point of the input feature map's grid.
-    pub zp_in: i32,
-    /// Requantization constants.
-    pub rq: Requant<'a>,
-}
-
-impl Dot for IntDot<'_> {
-    type Elem = i32;
-    type Acc = i64;
-
-    #[inline]
-    fn init(&self, _oc: usize) -> i64 {
-        0
-    }
-
-    #[inline]
-    fn dot(&self, acc: i64, x: &[i32], w_base: usize) -> i64 {
-        let w = &self.qw[w_base..w_base + x.len()];
-        x.iter().zip(w).fold(acc, |a, (&q, &wv)| a + ((q - self.zp_in) * wv as i32) as i64)
-    }
-
-    #[inline]
-    fn mac_rows(&self, acc: &mut [i64], x: &[i32], w_base: usize) {
-        let w = &self.qw[w_base..w_base + acc.len()];
-        for ((a, &q), &wv) in acc.iter_mut().zip(x).zip(w) {
-            *a += ((q - self.zp_in) * wv as i32) as i64;
-        }
-    }
-
-    #[inline(always)]
-    fn finish(&self, acc: i64, oc: usize) -> i32 {
-        self.rq.finish(acc, oc)
-    }
-}
-
-/// The deployed integer strategy: dot products computed **directly on
-/// packed W2/W4/W8 words** from [`quantmcu_tensor::pack`] — weights stay
-/// in their SRAM layout end-to-end and are sign-extended in registers
-/// (shift/mask word decode) as they are consumed.
-///
-/// Zero-point handling has two exact modes, chosen per node at compile
-/// time:
-///
-/// * **Folded** ([`PackedDot::with_folded_zero_point`]): when every weight
-///   of a channel participates in every output element (dense always;
-///   conv/dwconv when `pad == 0`), the correction
-///   `-zp_in * Σ w[oc]` is a per-channel constant folded into
-///   [`Dot::init`], and the inner loop multiplies raw grid values.
-/// * **Per-element** ([`PackedDot::new`]): with zero padding, border
-///   elements skip taps, so the correction is applied per element
-///   (`(q - zp_in) * w`) inside the lanes.
-///
-/// Both modes are algebraically identical in exact integer arithmetic, so
-/// either is bit-for-bit equal to the [`naive`] `*_q` references. The
-/// `i32` lane partial sums cannot overflow on any graph that passed the
-/// analyzer's `Q001` accumulator proof: each lane's magnitude is bounded
-/// by the whole element's proven accumulator bound
-/// ([`crate::analyze::ACC_LIMIT`], half the `i32` range), and the raw
-/// (folded-mode) sums are bounded *tighter* than the corrected ones
-/// (`|q| < |q - zp|`'s worst case).
+/// A weighted node's integer form: its weights **packed** W2/W4/W8 words
+/// in the node's canonical execution layout (the SRAM layout, decoded in
+/// registers as they are consumed, never unpacked into a buffer), the
+/// input grid's zero point and the node's [`Requant`].
 #[derive(Debug, Clone, Copy)]
 pub struct PackedDot<'a> {
-    /// Packed weight words in the node's canonical execution layout.
     packed: &'a [u8],
-    /// Storage width of the packed fields.
     bits: Bitwidth,
-    /// Zero point subtracted per element (`0` in folded mode).
     zp_in: i32,
-    /// Folded per-channel `-zp_in * Σ w` init terms (empty unless folded).
-    init_q: &'a [i64],
-    /// Requantization constants.
-    rq: Requant<'a>,
-    /// `true` when every `q - zp_in` fits `i16` (see
-    /// [`PackedDot::assuming_i16_activations`]).
-    narrow: bool,
+    rq: &'a Requant,
 }
 
 impl<'a> PackedDot<'a> {
-    /// Strategy with per-element zero-point correction (required when zero
-    /// padding makes tap participation element-dependent).
-    pub fn new(packed: &'a [u8], bits: Bitwidth, zp_in: i32, rq: Requant<'a>) -> Self {
-        debug_assert!(bits.bits() <= 8, "packed weights must have a storage layout");
-        PackedDot { packed, bits, zp_in, init_q: &[], rq, narrow: false }
-    }
-
-    /// Strategy with the zero-point correction folded into [`Dot::init`]:
-    /// `init_q[oc] = -zp_in * Σ w[oc]` over *all* of channel `oc`'s
-    /// weights. Only valid when every weight participates in every output
-    /// element (dense layers; convolutions with `pad == 0`).
-    pub fn with_folded_zero_point(
-        packed: &'a [u8],
-        bits: Bitwidth,
-        init_q: &'a [i64],
-        rq: Requant<'a>,
-    ) -> Self {
-        debug_assert!(bits.bits() <= 8, "packed weights must have a storage layout");
-        PackedDot { packed, bits, zp_in: 0, init_q, rq, narrow: false }
-    }
-
-    /// Declares that every activation minus the zero point fits `i16`,
-    /// switching the lanes to the i16→i32 widening multiply (which the
-    /// compiler can lower to packed 16-bit multiply-add instructions on
-    /// targets that have them — the register-level win of this kernel
-    /// generation).
+    /// The integer form over `packed` weights of width `bits`.
     ///
-    /// The bound holds for every *storage* activation grid: at ≤ 8 bits,
-    /// `|q - zp| ≤ 255`. It is the caller's contract — the quantized
-    /// executor asserts the input feature map's bitwidth — and is
-    /// `debug_assert`ed per element inside the lanes, so the parity
-    /// suites (which run in debug) verify it while release builds pay
-    /// nothing. Without this call the lanes use full `i32` multiplies and
-    /// accept any element value.
-    #[must_use]
-    pub fn assuming_i16_activations(mut self) -> Self {
-        self.narrow = true;
-        self
-    }
-}
-
-impl Dot for PackedDot<'_> {
-    type Elem = i32;
-    type Acc = i64;
-
-    #[inline]
-    fn init(&self, oc: usize) -> i64 {
-        if self.init_q.is_empty() {
-            0
-        } else {
-            self.init_q[oc]
-        }
+    /// # Panics
+    ///
+    /// Panics for weight widths above 8 bits, which have no packed layout.
+    pub fn new(packed: &'a [u8], bits: Bitwidth, zp_in: i32, rq: &'a Requant) -> Self {
+        assert!(bits.bits() <= 8, "packed weights must have a storage layout");
+        PackedDot { packed, bits, zp_in, rq }
     }
 
-    #[inline]
-    fn dot(&self, acc: i64, x: &[i32], w_base: usize) -> i64 {
-        acc + match (self.narrow, self.bits) {
-            (true, Bitwidth::W8) => dot_packed_w8::<true>(self.packed, w_base, x, self.zp_in),
-            (true, Bitwidth::W4) => dot_packed_w4::<true>(self.packed, w_base, x, self.zp_in),
-            (true, Bitwidth::W2) => dot_packed_w2::<true>(self.packed, w_base, x, self.zp_in),
-            (false, Bitwidth::W8) => dot_packed_w8::<false>(self.packed, w_base, x, self.zp_in),
-            (false, Bitwidth::W4) => dot_packed_w4::<false>(self.packed, w_base, x, self.zp_in),
-            (false, Bitwidth::W2) => dot_packed_w2::<false>(self.packed, w_base, x, self.zp_in),
-            _ => unreachable!("constructors reject accounting-only widths"),
-        }
-    }
-
-    #[inline]
-    fn mac_rows(&self, acc: &mut [i64], x: &[i32], w_base: usize) {
-        match self.bits {
-            Bitwidth::W8 => {
-                let w = &self.packed[w_base..w_base + acc.len()];
-                for ((a, &q), &wv) in acc.iter_mut().zip(x).zip(w) {
-                    *a += ((q - self.zp_in) * (wv as i8) as i32) as i64;
-                }
-            }
-            // Depthwise runs are short (one value per channel per tap) and
-            // start at arbitrary sub-byte offsets, so decode per field.
-            _ => {
-                for (j, (a, &q)) in acc.iter_mut().zip(x).enumerate() {
-                    let wv = pack::field_at(self.packed, self.bits, w_base + j);
-                    *a += ((q - self.zp_in) * wv as i32) as i64;
-                }
-            }
-        }
-    }
-
+    /// `Σ row[j] · w[start + j]` in `i32`.
     #[inline(always)]
-    fn finish(&self, acc: i64, oc: usize) -> i32 {
-        self.rq.finish(acc, oc)
+    fn dot<L: Copy + Into<i32>>(&self, row: &[L], start: usize) -> i32 {
+        match self.bits {
+            Bitwidth::W8 => dot_w8(&self.packed[start..start + row.len()], row),
+            Bitwidth::W4 => dot_w4(self.packed, start, row),
+            Bitwidth::W2 => dot_w2(self.packed, start, row),
+            _ => unreachable!("the constructor rejects accounting-only widths"),
+        }
+    }
+
+    /// Weight `index`, sign-extended.
+    #[inline(always)]
+    fn weight(&self, index: usize) -> i8 {
+        pack::field_at(self.packed, self.bits, index)
+    }
+
+    /// Output channel `oc` of a finished accumulator, stored as `O`.
+    #[inline(always)]
+    fn finish<O: Level>(&self, acc: i32, oc: usize) -> O {
+        O::from_level(self.rq.finish(acc, oc))
     }
 }
 
-/// The zero-point-corrected product of one lane element. With
-/// `NARROW`, the corrected activation is truncated to `i16` before the
-/// multiply (exact under the [`PackedDot::assuming_i16_activations`]
-/// contract, `debug_assert`ed here), which exposes an i16×i16→i32
-/// widening multiply the backend can lower to packed multiply-add
-/// instructions; otherwise the multiply stays full `i32`.
+/// Packed-`W8` reduction: bytes *are* the fields. Integer addition is
+/// associative, so the compiler vectorizes the sum; with `i16` lanes the
+/// products are i16×i16→i32 multiply-adds.
 #[inline(always)]
-fn zp_mul<const NARROW: bool>(q: i32, zp: i32, w: i8) -> i32 {
-    let d = q - zp;
-    if NARROW {
-        debug_assert_eq!(d as i16 as i32, d, "activation minus zero point exceeds i16");
-        (d as i16 as i32) * (w as i32)
-    } else {
-        d * (w as i32)
-    }
+fn dot_w8<L: Copy + Into<i32>>(w: &[u8], row: &[L]) -> i32 {
+    row.iter().zip(w).fold(0i32, |acc, (&x, &b)| acc + x.into() * (b as i8 as i32))
 }
 
-/// Packed-`W8` micro-kernel: bytes *are* the fields, so this is the
-/// [`LANES`]-wide unrolled integer dot with `i32` lanes widened once into
-/// the caller's `i64` accumulator.
-#[inline]
-fn dot_packed_w8<const NARROW: bool>(packed: &[u8], start: usize, x: &[i32], zp: i32) -> i64 {
-    let w = &packed[start..start + x.len()];
-    let split = x.len() - x.len() % LANES;
-    let mut lanes = [0i32; LANES];
-    for (xq, wq) in x[..split].chunks_exact(LANES).zip(w[..split].chunks_exact(LANES)) {
-        lanes[0] += zp_mul::<NARROW>(xq[0], zp, wq[0] as i8);
-        lanes[1] += zp_mul::<NARROW>(xq[1], zp, wq[1] as i8);
-        lanes[2] += zp_mul::<NARROW>(xq[2], zp, wq[2] as i8);
-        lanes[3] += zp_mul::<NARROW>(xq[3], zp, wq[3] as i8);
-    }
-    let mut tail = 0i32;
-    for (&q, &wv) in x[split..].iter().zip(&w[split..]) {
-        tail += zp_mul::<NARROW>(q, zp, wv as i8);
-    }
-    lanes.iter().map(|&l| l as i64).sum::<i64>() + tail as i64
+/// [`dot_w8`] over two rows sharing the weights.
+#[inline(always)]
+fn dot2_w8<L: Copy + Into<i32>>(w: &[u8], r0: &[L], r1: &[L]) -> (i32, i32) {
+    w.iter().zip(r0).zip(r1).fold((0i32, 0i32), |(a0, a1), ((&b, &x0), &x1)| {
+        let w = b as i8 as i32;
+        (a0 + x0.into() * w, a1 + x1.into() * w)
+    })
 }
 
-/// Packed-`W4` micro-kernel: a ragged head up to the byte boundary, then
-/// two-byte words decoded into four lanes, then the ragged tail.
-#[inline]
-fn dot_packed_w4<const NARROW: bool>(packed: &[u8], start: usize, x: &[i32], zp: i32) -> i64 {
-    let mut edge = 0i32;
+/// Packed-`W4` reduction: a ragged head up to the byte boundary, then
+/// bytes decoded two fields at a time, then the ragged tail.
+#[inline(always)]
+fn dot_w4<L: Copy + Into<i32>>(packed: &[u8], start: usize, row: &[L]) -> i32 {
+    let mut acc = 0i32;
     let mut j = 0;
-    if start % 2 == 1 && j < x.len() {
-        edge += zp_mul::<NARROW>(x[j], zp, pack::field_at(packed, Bitwidth::W4, start));
-        j += 1;
+    if start % 2 == 1 && !row.is_empty() {
+        acc += row[0].into() * pack::field_at(packed, Bitwidth::W4, start) as i32;
+        j = 1;
     }
-    let body = (x.len() - j) / 4 * 4; // elements consumed in two-byte words
+    let body = (row.len() - j) / 2 * 2;
     let bytes = &packed[(start + j) / 2..(start + j + body) / 2];
-    let mut lanes = [0i32; LANES];
-    for (bp, xq) in bytes.chunks_exact(2).zip(x[j..j + body].chunks_exact(4)) {
-        let [w0, w1] = pack::decode_w4(bp[0]);
-        let [w2, w3] = pack::decode_w4(bp[1]);
-        lanes[0] += zp_mul::<NARROW>(xq[0], zp, w0);
-        lanes[1] += zp_mul::<NARROW>(xq[1], zp, w1);
-        lanes[2] += zp_mul::<NARROW>(xq[2], zp, w2);
-        lanes[3] += zp_mul::<NARROW>(xq[3], zp, w3);
+    for (&b, x) in bytes.iter().zip(row[j..j + body].chunks_exact(2)) {
+        let [w0, w1] = pack::decode_w4(b);
+        acc += x[0].into() * w0 as i32 + x[1].into() * w1 as i32;
     }
-    for (t, &q) in x.iter().enumerate().skip(j + body) {
-        edge += zp_mul::<NARROW>(q, zp, pack::field_at(packed, Bitwidth::W4, start + t));
+    for (t, &x) in row.iter().enumerate().skip(j + body) {
+        acc += x.into() * pack::field_at(packed, Bitwidth::W4, start + t) as i32;
     }
-    lanes.iter().map(|&l| l as i64).sum::<i64>() + edge as i64
+    acc
 }
 
-/// Packed-`W2` micro-kernel: a ragged head up to the byte boundary, then
-/// whole bytes decoded into four lanes (one byte = one lane step), then
-/// the ragged tail.
-#[inline]
-fn dot_packed_w2<const NARROW: bool>(packed: &[u8], start: usize, x: &[i32], zp: i32) -> i64 {
-    let mut edge = 0i32;
+/// Packed-`W2` reduction: a ragged head up to the byte boundary, then
+/// bytes decoded four fields at a time, then the ragged tail.
+#[inline(always)]
+fn dot_w2<L: Copy + Into<i32>>(packed: &[u8], start: usize, row: &[L]) -> i32 {
+    let mut acc = 0i32;
     let mut j = 0;
-    while (start + j) % 4 != 0 && j < x.len() {
-        edge += zp_mul::<NARROW>(x[j], zp, pack::field_at(packed, Bitwidth::W2, start + j));
+    while (start + j) % 4 != 0 && j < row.len() {
+        acc += row[j].into() * pack::field_at(packed, Bitwidth::W2, start + j) as i32;
         j += 1;
     }
-    let body = (x.len() - j) / 4 * 4;
+    let body = (row.len() - j) / 4 * 4;
     let bytes = &packed[(start + j) / 4..(start + j + body) / 4];
-    let mut lanes = [0i32; LANES];
-    for (&b, xq) in bytes.iter().zip(x[j..j + body].chunks_exact(4)) {
+    for (&b, x) in bytes.iter().zip(row[j..j + body].chunks_exact(4)) {
         let [w0, w1, w2, w3] = pack::decode_w2(b);
-        lanes[0] += zp_mul::<NARROW>(xq[0], zp, w0);
-        lanes[1] += zp_mul::<NARROW>(xq[1], zp, w1);
-        lanes[2] += zp_mul::<NARROW>(xq[2], zp, w2);
-        lanes[3] += zp_mul::<NARROW>(xq[3], zp, w3);
+        let pair = x[0].into() * w0 as i32 + x[1].into() * w1 as i32;
+        acc += pair + x[2].into() * w2 as i32 + x[3].into() * w3 as i32;
     }
-    for (t, &q) in x.iter().enumerate().skip(j + body) {
-        edge += zp_mul::<NARROW>(q, zp, pack::field_at(packed, Bitwidth::W2, start + t));
+    for (t, &x) in row.iter().enumerate().skip(j + body) {
+        acc += x.into() * pack::field_at(packed, Bitwidth::W2, start + t) as i32;
     }
-    lanes.iter().map(|&l| l as i64).sum::<i64>() + edge as i64
+    acc
 }
 
 /// Output-channel tile width of the blocked convolution kernels.
@@ -582,7 +421,7 @@ fn valid_taps(o: usize, stride: usize, k: usize, pad: usize, extent: usize) -> (
 ///
 /// At stride 1 the valid `(kx, ic)` tap block of one kernel row is
 /// contiguous in *both* the input row and the OHWI weight layout, so it
-/// collapses into a single `Dot::dot` run of length
+/// collapses into a single [`FloatDot`] run of length
 /// `(kx_hi - kx_lo) * c` — the strategies' register-tiled lanes then
 /// amortize over the whole row instead of one call per tap. The flat
 /// element order of the fused run equals naive's `(kx, ic)` nesting, so
@@ -591,11 +430,11 @@ fn valid_taps(o: usize, stride: usize, k: usize, pad: usize, extent: usize) -> (
 /// `out` must hold the full output map; only positions inside `region`
 /// (clamped to the map) are written.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d<S: Dot>(
-    s: &S,
-    input: &[S::Elem],
+pub fn conv2d(
+    s: &FloatDot<'_>,
+    input: &[f32],
     in_shape: Shape,
-    out: &mut [S::Elem],
+    out: &mut [f32],
     out_ch: usize,
     k: usize,
     stride: usize,
@@ -650,7 +489,7 @@ pub fn conv2d<S: Dot>(
                         }
                         let o_base = os.index(n, oy, ox, oc0);
                         for (j, &a) in acc.iter().enumerate().take(oc_n) {
-                            out[o_base + j] = s.finish(a, oc0 + j);
+                            out[o_base + j] = a;
                         }
                     }
                 }
@@ -663,11 +502,11 @@ pub fn conv2d<S: Dot>(
 /// padding outside the input. Channels are processed in tiles so the
 /// per-channel MACs of one kernel tap run over contiguous slices.
 #[allow(clippy::too_many_arguments)]
-pub fn dwconv<S: Dot>(
-    s: &S,
-    input: &[S::Elem],
+pub fn dwconv(
+    s: &FloatDot<'_>,
+    input: &[f32],
     in_shape: Shape,
-    out: &mut [S::Elem],
+    out: &mut [f32],
     k: usize,
     stride: usize,
     pad: usize,
@@ -707,7 +546,7 @@ pub fn dwconv<S: Dot>(
                     }
                     let o_base = os.index(n, oy, ox, c0);
                     for (j, &a) in acc.iter().enumerate().take(cn) {
-                        out[o_base + j] = s.finish(a, c0 + j);
+                        out[o_base + j] = a;
                     }
                 }
             }
@@ -718,7 +557,7 @@ pub fn dwconv<S: Dot>(
 /// Blocked dense (fully connected) layer over the flattened input:
 /// output features are tiled and the sample is consumed in fan-in chunks
 /// so one cached chunk serves the whole output tile.
-pub fn dense<S: Dot>(s: &S, input: &[S::Elem], in_shape: Shape, out: &mut [S::Elem], out_f: usize) {
+pub fn dense(s: &FloatDot<'_>, input: &[f32], in_shape: Shape, out: &mut [f32], out_f: usize) {
     let fan_in = in_shape.per_sample();
     debug_assert!(fan_in > 0 && out_f > 0, "degenerate dense fan_in={fan_in} out={out_f}");
     debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
@@ -741,7 +580,195 @@ pub fn dense<S: Dot>(s: &S, input: &[S::Elem], in_shape: Shape, out: &mut [S::El
                 start += len;
             }
             for (j, &a) in acc.iter().enumerate().take(on) {
-                out[n * out_f + o0 + j] = s.finish(a, o0 + j);
+                out[n * out_f + o0 + j] = a;
+            }
+        }
+    }
+}
+
+/// Integer standard convolution (OHWI packed weights) over the whole
+/// output map, zero padding outside the input.
+///
+/// For each output pixel the receptive row — `k·k·c` lanes in the
+/// weights' `(ky, kx, ic)` order — is gathered once into `row` as
+/// `q − zp_in` (padding taps are 0), then each output channel is one
+/// reduction of that row against its contiguous weights. Within one kernel
+/// row the valid taps are adjacent in the input at any stride, so the
+/// gather copies one run per kernel row. Pixels run in pairs (flattened
+/// `(n, oy, ox)` order), so each weight is decoded once for two rows.
+/// `row` is caller scratch, grown to two rows on first use.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_q<I: Level, O: Level>(
+    s: &PackedDot<'_>,
+    input: &[I],
+    in_shape: Shape,
+    out: &mut [O],
+    out_ch: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    row: &mut Vec<I::Lane>,
+) {
+    debug_assert!(k > 0 && stride > 0, "degenerate conv window k={k} stride={stride}");
+    debug_assert!(in_shape.h + 2 * pad >= k && in_shape.w + 2 * pad >= k);
+    debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
+    debug_assert_eq!(s.rq.channels.len(), out_ch, "one requantization channel per output");
+    let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
+    debug_assert_eq!(out.len(), in_shape.n * oh * ow * out_ch);
+    let (c, zero) = (in_shape.c, I::Lane::default());
+    let span = k * c;
+    let len = k * span;
+    // Output pixel `p` (flattened `(n, oy, ox)`) gathered into `dst`.
+    let gather = |p: usize, dst: &mut [I::Lane]| {
+        let (n, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
+        let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
+        let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
+        for (ky, dst) in dst.chunks_exact_mut(span).enumerate() {
+            if ky < ky_lo || ky >= ky_hi || kx_lo >= kx_hi {
+                dst.fill(zero);
+                continue;
+            }
+            let iy = oy * stride + ky - pad;
+            let ix = ox * stride + kx_lo - pad;
+            let base = in_shape.index(n, iy, ix, 0);
+            let src = &input[base..base + (kx_hi - kx_lo) * c];
+            dst[..kx_lo * c].fill(zero);
+            for (d, &q) in dst[kx_lo * c..kx_hi * c].iter_mut().zip(src) {
+                *d = q.lane(s.zp_in);
+            }
+            dst[kx_hi * c..].fill(zero);
+        }
+    };
+    row.clear();
+    row.resize(2 * len, zero);
+    let (r0, r1) = row.split_at_mut(len);
+    // Pixels go in pairs, so each decoded weight serves two rows.
+    let mut pairs = out.chunks_exact_mut(2 * out_ch);
+    for (i, pair) in pairs.by_ref().enumerate() {
+        gather(2 * i, r0);
+        gather(2 * i + 1, r1);
+        let (o0, o1) = pair.split_at_mut(out_ch);
+        dot_channels2(s, r0, r1, o0, o1);
+    }
+    let last = pairs.into_remainder();
+    if !last.is_empty() {
+        gather(in_shape.n * oh * ow - 1, r0);
+        dot_channels(s, r0, last);
+    }
+}
+
+/// Integer dense layer over the flattened input: the one-pixel case of
+/// [`conv2d_q`], whose gathered row is the whole sample.
+pub fn dense_q<I: Level, O: Level>(
+    s: &PackedDot<'_>,
+    input: &[I],
+    in_shape: Shape,
+    out: &mut [O],
+    out_f: usize,
+    row: &mut Vec<I::Lane>,
+) {
+    let fan_in = in_shape.per_sample();
+    debug_assert!(fan_in > 0 && out_f > 0, "degenerate dense fan_in={fan_in} out={out_f}");
+    debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
+    debug_assert_eq!(out.len(), in_shape.n * out_f);
+    debug_assert_eq!(s.rq.channels.len(), out_f, "one requantization channel per output");
+    for (sample, pixel) in input.chunks_exact(fan_in).zip(out.chunks_exact_mut(out_f)) {
+        row.clear();
+        row.extend(sample.iter().map(|&q| q.lane(s.zp_in)));
+        dot_channels(s, row, pixel);
+    }
+}
+
+/// One output pixel: channel `oc` reduces `row` against weights
+/// `oc · row.len()..`, then requantizes.
+#[inline(always)]
+fn dot_channels<L: Copy + Into<i32>, O: Level>(s: &PackedDot<'_>, row: &[L], pixel: &mut [O]) {
+    for (oc, o) in pixel.iter_mut().enumerate() {
+        *o = s.finish(s.dot(row, oc * row.len()), oc);
+    }
+}
+
+/// [`dot_channels`] for two pixels at once. At `W8` each weight is
+/// loaded and sign-extended once for both rows.
+#[inline(always)]
+fn dot_channels2<L: Copy + Into<i32>, O: Level>(
+    s: &PackedDot<'_>,
+    r0: &[L],
+    r1: &[L],
+    o0: &mut [O],
+    o1: &mut [O],
+) {
+    let len = r0.len();
+    for (oc, (a, b)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
+        let (x, y) = if s.bits == Bitwidth::W8 {
+            dot2_w8(&s.packed[oc * len..(oc + 1) * len], r0, r1)
+        } else {
+            (s.dot(r0, oc * len), s.dot(r1, oc * len))
+        };
+        *a = s.finish(x, oc);
+        *b = s.finish(y, oc);
+    }
+}
+
+/// Integer depthwise convolution (`[kh][kw][c]` packed weights) over the
+/// whole output map, zero padding outside the input. Channels run in
+/// tiles of `i32` accumulators; each valid tap reads its input run
+/// straight from storage as `q − zp_in` lanes.
+#[allow(clippy::too_many_arguments)]
+pub fn dwconv_q<I: Level, O: Level>(
+    s: &PackedDot<'_>,
+    input: &[I],
+    in_shape: Shape,
+    out: &mut [O],
+    k: usize,
+    stride: usize,
+    pad: usize,
+) {
+    debug_assert!(k > 0 && stride > 0, "degenerate dwconv window k={k} stride={stride}");
+    debug_assert!(in_shape.h + 2 * pad >= k && in_shape.w + 2 * pad >= k);
+    debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
+    let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
+    let c = in_shape.c;
+    debug_assert_eq!(out.len(), in_shape.n * oh * ow * c);
+    debug_assert_eq!(s.rq.channels.len(), c, "one requantization channel per channel");
+    let os = Shape::new(in_shape.n, oh, ow, c);
+    for n in 0..in_shape.n {
+        for oy in 0..oh {
+            let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
+            for ox in 0..ow {
+                let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
+                for c0 in (0..c).step_by(CH_TILE) {
+                    let cn = (c - c0).min(CH_TILE);
+                    let mut acc = [0i32; CH_TILE];
+                    let acc = &mut acc[..cn];
+                    for ky in ky_lo..ky_hi {
+                        let iy = oy * stride + ky - pad;
+                        for kx in kx_lo..kx_hi {
+                            let ix = ox * stride + kx - pad;
+                            let base = in_shape.index(n, iy, ix, 0) + c0;
+                            let x = &input[base..base + cn];
+                            let w_base = (ky * k + kx) * c + c0;
+                            if s.bits == Bitwidth::W8 {
+                                let w = &s.packed[w_base..w_base + cn];
+                                for ((a, &q), &wv) in acc.iter_mut().zip(x).zip(w) {
+                                    *a += q.lane(s.zp_in).into() * (wv as i8 as i32);
+                                }
+                            } else {
+                                // Depthwise runs are short and start at
+                                // arbitrary sub-byte offsets: decode per field.
+                                for (j, (a, &q)) in acc.iter_mut().zip(x).enumerate() {
+                                    *a += q.lane(s.zp_in).into() * s.weight(w_base + j) as i32;
+                                }
+                            }
+                        }
+                    }
+                    let o_base = os.index(n, oy, ox, c0);
+                    for (j, (o, &a)) in
+                        out[o_base..o_base + cn].iter_mut().zip(acc.iter()).enumerate()
+                    {
+                        *o = s.finish(a, c0 + j);
+                    }
+                }
             }
         }
     }
@@ -775,14 +802,14 @@ pub fn max_pool(
 /// dequantized map, so requantizing its result reproduces the float
 /// round trip bit-for-bit.
 pub(crate) fn max_pool_q(
-    input: &[i32],
+    input: &[i8],
     in_shape: Shape,
-    out: &mut [i32],
+    out: &mut [i8],
     k: usize,
     stride: usize,
     region: Region,
 ) {
-    pool_impl(input, in_shape, out, k, stride, region, i32::MIN, |o, v| *o = (*o).max(v), |_| {})
+    pool_impl(input, in_shape, out, k, stride, region, i8::MIN, |o, v| *o = (*o).max(v), |_| {})
 }
 
 /// Average pooling (no padding) over `region` of the output map.
@@ -948,8 +975,9 @@ pub fn concat<'a>(
 }
 
 /// Invokes `f(start, len)` for each contiguous row run of `region` inside
-/// `shape` (used by the pointwise kernels).
-fn for_row_runs(shape: Shape, region: Region, mut f: impl FnMut(usize, usize)) {
+/// `shape` (used by the pointwise kernels and the head's fake
+/// quantization).
+pub(crate) fn for_row_runs(shape: Shape, region: Region, mut f: impl FnMut(usize, usize)) {
     let y_end = region.y_end().min(shape.h);
     let x_end = region.x_end().min(shape.w);
     if x_end <= region.x {
@@ -970,13 +998,19 @@ fn for_row_runs(shape: Shape, region: Region, mut f: impl FnMut(usize, usize)) {
 /// baseline the kernels benchmarks measure the tiled kernels against.
 /// The float functions allocate their outputs and use per-element
 /// index arithmetic; the `*_q` functions are the scalar integer ground
-/// truth — textbook `(q - zp) · w` loops folding straight into an `i64`
-/// accumulator — that [`IntDot`] and [`PackedDot`] must match
-/// **bit-for-bit**.
+/// truth — textbook `(q - zp) · w` loops over unpacked `i32` grid values
+/// and `i8` weights, folding straight into an `i64` accumulator — that
+/// [`conv2d_q`], [`dwconv_q`] and [`dense_q`] must match **bit-for-bit**.
 pub mod naive {
     use quantmcu_tensor::{Shape, Tensor};
 
     use super::Requant;
+
+    /// An accumulator as the `i32` [`Requant::finish`] takes. The `Q001`
+    /// proof bounds every deployed accumulator to half the `i32` range.
+    fn narrow(acc: i64) -> i32 {
+        i32::try_from(acc).expect("accumulator exceeds i32; Q001 rejects such graphs")
+    }
 
     /// Naive standard convolution (OHWI weights, bias preloaded).
     pub fn conv2d(
@@ -1090,7 +1124,7 @@ pub mod naive {
         in_shape: Shape,
         qw: &[i8],
         zp_in: i32,
-        rq: &Requant<'_>,
+        rq: &Requant,
         out_ch: usize,
         k: usize,
         stride: usize,
@@ -1123,7 +1157,7 @@ pub mod naive {
                                 }
                             }
                         }
-                        out[os.index(n, oy, ox, oc)] = rq.finish(acc, oc);
+                        out[os.index(n, oy, ox, oc)] = rq.finish(narrow(acc), oc);
                     }
                 }
             }
@@ -1138,7 +1172,7 @@ pub mod naive {
         in_shape: Shape,
         qw: &[i8],
         zp_in: i32,
-        rq: &Requant<'_>,
+        rq: &Requant,
         k: usize,
         stride: usize,
         pad: usize,
@@ -1166,7 +1200,7 @@ pub mod naive {
                                 acc += ((q - zp_in) * qw[(ky * k + kx) * is.c + c] as i32) as i64;
                             }
                         }
-                        out[os.index(n, oy, ox, c)] = rq.finish(acc, c);
+                        out[os.index(n, oy, ox, c)] = rq.finish(narrow(acc), c);
                     }
                 }
             }
@@ -1180,7 +1214,7 @@ pub mod naive {
         in_shape: Shape,
         qw: &[i8],
         zp_in: i32,
-        rq: &Requant<'_>,
+        rq: &Requant,
         out_f: usize,
     ) -> Vec<i32> {
         let fan_in = in_shape.per_sample();
@@ -1193,7 +1227,7 @@ pub mod naive {
                     .iter()
                     .zip(row)
                     .fold(0i64, |a, (&q, &w)| a + ((q - zp_in) * w as i32) as i64);
-                out[n * out_f + o] = rq.finish(acc, o);
+                out[n * out_f + o] = rq.finish(narrow(acc), o);
             }
         }
         out
@@ -1335,66 +1369,43 @@ mod tests {
 
     /// A plausible requantization table for strategy-level tests: varied
     /// per-channel scales and biases, full `W8` output grid.
-    fn test_requant(channels: usize, out_scale: f64) -> (Vec<i64>, Vec<FixedMultiplier>) {
+    fn test_requant(channels: usize, out_scale: f64, zp_out: i32) -> Requant {
         let bias_q: Vec<i64> = (0..channels).map(|c| (c as i64 * 7) % 23 - 11).collect();
-        let scale = (0..channels)
+        let scale: Vec<FixedMultiplier> = (0..channels)
             .map(|c| FixedMultiplier::from_real(1e-4 * (1.0 + c as f64 * 0.01) / out_scale))
             .collect();
-        (bias_q, scale)
+        let (q_min, q_max) = (Bitwidth::W8.min_value(), Bitwidth::W8.max_value());
+        Requant::new(&bias_q, &scale, zp_out, q_min, q_max)
+    }
+
+    /// `q` stored as `i8`, the executor's storage for ≤ 8-bit grids.
+    fn narrow(q: &[i32]) -> Vec<i8> {
+        q.iter().map(|&v| i8::from_level(v)).collect()
     }
 
     #[test]
     fn packed_strategies_match_naive_q_exactly() {
         let (h, w, c, oc, k) = (9, 7, 5, 6, 3);
         let input: Vec<i32> = (0..h * w * c).map(|i| ((i * 37) % 256) as i32 - 128).collect();
+        let input8 = narrow(&input);
         let in_shape = Shape::hwc(h, w, c);
         let zp = -3;
-        let (bias_q, scale) = test_requant(oc, 0.05);
-        let rq = Requant {
-            bias_q: &bias_q,
-            scale: &scale,
-            zp_out: 2,
-            q_min: Bitwidth::W8.min_value(),
-            q_max: Bitwidth::W8.max_value(),
-        };
+        let rq = test_requant(oc, 0.05, 2);
         for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
             let (lo, hi) = (bits.min_value() as i8, bits.max_value() as i8);
             let qw: Vec<i8> =
                 (0..oc * k * k * c).map(|i| (((i * 11) % 29) as i8 - 14).clamp(lo, hi)).collect();
             let packed = pack::pack(&qw, bits);
+            let s = PackedDot::new(&packed, bits, zp, &rq);
             for (stride, pad) in [(1, 1), (2, 0), (1, 0), (3, 2)] {
                 let reference = naive::conv2d_q(&input, in_shape, &qw, zp, &rq, oc, k, stride, pad);
-                let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
-                let os = Shape::new(1, oh, ow, oc);
-                let region = os.full_region();
-
-                let mut tiled = vec![0i32; os.len()];
-                let s = PackedDot::new(&packed, bits, zp, rq);
-                conv2d(&s, &input, in_shape, &mut tiled, oc, k, stride, pad, region);
-                assert_eq!(tiled, reference, "packed conv {bits} s={stride} p={pad}");
-
-                let mut blocked = vec![0i32; os.len()];
-                let s = IntDot { qw: &qw, zp_in: zp, rq };
-                conv2d(&s, &input, in_shape, &mut blocked, oc, k, stride, pad, region);
-                assert_eq!(blocked, reference, "unpacked conv {bits} s={stride} p={pad}");
-
-                if pad == 0 {
-                    // Folded mode: -zp * Σw per channel into init.
-                    let per_ch = k * k * c;
-                    let init_q: Vec<i64> = (0..oc)
-                        .map(|o| {
-                            -(zp as i64)
-                                * qw[o * per_ch..(o + 1) * per_ch]
-                                    .iter()
-                                    .map(|&v| v as i64)
-                                    .sum::<i64>()
-                        })
-                        .collect();
-                    let mut folded = vec![0i32; os.len()];
-                    let s = PackedDot::with_folded_zero_point(&packed, bits, &init_q, rq);
-                    conv2d(&s, &input, in_shape, &mut folded, oc, k, stride, pad, region);
-                    assert_eq!(folded, reference, "folded conv {bits} s={stride}");
-                }
+                // i8 storage in, i32 out; then i32 in, i8 out.
+                let mut out = vec![0i32; reference.len()];
+                conv2d_q(&s, &input8, in_shape, &mut out, oc, k, stride, pad, &mut Vec::new());
+                assert_eq!(out, reference, "i8 input conv {bits} s={stride} p={pad}");
+                let mut out = vec![0i8; reference.len()];
+                conv2d_q(&s, &input, in_shape, &mut out, oc, k, stride, pad, &mut Vec::new());
+                assert_eq!(out, narrow(&reference), "i32 input conv {bits} s={stride} p={pad}");
             }
         }
     }
@@ -1403,6 +1414,7 @@ mod tests {
     fn packed_dwconv_and_dense_match_naive_q_exactly() {
         let (h, w, c) = (8, 6, 19); // c not divisible by any tile width
         let input: Vec<i32> = (0..h * w * c).map(|i| ((i * 53) % 200) as i32 - 100).collect();
+        let input8 = narrow(&input);
         let in_shape = Shape::hwc(h, w, c);
         let zp = 5;
         for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
@@ -1410,45 +1422,25 @@ mod tests {
             let (k, stride, pad) = (3, 1, 1);
             let qw: Vec<i8> =
                 (0..k * k * c).map(|i| (((i * 13) % 31) as i8 - 15).clamp(lo, hi)).collect();
-            let (bias_q, scale) = test_requant(c, 0.04);
-            let rq = Requant {
-                bias_q: &bias_q,
-                scale: &scale,
-                zp_out: -1,
-                q_min: Bitwidth::W8.min_value(),
-                q_max: Bitwidth::W8.max_value(),
-            };
+            let rq = test_requant(c, 0.04, -1);
             let reference = naive::dwconv_q(&input, in_shape, &qw, zp, &rq, k, stride, pad);
             let packed = pack::pack(&qw, bits);
-            let mut out = vec![0i32; reference.len()];
-            let s = PackedDot::new(&packed, bits, zp, rq);
-            dwconv(&s, &input, in_shape, &mut out, k, stride, pad, in_shape.full_region());
-            assert_eq!(out, reference, "packed dwconv {bits}");
+            let s = PackedDot::new(&packed, bits, zp, &rq);
+            let mut out = vec![0i8; reference.len()];
+            dwconv_q(&s, &input8, in_shape, &mut out, k, stride, pad);
+            assert_eq!(out, narrow(&reference), "packed dwconv {bits}");
 
             let out_f = 7;
             let fan_in = in_shape.per_sample();
             let dqw: Vec<i8> =
                 (0..out_f * fan_in).map(|i| (((i * 17) % 27) as i8 - 13).clamp(lo, hi)).collect();
-            let (bias_q, scale) = test_requant(out_f, 0.03);
-            let rq = Requant {
-                bias_q: &bias_q,
-                scale: &scale,
-                zp_out: 0,
-                q_min: Bitwidth::W8.min_value(),
-                q_max: Bitwidth::W8.max_value(),
-            };
+            let rq = test_requant(out_f, 0.03, 0);
             let reference = naive::dense_q(&input, in_shape, &dqw, zp, &rq, out_f);
             let packed = pack::pack(&dqw, bits);
-            let init_q: Vec<i64> = (0..out_f)
-                .map(|o| {
-                    -(zp as i64)
-                        * dqw[o * fan_in..(o + 1) * fan_in].iter().map(|&v| v as i64).sum::<i64>()
-                })
-                .collect();
+            let s = PackedDot::new(&packed, bits, zp, &rq);
             let mut out = vec![0i32; out_f];
-            let s = PackedDot::with_folded_zero_point(&packed, bits, &init_q, rq);
-            dense(&s, &input, in_shape, &mut out, out_f);
-            assert_eq!(out, reference, "packed folded dense {bits}");
+            dense_q(&s, &input8, in_shape, &mut out, out_f, &mut Vec::new());
+            assert_eq!(out, reference, "packed dense {bits}");
         }
     }
 

@@ -371,13 +371,12 @@ impl fmt::Display for OptStats {
 /// Runs a pass pipeline to a fixed point.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    max_rounds: usize,
 }
 
 impl PassManager {
     /// A manager over an explicit pass list.
     pub fn new(passes: Vec<Box<dyn Pass>>) -> Self {
-        PassManager { passes, max_rounds: usize::MAX }
+        PassManager { passes }
     }
 
     /// The standard pipeline: bias/activation fusion, constant folding,
@@ -391,20 +390,13 @@ impl PassManager {
         ])
     }
 
-    /// Caps the number of rounds (a safety valve; the strict node-count
-    /// decrease already bounds rounds by `nodes + 1`).
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
-        self
-    }
-
-    /// Runs every pass repeatedly until none fires (or the round cap).
+    /// Runs every pass repeatedly until none fires.
     pub fn run(&self, ir: &mut ModelIr) -> OptStats {
         let mut rewrites: Vec<(&'static str, usize)> =
             self.passes.iter().map(|p| (p.name(), 0)).collect();
         // Each rewrite removes at least one node, so `nodes + 1` rounds
-        // suffice even without the explicit cap.
-        let bound = self.max_rounds.min(ir.nodes.len() + 1);
+        // suffice.
+        let bound = ir.nodes.len() + 1;
         let mut rounds = 0;
         let mut fixed_point = false;
         while rounds < bound {

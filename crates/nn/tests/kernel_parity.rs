@@ -6,12 +6,13 @@
 //!
 //! The parity contract is split by domain:
 //!
-//! * **Integer paths are bit-for-bit.** `i64` integer addition is
-//!   associative, so regrouping a dot product into register lanes cannot
-//!   change any output element. Every integer strategy — the scalar
-//!   [`IntDot`] baseline and [`PackedDot`] over W8/W4/W2 words in both
-//!   per-element and folded-zero-point modes — must equal
-//!   `kernels::naive`'s `*_q` loops exactly.
+//! * **Integer paths are bit-for-bit.** Integer addition is associative,
+//!   so gathering a receptive row and reducing it in any order cannot
+//!   change any output element. The integer kernels
+//!   (`kernels::{conv2d_q, dwconv_q, dense_q}` over a [`PackedDot`] of
+//!   W8/W4/W2 words) must equal `kernels::naive`'s `*_q` loops exactly,
+//!   from `i8` storage (8-bit input grids, `i16` lanes) and from `i32`
+//!   storage (16-bit input grids, `i32` lanes), into either storage.
 //! * **Float paths are ULP-bounded.** The lane-unrolled [`FloatDot`]
 //!   *reassociates* each run's `f32` summation (four partial sums
 //!   combined pairwise instead of one serial chain), which legitimately
@@ -24,8 +25,8 @@
 
 use proptest::prelude::*;
 
-use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, IntDot, PackedDot, Requant};
-use quantmcu_tensor::{pack, Bitwidth, Shape, Tensor};
+use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, PackedDot, Requant};
+use quantmcu_tensor::{pack, Bitwidth, Level, Shape, Tensor};
 
 /// Deterministic pseudo-random buffer (the proptest shim drives shape and
 /// seed diversity; values just need to be varied and sign-mixed).
@@ -53,31 +54,20 @@ fn ulp_close(a: f32, e: f32) -> bool {
     (a - e).abs() <= 1e-5 || ulps <= 256
 }
 
-/// Per-channel requantization tables sized for `channels`, with varied
-/// but deterministic constants. Parity only requires both kernels to run
-/// the *same* requantization, so the values just need to exercise
-/// rounding and clamping.
-struct RequantTables {
-    bias_q: Vec<i64>,
-    scale: Vec<FixedMultiplier>,
-}
-
-impl RequantTables {
-    fn new(channels: usize, seed: u64) -> Self {
-        let bias_q =
-            varied_q(channels, seed ^ 0xB1A5, -500, 500).into_iter().map(i64::from).collect();
-        let scale = (0..channels)
-            .map(|ch| {
-                let acc_scale = 1e-3 * (1.0 + (ch as f64 + (seed % 7) as f64) * 0.31);
-                FixedMultiplier::from_real(acc_scale / 0.037)
-            })
-            .collect();
-        RequantTables { bias_q, scale }
-    }
-
-    fn requant(&self) -> Requant<'_> {
-        Requant { bias_q: &self.bias_q, scale: &self.scale, zp_out: 3, q_min: -128, q_max: 127 }
-    }
+/// Per-channel requantization sized for `channels`, with varied but
+/// deterministic constants onto an 8-bit output grid. Parity only
+/// requires both kernels to run the *same* requantization, so the values
+/// just need to exercise rounding and clamping.
+fn requant(channels: usize, seed: u64) -> Requant {
+    let bias_q: Vec<i64> =
+        varied_q(channels, seed ^ 0xB1A5, -500, 500).into_iter().map(i64::from).collect();
+    let scale: Vec<FixedMultiplier> = (0..channels)
+        .map(|ch| {
+            let acc_scale = 1e-3 * (1.0 + (ch as f64 + (seed % 7) as f64) * 0.31);
+            FixedMultiplier::from_real(acc_scale / 0.037)
+        })
+        .collect();
+    Requant::new(&bias_q, &scale, 3, -128, 127)
 }
 
 /// Quantized weights clamped to `bits`'s two's-complement range.
@@ -85,16 +75,72 @@ fn varied_weights(len: usize, seed: u64, bits: Bitwidth) -> Vec<i8> {
     varied_q(len, seed, bits.min_value(), bits.max_value()).into_iter().map(|v| v as i8).collect()
 }
 
-/// Per-channel folded init terms `-zp_in * Σ w[ch]` for a channel-major
-/// weight layout (conv OHWI rows, dense rows).
-fn folded_init(qw: &[i8], channels: usize, per_channel: usize, zp_in: i32) -> Vec<i64> {
-    (0..channels)
-        .map(|ch| {
-            let sum: i64 =
-                qw[ch * per_channel..(ch + 1) * per_channel].iter().map(|&w| w as i64).sum();
-            -(zp_in as i64) * sum
-        })
-        .collect()
+/// An input feature map on an 8-bit grid (`wide == false`, stored as
+/// `i8`) or a 16-bit grid (stored as `i32`), and a zero point on that
+/// grid.
+fn varied_input(len: usize, seed: u64, wide: bool, zp_at: f64) -> (Vec<i32>, i32) {
+    let b = if wide { Bitwidth::W16 } else { Bitwidth::W8 };
+    // 16-bit values stay within ±20000 so the naive `i64` sums of these
+    // small test graphs still fit the `i32` accumulator Q001 guarantees.
+    let (lo, hi) = if wide { (-20_000, 20_000) } else { (b.min_value(), b.max_value()) };
+    let zp = lo + ((hi - lo) as f64 * zp_at) as i32;
+    (varied_q(len, seed, lo, hi), zp)
+}
+
+/// Runs an integer kernel from the storage `wide` selects, into both
+/// output storages, and checks the two outputs agree; returns the `i32`
+/// one.
+fn run_q(
+    q_in: &[i32],
+    wide: bool,
+    len: usize,
+    kernel: impl Fn(&Input<'_>, &mut Output<'_>),
+) -> Vec<i32> {
+    let narrow_in: Vec<i8> =
+        if wide { Vec::new() } else { q_in.iter().map(|&q| q as i8).collect() };
+    let input = if wide { Input::Wide(q_in) } else { Input::Narrow(&narrow_in) };
+    let mut out32 = vec![0i32; len];
+    let mut out8 = vec![0i8; len];
+    kernel(&input, &mut Output::Wide(&mut out32));
+    kernel(&input, &mut Output::Narrow(&mut out8));
+    assert!(out8.iter().zip(&out32).all(|(&a, &b)| a.level() == b), "i8 and i32 outputs differ");
+    out32
+}
+
+/// A kernel input in one of the two storages.
+enum Input<'a> {
+    Narrow(&'a [i8]),
+    Wide(&'a [i32]),
+}
+
+/// A kernel output in one of the two storages.
+enum Output<'a> {
+    Narrow(&'a mut [i8]),
+    Wide(&'a mut [i32]),
+}
+
+/// Calls `$f(input, output, row)` with the concrete storage types.
+macro_rules! dispatch {
+    ($input:expr, $output:expr, |$x:ident, $o:ident, $row:ident| $body:expr) => {
+        match ($input, $output) {
+            (Input::Narrow($x), Output::Narrow($o)) => {
+                let $row = &mut Vec::<i16>::new();
+                $body
+            }
+            (Input::Narrow($x), Output::Wide($o)) => {
+                let $row = &mut Vec::<i16>::new();
+                $body
+            }
+            (Input::Wide($x), Output::Narrow($o)) => {
+                let $row = &mut Vec::<i32>::new();
+                $body
+            }
+            (Input::Wide($x), Output::Wide($o)) => {
+                let $row = &mut Vec::<i32>::new();
+                $body
+            }
+        }
+    };
 }
 
 proptest! {
@@ -206,47 +252,25 @@ proptest! {
         stride in 1usize..4,
         pad in 0usize..3,
         which_bits in 0usize..3,
-        zp_in in -8i32..=8,
+        wide in prop::sample::select(vec![false, true]),
+        zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
-        let q_in = varied_q(shape.len(), seed, -100, 100);
+        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
         let qw = varied_weights(oc * k * k * c, seed ^ 0xACE, bits);
-        let tables = RequantTables::new(oc, seed);
-        let rq = tables.requant();
+        let rq = requant(oc, seed);
         let reference = naive::conv2d_q(&q_in, shape, &qw, zp_in, &rq, oc, k, stride, pad);
-        let oh = (h + 2 * pad - k) / stride + 1;
-        let ow = (w + 2 * pad - k) / stride + 1;
-        let out_shape = Shape::hwc(oh, ow, oc);
         let packed = pack::pack(&qw, bits);
-
-        // Scalar i8 baseline through the tiled kernels.
-        let mut out = vec![0i32; out_shape.len()];
-        let dot = IntDot { qw: &qw, zp_in, rq: tables.requant() };
-        kernels::conv2d(&dot, &q_in, shape, &mut out, oc, k, stride, pad,
-            out_shape.full_region());
+        let dot = PackedDot::new(&packed, bits, zp_in, &rq);
+        let out = run_q(&q_in, wide, reference.len(), |input, output| {
+            dispatch!(input, output, |x, o, row| {
+                kernels::conv2d_q(&dot, x, shape, o, oc, k, stride, pad, row)
+            })
+        });
         prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        // Packed words, per-element zero-point correction.
-        let mut out = vec![0i32; out_shape.len()];
-        let dot = PackedDot::new(&packed, bits, zp_in, tables.requant())
-            .assuming_i16_activations();
-        kernels::conv2d(&dot, &q_in, shape, &mut out, oc, k, stride, pad,
-            out_shape.full_region());
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        // Folded zero point is exact only without padding (every weight
-        // participates in every output element).
-        if pad == 0 {
-            let init = folded_init(&qw, oc, k * k * c, zp_in);
-            let mut out = vec![0i32; out_shape.len()];
-            let dot = PackedDot::with_folded_zero_point(&packed, bits, &init, tables.requant());
-            kernels::conv2d(&dot, &q_in, shape, &mut out, oc, k, stride, pad,
-                out_shape.full_region());
-            prop_assert_eq!(out.as_slice(), reference.as_slice());
-        }
     }
 
     #[test]
@@ -258,48 +282,25 @@ proptest! {
         stride in 1usize..4,
         pad in 0usize..3,
         which_bits in 0usize..3,
-        zp_in in -8i32..=8,
+        wide in prop::sample::select(vec![false, true]),
+        zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
-        let q_in = varied_q(shape.len(), seed, -100, 100);
+        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
         let qw = varied_weights(k * k * c, seed ^ 0xD0E, bits);
-        let tables = RequantTables::new(c, seed);
-        let rq = tables.requant();
+        let rq = requant(c, seed);
         let reference = naive::dwconv_q(&q_in, shape, &qw, zp_in, &rq, k, stride, pad);
-        let oh = (h + 2 * pad - k) / stride + 1;
-        let ow = (w + 2 * pad - k) / stride + 1;
-        let out_shape = Shape::hwc(oh, ow, c);
         let packed = pack::pack(&qw, bits);
-
-        let mut out = vec![0i32; out_shape.len()];
-        let dot = IntDot { qw: &qw, zp_in, rq: tables.requant() };
-        kernels::dwconv(&dot, &q_in, shape, &mut out, k, stride, pad, out_shape.full_region());
+        let dot = PackedDot::new(&packed, bits, zp_in, &rq);
+        let out = run_q(&q_in, wide, reference.len(), |input, output| {
+            dispatch!(input, output, |x, o, _row| {
+                kernels::dwconv_q(&dot, x, shape, o, k, stride, pad)
+            })
+        });
         prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        let mut out = vec![0i32; out_shape.len()];
-        let dot = PackedDot::new(&packed, bits, zp_in, tables.requant())
-            .assuming_i16_activations();
-        kernels::dwconv(&dot, &q_in, shape, &mut out, k, stride, pad, out_shape.full_region());
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        if pad == 0 {
-            // Depthwise layout is [kh][kw][c]: channel ch's taps sit at
-            // stride c, so the fold sums stride through the buffer.
-            let init: Vec<i64> = (0..c)
-                .map(|ch| {
-                    let sum: i64 = qw[ch..].iter().step_by(c).map(|&wv| wv as i64).sum();
-                    -(zp_in as i64) * sum
-                })
-                .collect();
-            let mut out = vec![0i32; out_shape.len()];
-            let dot = PackedDot::with_folded_zero_point(&packed, bits, &init, tables.requant());
-            kernels::dwconv(&dot, &q_in, shape, &mut out, k, stride, pad,
-                out_shape.full_region());
-            prop_assert_eq!(out.as_slice(), reference.as_slice());
-        }
     }
 
     #[test]
@@ -309,35 +310,24 @@ proptest! {
         c in 1usize..20,
         out_f in 1usize..24,
         which_bits in 0usize..3,
-        zp_in in -8i32..=8,
+        wide in prop::sample::select(vec![false, true]),
+        zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
         let fan_in = shape.per_sample();
-        let q_in = varied_q(shape.len(), seed, -100, 100);
+        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
         let qw = varied_weights(out_f * fan_in, seed ^ 0xFEE, bits);
-        let tables = RequantTables::new(out_f, seed);
-        let rq = tables.requant();
+        let rq = requant(out_f, seed);
         let reference = naive::dense_q(&q_in, shape, &qw, zp_in, &rq, out_f);
         let packed = pack::pack(&qw, bits);
-
-        let mut out = vec![0i32; out_f];
-        let dot = IntDot { qw: &qw, zp_in, rq: tables.requant() };
-        kernels::dense(&dot, &q_in, shape, &mut out, out_f);
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        let mut out = vec![0i32; out_f];
-        let dot = PackedDot::new(&packed, bits, zp_in, tables.requant())
-            .assuming_i16_activations();
-        kernels::dense(&dot, &q_in, shape, &mut out, out_f);
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
-
-        // Dense always folds: every weight touches every output.
-        let init = folded_init(&qw, out_f, fan_in, zp_in);
-        let mut out = vec![0i32; out_f];
-        let dot = PackedDot::with_folded_zero_point(&packed, bits, &init, tables.requant());
-        kernels::dense(&dot, &q_in, shape, &mut out, out_f);
+        let dot = PackedDot::new(&packed, bits, zp_in, &rq);
+        let out = run_q(&q_in, wide, reference.len(), |input, output| {
+            dispatch!(input, output, |x, o, row| {
+                kernels::dense_q(&dot, x, shape, o, out_f, row)
+            })
+        });
         prop_assert_eq!(out.as_slice(), reference.as_slice());
     }
 }

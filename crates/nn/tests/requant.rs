@@ -28,16 +28,15 @@ fn float_finish(x: i128, acc_scale: f64, out_scale: f64, zp: i32, bits: Bitwidth
     (real, q as i64)
 }
 
-/// `finish` for one channel with the given constants.
+/// `finish` for one channel with the given constants. `finish` takes an
+/// `i32` accumulator and depends only on `acc + bias`, so any part of
+/// `acc` beyond `i32` moves into the bias (saturating, which only the
+/// range-only extreme test reaches).
 fn fixed_finish(acc: i64, bias: i64, m: FixedMultiplier, zp: i32, bits: Bitwidth) -> i64 {
-    let rq = Requant {
-        bias_q: &[bias],
-        scale: &[m],
-        zp_out: zp,
-        q_min: bits.min_value(),
-        q_max: bits.max_value(),
-    };
-    rq.finish(acc, 0) as i64
+    let acc32 = acc.clamp(i32::MIN as i64, i32::MAX as i64);
+    let bias = bias.saturating_add(acc - acc32);
+    let rq = Requant::new(&[bias], &[m], zp, bits.min_value(), bits.max_value());
+    rq.finish(acc32 as i32, 0) as i64
 }
 
 /// `x · multiplier · 2^-(31 + shift)` in exact `i128` arithmetic, rounded

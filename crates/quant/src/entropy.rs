@@ -25,7 +25,8 @@
 //! buffer per calibration chunk — and is read as their concatenation.
 //!
 //! `floor` and `round` become branch-free equivalents the compiler can
-//! vectorize (`Bins::index`, `Grid::scatter`), exact on every input;
+//! vectorize (`Bins::index` here, [`QuantParams::quantize_slice`] for the
+//! levels), exact on every input;
 //! everything else is the naive path's arithmetic — the same
 //! [`QuantParams`] grids, the same bin formula on the same support — so
 //! the results are **bit-identical**, which the proptest parity suite
@@ -316,7 +317,7 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
             .collect::<Result<Vec<_>, _>>()?;
         let mut full = vec![0u64; bins.k];
         let mut idx = [0u32; BLOCK];
-        let mut levels = [0u32; BLOCK];
+        let mut levels = [0i32; BLOCK];
         for part in self.parts {
             for block in part.as_ref().chunks(BLOCK) {
                 let idx = &mut idx[..block.len()];
@@ -396,13 +397,8 @@ fn to_int(x: f32) -> i32 {
 /// One candidate bitwidth's grid and its counters for the fused scan.
 struct Grid {
     params: QuantParams,
-    /// The quantized range shifted by the zero point, `[qmin − zp,
-    /// qmax − zp]`: the real-to-level quotients `v / scale` that round
-    /// to an unclamped level.
-    below: f32,
-    above: f32,
-    /// Level `q` counts at `q + offset = q − qmin`.
-    offset: i32,
+    /// Level `q` counts at `q − qmin`.
+    qmin: i32,
     /// Level→bin table for grids of at most [`MAX_LUT_LEVELS`] levels;
     /// `None` for wider grids (W16/W32, never in the search set), which
     /// bin each dequantized value directly.
@@ -414,35 +410,20 @@ struct Grid {
 impl Grid {
     fn new(bins: &Bins, lo: f32, hi: f32, b: Bitwidth) -> Result<Self, QuantError> {
         let params = QuantParams::from_min_max(lo, hi, b)?;
-        let (qmin, qmax, zp) = (b.min_value(), b.max_value(), params.zero_point());
+        let (qmin, qmax) = (b.min_value(), b.max_value());
         let levels = qmax as i64 - qmin as i64 + 1;
         let lut: Option<Vec<u32>> = (levels <= MAX_LUT_LEVELS as i64).then(|| {
             (0..levels as i32).map(|level| bins.index(params.dequantize(qmin + level))).collect()
         });
         let counts = vec![0u64; if lut.is_some() { levels as usize } else { bins.k }];
-        Ok(Grid {
-            params,
-            below: (qmin as i64 - zp as i64) as f32,
-            above: (qmax as i64 - zp as i64) as f32,
-            offset: zp.wrapping_sub(qmin),
-            lut,
-            counts,
-        })
+        Ok(Grid { params, qmin, lut, counts })
     }
 
-    /// Counts one block of values, using `levels` as scratch.
-    ///
-    /// With a table, each value's level is `quantize(v) − qmin` computed
-    /// branch-free: `quantize` rounds `v / scale` half away from zero,
-    /// adds the zero point and clamps to `[qmin, qmax]`. Clamping the
-    /// quotient to `[below, above]` first gives the same level (`round`
-    /// is monotone and fixes the integer bounds), and inside that range
-    /// [`round_even`] is exact; the remainder `x − r` is exact too, so
-    /// comparing it against ±0.5 finds the ties to move away from zero.
-    /// NaN maps to level `zp − qmin`, as `quantize` sends it to the zero
-    /// point.
+    /// Counts one block of values, using `levels` as scratch. With a
+    /// table, each value's level comes from the branch-free
+    /// [`QuantParams::quantize_slice`], bit-identical to `quantize`.
     #[inline(always)]
-    fn scatter(&mut self, block: &[f32], bins: &Bins, levels: &mut [u32; BLOCK]) {
+    fn scatter(&mut self, block: &[f32], bins: &Bins, levels: &mut [i32; BLOCK]) {
         if self.lut.is_none() {
             for &v in block {
                 let q = self.params.quantize(v);
@@ -450,27 +431,10 @@ impl Grid {
             }
             return;
         }
-        let (scale, below, above, offset) =
-            (self.params.scale(), self.below, self.above, self.offset);
         let levels = &mut levels[..block.len()];
-        for (level, &v) in levels.iter_mut().zip(block) {
-            let x = v / scale;
-            let x = if x.is_nan() { 0.0 } else { x };
-            let x = if x > below { x } else { below };
-            let x = if x < above { x } else { above };
-            let r = round_even(x);
-            let d = x - r;
-            let q = if d == 0.5 && x > 0.0 {
-                r + 1.0
-            } else if d == -0.5 && x < 0.0 {
-                r - 1.0
-            } else {
-                r
-            };
-            *level = (to_int(q) + offset) as u32;
-        }
+        self.params.quantize_slice(block, levels);
         for &level in levels.iter() {
-            self.counts[level as usize] += 1;
+            self.counts[level.wrapping_sub(self.qmin) as usize] += 1;
         }
     }
 

@@ -42,6 +42,6 @@ mod tensor;
 pub use arena::Arena;
 pub use bitwidth::Bitwidth;
 pub use error::TensorError;
-pub use quantize::{ChannelQuantParams, QuantParams};
+pub use quantize::{ChannelQuantParams, Level, QuantParams};
 pub use shape::{Region, Shape};
 pub use tensor::Tensor;

@@ -1,3 +1,5 @@
+use std::fmt;
+
 use crate::bitwidth::Bitwidth;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -96,11 +98,28 @@ impl QuantParams {
         self.bitwidth
     }
 
-    /// Quantizes one real value to the clamped integer grid.
+    /// Quantizes one real value to the clamped integer grid: `v / scale`
+    /// rounded half away from zero, plus the zero point, clamped to the
+    /// bitwidth's range. NaN maps to the zero point; infinities and
+    /// quotients beyond `i32` saturate to the nearer end of the range.
+    ///
+    /// The quotient is clamped to `[qmin − zp, qmax − zp]` *before* the
+    /// zero point is added, so no value can overflow. Clamping first gives
+    /// the same level as clamping last, because rounding is monotone and
+    /// the bounds are integers. Grids up to 16 bits share the branch-free
+    /// form of [`QuantParams::quantize_slice`]; 32-bit grids, whose bounds
+    /// the `f32` rounding trick cannot represent exactly, round in `f64`.
     #[inline]
     pub fn quantize(&self, v: f32) -> i32 {
-        let q = (v / self.scale).round() as i32 + self.zero_point;
-        q.clamp(self.bitwidth.min_value(), self.bitwidth.max_value())
+        if self.bitwidth == Bitwidth::W32 {
+            let (below, above) = self.quotient_bounds_f64();
+            let x = (v / self.scale) as f64;
+            let x = if x.is_nan() { 0.0 } else { x.clamp(below, above) };
+            (x.round() as i64 + self.zero_point as i64) as i32
+        } else {
+            let (below, above) = self.quotient_bounds();
+            to_int(self.offset_level(v, below, above)) + self.zero_point
+        }
     }
 
     /// Recovers the real value of a quantized integer.
@@ -109,13 +128,186 @@ impl QuantParams {
         self.scale * (q - self.zero_point) as f32
     }
 
+    /// [`QuantParams::quantize`] over a slice, storing each level as `T`.
+    /// For grids up to 16 bits the loop is branch-free and vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices differ in length or when the grid is wider
+    /// than `T` holds ([`Level::BITS`]).
+    pub fn quantize_slice<T: Level>(&self, src: &[f32], dst: &mut [T]) {
+        assert_eq!(src.len(), dst.len(), "quantize_slice length mismatch");
+        assert!(
+            self.bitwidth.bits() <= T::BITS,
+            "{} grid does not fit the level type",
+            self.bitwidth
+        );
+        if self.bitwidth == Bitwidth::W32 {
+            for (q, &v) in dst.iter_mut().zip(src) {
+                *q = T::from_level(self.quantize(v));
+            }
+            return;
+        }
+        let (below, above) = self.quotient_bounds();
+        let zp = self.zero_point;
+        for (q, &v) in dst.iter_mut().zip(src) {
+            *q = T::from_level(to_int(self.offset_level(v, below, above)) + zp);
+        }
+    }
+
+    /// [`QuantParams::dequantize`] over a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices differ in length.
+    pub fn dequantize_slice<T: Level>(&self, src: &[T], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "dequantize_slice length mismatch");
+        for (o, &q) in dst.iter_mut().zip(src) {
+            *o = self.dequantize(q.level());
+        }
+    }
+
+    /// Quantize-dequantizes `values` in place: bit-identical to
+    /// `dequantize(quantize(v))` per element, and for grids up to 16 bits
+    /// a branch-free loop that vectorizes.
+    pub fn fake_quantize_slice(&self, values: &mut [f32]) {
+        if self.bitwidth == Bitwidth::W32 {
+            for v in values {
+                *v = self.dequantize(self.quantize(*v));
+            }
+            return;
+        }
+        let (below, above) = self.quotient_bounds();
+        for v in values {
+            // The offset level is the exact integer `q − zp`, so this is
+            // `dequantize`'s own product.
+            *v = self.scale * self.offset_level(*v, below, above);
+        }
+    }
+
     /// Quantize-dequantize in the real domain ("fake quantization").
     ///
     /// This is how the entropy estimator and the accuracy-agreement
     /// experiments observe the information loss of a bitwidth without
     /// running integer kernels.
     pub fn fake_quantize_tensor(&self, t: &Tensor) -> Tensor {
-        t.map(|v| self.dequantize(self.quantize(v)))
+        let mut out = t.clone();
+        self.fake_quantize_slice(out.data_mut());
+        out
+    }
+
+    /// `[qmin − zp, qmax − zp]`: the quotients `v / scale` that round to
+    /// an unclamped level. Exact in `f32` up to 16 bits.
+    #[inline(always)]
+    fn quotient_bounds(&self) -> (f32, f32) {
+        let (below, above) = self.quotient_bounds_f64();
+        (below as f32, above as f32)
+    }
+
+    #[inline(always)]
+    fn quotient_bounds_f64(&self) -> (f64, f64) {
+        let zp = self.zero_point as i64;
+        (
+            (self.bitwidth.min_value() as i64 - zp) as f64,
+            (self.bitwidth.max_value() as i64 - zp) as f64,
+        )
+    }
+
+    /// `quantize(v) − zero_point` as an exact integral `f32`, for grids up
+    /// to 16 bits, computed branch-free: clamp `v / scale` to `[below,
+    /// above]` (NaN to 0), round to nearest-even with [`MAGIC`], then move
+    /// the ties away from zero. Inside the clamp `|x| < 2¹⁷`, where the
+    /// remainder `x − r` is exact, so comparing it with ±0.5 finds every
+    /// tie. The result is never `-0.0`.
+    #[inline(always)]
+    fn offset_level(&self, v: f32, below: f32, above: f32) -> f32 {
+        let x = v / self.scale;
+        let x = if x.is_nan() { 0.0 } else { x };
+        let x = if x > below { x } else { below };
+        let x = if x < above { x } else { above };
+        let r = (x + MAGIC) - MAGIC;
+        let d = x - r;
+        if d == 0.5 && x > 0.0 {
+            r + 1.0
+        } else if d == -0.5 && x < 0.0 {
+            r - 1.0
+        } else {
+            r
+        }
+    }
+}
+
+/// `1.5 · 2²³`. Adding it to an `f32` below 2²² in magnitude leaves a sum
+/// in `[2²³, 2²⁴)`, where the spacing of `f32`s is exactly 1: the addition
+/// rounds to the nearest integer (ties to even), and the sum's low
+/// mantissa bits hold that integer. Unlike `round` (a libm call) and the
+/// saturating `as i32`, both vectorize.
+const MAGIC: f32 = 12_582_912.0;
+
+/// The value of an integral `x` with `|x| < 2²²`, read from the low
+/// mantissa bits of `x + MAGIC`.
+#[inline(always)]
+fn to_int(x: f32) -> i32 {
+    (x + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32
+}
+
+/// A stored grid value of the integer path: `i8` holds the storage grids
+/// (at most 8 bits, the CMix-NN widths), `i32` the wider accounting grids.
+pub trait Level: Copy + Default + fmt::Debug + Send + Sync + 'static {
+    /// The widest grid, in bits, this type holds.
+    const BITS: u32;
+    /// The zero-point-corrected value `q − zp`: `i16` for `i8` storage
+    /// (`|q − zp| ≤ 255`), `i32` for `i32` storage.
+    type Lane: Copy + Default + Into<i32> + fmt::Debug + Send + Sync + 'static;
+
+    /// Stores grid value `q`, which must fit [`Level::BITS`].
+    fn from_level(q: i32) -> Self;
+
+    /// The stored grid value.
+    fn level(self) -> i32;
+
+    /// `self − zp` for a zero point of a grid this type holds.
+    fn lane(self, zp: i32) -> Self::Lane;
+}
+
+impl Level for i8 {
+    const BITS: u32 = 8;
+    type Lane = i16;
+
+    #[inline(always)]
+    fn from_level(q: i32) -> i8 {
+        debug_assert!(i8::try_from(q).is_ok(), "grid value {q} exceeds i8 storage");
+        q as i8
+    }
+
+    #[inline(always)]
+    fn level(self) -> i32 {
+        self as i32
+    }
+
+    #[inline(always)]
+    fn lane(self, zp: i32) -> i16 {
+        self as i16 - zp as i16
+    }
+}
+
+impl Level for i32 {
+    const BITS: u32 = 32;
+    type Lane = i32;
+
+    #[inline(always)]
+    fn from_level(q: i32) -> i32 {
+        q
+    }
+
+    #[inline(always)]
+    fn level(self) -> i32 {
+        self
+    }
+
+    #[inline(always)]
+    fn lane(self, zp: i32) -> i32 {
+        self - zp
     }
 }
 
@@ -221,6 +413,53 @@ mod tests {
         let p = QuantParams::from_min_max(-1.0, 1.0, Bitwidth::W2).unwrap();
         assert!(p.quantize(100.0) <= Bitwidth::W2.max_value());
         assert!(p.quantize(-100.0) >= Bitwidth::W2.min_value());
+    }
+
+    #[test]
+    fn extremes_saturate_instead_of_overflowing() {
+        // A zero point away from 0 at every width: adding it to a
+        // saturated quotient used to overflow.
+        for b in [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8, Bitwidth::W16, Bitwidth::W32] {
+            for (lo, hi) in [(-0.2f32, 3.0f32), (-3.0, 0.2)] {
+                let p = QuantParams::from_min_max(lo, hi, b).unwrap();
+                assert_ne!(p.zero_point(), 0, "{b} [{lo}, {hi}]");
+                let (qmin, qmax) = (b.min_value(), b.max_value());
+                let cases =
+                    [(-1e30, qmin), (f32::NEG_INFINITY, qmin), (f32::INFINITY, qmax), (1e30, qmax)];
+                for (v, want) in cases {
+                    assert_eq!(p.quantize(v), want, "{b} [{lo}, {hi}] v={v}");
+                }
+                assert_eq!(p.quantize(f32::NAN), p.zero_point(), "{b} NaN");
+                let src = [-1e30, f32::NEG_INFINITY, f32::INFINITY, f32::NAN];
+                let mut q = [0i32; 4];
+                p.quantize_slice(&src, &mut q);
+                assert_eq!(q, [qmin, qmin, qmax, p.zero_point()], "{b} slice");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_slices_match_wide_slices() {
+        let src: Vec<f32> = (0..97).map(|i| (i as f32 * 0.61).sin() * 4.0).collect();
+        for b in Bitwidth::SEARCH_CANDIDATES {
+            let p = QuantParams::from_min_max(-1.5, 2.5, b).unwrap();
+            let (mut narrow, mut wide) = (vec![0i8; src.len()], vec![0i32; src.len()]);
+            p.quantize_slice(&src, &mut narrow);
+            p.quantize_slice(&src, &mut wide);
+            assert!(narrow.iter().zip(&wide).all(|(&n, &w)| n as i32 == w));
+            let mut back = vec![0.0f32; src.len()];
+            p.dequantize_slice(&narrow, &mut back);
+            let mut fake = src.clone();
+            p.fake_quantize_slice(&mut fake);
+            assert_eq!(back, fake);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the level type")]
+    fn wide_grids_refuse_narrow_storage() {
+        let p = QuantParams::from_min_max(-1.0, 1.0, Bitwidth::W16).unwrap();
+        p.quantize_slice(&[0.0], &mut [0i8]);
     }
 
     #[test]

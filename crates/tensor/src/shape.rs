@@ -69,11 +69,6 @@ impl Shape {
     pub fn full_region(&self) -> Region {
         Region::new(0, 0, self.h, self.w)
     }
-
-    /// Returns a shape with the same batch/channels but new spatial extent.
-    pub fn with_spatial(&self, h: usize, w: usize) -> Shape {
-        Shape::new(self.n, h, w, self.c)
-    }
 }
 
 impl fmt::Display for Shape {
