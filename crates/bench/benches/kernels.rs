@@ -100,6 +100,7 @@ fn blocked_vs_naive(c: &mut Criterion) {
     });
     group.bench_function("blocked", |b| {
         let mut out = vec![0.0f32; 32 * 32 * oc];
+        let mut tile = Vec::new();
         b.iter(|| {
             kernels::conv2d(
                 &FloatDot { weights: &weights, bias: &bias },
@@ -111,6 +112,7 @@ fn blocked_vs_naive(c: &mut Criterion) {
                 1,
                 1,
                 shape.full_region(),
+                &mut tile,
             );
             out[0]
         })

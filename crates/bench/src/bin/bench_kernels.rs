@@ -11,15 +11,21 @@
 //!   gathered as `i16` lanes, dot products directly on packed W8/W4/W2
 //!   words;
 //! * **float** — the float kernels on the same shape, the reference the
-//!   integer path should beat (`speedup_vs_float`).
+//!   integer path should beat (`speedup_vs_float`);
+//! * **float_naive** — the float `kernels::naive` loop nests.
 //!
 //! The tiled output is asserted bit-identical to naive before timing
-//! counts. Conv2d sweeps every packed width (W8/W4/W2), each with its own
-//! naive row over the same range-clamped weights; `pwconv_int` is the
-//! 1×1 shape that dominates MobileNetV2's integer tail.
+//! counts, and the float output equal to float naive (depthwise and the
+//! pixel-tiled conv) or within 256 ULPs (dense and the lane-split conv of
+//! maps under `kernels::PIX` pixels). Conv2d sweeps every packed width
+//! (W8/W4/W2), each with its own naive row over the same range-clamped
+//! weights; `pwconv_int` is the 1×1 shape that dominates MobileNetV2's
+//! integer tail, and `stem_conv_int` / `head_pwconv_int` are the patch
+//! head's stride-2 stem and 16→48 pointwise conv.
 //!
 //! The binary asserts the perf-regression tripwire (tiled must not be
-//! slower than naive on any integer op) and finishes with end-to-end
+//! slower than naive on any integer op, nor float slower than float
+//! naive) and finishes with end-to-end
 //! images/second through the float and quantized executors. Set
 //! `QUANTMCU_SMOKE=1` to shrink shapes and repetitions for CI.
 
@@ -173,27 +179,47 @@ fn sweep(
         }
         o
     };
-    let float = || {
+    let mut tile = Vec::new();
+    let mut float = || {
         let mut o = vec![0.0f32; out.len()];
         let region = out.full_region();
         match (k, layer.depthwise) {
             (0, _) => kernels::dense(&fdot, &x, input, &mut o, out_ch),
             (_, true) => kernels::dwconv(&fdot, &x, input, &mut o, k, stride, pad, region),
-            _ => kernels::conv2d(&fdot, &x, input, &mut o, out_ch, k, stride, pad, region),
+            _ => {
+                kernels::conv2d(&fdot, &x, input, &mut o, out_ch, k, stride, pad, region, &mut tile)
+            }
         }
         o
+    };
+    let x_t = Tensor::from_vec(input, x.clone()).expect("input length matches");
+    let float_naive = || match (k, layer.depthwise) {
+        (0, _) => naive::dense(&x_t, &w, &b, out_ch),
+        (_, true) => naive::dwconv(&x_t, &w, &b, k, stride, pad),
+        _ => naive::conv2d(&x_t, &w, &b, out_ch, k, stride, pad),
     };
     let reference = naive();
     let got: Vec<i32> = tiled().into_iter().map(i32::from).collect();
     assert_eq!(got, reference, "{op} {bits}: tiled output diverged from naive");
+    // Depthwise and the pixel-tiled conv sum in naive's order; dense and
+    // the lane-split conv of small maps reassociate, within 256 ULPs.
+    let exact = layer.depthwise || (k > 0 && out.h * out.w >= kernels::PIX);
+    let (got, want) = (float(), float_naive());
+    for (i, (&a, &e)) in got.iter().zip(want.data()).enumerate() {
+        let ulps = (a.to_bits() as i64 - e.to_bits() as i64).unsigned_abs();
+        let close = if exact { a == e } else { (a - e).abs() <= 1e-5 || ulps <= 256 };
+        assert!(close, "{op}: float element {i} is {a}, naive {e} (exact: {exact})");
+    }
 
     let tiled_name = format!("tiled_{}", bits.bits());
     let timed = [
         ("naive".to_string(), measure(reps, iters, naive).as_secs_f64()),
         (tiled_name, measure(reps, iters, &mut tiled).as_secs_f64()),
-        ("float".to_string(), measure(reps, iters, float).as_secs_f64()),
+        ("float".to_string(), measure(reps, iters, &mut float).as_secs_f64()),
+        ("float_naive".to_string(), measure(reps, iters, float_naive).as_secs_f64()),
     ];
-    let (naive_t, tiled_t, float_t) = (timed[0].1, timed[1].1, timed[2].1);
+    let (naive_t, tiled_t, float_t, float_naive_t) =
+        (timed[0].1, timed[1].1, timed[2].1, timed[3].1);
     println!(
         "{op} ({bits} weights, {}x{}x{} -> {}x{}x{}):",
         input.h, input.w, input.c, out.h, out.w, out.c
@@ -201,15 +227,19 @@ fn sweep(
     for (name, t) in timed {
         let (vs_naive, vs_float) = (naive_t / t, float_t / t);
         println!(
-            "  {name:9} {:10.4} ms  ({vs_naive:.2}x vs naive, {vs_float:.2}x vs float)",
+            "  {name:11} {:10.4} ms  ({vs_naive:.2}x vs naive, {vs_float:.2}x vs float)",
             t * 1e3
         );
         let weight_bits = bits.bits();
         rows.push(Row { op, weight_bits, strategy: name, seconds: t, vs_naive, vs_float });
     }
-    // Perf-regression tripwire: the packed integer path must never fall
-    // behind the oracle loops it replaced.
+    // Perf-regression tripwire: the packed integer path and the float
+    // kernels must never fall behind the oracle loops they replaced.
     assert!(tiled_t <= naive_t, "{op}: tiled ({tiled_t:.7}s) slower than naive ({naive_t:.7}s)");
+    assert!(
+        float_t <= float_naive_t,
+        "{op}: float ({float_t:.7}s) slower than float naive ({float_naive_t:.7}s)"
+    );
     println!();
 }
 
@@ -244,6 +274,12 @@ fn main() {
     // MobileNetV2's pointwise expansion at exec scale.
     let pw = Layer::conv(Shape::hwc(8, 8, 16), 96, 1, 1, 0);
     sweep("pwconv_int", pw, Bitwidth::W8, (reps, iters), &mut rows);
+    // The patch head's two convolutions at exec scale, full size in smoke
+    // runs too: the stride-2 stem and the 16→48 pointwise expansion.
+    let stem = Layer::conv(Shape::hwc(32, 32, 3), 16, 3, 2, 1);
+    sweep("stem_conv_int", stem, Bitwidth::W8, (reps, iters), &mut rows);
+    let head_pw = Layer::conv(Shape::hwc(16, 16, 16), 48, 1, 1, 0);
+    sweep("head_pwconv_int", head_pw, Bitwidth::W8, (reps, iters), &mut rows);
     let dw = Layer { depthwise: true, ..Layer::conv(shape, c, 3, 1, 1) };
     sweep("dwconv_int", dw, Bitwidth::W8, (reps, iters), &mut rows);
     let out_f = if smoke() { 32 } else { 64 };

@@ -407,11 +407,17 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         let spec = graph.spec();
         check_input(spec, input.shape())?;
         state.ensure_slots(spec.feature_map_count());
-        let mut buf = state.arena_f.take(input.data().len());
-        buf.copy_from_slice(input.data());
+        let buf = state.arena_f.take(input.data().len());
         let mut t0 = Tensor::from_vec(input.shape(), buf).expect("arena length matches");
-        if let Some((regions, Some(grids))) = schedule {
-            fake_quant_region(&mut t0, regions[0], &grids[0]);
+        match schedule {
+            // A branch reads only its input region; the rest stays scratch.
+            Some((regions, grids)) => {
+                t0.copy_region(input, regions[0]).expect("regions are checked by the caller");
+                if let Some(grids) = grids {
+                    fake_quant_region(&mut t0, regions[0], &grids[0]);
+                }
+            }
+            None => t0.data_mut().copy_from_slice(input.data()),
         }
         state.slots[0] = Some(t0);
         observer(FeatureMapId::INPUT, state.slots[0].as_ref().expect("just stored"));
@@ -420,7 +426,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
             let mut out = Tensor::from_vec(out_shape, state.arena_f.take(out_shape.len()))
                 .expect("arena length matches");
             let region = schedule.map_or(out_shape.full_region(), |(regions, _)| regions[i + 1]);
-            eval_node(graph, &state.slots, i, &mut out, region);
+            eval_node(graph, &state.slots, i, &mut out, region, &mut state.tile);
             if let Some((_, Some(grids))) = schedule {
                 fake_quant_region(&mut out, region, &grids[i + 1]);
             }
@@ -751,6 +757,8 @@ pub struct ExecState {
     scratch: Vec<Tensor>,
     /// Receptive-row scratch of the integer conv and dense kernels.
     gather: Gather,
+    /// Transposed pixel-tile scratch of the float conv kernel.
+    tile: Vec<f32>,
 }
 
 /// One quantized feature map in its storage width: `i8` for grids of at
@@ -880,8 +888,15 @@ type RegionSchedule<'s> = (&'s [Region], Option<&'s [QuantParams]>);
 /// Evaluates node `i` within `region` of `out`, dispatching to the shared
 /// kernel layer. Reads outside an input map's bounds behave as zero
 /// padding; non-spatial ops (`Dense`, `GlobalAvgPool`) compute all of
-/// `out`.
-fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor, region: Region) {
+/// `out`. `tile` is the float conv kernel's scratch.
+fn eval_node(
+    graph: &Graph,
+    slots: &[Option<Tensor>],
+    i: usize,
+    out: &mut Tensor,
+    region: Region,
+    tile: &mut Vec<f32>,
+) {
     let spec = graph.spec();
     let node = &spec.nodes()[i];
     let slot = |s: Source| -> &Tensor {
@@ -902,6 +917,7 @@ fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor
             stride,
             pad,
             region,
+            tile,
         ),
         OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
             kernels::dwconv(&dot, in0.data(), in_shape, out.data_mut(), kernel, stride, pad, region)

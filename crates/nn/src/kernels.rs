@@ -12,15 +12,24 @@
 //!
 //! # Float tiling and micro-kernels
 //!
-//! The float loop nests are cache-blocked: output channels are tiled so
-//! each input row slice loaded into L1 is reused across a whole tile of
-//! filters, output rows are tiled to keep the working set resident, the
-//! valid kernel-tap ranges are hoisted out of the inner loops (no
-//! per-element padding branches), and — at stride 1 — the contiguous
-//! `(kx, ic)` tap block of one kernel row collapses into a *single*
-//! dot-product run. Inside a run, [`FloatDot`] feeds [`LANES`]
-//! independent accumulator lanes (explicit unrolling on the stable
-//! toolchain — no `std::simd`), which breaks the serial add dependency.
+//! [`conv2d`] is a pixel-tiled micro-kernel, the register-tile shape of
+//! Goto & van de Geijn's GEMM ("Anatomy of High-Performance Matrix
+//! Multiplication", TOMS 2008). [`PIX`] output pixels of the region at a
+//! time are gathered transposed into a `[k·k·c][PIX]` scratch tile —
+//! padding taps as 0, only the tile's receptive field read — and each
+//! block of four output channels accumulates a `4 × PIX` register tile,
+//! vectorized over pixels and reading the OHWI weights in place (no
+//! repacking, no extra weight memory). It needs no long contiguous run, so
+//! strided convs over three input channels (the stem) and short 1×1
+//! reductions (the head's pointwise convs) vectorize as well as wide ones.
+//! Maps of fewer than [`PIX`] output pixels — the 1×1 tail maps, where a
+//! tile would be mostly empty lanes — run a lane-split [`FloatDot`]
+//! instead: the valid `(kx, ic)` block of one kernel row is contiguous in
+//! the input at any stride and in the weights, so it is one dot-product
+//! run, fed to [`LANES`] independent accumulator lanes (explicit unrolling
+//! on the stable toolchain — no `std::simd`). [`dwconv`] runs channel
+//! tiles of independent per-channel accumulators; [`dense`] tiles output
+//! features over fan-in chunks with the same lane-split dot.
 //!
 //! # Integer storage and the gathered row
 //!
@@ -46,13 +55,20 @@
 //! graph that passed the static analyzer's `Q001` proof (it bounds the
 //! whole accumulator by [`crate::analyze::ACC_LIMIT`], half the `i32`
 //! range — see [`crate::analyze::accumulator_bound`]); [`Requant::finish`]
-//! widens to `i64` only to add the bias and rescale. Float lane
-//! accumulation *reassociates* the summation, so the float kernels match
-//! [`naive`] to an ULP bound rather than bit-for-bit; per output element
-//! the run decomposition is a pure function of the element's tap
-//! geometry, so float execution remains deterministic run-to-run and
-//! thread-count-independent. The kernel-parity proptest suite pins both
-//! properties down.
+//! widens to `i64` only to add the bias and rescale.
+//!
+//! Float sums are exact only in one order. The pixel-tiled [`conv2d`] and
+//! [`dwconv`] use naive's: bias first, then the taps in `(ky, kx, ic)`
+//! order, a padding tap adding an exact ±0 — so they equal [`naive`]
+//! (`==`; a `-0.0` sum may come out as `+0.0`). Lane accumulation
+//! *reassociates* the summation, so [`dense`] and the lane-split conv of
+//! small maps match [`naive`] to an ULP bound instead. Either way an
+//! element's value is a pure function of its own taps — conv picks its
+//! path from the node's output shape, never from the region, tile or
+//! worker count — so float execution is deterministic run-to-run,
+//! thread-count-independent, and region-independent: a patch branch
+//! computes exactly the values of the full map. The kernel-parity
+//! proptest suite pins all three properties down.
 //!
 //! The float kernels write into a caller-provided output slice and take a
 //! [`Region`] selecting the output rows/columns to compute (pass
@@ -65,7 +81,7 @@ use quantmcu_tensor::{pack, Bitwidth, Level, Region, Shape};
 /// Identifies the kernel generation in benchmark snapshots
 /// (`BENCH_kernels.json`, `BENCH_serve.json`), so throughput trajectories
 /// recorded before and after a kernel rewrite stay comparable.
-pub const GENERATION: &str = "gather-i16-v2";
+pub const GENERATION: &str = "pixel-tile-v3";
 
 /// Accumulator-lane width of the unrolled float micro-kernel.
 pub const LANES: usize = 4;
@@ -392,10 +408,12 @@ fn dot_w2<L: Copy + Into<i32>>(packed: &[u8], start: usize, row: &[L]) -> i32 {
     acc
 }
 
-/// Output-channel tile width of the blocked convolution kernels.
+/// Output-channel tile width of the blocked dense kernel.
 const OC_TILE: usize = 8;
-/// Output-row tile height of the blocked convolution kernels.
-const ROW_TILE: usize = 4;
+/// Output pixels per register tile of the float convolution.
+pub const PIX: usize = 8;
+/// Output channels per register tile of the float convolution.
+const OC_BLOCK: usize = 4;
 /// Channel tile width of the depthwise kernel.
 const CH_TILE: usize = 16;
 /// Fan-in chunk length of the blocked dense kernel.
@@ -416,19 +434,26 @@ fn valid_taps(o: usize, stride: usize, k: usize, pad: usize, extent: usize) -> (
     (lo.min(hi), hi)
 }
 
-/// Cache-blocked standard convolution (OHWI weights, fused bias via the
-/// strategy), zero padding outside the input.
+/// Standard convolution (OHWI weights, bias from the strategy), zero
+/// padding outside the input.
 ///
-/// At stride 1 the valid `(kx, ic)` tap block of one kernel row is
-/// contiguous in *both* the input row and the OHWI weight layout, so it
-/// collapses into a single [`FloatDot`] run of length
-/// `(kx_hi - kx_lo) * c` — the strategies' register-tiled lanes then
-/// amortize over the whole row instead of one call per tap. The flat
-/// element order of the fused run equals naive's `(kx, ic)` nesting, so
-/// the integer parity contract is unaffected.
+/// Maps of at least [`PIX`] output pixels per sample run the pixel-tiled
+/// micro-kernel: [`PIX`] output pixels of `region` at a time are gathered
+/// transposed into `tile` (`[k·k·c][PIX]`, padding taps 0), then each
+/// block of four output channels accumulates a register tile of `4 × PIX`
+/// sums, vectorized over pixels, reading the OHWI weights in place. Every
+/// element is summed in naive's order — bias, then its taps in
+/// `(ky, kx, ic)` order, a padding tap adding an exact ±0 — so it equals
+/// [`naive::conv2d`]. Smaller maps (the 1×1 tails) run one
+/// [`FloatDot`] lane-split run per kernel row instead: the valid
+/// `(kx, ic)` block of a kernel row is contiguous in the input at any
+/// stride and in the weights. The path is chosen from the node's output
+/// shape alone, so either way an element's value depends only on its own
+/// taps, never on `region`.
 ///
 /// `out` must hold the full output map; only positions inside `region`
-/// (clamped to the map) are written.
+/// (clamped to the map) are written. `tile` is caller scratch, grown to
+/// `k·k·c·PIX` values on first use.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     s: &FloatDot<'_>,
@@ -440,6 +465,7 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
     region: Region,
+    tile: &mut Vec<f32>,
 ) {
     debug_assert!(k > 0 && stride > 0, "degenerate conv window k={k} stride={stride}");
     debug_assert!(in_shape.h + 2 * pad >= k && in_shape.w + 2 * pad >= k);
@@ -447,55 +473,145 @@ pub fn conv2d(
     let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
     let os = Shape::new(in_shape.n, oh, ow, out_ch);
     debug_assert_eq!(out.len(), os.len());
+    debug_assert_eq!(s.weights.len(), out_ch * k * k * in_shape.c);
     let y_end = region.y_end().min(oh);
     let x_end = region.x_end().min(ow);
-    let c = in_shape.c;
-    for n in 0..in_shape.n {
-        for oy0 in (region.y..y_end).step_by(ROW_TILE) {
-            let oy1 = (oy0 + ROW_TILE).min(y_end);
-            for oc0 in (0..out_ch).step_by(OC_TILE) {
-                let oc_n = (out_ch - oc0).min(OC_TILE);
-                for oy in oy0..oy1 {
-                    let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
-                    for ox in region.x..x_end {
-                        let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
-                        let mut acc = [s.init(oc0); OC_TILE];
-                        for (j, a) in acc.iter_mut().enumerate().take(oc_n).skip(1) {
-                            *a = s.init(oc0 + j);
-                        }
-                        for ky in ky_lo..ky_hi {
-                            let iy = oy * stride + ky - pad;
-                            let row = in_shape.index(n, iy, 0, 0);
-                            if stride == 1 && kx_lo < kx_hi {
-                                // Fused run over the whole valid kernel row.
-                                // (The `kx_lo < kx_hi` guard skips empty tap
-                                // ranges, whose `ix` would underflow.)
-                                let ix = ox + kx_lo - pad;
-                                let x = &input[row + ix * c..row + (ix + kx_hi - kx_lo) * c];
-                                for (j, a) in acc.iter_mut().enumerate().take(oc_n) {
-                                    let w_base = (((oc0 + j) * k + ky) * k + kx_lo) * c;
-                                    *a = s.dot(*a, x, w_base);
-                                }
-                            } else {
-                                for kx in kx_lo..kx_hi {
-                                    let ix = ox * stride + kx - pad;
-                                    let x = &input[row + ix * c..row + (ix + 1) * c];
-                                    for (j, a) in acc.iter_mut().enumerate().take(oc_n) {
-                                        let w_base = (((oc0 + j) * k + ky) * k + kx) * c;
-                                        *a = s.dot(*a, x, w_base);
-                                    }
-                                }
-                            }
-                        }
-                        let o_base = os.index(n, oy, ox, oc0);
-                        for (j, &a) in acc.iter().enumerate().take(oc_n) {
-                            out[o_base + j] = a;
-                        }
-                    }
+    if y_end <= region.y || x_end <= region.x {
+        return;
+    }
+    let window = ConvWindow { in_shape, k, stride, pad };
+    if oh * ow < PIX {
+        for n in 0..in_shape.n {
+            for oy in region.y..y_end {
+                for ox in region.x..x_end {
+                    let o_base = os.index(n, oy, ox, 0);
+                    window.lanes(s, input, (n, oy, ox), &mut out[o_base..o_base + out_ch]);
                 }
             }
         }
+        return;
     }
+    // Every used column is gathered in full, so stale values can only sit
+    // in the unused lanes of a partial tile, whose sums are discarded.
+    tile.resize(k * k * in_shape.c * PIX, 0.0);
+    let pixels = in_shape.n * (y_end - region.y) * (x_end - region.x);
+    let mut bases = [0usize; PIX];
+    // The next output pixel, walking `region` in `(n, oy, ox)` order.
+    let (mut n, mut oy, mut ox) = (0, region.y, region.x);
+    for t0 in (0..pixels).step_by(PIX) {
+        let np = (pixels - t0).min(PIX);
+        for (p, base) in bases.iter_mut().enumerate().take(np) {
+            window.gather(input, (n, oy, ox), tile, p);
+            *base = os.index(n, oy, ox, 0);
+            ox += 1;
+            if ox == x_end {
+                ox = region.x;
+                oy += 1;
+                if oy == y_end {
+                    oy = region.y;
+                    n += 1;
+                }
+            }
+        }
+        let blocks = out_ch - out_ch % OC_BLOCK;
+        for oc0 in (0..blocks).step_by(OC_BLOCK) {
+            let acc = tile_block::<OC_BLOCK>(s, oc0, tile);
+            for (p, &base) in bases.iter().enumerate().take(np) {
+                for (j, lane) in acc.iter().enumerate() {
+                    out[base + oc0 + j] = lane[p];
+                }
+            }
+        }
+        for oc in blocks..out_ch {
+            let [lane] = tile_block::<1>(s, oc, tile);
+            for (p, &base) in bases.iter().enumerate().take(np) {
+                out[base + oc] = lane[p];
+            }
+        }
+    }
+}
+
+/// An output pixel `(n, oy, ox)`.
+type Pixel = (usize, usize, usize);
+
+/// The input side of a convolution window.
+#[derive(Clone, Copy)]
+struct ConvWindow {
+    in_shape: Shape,
+    k: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl ConvWindow {
+    /// Gathers `pixel`'s receptive field into column `p` of the transposed
+    /// `[k·k·c][PIX]` tile: tap `q` in `(ky, kx, ic)` order lands at
+    /// `tile[q · PIX + p]`, padding taps as 0. Within one kernel row the
+    /// valid taps are adjacent in the input at any stride, so each row
+    /// copies one run.
+    #[inline(always)]
+    fn gather(&self, input: &[f32], (n, oy, ox): Pixel, tile: &mut [f32], p: usize) {
+        let ConvWindow { in_shape, k, stride, pad } = *self;
+        let (c, span) = (in_shape.c, k * in_shape.c);
+        let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
+        let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
+        for ky in 0..k {
+            let mut col = tile[ky * span * PIX + p..].iter_mut().step_by(PIX).take(span);
+            if (ky_lo..ky_hi).contains(&ky) && kx_lo < kx_hi {
+                let at = in_shape.index(n, oy * stride + ky - pad, ox * stride + kx_lo - pad, 0);
+                col.by_ref().take(kx_lo * c).for_each(|d| *d = 0.0);
+                // `src` leads the zip, so the column is not advanced past it.
+                for (&v, d) in input[at..at + (kx_hi - kx_lo) * c].iter().zip(col.by_ref()) {
+                    *d = v;
+                }
+            }
+            col.for_each(|d| *d = 0.0);
+        }
+    }
+
+    /// All output channels of `pixel` by the lane-split [`FloatDot`], one
+    /// run per valid kernel row.
+    #[inline]
+    fn lanes(&self, s: &FloatDot<'_>, input: &[f32], (n, oy, ox): Pixel, out: &mut [f32]) {
+        let ConvWindow { in_shape, k, stride, pad } = *self;
+        let c = in_shape.c;
+        let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
+        let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
+        for (oc, o) in out.iter_mut().enumerate() {
+            let mut acc = s.init(oc);
+            // (The `kx_lo < kx_hi` guard skips empty tap ranges, whose `ix`
+            // would underflow.)
+            if kx_lo < kx_hi {
+                for ky in ky_lo..ky_hi {
+                    let at =
+                        in_shape.index(n, oy * stride + ky - pad, ox * stride + kx_lo - pad, 0);
+                    let x = &input[at..at + (kx_hi - kx_lo) * c];
+                    acc = s.dot(acc, x, ((oc * k + ky) * k + kx_lo) * c);
+                }
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// One `J × PIX` register tile of output channels `oc0..oc0 + J`: each
+/// lane starts at its channel's bias and adds `w[oc][q] · x[q][p]` over
+/// the gathered taps `q` in order.
+#[inline(always)]
+fn tile_block<const J: usize>(s: &FloatDot<'_>, oc0: usize, tile: &[f32]) -> [[f32; PIX]; J] {
+    let taps = tile.len() / PIX;
+    let w: [&[f32]; J] = std::array::from_fn(|j| &s.weights[(oc0 + j) * taps..][..taps]);
+    let mut acc: [[f32; PIX]; J] = std::array::from_fn(|j| [s.init(oc0 + j); PIX]);
+    for (q, x) in tile.chunks_exact(PIX).enumerate() {
+        let x: &[f32; PIX] = x.try_into().expect("chunks are PIX long");
+        for (a, w) in acc.iter_mut().zip(&w) {
+            let wv = w[q];
+            for p in 0..PIX {
+                a[p] += wv * x[p];
+            }
+        }
+    }
+    acc
 }
 
 /// Cache-blocked depthwise convolution (`[kh][kw][c]` weights), zero
@@ -1261,11 +1377,15 @@ mod tests {
 
     #[test]
     fn tiled_conv_matches_naive_within_ulps() {
+        // The first four take the pixel-tiled path, the last two (fewer
+        // than `PIX` output pixels) the lane-split one.
         for (h, w, c, oc, k, stride, pad) in [
             (7, 9, 3, 5, 3, 1, 1),
             (8, 8, 4, 16, 3, 2, 0),
             (5, 5, 2, 9, 5, 1, 2),
             (6, 6, 1, 1, 1, 1, 0),
+            (1, 1, 40, 6, 1, 1, 0),
+            (4, 3, 9, 5, 3, 2, 1),
         ] {
             let input = Tensor::from_fn(Shape::hwc(h, w, c), |i| ((i as f32) * 0.11).sin());
             let weights = test_weights(oc * k * k * c, 3);
@@ -1282,12 +1402,15 @@ mod tests {
                 stride,
                 pad,
                 reference.shape().full_region(),
+                &mut Vec::new(),
             );
-            assert_ulp_close(
-                &out,
-                reference.data(),
-                &format!("conv2d h={h} w={w} c={c} oc={oc} k={k} s={stride} p={pad}"),
-            );
+            let what = format!("conv2d h={h} w={w} c={c} oc={oc} k={k} s={stride} p={pad}");
+            let os = reference.shape();
+            if os.h * os.w >= PIX {
+                assert_eq!(out, reference.data(), "{what}: tiled path must sum in naive's order");
+            } else {
+                assert_ulp_close(&out, reference.data(), &what);
+            }
         }
     }
 
@@ -1340,17 +1463,18 @@ mod tests {
         let input = Tensor::from_fn(Shape::hwc(8, 8, 2), |i| i as f32 * 0.01);
         let weights = test_weights(4 * 9 * 2, 19);
         let bias = vec![0.0; 4];
-        // The region-restricted reference is the *tiled* kernel itself on
-        // the full region: per output element the run decomposition only
-        // depends on the element's own tap geometry, so restricting the
-        // region must reproduce the full-map values exactly.
+        // The region-restricted reference is the kernel itself on the
+        // full region: an output element's value depends only on its own
+        // taps, so restricting the region must reproduce the full-map
+        // values exactly.
         let os = Shape::new(1, 8, 8, 4);
         let mut full = vec![0.0f32; os.len()];
         let dot = FloatDot { weights: &weights, bias: &bias };
-        conv2d(&dot, input.data(), input.shape(), &mut full, 4, 3, 1, 1, os.full_region());
+        let tile = &mut Vec::new();
+        conv2d(&dot, input.data(), input.shape(), &mut full, 4, 3, 1, 1, os.full_region(), tile);
         let region = Region::new(2, 3, 3, 4);
         let mut out = vec![f32::NAN; os.len()];
-        conv2d(&dot, input.data(), input.shape(), &mut out, 4, 3, 1, 1, region);
+        conv2d(&dot, input.data(), input.shape(), &mut out, 4, 3, 1, 1, region, tile);
         for y in 0..os.h {
             for x in 0..os.w {
                 for ch in 0..os.c {

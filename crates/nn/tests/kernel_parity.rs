@@ -19,14 +19,19 @@
 //!   changes rounding at the last few bits. The kernels remain
 //!   deterministic — the decomposition is a pure function of tap
 //!   geometry — so parity is asserted to a documented ULP tolerance
-//!   rather than bit equality. Depthwise float stays bit-exact: its
-//!   channels-in-lockstep `mac_rows` loop already gave every channel an
-//!   independent accumulator, so tiling never touched its ordering.
+//!   rather than bit equality. Two float paths are exact: depthwise,
+//!   whose channels-in-lockstep `mac_rows` loop gives every channel an
+//!   independent accumulator, and conv2d on maps of at least
+//!   [`kernels::PIX`] output pixels, whose pixel-tiled micro-kernel sums
+//!   every element in naive's order.
+//! * **Float conv values are region-independent.** Computing any
+//!   sub-region reproduces the full-map values bit for bit there and
+//!   writes nothing else, which is what lets patch branches stitch.
 
 use proptest::prelude::*;
 
 use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, PackedDot, Requant};
-use quantmcu_tensor::{pack, Bitwidth, Level, Shape, Tensor};
+use quantmcu_tensor::{pack, Bitwidth, Level, Region, Shape, Tensor};
 
 /// Deterministic pseudo-random buffer (the proptest shim drives shape and
 /// seed diversity; values just need to be varied and sign-mixed).
@@ -173,12 +178,73 @@ proptest! {
             stride,
             pad,
             reference.shape().full_region(),
+            &mut Vec::new(),
         );
+        let os = reference.shape();
+        if os.h * os.w >= kernels::PIX {
+            // The pixel-tiled path sums in naive's order.
+            prop_assert_eq!(out.as_slice(), reference.data());
+        }
         for (i, (&a, &e)) in out.iter().zip(reference.data()).enumerate() {
             prop_assert!(
                 ulp_close(a, e),
                 "conv2d element {} diverged beyond tolerance: {} vs {}", i, a, e
             );
+        }
+    }
+
+    #[test]
+    fn conv2d_region_reproduces_full_map_values(
+        h in 1usize..14,
+        w in 1usize..14,
+        c in 1usize..7,
+        oc in 1usize..10,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        stride in 1usize..4,
+        pad in 0usize..3,
+        at_y in 0.0f64..1.0,
+        at_x in 0.0f64..1.0,
+        frac_h in 0.0f64..1.0,
+        frac_w in 0.0f64..1.0,
+        seed in 0u64..1_000,
+    ) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let shape = Shape::hwc(h, w, c);
+        let (oh, ow) = kernels::conv_output_hw(shape, k, stride, pad);
+        let os = Shape::hwc(oh, ow, oc);
+        let (y, x) = ((at_y * oh as f64) as usize, (at_x * ow as f64) as usize);
+        let region = Region::new(
+            y,
+            x,
+            1 + (frac_h * (oh - y) as f64) as usize,
+            1 + (frac_w * (ow - x) as f64) as usize,
+        );
+        let input = varied(shape.len(), seed);
+        let weights = varied(oc * k * k * c, seed ^ 0xC0DE);
+        let bias = varied(oc, seed ^ 0x3);
+        let dot = FloatDot { weights: &weights, bias: &bias };
+        // One scratch across both calls, as an executor reuses it.
+        let tile = &mut Vec::new();
+        let mut full = vec![0.0f32; os.len()];
+        kernels::conv2d(&dot, &input, shape, &mut full, oc, k, stride, pad, os.full_region(), tile);
+        let mut part = vec![f32::NAN; os.len()];
+        kernels::conv2d(&dot, &input, shape, &mut part, oc, k, stride, pad, region, tile);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let inside = oy >= region.y && oy < region.y_end()
+                    && ox >= region.x && ox < region.x_end();
+                for ch in 0..oc {
+                    let (got, want) = (part[os.index(0, oy, ox, ch)], full[os.index(0, oy, ox, ch)]);
+                    if inside {
+                        prop_assert!(
+                            got.to_bits() == want.to_bits(),
+                            "({}, {}, {}): region {} vs full {}", oy, ox, ch, got, want
+                        );
+                    } else {
+                        prop_assert!(got.is_nan(), "({}, {}, {}) written outside the region", oy, ox, ch);
+                    }
+                }
+            }
         }
     }
 
