@@ -57,7 +57,7 @@ pub struct PlanStats {
     /// Gaussian fit plus input-tile outlier classification (zero when VDPC
     /// is disabled).
     pub vdpc: Duration,
-    /// Calibration ranges, fused entropy tables and score tables, for the
+    /// Calibration ranges, tail clips, entropy tables and score tables, for the
     /// branches and the tail.
     pub entropy: Duration,
     /// Algorithm 1 (greedy init + pair repair) over every branch and the
@@ -335,7 +335,7 @@ impl Planner {
         };
         let vdpc_time = vdpc_start.elapsed();
 
-        // ---- Ranges + fused entropy rows, one pool job per unique
+        // ---- Ranges + entropy rows, one pool job per unique
         // sample target (see [`Planner::prologue_on_pool`] — branches
         // sharing a region share one scan). A target needs an entropy row
         // only when some searched (non-outlier) branch reads it; ranges
@@ -424,6 +424,14 @@ impl Planner {
         // the raw range) and the search assigns 2-bit to a map that still
         // carries everything.
         //
+        // Each map is read twice: once by the clip's selection, once by
+        // the entropy scan, which clamps each value as it reads it. Both
+        // clip ends are values of the sample, so the clamped values' range
+        // is the clip itself and needs no min/max pass. Only a map without
+        // a finite min/max (all NaN, or holding ±∞ where the clip falls
+        // back to it) gets the unit range, which need not hold its values:
+        // it is clamped in place and folded.
+        //
         // 2-bit is excluded from the tail's candidates: a merged map
         // serves every patch, and the entropy proxy cannot reliably
         // certify post-training 2-bit there (it underestimates the harm
@@ -443,13 +451,21 @@ impl Planner {
         let tail_results = pool.map(tail_values, {
             let tail_cfg = Arc::clone(&tail_cfg);
             move |_, mut parts: Segments| {
-                let range = clipped_range(&parts);
-                let (lo, hi) = range;
-                for v in parts.iter_mut().flatten() {
-                    *v = v.clamp(lo, hi);
-                }
-                let row =
-                    entropy::Sample::new(&parts).table_row(&tail_cfg.candidates, tail_bins)?;
+                let candidates = &tail_cfg.candidates;
+                let (range, row) = match clipped_range(&parts) {
+                    Some((lo, hi)) => {
+                        let sample = entropy::Sample::clamped(&parts, lo, hi);
+                        ((lo, hi), sample.table_row(candidates, tail_bins)?)
+                    }
+                    None => {
+                        // `finite_or_unit`'s unit range.
+                        let (lo, hi) = (0.0, 1.0);
+                        for v in parts.iter_mut().flatten() {
+                            *v = v.clamp(lo, hi);
+                        }
+                        ((lo, hi), entropy::Sample::new(&parts).table_row(candidates, tail_bins)?)
+                    }
+                };
                 Ok::<_, PlanError>((range, row))
             }
         })?;
@@ -640,31 +656,34 @@ impl Planner {
             by_g[g].push((u, region));
         }
         let by_g = Arc::new(by_g);
-        let per_image_unique: Arc<Vec<usize>> = Arc::new(
-            unique
-                .iter()
-                .map(|&(g, region)| {
-                    let s = spec.feature_map_shape(quantmcu_nn::FeatureMapId(g));
-                    s.n * region.area() * s.c
-                })
-                .collect(),
-        );
-        let per_image_tail: Arc<Vec<usize>> = Arc::new(
-            (0..tail_fm_count)
-                .map(|g| spec.feature_map_shape(quantmcu_nn::FeatureMapId(split + g)).len())
-                .collect(),
-        );
+        let per_image_unique: Vec<usize> = unique
+            .iter()
+            .map(|&(g, region)| {
+                let s = spec.feature_map_shape(quantmcu_nn::FeatureMapId(g));
+                s.n * region.area() * s.c
+            })
+            .collect();
+        let per_image_tail: Vec<usize> = (0..tail_fm_count)
+            .map(|g| spec.feature_map_shape(quantmcu_nn::FeatureMapId(split + g)).len())
+            .collect();
         let chunk_count = pool.workers().min(calibration.len()).max(1);
         let chunk_size = calibration.len().div_ceil(chunk_count);
-        let chunks: Vec<&'env [Tensor]> = calibration.chunks(chunk_size).collect();
-        let accs = pool.map(chunks, move |state: &mut ExecState, chunk: &[Tensor]| {
-            let mut acc = ValueSamples {
-                unique: per_image_unique
-                    .iter()
-                    .map(|&c| Vec::with_capacity(c * chunk.len()))
-                    .collect(),
-                tail: per_image_tail.iter().map(|&c| Vec::with_capacity(c * chunk.len())).collect(),
-            };
+        // The buffers are reserved here, on the planning thread, not in
+        // the workers: freed, they return to this thread's heap, where
+        // what the caller allocates next (a deployment) reuses them. Had
+        // the workers reserved them, they would stay with the workers'
+        // allocator arenas, which the allocator need not give back.
+        let reserve = |per_image: &[usize], images: usize| -> Vec<Vec<f32>> {
+            per_image.iter().map(|&c| Vec::with_capacity(c * images)).collect()
+        };
+        let chunks: Vec<(&'env [Tensor], ValueSamples)> = calibration
+            .chunks(chunk_size)
+            .map(|chunk| {
+                let unique = reserve(&per_image_unique, chunk.len());
+                (chunk, ValueSamples { unique, tail: reserve(&per_image_tail, chunk.len()) })
+            })
+            .collect();
+        let accs = pool.map(chunks, move |state: &mut ExecState, (chunk, mut acc)| {
             for input in chunk {
                 compiled.run_float_with(state, input, |fm, t| {
                     let g = fm.0;
@@ -696,42 +715,145 @@ impl Planner {
     }
 }
 
-/// The 0.1%/99.9% percentile range of a sample (falls back to min/max for
-/// tiny samples).
-fn clipped_range(parts: &[Vec<f32>]) -> (f32, f32) {
+/// The 0.1%/99.9% percentile range of a tail map's sample, falling back to
+/// the min/max for samples under 1000 values and for a degenerate clip.
+/// Both ends are values of the sample. `None` when the fallback min/max is
+/// not finite (an all-NaN sample, or one holding ±∞): the plan then uses
+/// the unit range of [`finite_or_unit`].
+///
+/// The percentiles are those of a positional subsample of ≤ 131,072
+/// values (every value whose index across the segments is a multiple of
+/// `stride`), with NaN dropped — it carries no range information. Only
+/// ranks `⌊0.001·n⌋` and `⌊0.999·n⌋` of the `n` kept values are needed,
+/// and both lie within `⌊0.001·m⌋ + 2` of their end of the order, where
+/// `m ≥ n` counts the subsample's positions. So one read keeps that many
+/// least and greatest values, and no copy of the subsample is made.
+/// Among equal values the earlier one ranks first, which can matter only
+/// for the sign of a zero end.
+fn clipped_range(parts: &[Vec<f32>]) -> Option<(f32, f32)> {
+    let fallback = || {
+        let (lo, hi) = entropy::Sample::new(parts).range();
+        (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
+    };
     let len: usize = parts.iter().map(Vec::len).sum();
     if len < 1000 {
-        return min_max(parts);
+        return fallback();
     }
-    // Subsample; percentiles of 65k values are plenty stable. The
-    // subsample is positional over the concatenation — every value whose
-    // index across all segments is a multiple of `stride`. NaN values are
-    // dropped — they carry no range information and break the
-    // comparator's total order.
     let stride = (len / 65_536).max(1);
-    let mut sample = Vec::with_capacity(len / stride + 1);
-    let mut offset = 0;
-    for part in parts {
-        let first = (stride - offset % stride) % stride;
-        sample.extend(part.iter().skip(first).step_by(stride).copied().filter(|v| !v.is_nan()));
-        offset += part.len();
-    }
-    if sample.is_empty() {
-        return min_max(parts);
-    }
-    // Only the two clip percentiles are needed, not the full order: two
-    // O(n) selections instead of a sort. A selected k-th order statistic
-    // is exactly the value a sort would put at index k, so the range is
-    // identical to the sorted implementation's.
-    let cmp = |a: &f32, b: &f32| a.partial_cmp(b).expect("NaNs filtered above");
-    let ilo = (sample.len() as f64 * 0.001) as usize;
-    let ihi = ((sample.len() as f64 * 0.999) as usize).min(sample.len() - 1);
-    let (_, &mut lo, rest) = sample.select_nth_unstable_by(ilo, cmp);
-    let hi = if ihi > ilo { *rest.select_nth_unstable_by(ihi - ilo - 1, cmp).1 } else { lo };
-    if lo < hi {
-        (lo, hi)
+    let keep = (((len - 1) / stride + 1) as f64 * 0.001) as usize + 2;
+    // The greatest values are kept negated: negation is exact and
+    // reverses the order.
+    let (mut least, mut greatest) = (Least::new(keep), Least::new(keep));
+    let mut n = 0;
+    // Most blocks hold nothing for either end: a vectorized min/max/count
+    // decides that before any value is offered.
+    let mut visit = |block: &[f32]| {
+        let (lo, hi, kept) = fold_block(block);
+        n += kept;
+        if least.wants(lo) || greatest.wants(-hi) {
+            for &v in block {
+                least.offer(v);
+                greatest.offer(-v);
+            }
+        }
+    };
+    if stride == 1 {
+        parts.iter().flat_map(|part| part.chunks(BLOCK)).for_each(&mut visit);
     } else {
-        min_max(parts)
+        let mut block = [0f32; BLOCK];
+        let mut offset = 0;
+        for part in parts {
+            let first = (stride - offset % stride) % stride;
+            let mut subsample = part.iter().skip(first).step_by(stride);
+            loop {
+                let mut len = 0;
+                for (slot, &v) in block.iter_mut().zip(&mut subsample) {
+                    *slot = v;
+                    len += 1;
+                }
+                if len == 0 {
+                    break;
+                }
+                visit(&block[..len]);
+            }
+            offset += part.len();
+        }
+    }
+    if n == 0 {
+        return fallback();
+    }
+    let ilo = (n as f64 * 0.001) as usize;
+    let ihi = ((n as f64 * 0.999) as usize).min(n - 1);
+    debug_assert!(ilo < keep && n - 1 - ihi < keep, "ranks {ilo}, {ihi} of {n} kept");
+    if ihi > ilo {
+        let (lo, hi) = (least.values[ilo], -greatest.values[n - 1 - ihi]);
+        if lo < hi {
+            return Some((lo, hi));
+        }
+    }
+    fallback()
+}
+
+/// Values per block of the clip's selection read.
+const BLOCK: usize = 64;
+
+/// A block's min and max over its non-NaN values, and their count, in
+/// independent lanes the compiler vectorizes.
+fn fold_block(block: &[f32]) -> (f32, f32, usize) {
+    const LANES: usize = 16;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let mut kept = [0u32; LANES];
+    let mut chunks = block.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (((l, h), k), &v) in lo.iter_mut().zip(&mut hi).zip(&mut kept).zip(chunk) {
+            *l = if v < *l { v } else { *l };
+            *h = if v > *h { v } else { *h };
+            *k += u32::from(!v.is_nan());
+        }
+    }
+    for &v in chunks.remainder() {
+        lo[0] = if v < lo[0] { v } else { lo[0] };
+        hi[0] = if v > hi[0] { v } else { hi[0] };
+        kept[0] += u32::from(!v.is_nan());
+    }
+    let lo = lo.into_iter().fold(f32::INFINITY, |a, v| if v < a { v } else { a });
+    let hi = hi.into_iter().fold(f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
+    (lo, hi, kept.into_iter().sum::<u32>() as usize)
+}
+
+/// The `keep` least non-NaN values offered so far, ascending; among equal
+/// values the one offered first ranks first.
+struct Least {
+    keep: usize,
+    values: Vec<f32>,
+}
+
+impl Least {
+    fn new(keep: usize) -> Self {
+        Least { keep, values: Vec::with_capacity(keep + 1) }
+    }
+
+    /// Whether [`Least::offer`] could keep some value no less than `v` —
+    /// `false` lets a block whose least value is `v` be skipped.
+    fn wants(&self, v: f32) -> bool {
+        self.values.len() < self.keep || v < self.values[self.keep - 1]
+    }
+
+    #[inline]
+    fn offer(&mut self, v: f32) {
+        if self.values.len() == self.keep {
+            // NaN fails the comparison too.
+            if v < self.values[self.keep - 1] {
+                self.values.pop();
+            } else {
+                return;
+            }
+        } else if v.is_nan() {
+            return;
+        }
+        let at = self.values.partition_point(|&x| x <= v);
+        self.values.insert(at, v);
     }
 }
 
@@ -989,19 +1111,24 @@ mod tests {
                 let whole = [values];
                 assert_eq!(bits(min_max(&parts)), bits(min_max(&whole)), "len {len} seed {seed}");
                 assert_eq!(
-                    bits(clipped_range(&parts)),
-                    bits(clipped_range(&whole)),
+                    clipped_range(&parts).map(bits),
+                    clipped_range(&whole).map(bits),
                     "len {len} seed {seed}"
                 );
             }
         }
     }
 
-    /// Pins the fused row of a segmented sample to the oracle's row of
-    /// its concatenation, bit for bit.
-    fn assert_rows_match_naive(parts: &Segments, candidates: &[Bitwidth], k: usize) {
-        let (h_fast, row_fast) = entropy::Sample::new(parts).table_row(candidates, k).unwrap();
-        let (h_slow, row_slow) = entropy::naive::table_row(&parts.concat(), candidates, k).unwrap();
+    /// Pins the row of a segmented sample to the oracle's row of `values`
+    /// (the values the sample reads, concatenated), bit for bit.
+    fn assert_rows_match_naive(
+        sample: entropy::Sample<'_, Vec<f32>>,
+        values: &[f32],
+        candidates: &[Bitwidth],
+        k: usize,
+    ) {
+        let (h_fast, row_fast) = sample.table_row(candidates, k).unwrap();
+        let (h_slow, row_slow) = entropy::naive::table_row(values, candidates, k).unwrap();
         assert_eq!(h_fast.to_bits(), h_slow.to_bits(), "H diverged: {h_fast} vs {h_slow}");
         for (f, s) in row_fast.iter().zip(&row_slow) {
             assert_eq!(f.to_bits(), s.to_bits(), "ΔH diverged: {f} vs {s}");
@@ -1014,8 +1141,8 @@ mod tests {
         // bin edges that synthetic samples rarely reach. Capture
         // MobileNetV2's exec-scale samples from 4 images through the
         // planner's own prologue (2 workers, so 2 segments per sample),
-        // clip and clamp the tail maps as `build_context` does, and pin
-        // every fused row to the oracle.
+        // clip the tail maps and read them clamped as `build_context`
+        // does, and pin every row to the oracle on the clamped values.
         let spec = Model::MobileNetV2.spec(ModelConfig::exec_scale()).unwrap();
         let g = init::with_structured_weights(spec, 7);
         let images = ClassificationDataset::new(32, 10, 7).images(4);
@@ -1034,16 +1161,19 @@ mod tests {
         let vdqs = &planner.cfg.vdqs;
         for parts in &pro.unique_values {
             assert_eq!(parts.len(), 2);
-            assert_rows_match_naive(parts, &vdqs.candidates, vdqs.hist_bins);
+            let sample = entropy::Sample::new(parts);
+            assert_rows_match_naive(sample, &parts.concat(), &vdqs.candidates, vdqs.hist_bins);
         }
         let tail_candidates: Vec<Bitwidth> =
             vdqs.candidates.iter().copied().filter(|b| *b >= Bitwidth::W4).collect();
-        for mut parts in pro.tail_values {
-            let (lo, hi) = clipped_range(&parts);
-            for v in parts.iter_mut().flatten() {
-                *v = v.clamp(lo, hi);
-            }
-            assert_rows_match_naive(&parts, &tail_candidates, vdqs.hist_bins * 16);
+        for parts in &pro.tail_values {
+            let (lo, hi) = clipped_range(parts).expect("ReLU6 maps have a finite clip");
+            let clamped: Vec<f32> = parts.iter().flatten().map(|v| v.clamp(lo, hi)).collect();
+            let sample = entropy::Sample::clamped(parts, lo, hi);
+            assert_rows_match_naive(sample, &clamped, &tail_candidates, vdqs.hist_bins * 16);
+            // The clamped range is the clip itself: no min/max pass needed.
+            let (clo, chi) = entropy::Sample::new(&[&clamped]).range();
+            assert!(clo == lo && chi == hi, "clamped range ({clo}, {chi}) vs clip ({lo}, {hi})");
         }
     }
 
@@ -1052,12 +1182,165 @@ mod tests {
         let g = graph();
         let mut images = calib(3);
         // Inject a NaN into one calibration image; the plan must still
-        // come out with finite, non-degenerate ranges.
+        // come out with finite, non-degenerate ranges, in the branches
+        // and in the tail.
         images[0].data_mut()[7] = f32::NAN;
         let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &images, 256 * 1024).unwrap();
-        for ranges in &plan.branch_ranges {
-            for &(lo, hi) in ranges {
-                assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
+        for &(lo, hi) in plan.branch_ranges.iter().flatten().chain(&plan.tail_ranges) {
+            assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "({lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn infinite_calibration_values_give_finite_ranges_or_a_typed_error() {
+        // An infinite pixel turns into ±∞ and NaN downstream, and a grid
+        // cannot be fitted on an infinite range: planning stops with a
+        // typed error — on both signs, whether one pixel or a run of 40
+        // is infinite — and never panics.
+        let g = graph();
+        for v in [f32::INFINITY, f32::NEG_INFINITY] {
+            for count in [1, 40] {
+                let mut images = calib(3);
+                for j in 0..count {
+                    images[0].data_mut()[7 + 3 * j] = v;
+                }
+                let err = Planner::new(QuantMcuConfig::paper()).plan(&g, &images, 256 * 1024);
+                assert!(
+                    matches!(
+                        err,
+                        Err(PlanError::Quant(quantmcu_quant::QuantError::Statistics(
+                            quantmcu_tensor::TensorError::InvalidScale(_)
+                        )))
+                    ),
+                    "{v} × {count}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// The tail clip as a full sort computes it: the reference for the
+    /// bounded selection of [`clipped_range`]. `None` stands for the unit
+    /// range of a non-finite min/max, as there.
+    fn sorted_clip(values: &[f32]) -> Option<(f32, f32)> {
+        let min_max = || {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &v in values {
+                lo = if v < lo { v } else { lo };
+                hi = if v > hi { v } else { hi };
+            }
+            (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
+        };
+        if values.len() < 1000 {
+            return min_max();
+        }
+        let stride = (values.len() / 65_536).max(1);
+        let mut sample: Vec<f32> =
+            values.iter().step_by(stride).copied().filter(|v| !v.is_nan()).collect();
+        if sample.is_empty() {
+            return min_max();
+        }
+        sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let n = sample.len();
+        let ilo = (n as f64 * 0.001) as usize;
+        let ihi = ((n as f64 * 0.999) as usize).min(n - 1);
+        let (lo, hi) = (sample[ilo], sample[ihi.max(ilo)]);
+        if lo < hi {
+            Some((lo, hi))
+        } else {
+            min_max()
+        }
+    }
+
+    /// Seeded values of one of six kinds: mixed values salted with NaN,
+    /// ±0 and ±∞; one repeated value; ReLU6-like masses of ±0 and 6;
+    /// ±∞ above the 0.1% tails; all NaN but a few; and one value with
+    /// under 0.1% others, whose clip collapses to `lo == hi`.
+    fn clip_values(len: usize, seed: u64, kind: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let uniform = |r: u64| (r % 20_001) as f32 * 1e-3 - 10.0;
+        (0..len)
+            .map(|_| {
+                let r = next();
+                match (kind, r % 1000) {
+                    (0, 0) => f32::NAN,
+                    (0, 1) => 0.0,
+                    (0, 2) => -0.0,
+                    (0, 3) => f32::INFINITY,
+                    (0, 4) => f32::NEG_INFINITY,
+                    (0, _) => uniform(r >> 10),
+                    (1, _) => 2.5,
+                    (2, x) if x < 400 => 0.0,
+                    (2, x) if x < 500 => -0.0,
+                    (2, x) if x < 700 => 6.0,
+                    (2, _) => (r >> 10) as f32 % 6.0,
+                    (3, x) if x < 5 => f32::INFINITY,
+                    (3, x) if x < 10 => f32::NEG_INFINITY,
+                    (3, _) => uniform(r >> 10),
+                    (4, x) if x < 2 => uniform(r >> 10),
+                    (4, _) => f32::NAN,
+                    (_, x) if x == 0 && r % 3 == 0 => uniform(r >> 10),
+                    (_, _) => -1.25,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The bounded selection pinned to the sort-based reference.
+        /// Nonzero ends must match bit for bit; a zero end must match with
+        /// `==`, because among equal values a sort (or the parent's
+        /// `select_nth_unstable`) may pick either sign of zero.
+        #[test]
+        fn clipped_range_matches_the_sorted_reference(
+            len in proptest::prelude::prop::sample::select(
+                vec![0usize, 1, 999, 1000, 1001, 4096, 65_537, 131_071, 131_072, 131_073, 200_003]
+            ),
+            seed in 0u64..10_000,
+            kind in 0u64..6,
+            segments in 1u64..6,
+        ) {
+            let values = clip_values(len, seed, kind);
+            let (_, parts) = {
+                let mut state = seed | 1;
+                let mut cuts: Vec<usize> = (1..segments)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (state >> 33) as usize % (len + 1)
+                    })
+                    .collect();
+                cuts.sort_unstable();
+                cuts.push(len);
+                let mut start = 0;
+                let parts: Segments = cuts
+                    .into_iter()
+                    .map(|end| {
+                        let part = values[start..end].to_vec();
+                        start = end;
+                        part
+                    })
+                    .collect();
+                ((), parts)
+            };
+            let same = |a: f32, b: f32| if b == 0.0 { a == 0.0 } else { a.to_bits() == b.to_bits() };
+            match (clipped_range(&parts), sorted_clip(&values)) {
+                (Some((lo, hi)), Some((rlo, rhi))) => {
+                    proptest::prop_assert!(
+                        same(lo, rlo) && same(hi, rhi),
+                        "({lo}, {hi}) vs reference ({rlo}, {rhi})"
+                    );
+                }
+                (got, want) => proptest::prop_assert!(
+                    got.is_none() && want.is_none(),
+                    "{got:?} vs reference {want:?}"
+                ),
             }
         }
     }

@@ -30,7 +30,8 @@
 //!   `tests/tests/server.rs`).
 //! * **Observability.** [`Server::stats`] snapshots accepted / rejected
 //!   / completed counts, queue depth and p50/p99 request latency from a
-//!   fixed-bucket histogram — plain counters and [`Duration`]s, no
+//!   fixed-bucket log-linear histogram, within 12.5% of the true
+//!   quantile — plain counters and [`Duration`]s, no
 //!   `Instant`s, so snapshots are comparable across hosts.
 //!
 //! Under the hood the server is a thin policy layer over
@@ -90,12 +91,19 @@ impl From<PoolError> for ServeError {
     }
 }
 
-/// Number of exponential latency buckets: bucket `i` counts requests
-/// with latency below `2^i` µs, so 40 buckets span sub-microsecond to
-/// ~6 days — fixed memory, no allocation on the request path.
-const LATENCY_BUCKETS: usize = 40;
+/// Sub-buckets per octave of the log-linear latency histogram: a bucket
+/// spans at most 1/8 of its lower bound, so its upper bound is within
+/// 12.5% of every latency it holds.
+const SUB_BUCKETS: usize = 8;
 
-/// A fixed-bucket exponential latency histogram with atomic counters.
+/// Number of latency buckets. Latencies are counted in nanoseconds:
+/// buckets `0..16` hold one nanosecond each, and from 8 ns on every
+/// octave `[2^e, 2^(e+1))` splits into [`SUB_BUCKETS`] equal buckets, up
+/// to 2⁴⁸ ns (~78 hours) — fixed memory, no allocation on the request
+/// path.
+const LATENCY_BUCKETS: usize = (48 - 2) * SUB_BUCKETS;
+
+/// A fixed-bucket log-linear latency histogram with atomic counters.
 #[derive(Debug)]
 struct LatencyHistogram {
     counts: [AtomicU64; LATENCY_BUCKETS],
@@ -106,9 +114,28 @@ impl LatencyHistogram {
         LatencyHistogram { counts: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 
+    /// The bucket of `latency`: with `e = ⌊log2 ns⌋ ≥ 3`, bucket
+    /// `(e − 2)·8 + s` for the `s`-th eighth of the octave; below 16 ns
+    /// that is the nanosecond count itself. Zero counts as 1 ns, and
+    /// latencies past the last bucket clamp to it.
     fn bucket(latency: Duration) -> usize {
-        let micros = latency.as_micros().max(1);
-        (128 - micros.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX).max(1);
+        let e = 63 - ns.leading_zeros() as usize;
+        let bucket = if e < 3 {
+            ns as usize
+        } else {
+            (e - 2) * SUB_BUCKETS + ((ns >> (e - 3)) as usize & (SUB_BUCKETS - 1))
+        };
+        bucket.min(LATENCY_BUCKETS - 1)
+    }
+
+    /// The exclusive upper bound of bucket `i`, in nanoseconds.
+    fn upper_bound(i: usize) -> u64 {
+        if i < 2 * SUB_BUCKETS {
+            return i as u64 + 1;
+        }
+        let (e, s) = (i / SUB_BUCKETS + 2, i % SUB_BUCKETS);
+        ((SUB_BUCKETS + s + 1) as u64) << (e - 3)
     }
 
     fn record(&self, latency: Duration) {
@@ -127,13 +154,15 @@ impl LatencyHistogram {
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut cumulative = 0;
+        let mut bucket = LATENCY_BUCKETS - 1;
         for (i, count) in counts.iter().enumerate() {
             cumulative += count;
             if cumulative >= target {
-                return Some(Duration::from_micros(1u64 << i));
+                bucket = i;
+                break;
             }
         }
-        Some(Duration::from_micros(1u64 << (LATENCY_BUCKETS - 1)))
+        Some(Duration::from_nanos(Self::upper_bound(bucket)))
     }
 }
 
@@ -188,8 +217,9 @@ pub struct ServerStats {
     /// Requests completed with an inference error.
     pub failed: u64,
     /// Median request latency (queue wait + inference), from a
-    /// fixed-bucket histogram: the true quantile rounded up to the next
-    /// power-of-two microsecond bound. `None` until at least one request
+    /// fixed-bucket log-linear histogram: the true quantile rounded up to
+    /// its bucket's bound, at most 12.5% above it (8 buckets per
+    /// octave). `None` until at least one request
     /// has completed — an empty histogram has no quantiles, and the old
     /// `Duration::ZERO` placeholder was indistinguishable from a real
     /// sub-microsecond measurement.
@@ -498,11 +528,34 @@ mod tests {
         for micros in [3u64, 3, 3, 3, 3, 3, 3, 3, 3, 900] {
             hist.record(Duration::from_micros(micros));
         }
-        // 9 of 10 samples land in the 2–4 µs bucket (upper bound 4 µs),
-        // the outlier in the 512–1024 µs bucket (upper bound 1024 µs).
-        assert_eq!(hist.quantile(0.50), Some(Duration::from_micros(4)));
-        assert_eq!(hist.quantile(0.90), Some(Duration::from_micros(4)));
-        assert_eq!(hist.quantile(0.99), Some(Duration::from_micros(1024)));
+        // 9 of 10 samples land in the 2816–3072 ns bucket (the fourth
+        // eighth of the 2048–4096 ns octave), the outlier in the
+        // 851968–917504 ns bucket.
+        assert_eq!(hist.quantile(0.50), Some(Duration::from_nanos(3072)));
+        assert_eq!(hist.quantile(0.90), Some(Duration::from_nanos(3072)));
+        assert_eq!(hist.quantile(0.99), Some(Duration::from_nanos(917_504)));
+    }
+
+    #[test]
+    fn histogram_quantiles_are_within_an_eighth_from_1us_to_10s() {
+        // Every latency from 1 µs to 10 s, 64 per octave plus the ends,
+        // reads back as its bucket's upper bound: above the latency, and
+        // at most 12.5% above it.
+        let (lo, hi) = (1_000f64, 10_000_000_000f64);
+        let steps = ((hi / lo).log2() * 64.0).ceil() as u32;
+        for i in 0..=steps {
+            let ns = (lo * 2f64.powf(i as f64 / 64.0)).min(hi) as u64;
+            let hist = LatencyHistogram::new();
+            hist.record(Duration::from_nanos(ns));
+            let p50 = hist.quantile(0.5).unwrap().as_nanos() as f64;
+            let err = (p50 - ns as f64) / ns as f64;
+            assert!(err > 0.0 && err <= 0.125, "{ns} ns reads {p50} ns ({err:.4})");
+        }
+        // Bucket bounds are contiguous: each starts where the last ended.
+        for i in 1..LATENCY_BUCKETS {
+            let start = LatencyHistogram::upper_bound(i - 1);
+            assert_eq!(LatencyHistogram::bucket(Duration::from_nanos(start)), i, "bucket {i}");
+        }
     }
 
     #[test]

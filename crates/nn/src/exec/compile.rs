@@ -62,7 +62,7 @@
 //! bit-identically: a deployment restored from a plan artifact
 //! recompiles its tail this way.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 use quantmcu_tensor::{
     pack, Arena, Bitwidth, ChannelQuantParams, Level, QuantParams, Region, Shape, Tensor,
@@ -702,18 +702,23 @@ impl QuantTables {
             // Weights are quantized in their *execution* layout (the one
             // the shared kernels index), so each value maps to its own
             // channel's grid: depthwise is `[kh][kw][c]` (channel =
-            // j % c), conv/dense rows are already channel-major.
+            // j % c), conv/dense rows are already channel-major, one
+            // contiguous run per channel.
             let qw: Vec<i8> = match op {
                 OpSpec::DepthwiseConv2d { .. } => w
                     .iter()
                     .enumerate()
                     .map(|(j, &v)| params.quantize(j % in_shape.c, v) as i8)
                     .collect(),
-                _ => w
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| params.quantize(j / per_channel, v) as i8)
-                    .collect(),
+                _ => {
+                    let mut qw = vec![0i8; w.len()];
+                    for (ch, (src, dst)) in
+                        w.chunks(per_channel).zip(qw.chunks_mut(per_channel)).enumerate()
+                    {
+                        params.quantize_slice(ch, src, dst);
+                    }
+                    qw
+                }
             };
             let s_in = act_params[source_fm(spec.nodes()[i].inputs[0])].scale() as f64;
             let bias = graph.params(i).bias();
@@ -1043,9 +1048,10 @@ fn weight_channel_layout(op: OpSpec, in_shape: Shape, w_len: usize) -> (usize, u
 /// Rearranges weights so each channel's values are contiguous, the layout
 /// [`ChannelQuantParams::fit`] expects. Conv (OHWI) and dense are already
 /// channel-major; depthwise is stored `[kh][kw][c]` and must be transposed
-/// to `[c][kh][kw]`. Only the *fit* uses this grouping — execution keeps
-/// the canonical layout the shared kernels index.
-fn regroup_by_channel(op: OpSpec, in_shape: Shape, w: &[f32]) -> Vec<f32> {
+/// to `[c][kh][kw]`, the only copy made. Only the *fit* uses this
+/// grouping — execution keeps the canonical layout the shared kernels
+/// index.
+fn regroup_by_channel(op: OpSpec, in_shape: Shape, w: &[f32]) -> Cow<'_, [f32]> {
     match op {
         OpSpec::DepthwiseConv2d { kernel, .. } => {
             let c = in_shape.c;
@@ -1056,9 +1062,9 @@ fn regroup_by_channel(op: OpSpec, in_shape: Shape, w: &[f32]) -> Vec<f32> {
                     out[ch * kk + t] = w[t * c + ch];
                 }
             }
-            out
+            Cow::Owned(out)
         }
-        _ => w.to_vec(),
+        _ => Cow::Borrowed(w),
     }
 }
 

@@ -8,43 +8,47 @@
 //! (Eq. 4). The accuracy impact of quantizing map `i` to `b` bits is the
 //! normalized entropy reduction (Eq. 5).
 //!
-//! ## Fused engine vs. the naive oracle
+//! ## Counting engine vs. the naive oracle
 //!
 //! The textbook evaluation ([`naive`]) makes `3 + 7·C` passes over a
 //! feature map with `C` candidates: every `(map, candidate)` pair re-runs
 //! the moments scan, materializes a dequantized `Vec<f32>` copy, and
-//! histograms it from scratch. The functions at this level are the *fused*
-//! engine, which reads each value **twice** however many candidates there
-//! are: a min/max fold ([`Sample::new`]), then one scan
-//! ([`Sample::table_row`]). The scan walks the sample in fixed-size
-//! blocks, computes each value's full-precision bin and its level on every
-//! candidate grid, and scatters them into per-level counters; after the
-//! scan, each candidate's level counts become bin counts through a
-//! precomputed level→bin lookup table (≤ 256 entries for the search
-//! candidates). A sample may come in segments — the planner keeps one
-//! buffer per calibration chunk — and is read as their concatenation.
+//! histograms it from scratch. The functions at this level read each
+//! value at most **twice** however many candidates there are: a min/max
+//! fold ([`Sample::new`]), skipped when the caller already knows the range
+//! ([`Sample::clamped`]), then one counting scan ([`Sample::table_row`]).
+//! A sample may come in segments — the planner keeps one buffer per
+//! calibration chunk — and is read as their concatenation.
 //!
-//! `floor` and `round` become branch-free equivalents the compiler can
-//! vectorize (`Bins::index` here, [`QuantParams::quantize_slice`] for the
-//! levels), exact on every input;
-//! everything else is the naive path's arithmetic — the same
-//! [`QuantParams`] grids, the same bin formula on the same support — so
-//! the results are **bit-identical**, which the proptest parity suite
-//! (`tests/entropy_parity.rs`) pins against [`naive`] permanently.
+//! The scan rests on one observation: a value's full-precision bin and
+//! its level on every candidate grid are all non-decreasing step
+//! functions of the value. The scan computes one of them arithmetically,
+//! the *base* — whichever has the most distinct values on the sample's
+//! range: the fine bins, or the widest grid's levels. The others change
+//! value at most a few times inside one base cell, at thresholds that are
+//! exact `f32`s, found once per map by searching out one ULP at a time
+//! from each analytic boundary. A value then lands in one counter: its
+//! base cell, and how many of that cell's thresholds it reaches. After the
+//! scan, a walk over the counters in value order rebuilds the
+//! full-precision histogram and every grid's histogram on the same bins;
+//! NaN values, kept in a counter of their own, join bin 0 and the zero
+//! point's bin, where the oracle puts them.
+//!
+//! Each threshold is the least `f32` at which its step function —
+//! evaluated with the oracle's own arithmetic (`Histogram::build_in_range`'s
+//! bin formula, [`QuantParams::quantize`]) — reaches the next value, so
+//! the counts are those of evaluating every function on every value, and
+//! the results are **bit-identical** to [`naive`]. The proptest parity
+//! suite (`tests/entropy_parity.rs`) pins that permanently. Grids wider
+//! than 16 bits are rejected: their level tables would not fit.
 
 use quantmcu_tensor::stats::Histogram;
 use quantmcu_tensor::{Bitwidth, QuantParams};
 
 use crate::error::QuantError;
 
-/// Candidates up to this many quantization levels count per level and
-/// bin through a level→bin LUT; wider grids (W16/W32 — never in the
-/// search set) bin each dequantized value directly, which is the same
-/// arithmetic without the table.
-const MAX_LUT_LEVELS: usize = 256;
-
 /// The textbook multi-pass evaluation, retained verbatim as the parity
-/// oracle for the fused engine (see the [module docs](self)).
+/// oracle for the counting engine (see the [module docs](self)).
 pub mod naive {
     use quantmcu_tensor::stats::{self, Histogram};
     use quantmcu_tensor::{Bitwidth, QuantParams};
@@ -145,7 +149,8 @@ pub fn full_precision_entropy(values: &[f32], k: usize) -> Result<f64, QuantErro
 /// # Errors
 ///
 /// Returns [`QuantError::Statistics`] for an empty sample and
-/// [`QuantError::MalformedInput`] for more than 2²² bins.
+/// [`QuantError::MalformedInput`] for more than 2²² bins or a grid wider
+/// than 16 bits.
 pub fn quantized_entropy(values: &[f32], b: Bitwidth, k: usize) -> Result<f64, QuantError> {
     Ok(Sample::new(&[values]).entropies(&[b], k)?.1[0])
 }
@@ -157,7 +162,8 @@ pub fn quantized_entropy(values: &[f32], b: Bitwidth, k: usize) -> Result<f64, Q
 /// # Errors
 ///
 /// Returns [`QuantError::Statistics`] for an empty sample and
-/// [`QuantError::MalformedInput`] for more than 2²² bins.
+/// [`QuantError::MalformedInput`] for more than 2²² bins or a grid wider
+/// than 16 bits.
 pub fn entropy_reduction(values: &[f32], b: Bitwidth, k: usize) -> Result<f64, QuantError> {
     Ok(table_row(values, &[b], k)?.1[0])
 }
@@ -178,7 +184,8 @@ pub struct EntropyTable {
 /// # Errors
 ///
 /// Returns [`QuantError::Statistics`] when any feature map's sample is
-/// empty and [`QuantError::MalformedInput`] for more than 2²² bins.
+/// empty and [`QuantError::MalformedInput`] for more than 2²² bins or a
+/// grid wider than 16 bits.
 pub fn build_table(
     fm_values: &[Vec<f32>],
     candidates: &[Bitwidth],
@@ -194,13 +201,14 @@ pub fn build_table(
     Ok(EntropyTable { full, reductions })
 }
 
-/// One feature map's table row: `(H, ΔH per candidate)` through the fused
+/// One feature map's table row: `(H, ΔH per candidate)` through the counting
 /// engine — [`Sample::table_row`] on a one-segment sample.
 ///
 /// # Errors
 ///
 /// Returns [`QuantError::Statistics`] for an empty sample and
-/// [`QuantError::MalformedInput`] for more than 2²² bins.
+/// [`QuantError::MalformedInput`] for more than 2²² bins or a grid wider
+/// than 16 bits.
 pub fn table_row(
     values: &[f32],
     candidates: &[Bitwidth],
@@ -209,21 +217,23 @@ pub fn table_row(
     Sample::new(&[values]).table_row(candidates, k)
 }
 
-/// Values per block of the fused scan: small enough that a block's bin
-/// and level indices stay in registers and L1, large enough that the
-/// compiler vectorizes the index arithmetic over it.
+/// Values per block of the counting scan: small enough that a block's
+/// clamped values and cell indices stay in L1, large enough that the
+/// compiler vectorizes the cell arithmetic over it.
 const BLOCK: usize = 64;
 
 /// One feature map's sample, held as ordered segments (the planner keeps
 /// one buffer per calibration chunk) and read as their concatenation,
-/// together with its min/max fold — the first of the fused engine's two
-/// passes, whose range the second pass bins and fits its grids on.
+/// together with the range the counting scan bins and fits its grids on.
 #[derive(Debug)]
 pub struct Sample<'a, S> {
     parts: &'a [S],
     len: usize,
     lo: f32,
     hi: f32,
+    /// Every value is read as `v.clamp(clamp.0, clamp.1)`; `(−∞, +∞)`
+    /// reads it unchanged.
+    clamp: (f32, f32),
 }
 
 impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
@@ -273,7 +283,25 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
                 hi = first_zero;
             }
         }
-        Sample { parts, len, lo, hi }
+        Sample { parts, len, lo, hi, clamp: (f32::NEG_INFINITY, f32::INFINITY) }
+    }
+
+    /// The sample read as `v.clamp(lo, hi)` value by value, with no
+    /// min/max fold: the range is taken to be `(lo, hi)`. When `lo` and
+    /// `hi` are both values of the sample, that is exactly the clamped
+    /// values' min and max, up to the sign of a zero end — which no bin
+    /// and no grid depends on — so every entropy equals that of the
+    /// clamped sample under [`Sample::new`]. For other bounds the scan is
+    /// still well-defined, but it bins on `(lo, hi)`, not on the clamped
+    /// values' range.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lo > hi` or either is NaN, as [`f32::clamp`] does.
+    pub fn clamped(parts: &'a [S], lo: f32, hi: f32) -> Self {
+        assert!(lo <= hi, "clamp range [{lo}, {hi}] is empty or NaN");
+        let len = parts.iter().map(|p| p.as_ref().len()).sum();
+        Sample { parts, len, lo, hi, clamp: (lo, hi) }
     }
 
     /// `(min, max)` over the non-NaN values; `(+∞, −∞)` when there are
@@ -282,12 +310,14 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
         (self.lo, self.hi)
     }
 
-    /// The map's table row, `(H, ΔH per candidate)`, from one fused scan.
+    /// The map's table row, `(H, ΔH per candidate)`, from one counting
+    /// scan.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::Statistics`] for an empty sample and
-    /// [`QuantError::MalformedInput`] for more than 2²² bins.
+    /// [`QuantError::MalformedInput`] for more than 2²² bins or a grid
+    /// wider than 16 bits.
     pub fn table_row(
         &self,
         candidates: &[Bitwidth],
@@ -297,11 +327,8 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
         Ok((h_full, h_q.into_iter().map(|h| (h_full - h).max(0.0)).collect()))
     }
 
-    /// The second pass: `H` at full precision and `H(i, b)` per candidate.
-    /// Each block of values gets its full-precision bins, then its levels
-    /// on each candidate grid, and both scatter into counters; level
-    /// counts become bin counts through the grid's level→bin table after
-    /// the pass.
+    /// `H` at full precision and `H(i, b)` per candidate, from one scan
+    /// that increments one counter per value (see [`Cells`]).
     fn entropies(&self, candidates: &[Bitwidth], k: usize) -> Result<(f64, Vec<f64>), QuantError> {
         if self.len == 0 {
             // The naive path surfaces this from `stats::moments`.
@@ -311,34 +338,97 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
             return Err(QuantError::MalformedInput { detail: "more than 2^22 histogram bins" });
         }
         let bins = Bins::new(self.lo, self.hi, k);
-        let mut grids = candidates
-            .iter()
-            .map(|&b| Grid::new(&bins, self.lo, self.hi, b))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut full = vec![0u64; bins.k];
-        let mut idx = [0u32; BLOCK];
+        let mut steps = vec![Step::Bin(bins)];
+        for &b in candidates {
+            let params = QuantParams::from_min_max(self.lo, self.hi, b)?;
+            if b.bits() > MAX_GRID_BITS {
+                return Err(QuantError::MalformedInput { detail: "grid wider than 16 bits" });
+            }
+            steps.push(Step::Level(params));
+        }
+        let cells = Cells::plan(&steps, self.lo, self.hi);
+        let counts = match cells.width {
+            // Literal widths let the compiler unroll the threshold
+            // comparisons of the common cases.
+            0 => self.count(&steps[cells.base], &cells, 0),
+            1 => self.count(&steps[cells.base], &cells, 1),
+            2 => self.count(&steps[cells.base], &cells, 2),
+            3 => self.count(&steps[cells.base], &cells, 3),
+            width => self.count(&steps[cells.base], &cells, width),
+        };
+        let hists = cells.tally(&steps, &counts, self.lo);
+        debug_assert!(hists.iter().all(|h| h.iter().sum::<u64>() == self.len as u64));
+        let mut h =
+            hists.into_iter().map(|h| Histogram::from_counts(h, self.lo, self.hi).entropy());
+        let full = h.next().expect("the bin step comes first");
+        Ok((full, h.collect()))
+    }
+
+    /// The scan: one base cell per value, computed arithmetically for a
+    /// block at a time, then one counter per value at `cell · (width + 1)
+    /// + r`, where `r` counts the cell's thresholds at or below the value.
+    #[inline(always)]
+    fn count(&self, base: &Step, cells: &Cells, width: usize) -> Vec<u64> {
+        let stride = width + 1;
+        let mut counts = vec![0u64; (cells.count + 1) * stride];
+        let nan_cell = cells.count as u32;
+        let (lo, hi) = self.clamp;
+        let mut values = [0f32; BLOCK];
+        let mut index = [0u32; BLOCK];
         let mut levels = [0i32; BLOCK];
+        // `f32::clamp`'s comparisons: NaN passes through.
+        let clamp = |v: f32| {
+            let v = if v < lo { lo } else { v };
+            if v > hi {
+                hi
+            } else {
+                v
+            }
+        };
         for part in self.parts {
             for block in part.as_ref().chunks(BLOCK) {
-                let idx = &mut idx[..block.len()];
-                for (i, &v) in idx.iter_mut().zip(block) {
-                    *i = bins.index(v);
+                let index = &mut index[..block.len()];
+                match base {
+                    Step::Bin(bins) => {
+                        for (c, &v) in index.iter_mut().zip(block) {
+                            *c = if v.is_nan() { nan_cell } else { bins.index(clamp(v)) };
+                        }
+                    }
+                    Step::Level(params) => {
+                        let values = &mut values[..block.len()];
+                        for (x, &v) in values.iter_mut().zip(block) {
+                            *x = clamp(v);
+                        }
+                        let levels = &mut levels[..block.len()];
+                        let qmin = params.bitwidth().min_value();
+                        params.quantize_slice(values, levels);
+                        for ((c, &q), &v) in index.iter_mut().zip(levels.iter()).zip(block) {
+                            *c = if v.is_nan() { nan_cell } else { q.wrapping_sub(qmin) as u32 };
+                        }
+                    }
                 }
-                for &i in idx.iter() {
-                    full[i as usize] += 1;
-                }
-                for grid in &mut grids {
-                    grid.scatter(block, &bins, &mut levels);
+                // Every threshold lies in `(lo, hi]`, where a value and
+                // its clamp compare alike.
+                for (&c, &v) in index.iter().zip(block) {
+                    let c = c as usize;
+                    let at = &cells.thresholds[c * width..c * width + width];
+                    let r: usize = at.iter().map(|&t| (v >= t) as usize).sum();
+                    counts[c * stride + r] += 1;
                 }
             }
         }
-        let h_q = grids.into_iter().map(|g| g.entropy(&bins, self.lo, self.hi)).collect();
-        Ok((Histogram::from_counts(full, self.lo, self.hi).entropy(), h_q))
+        counts
     }
 }
 
+/// Grids up to this many bits are scanned; a 32-bit grid has more levels
+/// than any counter table can hold (and `QuantParams::quantize` overflows
+/// its `i32` grid there).
+const MAX_GRID_BITS: u32 = 16;
+
 /// `k` uniform bins over a map's `[lo, hi]`, as
 /// `Histogram::build_in_range` lays them out.
+#[derive(Debug, Clone, Copy)]
 struct Bins {
     lo: f32,
     span: f32,
@@ -373,9 +463,9 @@ impl Bins {
 /// in `[2²³, 2²⁴)`, where the spacing of `f32`s is exactly 1.
 const MAGIC: f32 = 12_582_912.0;
 
-/// The largest bin count the fused engine takes: every bin index, and
-/// `k − 1` itself, stays below 2²², where [`round_even`] and [`to_int`]
-/// are exact.
+/// The largest bin count the engine takes: every bin index, and `k − 1`
+/// itself, stays below 2²², where [`round_even`] and [`to_int`] are
+/// exact.
 const MAX_BINS: usize = 1 << 22;
 
 /// `x` rounded to the nearest integer, ties to even, for `|x| < 2²²`:
@@ -394,64 +484,245 @@ fn to_int(x: f32) -> i32 {
     (x + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32
 }
 
-/// One candidate bitwidth's grid and its counters for the fused scan.
-struct Grid {
-    params: QuantParams,
-    /// Level `q` counts at `q − qmin`.
-    qmin: i32,
-    /// Level→bin table for grids of at most [`MAX_LUT_LEVELS`] levels;
-    /// `None` for wider grids (W16/W32, never in the search set), which
-    /// bin each dequantized value directly.
-    lut: Option<Vec<u32>>,
-    /// Per-level counts with a table, per-bin counts without.
-    counts: Vec<u64>,
+/// One of the monotone step functions a value is counted under: its bin
+/// on the full-precision support, or its level on a candidate grid. Both
+/// are non-decreasing in `v` and give `−0.0` and `+0.0` the same value.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Bin(Bins),
+    Level(QuantParams),
 }
 
-impl Grid {
-    fn new(bins: &Bins, lo: f32, hi: f32, b: Bitwidth) -> Result<Self, QuantError> {
-        let params = QuantParams::from_min_max(lo, hi, b)?;
-        let (qmin, qmax) = (b.min_value(), b.max_value());
-        let levels = qmax as i64 - qmin as i64 + 1;
-        let lut: Option<Vec<u32>> = (levels <= MAX_LUT_LEVELS as i64).then(|| {
-            (0..levels as i32).map(|level| bins.index(params.dequantize(qmin + level))).collect()
-        });
-        let counts = vec![0u64; if lut.is_some() { levels as usize } else { bins.k }];
-        Ok(Grid { params, qmin, lut, counts })
+impl Step {
+    /// The step's value at `v`: `Histogram::build_in_range`'s bin, or
+    /// `QuantParams::quantize`'s level.
+    fn at(&self, v: f32) -> i32 {
+        match self {
+            Step::Bin(bins) => bins.index(v) as i32,
+            Step::Level(params) => params.quantize(v),
+        }
     }
 
-    /// Counts one block of values, using `levels` as scratch. With a
-    /// table, each value's level comes from the branch-free
-    /// [`QuantParams::quantize_slice`], bit-identical to `quantize`.
-    #[inline(always)]
-    fn scatter(&mut self, block: &[f32], bins: &Bins, levels: &mut [i32; BLOCK]) {
-        if self.lut.is_none() {
-            for &v in block {
-                let q = self.params.quantize(v);
-                self.counts[bins.index(self.params.dequantize(q)) as usize] += 1;
+    /// The scan's cell for a value whose step value is `value` (bins count
+    /// from 0, levels from the grid's minimum), and its inverse.
+    fn cell(&self, value: i32) -> usize {
+        match self {
+            Step::Bin(_) => value as usize,
+            Step::Level(params) => (value - params.bitwidth().min_value()) as usize,
+        }
+    }
+
+    fn value(&self, cell: usize) -> i32 {
+        match self {
+            Step::Bin(_) => cell as i32,
+            Step::Level(params) => cell as i32 + params.bitwidth().min_value(),
+        }
+    }
+
+    /// Every value the step can take: `k` bins or `2^bits` levels.
+    fn cells(&self) -> usize {
+        match self {
+            Step::Bin(bins) => bins.k,
+            Step::Level(params) => 1 << params.bitwidth().bits(),
+        }
+    }
+
+    /// Where the step reaches `s` in exact arithmetic — the start for the
+    /// exact search in [`threshold`]. A level's boundary is the half-level
+    /// tie below it.
+    fn boundary(&self, s: i32) -> f64 {
+        match self {
+            Step::Bin(bins) => bins.lo as f64 + s as f64 * bins.span as f64 / bins.k as f64,
+            Step::Level(p) => ((s - p.zero_point()) as f64 - 0.5) * p.scale() as f64,
+        }
+    }
+
+    /// The histogram bin a value with step value `value` counts in.
+    fn bin(&self, bins: &Bins, value: i32) -> usize {
+        match self {
+            Step::Bin(_) => value as usize,
+            Step::Level(params) => bins.index(params.dequantize(value)) as usize,
+        }
+    }
+}
+
+/// The counting plan of one sample. The scan computes one step function
+/// arithmetically, the *base* — the one with the most distinct values on
+/// `[lo, hi]` — and splits each of its cells at the exact thresholds
+/// where another step function changes value inside it. Within a cell,
+/// the joint value of every step is then fixed by how many of the cell's
+/// thresholds a value reaches, so one counter per (cell, count) holds the
+/// whole joint histogram.
+struct Cells {
+    /// Index of the base into the step list.
+    base: usize,
+    /// The base's cell count; cell `count` collects NaN.
+    count: usize,
+    /// The most thresholds any cell holds.
+    width: usize,
+    /// `width` ascending thresholds per cell (NaN's cell included), padded
+    /// with `+∞`, which no value reaches.
+    thresholds: Vec<f32>,
+    /// Where each other step changes value, ordered by cell, then by
+    /// threshold; `at` is `−∞` when the change falls on the cell's lowest
+    /// value, so the whole cell sees it.
+    events: Vec<Event>,
+}
+
+/// Step `step` takes `value` from `at` on, in base cell `cell`.
+struct Event {
+    cell: usize,
+    at: f32,
+    step: usize,
+    value: i32,
+}
+
+impl Cells {
+    /// Plans the scan of values in `[lo, hi]` (or NaN). Each threshold is
+    /// found once per map, by an exact search from its analytic boundary.
+    fn plan(steps: &[Step], lo: f32, hi: f32) -> Cells {
+        // With a candidate grid, `QuantParams::from_min_max` has already
+        // proven `[lo, hi]` finite; without one, the bin step is alone.
+        let spread = |s: &Step| if steps.len() > 1 { s.at(hi) - s.at(lo) } else { 0 };
+        let mut base = 0;
+        for (j, step) in steps.iter().enumerate() {
+            if spread(step) > spread(&steps[base]) {
+                base = j;
             }
-            return;
         }
-        let levels = &mut levels[..block.len()];
-        self.params.quantize_slice(block, levels);
-        for &level in levels.iter() {
-            self.counts[level.wrapping_sub(self.qmin) as usize] += 1;
-        }
-    }
-
-    /// `H(i, b)` from the counters.
-    fn entropy(self, bins: &Bins, lo: f32, hi: f32) -> f64 {
-        let counts = match self.lut {
-            Some(lut) => {
-                let mut by_bin = vec![0u64; bins.k];
-                for (&count, &bin) in self.counts.iter().zip(&lut) {
-                    by_bin[bin as usize] += count;
+        let b = &steps[base];
+        let mut events = Vec::new();
+        for (j, step) in steps.iter().enumerate().filter(|&(j, _)| j != base) {
+            let first = events.len();
+            for s in step.at(lo) + 1..=step.at(hi) {
+                let t = threshold(step, s, lo, hi);
+                match events[first..].last_mut() {
+                    // A step that jumps several values at one float.
+                    Some(Event { at, value, .. }) if at.to_bits() == t.to_bits() => *value = s,
+                    _ => events.push(Event { cell: 0, at: t, step: j, value: s }),
                 }
-                by_bin
             }
-            None => self.counts,
-        };
-        Histogram::from_counts(counts, lo, hi).entropy()
+        }
+        // Place each threshold in its base cell; one on the cell's lowest
+        // value (`t > lo`, so `t` has a predecessor in `[lo, t)`) applies
+        // to the whole cell.
+        for e in &mut events {
+            let cell = b.at(e.at);
+            if b.at(from_key(key(e.at) - 1)) < cell {
+                e.at = f32::NEG_INFINITY;
+            }
+            e.cell = b.cell(cell);
+        }
+        events.sort_by(|x, y| x.cell.cmp(&y.cell).then(x.at.total_cmp(&y.at)));
+        // The distinct thresholds inside each cell, in order: `(cell,
+        // position in the cell, threshold)`.
+        let mut inner: Vec<(usize, usize, f32)> = Vec::new();
+        for e in events.iter().filter(|e| e.at > f32::NEG_INFINITY) {
+            match inner.last() {
+                Some(&(cell, _, at)) if cell == e.cell && at == e.at => {}
+                Some(&(cell, r, _)) if cell == e.cell => inner.push((cell, r + 1, e.at)),
+                _ => inner.push((e.cell, 0, e.at)),
+            }
+        }
+        let count = b.cells();
+        let width = inner.iter().map(|&(_, r, _)| r + 1).max().unwrap_or(0);
+        let mut thresholds = vec![f32::INFINITY; (count + 1) * width];
+        for (cell, r, at) in inner {
+            thresholds[cell * width + r] = at;
+        }
+        Cells { base, count, width, thresholds, events }
     }
+
+    /// Turns the scan's counters into one bin-count vector per step (the
+    /// full-precision histogram first, then one per grid), walking the
+    /// cells in order and applying each event where its threshold falls.
+    fn tally(&self, steps: &[Step], counts: &[u64], lo: f32) -> Vec<Vec<u64>> {
+        let Step::Bin(bins) = steps[0] else { unreachable!("the bin step comes first") };
+        let stride = self.width + 1;
+        let mut hists = vec![vec![0u64; bins.k]; steps.len()];
+        let mut value: Vec<i32> = steps.iter().map(|s| s.at(lo)).collect();
+        let mut events = self.events.iter().peekable();
+        for cell in 0..self.count {
+            value[self.base] = steps[self.base].value(cell);
+            let at = &self.thresholds[cell * self.width..(cell + 1) * self.width];
+            for r in 0..stride {
+                let from = if r == 0 { f32::NEG_INFINITY } else { at[r - 1] };
+                while let Some(e) = events.next_if(|e| e.cell == cell && e.at == from) {
+                    value[e.step] = e.value;
+                }
+                let n = counts[cell * stride + r];
+                if n > 0 {
+                    for ((hist, step), &v) in hists.iter_mut().zip(steps).zip(&value) {
+                        hist[step.bin(&bins, v)] += n;
+                    }
+                }
+            }
+        }
+        debug_assert!(events.next().is_none(), "every event lies in a cell");
+        // NaN: bin 0 at full precision (`floor(NaN) as i64` is 0), the
+        // zero point's bin on every grid (`quantize(NaN)` is the zero
+        // point).
+        let nan = counts[self.count * stride];
+        for (hist, step) in hists.iter_mut().zip(steps) {
+            let bin = match step {
+                Step::Bin(_) => 0,
+                Step::Level(params) => step.bin(&bins, params.zero_point()),
+            };
+            hist[bin] += nan;
+        }
+        hists
+    }
+}
+
+/// The smallest non-NaN `f32` at which `step` reaches `s`, given
+/// `step.at(lo) < s <= step.at(hi)`. The search starts from the analytic
+/// boundary and steps outward one ULP, doubling the step until it
+/// brackets the threshold, then bisects: a few evaluations when the
+/// boundary is near, as it is unless the cells are only a few ULPs wide.
+fn threshold(step: &Step, s: i32, lo: f32, hi: f32) -> f32 {
+    let reaches = |k: i64| step.at(from_key(k)) >= s;
+    // Invariant: `below` does not reach `s`, `above` does.
+    let (mut below, mut above) = (key(lo), key(hi));
+    // `max`/`min` also send a NaN boundary to `lo`.
+    let guess = key((step.boundary(s) as f32).max(lo).min(hi));
+    let mut d = 1;
+    if reaches(guess) {
+        above = guess;
+        while above - d > below && reaches(above - d) {
+            above -= d;
+            d *= 2;
+        }
+        below = below.max(above - d);
+    } else {
+        below = below.max(guess);
+        while below + d < above && !reaches(below + d) {
+            below += d;
+            d *= 2;
+        }
+        above = above.min(below + d);
+    }
+    while above - below > 1 {
+        let mid = below + (above - below) / 2;
+        if reaches(mid) {
+            above = mid;
+        } else {
+            below = mid;
+        }
+    }
+    from_key(above)
+}
+
+/// `v`'s position in the total order of non-NaN `f32`s (`−0.0` just below
+/// `+0.0`), as an integer: consecutive floats have consecutive keys.
+fn key(v: f32) -> i64 {
+    let b = v.to_bits() as i32;
+    (b ^ (((b >> 31) as u32) >> 1) as i32) as i64
+}
+
+/// The `f32` at position `k` of [`key`]'s order.
+fn from_key(k: i64) -> f32 {
+    let k = k as i32;
+    f32::from_bits((k ^ (((k >> 31) as u32) >> 1) as i32) as u32)
 }
 
 #[cfg(test)]
@@ -519,15 +790,65 @@ mod tests {
 
     #[test]
     fn wide_grids_take_the_lut_free_path_and_still_match_naive() {
-        // W16 has 65536 levels — far past the LUT cap — so this pins the
-        // direct-binning fallback. (W32 is excluded: `QuantParams::quantize`
-        // overflows its i32 grid there for both paths alike; it has never
-        // been a search candidate.)
+        // W16 has 65536 levels, far more than the 256 bins, so its levels
+        // are the scan's base and the bins become thresholds inside them.
         let v = rich_signal();
         let b = Bitwidth::W16;
         let fast = quantized_entropy(&v, b, 256).unwrap();
         let slow = naive::quantized_entropy(&v, b, 256).unwrap();
         assert_eq!(fast.to_bits(), slow.to_bits(), "{b} diverged from the oracle");
+        // W32 is rejected: its level table would not fit, and
+        // `QuantParams::quantize` overflows its i32 grid there.
+        let err = quantized_entropy(&v, Bitwidth::W32, 256).unwrap_err();
+        assert!(matches!(err, QuantError::MalformedInput { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn the_base_is_the_step_with_the_most_values() {
+        let v = rich_signal();
+        let (lo, hi) = Sample::new(&[&v[..]]).range();
+        let plan = |k: usize, grids: &[Bitwidth]| {
+            let mut steps = vec![Step::Bin(Bins::new(lo, hi, k))];
+            steps.extend(
+                grids.iter().map(|&b| Step::Level(QuantParams::from_min_max(lo, hi, b).unwrap())),
+            );
+            Cells::plan(&steps, lo, hi)
+        };
+        // The tail's 512 bins are finer than W8's levels; every bin then
+        // holds at most one W8 and one W4 step.
+        let tail = plan(512, &[Bitwidth::W8, Bitwidth::W4]);
+        assert_eq!((tail.base, tail.width), (0, 2));
+        // A branch row's 32 bins are coarser than W8: W8 is the base. (W4
+        // and W2 steps fall on W8 steps up to rounding, so the width may
+        // be below 3.)
+        let branch = plan(32, &Bitwidth::SEARCH_CANDIDATES);
+        assert_eq!(branch.base, 1);
+        assert!((1..=3).contains(&branch.width), "width {}", branch.width);
+        // Equal spreads keep the bins.
+        assert_eq!(plan(1, &[]).base, 0);
+    }
+
+    #[test]
+    fn thresholds_are_the_least_float_reaching_each_value() {
+        let v = rich_signal();
+        let (lo, hi) = Sample::new(&[&v[..]]).range();
+        let steps = [
+            Step::Bin(Bins::new(lo, hi, 512)),
+            Step::Level(QuantParams::from_min_max(lo, hi, Bitwidth::W4).unwrap()),
+        ];
+        for step in &steps {
+            for s in step.at(lo) + 1..=step.at(hi) {
+                let t = threshold(step, s, lo, hi);
+                assert!(step.at(t) >= s, "{step:?} misses {s} at {t}");
+                assert!(step.at(from_key(key(t) - 1)) < s, "{step:?} reaches {s} below {t}");
+            }
+        }
+        // The key order is the float order, with −0 just below +0.
+        for x in [-3.5f32, -0.0, 0.0, 1e-45, 2.0, f32::INFINITY] {
+            assert_eq!(from_key(key(x)).to_bits(), x.to_bits());
+        }
+        assert_eq!(key(0.0) - key(-0.0), 1);
+        assert_eq!(from_key(key(1.0) + 1), 1.0 + f32::EPSILON);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Property tests pinning the fused entropy engine **bit-identical** to
-//! the retained `entropy::naive` oracle.
+//! Property tests pinning the counting entropy engine **bit-identical**
+//! to the retained `entropy::naive` oracle.
 //!
-//! The fused path replaces naive's `3 + 7·C` passes per feature map
-//! (moments re-scans, dequantized `Vec<f32>` copies, fresh histograms)
-//! with one min/max fold and one blocked scan that bins every value and
-//! levels it on every candidate grid at once, reading the sample as
-//! ordered segments. Its `floor`/`round` replacements must agree with the
-//! originals on every value the scan sees, so every output must match to
-//! the last mantissa bit across arbitrary samples, segmentations,
-//! candidate sets and bin counts. This is the contract that lets the
-//! planner swap the fast path in without perturbing a single deployment
-//! plan.
+//! The engine replaces naive's `3 + 7·C` passes per feature map (moments
+//! re-scans, dequantized `Vec<f32>` copies, fresh histograms) with at most
+//! one min/max fold and one scan that computes one step function per
+//! value — the fine bin or the finest grid's level — and finds every other
+//! bin and level from exact per-cell thresholds, reading the sample as
+//! ordered segments, optionally clamped as it reads. Every output must
+//! match to the last mantissa bit across arbitrary samples,
+//! segmentations, candidate sets, bin counts and clamp ranges, including
+//! bin counts that collide with a grid's level count. This is the
+//! contract that lets the planner swap the fast path in without
+//! perturbing a single deployment plan.
 
 use proptest::prelude::*;
 
@@ -43,7 +44,7 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A sample on the edges the fused arithmetic must get exactly right.
+/// A sample on the edges the engine's arithmetic must get exactly right.
 /// The range is `[qmin·s, qmax·s]` of `tie_bits` with `s = 2^exp`, so that
 /// grid's scale is exactly `s`, its zero point 0, and `(n + ½)·s` lies
 /// exactly on a half-level tie for every level `n`. Around the ties: both
@@ -166,6 +167,95 @@ proptest! {
             let fast = entropy::entropy_reduction(&v, b, k).unwrap();
             let slow = naive::entropy_reduction(&v, b, k).unwrap();
             prop_assert!(bits_eq(fast, slow), "{b} diverged on constant {value}: {fast} vs {slow}");
+        }
+    }
+}
+
+/// Asserts that `sample`'s row equals the oracle's row of `values`, bit
+/// for bit.
+fn check_row(
+    sample: Sample<'_, Vec<f32>>,
+    values: &[f32],
+    candidates: &[Bitwidth],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let (h_fast, row_fast) = sample.table_row(candidates, k).unwrap();
+    let (h_slow, row_slow) = naive::table_row(values, candidates, k).unwrap();
+    prop_assert!(bits_eq(h_fast, h_slow), "H diverged: {h_fast} vs {h_slow}");
+    for (b, (f, s)) in candidates.iter().zip(row_fast.iter().zip(&row_slow)) {
+        prop_assert!(bits_eq(*f, *s), "ΔH at {b} diverged: {f} vs {s}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The planner's tail configuration: 512 bins, W8 and W4, and the
+    /// sample read clamped to a range whose ends are values of the sample
+    /// (the percentile clip), with no min/max fold. The oracle sees the
+    /// clamped values.
+    #[test]
+    fn clamped_tail_rows_match_naive_on_the_clamped_values(
+        len in 1usize..3000,
+        seed in 0u64..10_000,
+        exp in -12i32..4,
+        tie_bits in prop::sample::select(vec![Bitwidth::W4, Bitwidth::W8]),
+        end_a in 0usize..1000,
+        end_b in 0usize..1000,
+        segments in 1usize..6,
+        nans in 0usize..3,
+    ) {
+        let v = edge_sample(len, seed, exp, tie_bits, nans);
+        let finite: Vec<f32> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+        prop_assume!(!finite.is_empty());
+        let (a, b) = (finite[end_a % finite.len()], finite[end_b % finite.len()]);
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let parts = split(&v, segments, seed);
+        let clamped: Vec<f32> = v.iter().map(|x| x.clamp(lo, hi)).collect();
+        let candidates = [Bitwidth::W8, Bitwidth::W4];
+        check_row(Sample::clamped(&parts, lo, hi), &clamped, &candidates, 512)?;
+    }
+
+    /// Bin counts equal to (or one off) a grid's level count put bin and
+    /// level steps on nearly the same values: the scan's base must still
+    /// split every cell exactly, clamped or not.
+    #[test]
+    fn colliding_bin_and_level_counts_match_naive(
+        len in 1usize..3000,
+        seed in 0u64..10_000,
+        exp in -12i32..4,
+        collision in prop::sample::select(vec![
+            (256usize, Bitwidth::W8),
+            (255, Bitwidth::W8),
+            (257, Bitwidth::W8),
+            (16, Bitwidth::W4),
+            (15, Bitwidth::W4),
+            (4, Bitwidth::W2),
+        ]),
+        segments in 1usize..6,
+        nans in 0usize..3,
+        clamp in 0u64..3,
+    ) {
+        let (k, bits) = collision;
+        let v = edge_sample(len, seed, exp, bits, nans);
+        let parts = split(&v, segments, seed);
+        for candidates in [&[bits][..], &[Bitwidth::W8, Bitwidth::W4, Bitwidth::W2]] {
+            if clamp == 0 {
+                check_row(Sample::new(&parts), &v, candidates, k)?;
+            } else {
+                // Clamp to the range of a middle slice of the sample.
+                let mid: Vec<f32> = v[v.len() / 4..v.len() / 4 * 3 + 1]
+                    .iter()
+                    .copied()
+                    .filter(|x| !x.is_nan())
+                    .collect();
+                prop_assume!(!mid.is_empty());
+                let lo = mid.iter().copied().fold(f32::INFINITY, f32::min);
+                let hi = mid.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let clamped: Vec<f32> = v.iter().map(|x| x.clamp(lo, hi)).collect();
+                check_row(Sample::clamped(&parts, lo, hi), &clamped, candidates, k)?;
+            }
         }
     }
 }

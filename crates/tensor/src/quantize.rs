@@ -379,6 +379,21 @@ impl ChannelQuantParams {
         q.clamp(self.bitwidth.min_value(), self.bitwidth.max_value())
     }
 
+    /// [`ChannelQuantParams::quantize`] over a run of channel `ch`'s
+    /// weights, storing each level as `T`: bit-identical per value, and a
+    /// branch-free loop for grids up to 16 bits. A channel's grid is the
+    /// affine grid with zero point 0, whose rounding (half away from
+    /// zero) and clamping are `quantize`'s own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices differ in length, when `ch` is out of
+    /// range, or when the grid is wider than `T` holds.
+    pub fn quantize_slice<T: Level>(&self, ch: usize, src: &[f32], dst: &mut [T]) {
+        let grid = QuantParams { scale: self.scales[ch], zero_point: 0, bitwidth: self.bitwidth };
+        grid.quantize_slice(src, dst);
+    }
+
     /// Dequantizes the integer `q` belonging to channel `ch`.
     #[inline]
     pub fn dequantize(&self, ch: usize, q: i32) -> f32 {

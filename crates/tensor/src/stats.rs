@@ -142,7 +142,7 @@ impl Histogram {
 
     /// Wraps precomputed bin counts into a histogram over a known
     /// `[lo, hi]` range — the constructor for callers that already
-    /// scattered their values (the fused entropy engine's LUT pass) or
+    /// scattered their values (the entropy engine's counting scan) or
     /// already know the range and don't want [`Histogram::build`]'s
     /// moments re-scan. The total is the sum of the counts, exactly what
     /// [`Histogram::build_in_range`] would have recorded for the same

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use quantmcu_tensor::{Bitwidth, QuantParams};
+use quantmcu_tensor::{Bitwidth, ChannelQuantParams, QuantParams};
 
 /// The scalar reference: round half away from zero, add the zero point,
 /// clamp. The saturating add only matters for ±∞, which the `i32` form
@@ -95,5 +95,30 @@ fn every_w8_level_and_midpoint_matches() {
             .chain((-600..600).map(|h| h as f32 * 0.25))
             .collect();
         check(&p, &values).unwrap();
+    }
+}
+
+#[test]
+fn channel_slices_match_the_scalar_channel_quantizer() {
+    // Per-channel symmetric weight grids: every channel's run through
+    // `quantize_slice` must equal `quantize` value by value, exact ties
+    // `(k + ½)·scale`, the clamp beyond ±qmax, NaN, ±0 and ±∞ included.
+    for bits in [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8] {
+        let per_channel = 64;
+        let weights: Vec<f32> = (0..3 * per_channel)
+            .map(|j| ((j * 37 % 101) as f32 - 50.0) * 0.013 * (1 + j / per_channel) as f32)
+            .collect();
+        let p = ChannelQuantParams::fit(&weights, 3, per_channel, bits).unwrap();
+        for ch in 0..3 {
+            let s = p.scale(ch);
+            let mut run: Vec<f32> = weights[ch * per_channel..(ch + 1) * per_channel].to_vec();
+            run.extend([0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30]);
+            run.extend((-12..12).map(|k| (k as f32 + 0.5) * s));
+            let mut narrow = vec![0i8; run.len()];
+            p.quantize_slice(ch, &run, &mut narrow);
+            for (&v, &q) in run.iter().zip(&narrow) {
+                assert_eq!(q as i32, p.quantize(ch, v), "{bits} channel {ch} at {v}");
+            }
+        }
     }
 }
