@@ -20,8 +20,12 @@
 //! maps under `kernels::PIX` pixels). Conv2d sweeps every packed width
 //! (W8/W4/W2), each with its own naive row over the same range-clamped
 //! weights; `pwconv_int` is the 1×1 shape that dominates MobileNetV2's
-//! integer tail, and `stem_conv_int` / `head_pwconv_int` are the patch
-//! head's stride-2 stem and 16→48 pointwise conv.
+//! integer tail, `stem_conv_int` is the patch head's stride-2 stem, and
+//! `head_pwconv_int` is a 16→48 pointwise conv at the head's resolution.
+//! That shape exists only as the folded form of the head's 16→8→48
+//! bottleneck pair, which the importer keeps as two convs (folding it
+//! would add MACs), so no deployed graph runs it: the row is a mid-size
+//! 1×1 reference.
 //!
 //! The binary asserts the perf-regression tripwire (tiled must not be
 //! slower than naive on any integer op, nor float slower than float
@@ -274,8 +278,9 @@ fn main() {
     // MobileNetV2's pointwise expansion at exec scale.
     let pw = Layer::conv(Shape::hwc(8, 8, 16), 96, 1, 1, 0);
     sweep("pwconv_int", pw, Bitwidth::W8, (reps, iters), &mut rows);
-    // The patch head's two convolutions at exec scale, full size in smoke
-    // runs too: the stride-2 stem and the 16→48 pointwise expansion.
+    // Full size in smoke runs too: the patch head's stride-2 stem at exec
+    // scale, and the folded 16→48 form of its 16→8→48 bottleneck pair,
+    // which only an importer that folds it would run.
     let stem = Layer::conv(Shape::hwc(32, 32, 3), 16, 3, 2, 1);
     sweep("stem_conv_int", stem, Bitwidth::W8, (reps, iters), &mut rows);
     let head_pw = Layer::conv(Shape::hwc(16, 16, 16), 48, 1, 1, 0);

@@ -13,13 +13,19 @@
 //! * `dump_model verify <file ...>` — import each file through the full
 //!   pipeline (decode → optimizer passes → analyzer → lower), re-export
 //!   it, and check the round trip reproduces the same graph bit-exactly.
+//!   A file whose optimized import costs more MACs
+//!   (`quantmcu::nn::cost::total_macs`) than the graph it decodes to
+//!   fails: the optimizer must never make a model more expensive.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use quantmcu::models::{Model, ModelConfig};
 use quantmcu::nn::analyze::{analyze_ir, AnalyzeOptions, RawInput};
-use quantmcu::nn::import::{decode, load_model_with_stats, save_model, save_model_to_path};
+use quantmcu::nn::cost::total_macs;
+use quantmcu::nn::import::{
+    decode, load_model_unoptimized, load_model_with_stats, save_model, save_model_to_path,
+};
 use quantmcu::nn::opt::ModelIr;
 
 /// Default weight seed — matches the integration-test fixtures.
@@ -126,7 +132,7 @@ fn show(path: &str) -> ExitCode {
 }
 
 /// Imports each file through the full pipeline and checks the re-export
-/// round trip is bit-exact.
+/// round trip is bit-exact and the optimizer added no MACs.
 fn verify(files: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for path in files {
@@ -146,6 +152,20 @@ fn verify(files: &[String]) -> ExitCode {
                 continue;
             }
         };
+        // The optimizer may only remove work.
+        match load_model_unoptimized(&bytes) {
+            Ok(decoded) => {
+                let (before, after) = (total_macs(decoded.spec()), total_macs(graph.spec()));
+                if after > before {
+                    println!("FAIL  {path}: optimizer raised MACs {before} -> {after} ({stats})");
+                    failures += 1;
+                }
+            }
+            Err(e) => {
+                println!("FAIL  {path}: unoptimized import rejected: {e}");
+                failures += 1;
+            }
+        }
         // Re-export the optimized graph and reload: must reproduce the
         // exact same graph (the format is bit-preserving).
         let reexported = save_model(&graph);

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | magic | `QPLN` (4 bytes) |
 //! | format version | `u32` |
-//! | checksum | `u64` FNV-1a/64 over everything after this field |
+//! | checksum | `u64` [`codec::checksum`] over everything after this field |
 //! | graph fingerprint | `u64` (the checksum of the model's `.qmcu` serialization, see [`graph_fingerprint`]) |
 //! | spec: input shape | `u32 × 4` (`n, h, w, c`) |
 //! | spec: node count, then per node | opcode `u8`, attrs `u32 × attr_count`, input count `u16`, inputs `(u8, u32)` each |
@@ -48,6 +48,8 @@
 //! The magic is fixed forever. Readers accept exactly the versions they
 //! know ([`FORMAT_VERSION`]); any other version is
 //! [`ArtifactError::UnsupportedVersion`], never a best-effort parse.
+//! Version 3 changed only the checksum (and so every fingerprint) from
+//! version 2's byte-serial FNV-1a to [`codec::checksum`].
 
 use std::fmt;
 use std::path::Path;
@@ -65,7 +67,7 @@ use crate::plan::DeploymentPlan;
 pub const MAGIC: [u8; 4] = *b"QPLN";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -196,7 +198,7 @@ impl From<CodecError> for ArtifactError {
     }
 }
 
-/// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 checksum
+/// The fingerprint a `.qplan` artifact binds to: the [`codec::checksum`]
 /// [`quantmcu_nn::import::save_model`] stamps over the model's canonical
 /// `.qmcu` body, which holds the spec *and* every weight bit-exactly.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
@@ -489,7 +491,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<GraphSpec, ArtifactError> {
 mod tests {
     use super::*;
     use crate::{Engine, SramBudget};
-    use quantmcu_nn::codec::{fnv1a64, BODY_OFFSET};
+    use quantmcu_nn::codec::{checksum, BODY_OFFSET};
     use quantmcu_nn::{init, GraphSpecBuilder};
     use quantmcu_tensor::Tensor;
 
@@ -564,7 +566,7 @@ mod tests {
         let bytes = artifact().encode();
         for len in [BODY_OFFSET, BODY_OFFSET + 9, bytes.len() / 2, bytes.len() - 1] {
             let mut cut = bytes[..len].to_vec();
-            let sum = fnv1a64(&cut[BODY_OFFSET..]);
+            let sum = checksum(&cut[BODY_OFFSET..]);
             cut[8..16].copy_from_slice(&sum.to_le_bytes());
             let err = PlanArtifact::decode(&cut).unwrap_err();
             assert!(
@@ -583,7 +585,7 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let mut bytes = artifact().encode();
         bytes.push(0);
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        let sum = checksum(&bytes[BODY_OFFSET..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             PlanArtifact::decode(&bytes),
@@ -597,7 +599,7 @@ mod tests {
         // The last tail range's max sits just before the 12-byte search time.
         let at = bytes.len() - 12 - 4;
         bytes[at..at + 4].copy_from_slice(&f32::NAN.to_bits().to_le_bytes());
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        let sum = checksum(&bytes[BODY_OFFSET..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(PlanArtifact::decode(&bytes), Err(ArtifactError::Plan { .. })));
     }

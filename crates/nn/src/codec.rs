@@ -3,8 +3,8 @@
 //!
 //! It owns everything the two formats share, so they cannot drift apart:
 //!
-//! * the 16-byte header — four magic bytes, a `u32` format version and an
-//!   FNV-1a/64 checksum ([`fnv1a64`]) over every byte after it — sealed by
+//! * the 16-byte header — four magic bytes, a `u32` format version and a
+//!   64-bit [`checksum`] over every byte after it — sealed by
 //!   [`Writer::finish`] and verified by [`open`] *before* the body is
 //!   parsed;
 //! * little-endian primitives: [`Writer`] on the way out, the
@@ -87,15 +87,62 @@ pub enum CodecError {
     },
 }
 
-/// FNV-1a 64-bit hash — both formats' integrity checksum, and the `.qplan`
-/// model fingerprint.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Independent lanes [`checksum`] interleaves; each reads every
+/// `LANES`-th little-endian `u64` word of the body.
+const LANES: usize = 4;
+
+/// Bytes one round of [`checksum`] consumes: one word per lane.
+const BLOCK: usize = 8 * LANES;
+
+/// The odd multiplier of every [`mix`] step (2⁶⁴ divided by the golden
+/// ratio).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One checksum step: absorb `w` into `h`. For a fixed `h` it is a
+/// bijection of `w`, and for a fixed `w` a bijection of `h`. The multiply
+/// carries each bit upward only; the shift folds the high half back down,
+/// so the next step spreads a word's top byte over the whole state.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(MIX);
+    h ^ (h >> 32)
+}
+
+/// The 64-bit checksum of both formats: the integrity field of every
+/// header, and the `.qplan` model fingerprint.
+///
+/// It reads the bytes a word at a time over four interleaved lanes
+/// (the multiplies of different lanes overlap in the pipeline), pads the
+/// last partial block with zeros, then folds the lanes and the length into
+/// one word and finishes with MurmurHash3's 64-bit avalanche. Every step
+/// is a bijection of the word it absorbs and of the state it carries, so
+/// two inputs of equal length that differ in a single 8-byte word always
+/// checksum differently; the length term separates inputs that differ only
+/// in trailing zeros.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| MIX.wrapping_mul(i as u64 + 1));
+    let mut absorb = |block: &[u8]| {
+        for (i, h) in lanes.iter_mut().enumerate() {
+            let w = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+            *h = mix(*h, w);
+        }
+    };
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        absorb(block);
     }
-    h
+    let rest = blocks.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; BLOCK];
+        last[..rest.len()].copy_from_slice(rest);
+        absorb(&last);
+    }
+    let mut h = lanes.iter().fold(bytes.len() as u64, |h, &lane| mix(h, lane));
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Reads a whole file, mapping failure to [`CodecError::Io`].
@@ -212,8 +259,10 @@ impl Writer {
     /// Appends a length-prefixed vector of `f32` bit patterns.
     pub fn f32s(&mut self, values: &[f32]) {
         self.count(values.len());
-        for &v in values {
-            self.u32(v.to_bits());
+        let start = self.out.len();
+        self.out.resize(start + 4 * values.len(), 0);
+        for (dst, v) in self.out[start..].chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 
@@ -241,7 +290,7 @@ impl Writer {
 
     /// Seals the checksum over the body and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a64(&self.out[BODY_OFFSET..]);
+        let sum = checksum(&self.out[BODY_OFFSET..]);
         self.out[8..BODY_OFFSET].copy_from_slice(&sum.to_le_bytes());
         self.out
     }
@@ -275,7 +324,7 @@ pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<Reader<'_>, Co
         return Err(CodecError::UnsupportedVersion { found, supported: version });
     }
     let stored = u64::from_le_bytes(bytes[8..BODY_OFFSET].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[BODY_OFFSET..]);
+    let computed = checksum(&bytes[BODY_OFFSET..]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
@@ -493,6 +542,72 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(matches!(open(&extended, MAGIC, 1), Err(CodecError::ChecksumMismatch { .. })));
+    }
+
+    /// A deterministic, non-repeating body of `len` bytes.
+    fn body(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i.wrapping_mul(0x9d) ^ (i >> 3)) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_change() {
+        // Lengths around the 8-byte word and the 32-byte block, so the
+        // zero-padded last block is covered at every fill level.
+        for len in (1..=72).chain([255, 1000, 1027]) {
+            let reference = body(len);
+            let sum = checksum(&reference);
+            for at in 0..len {
+                for xor in [0x01, 0x80, 0xff] {
+                    let mut changed = reference.clone();
+                    changed[at] ^= xor;
+                    assert_ne!(checksum(&changed), sum, "len {len}, byte {at} ^ {xor:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_separates_trailing_zeros_and_lengths() {
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=BLOCK * 3 {
+            assert!(seen.insert(checksum(&vec![0u8; len])), "zero body of length {len}");
+        }
+    }
+
+    #[test]
+    fn checksum_detects_paired_top_byte_changes() {
+        // Word-wise FNV-1a misses these: a multiply carries only upward,
+        // so a word's top byte stays in the top byte of the state, where
+        // one of the 255 possible changes to a later top byte cancels it.
+        let reference = body(12 * 8);
+        let sum = checksum(&reference);
+        for i in 0..12 {
+            for j in i + 1..12 {
+                for a in [0x01, 0x80] {
+                    for b in 1..=255u8 {
+                        let mut changed = reference.clone();
+                        changed[8 * i + 7] ^= a;
+                        changed[8 * j + 7] ^= b;
+                        assert_ne!(checksum(&changed), sum, "words {i} ^ {a:#x}, {j} ^ {b:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_spreads_every_input_bit_over_every_output_bit() {
+        let reference = body(3 * BLOCK + 5);
+        let sum = checksum(&reference);
+        for at in [0, 7, BLOCK + 3, 3 * BLOCK + 4] {
+            for bit in 0..8 {
+                let mut changed = reference.clone();
+                changed[at] ^= 1 << bit;
+                let diff = (checksum(&changed) ^ sum).count_ones();
+                // A well-mixed 64-bit output flips about half its bits.
+                assert!((16..=48).contains(&diff), "byte {at} bit {bit}: {diff} bits flipped");
+            }
+        }
     }
 
     #[test]

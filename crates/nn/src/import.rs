@@ -6,7 +6,7 @@
 //! pipeline ([`crate::opt`]) before execution. Hand-rolled because the
 //! workspace is offline and carries no serde.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! All integers are little-endian; `f32` payloads are stored as their
 //! IEEE-754 bit patterns (`u32`), so weights round-trip bit-exactly.
@@ -14,8 +14,8 @@
 //! | offset | field | type |
 //! |--------|-------|------|
 //! | 0      | magic `"QMCU"` | `[u8; 4]` |
-//! | 4      | format version (`1`) | `u32` |
-//! | 8      | FNV-1a 64 checksum of every byte from offset 16 | `u64` |
+//! | 4      | format version (`2`) | `u32` |
+//! | 8      | [`codec::checksum`] of every byte from offset 16 | `u64` |
 //! | 16     | input shape `n, h, w, c` | `4 × u32` |
 //! | 32     | explicit-output flag + output node id | `u8`, `u32` |
 //! | 37     | node count | `u32` |
@@ -49,9 +49,10 @@
 //! # Versioning rules
 //!
 //! The magic is fixed forever. Readers accept exactly the versions they
-//! know ([`FORMAT_VERSION`]); a higher version is
+//! know ([`FORMAT_VERSION`]); any other version is
 //! [`ImportError::UnsupportedVersion`], never a best-effort parse. New
-//! opcodes or attributes require a version bump.
+//! opcodes, attributes or checksums require a version bump: version 2
+//! replaced version 1's byte-serial FNV-1a with [`codec::checksum`].
 
 use std::fmt;
 use std::path::Path;
@@ -67,7 +68,7 @@ use crate::{Graph, Source};
 pub const MAGIC: [u8; 4] = *b"QMCU";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The one opcode this format adds to the shared table: [`IrOp::BiasAdd`].
 const BIAS_ADD: u8 = 11;
@@ -88,11 +89,11 @@ pub enum ImportError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The file's format version is newer than this reader understands.
+    /// The file's format version is not the one this reader understands.
     UnsupportedVersion {
         /// Version stamped in the header.
         found: u32,
-        /// Highest version this build supports.
+        /// The version this build supports.
         supported: u32,
     },
     /// The stored checksum does not match the body — the file is damaged.
@@ -365,7 +366,7 @@ pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<Graph, ImportError
 mod tests {
     use super::*;
     use crate::builder::GraphSpecBuilder;
-    use crate::codec::{fnv1a64, BODY_OFFSET};
+    use crate::codec::{checksum, BODY_OFFSET};
     use crate::{init, OpSpec};
 
     fn sample_graph() -> Graph {
@@ -451,7 +452,7 @@ mod tests {
         // Node record starts after shape(16) + output(5) + count(4).
         let op_at = BODY_OFFSET + 16 + 5 + 4 + 4;
         bytes[op_at] = 200;
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        let sum = checksum(&bytes[BODY_OFFSET..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             decode(&bytes).unwrap_err(),
@@ -477,7 +478,7 @@ mod tests {
         // i.e. 8 bytes before the end.
         let at = bytes.len() - 8;
         bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        let sum = checksum(&bytes[BODY_OFFSET..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(ImportError::Corrupted { .. })));
     }

@@ -16,7 +16,8 @@
 //!    `relu6∘relu6`, `relu6∘relu`).
 //! 2. [`FoldConstants`] — composes adjacent `dense∘dense` and
 //!    1×1-`conv∘conv` pairs into a single node by multiplying their
-//!    weight matrices at compile time.
+//!    weight matrices at compile time, when the folded node costs fewer
+//!    MACs than the pair.
 //! 3. [`RemoveIdentity`] — drops no-op nodes: 1×1/stride-1 pooling and
 //!    single-input concat.
 //! 4. [`EliminateDead`] — removes nodes unreachable from the output,
@@ -224,11 +225,13 @@ impl ModelIr {
     /// operator (an unfused `BiasAdd`) survives, and
     /// [`LowerError::ParamLength`] when a weight or bias buffer does not
     /// match its operator's required length.
-    pub fn lower(&self) -> Result<Graph, LowerError> {
-        let (spec, order) = analyze::lower(self)?;
+    pub fn lower(mut self) -> Result<Graph, LowerError> {
+        let (spec, order) = analyze::lower(&self)?;
         let mut params = Vec::with_capacity(order.len());
         for (p, &idx) in order.iter().enumerate() {
-            let node = &self.nodes[idx];
+            // `order` names each live node once, so every payload moves
+            // into the graph without a copy.
+            let node = &mut self.nodes[idx];
             let (expect_w, expect_b) = expected_param_lens(&spec, p);
             if expect_w == 0 {
                 if !node.weights.is_empty() || !node.bias.is_empty() {
@@ -253,7 +256,7 @@ impl ModelIr {
             let bias = if node.bias.is_empty() {
                 vec![0.0; expect_b]
             } else if node.bias.len() == expect_b {
-                node.bias.clone()
+                std::mem::take(&mut node.bias)
             } else {
                 return Err(LowerError::ParamLength {
                     id: node.id,
@@ -262,7 +265,7 @@ impl ModelIr {
                     actual: node.bias.len(),
                 });
             };
-            params.push(OpParams::Weights { weights: node.weights.clone(), bias });
+            params.push(OpParams::Weights { weights: std::mem::take(&mut node.weights), bias });
         }
         Ok(Graph::new(spec, params))
     }
@@ -553,6 +556,12 @@ fn find_collapsible_activation(ir: &ModelIr) -> Option<(usize, RawInput)> {
 /// their weight matrices and folding biases (`W = W₂W₁`,
 /// `b = W₂b₁ + b₂`) at compile time.
 ///
+/// A pair folds only when the product is cheaper to run than the pair:
+/// `in → out₁ → out₂` costs `out₁·in + out₂·out₁` MACs per pixel, the
+/// folded node `out₂·in`. A bottleneck (`out₁` below both `in` and
+/// `out₂`, as in MobileNetV2's linear bottlenecks) therefore stays two
+/// nodes, and so does the narrow feature map between them.
+///
 /// The intermediate node must have a single consumer and must not be the
 /// output. Floating-point composition reassociates sums, so downstream
 /// outputs match the unfolded graph to within ULP-level error (covered by
@@ -568,10 +577,11 @@ impl Pass for FoldConstants {
         let mut fired = 0;
         while let Some((outer_id, inner_id, out2, out1)) = find_affine_pair(ir) {
             let iidx = ir.index_of(inner_id).expect("inner exists");
-            let inner = ir.nodes[iidx].clone();
+            let inner = ir.nodes.remove(iidx);
             let oidx = ir.index_of(outer_id).expect("outer exists");
+            let outer = &mut ir.nodes[oidx];
             let w1 = &inner.weights;
-            let w2 = &ir.nodes[oidx].weights;
+            let w2 = &outer.weights;
             let input_len = w1.len() / out1;
             // W[o][i] = Σ_k W2[o][k] · W1[k][i]
             let mut w = vec![0.0f32; out2 * input_len];
@@ -597,16 +607,12 @@ impl Pass for FoldConstants {
                     }
                 }
             }
-            if !ir.nodes[oidx].bias.is_empty() {
-                for (bo, b2o) in b.iter_mut().zip(ir.nodes[oidx].bias.clone()) {
-                    *bo += b2o;
-                }
+            for (bo, b2o) in b.iter_mut().zip(&outer.bias) {
+                *bo += b2o;
             }
-            ir.nodes[oidx].weights = w;
-            ir.nodes[oidx].bias = b;
-            ir.nodes[oidx].inputs = inner.inputs.clone();
-            let iidx = ir.index_of(inner_id).expect("inner still exists");
-            ir.nodes.remove(iidx);
+            outer.weights = w;
+            outer.bias = b;
+            outer.inputs = inner.inputs;
             fired += 1;
         }
         fired
@@ -646,6 +652,13 @@ fn find_affine_pair(ir: &ModelIr) -> Option<(usize, usize, usize, usize)> {
         if !(p.bias.is_empty() || p.bias.len() == out1)
             || !(n.bias.is_empty() || n.bias.len() == out2)
         {
+            continue;
+        }
+        // A dense or 1×1 conv node costs one MAC per weight per pixel, so
+        // the fold pays when its `out₂ × in` matrix is smaller than the
+        // pair's two (checked: shapes may come from a damaged file).
+        let pair = p.weights.len() + n.weights.len();
+        if out2.checked_mul(p.weights.len() / out1).map_or(true, |folded| folded >= pair) {
             continue;
         }
         return Some((n.id, pid, out2, out1));
@@ -862,6 +875,52 @@ mod tests {
         assert_eq!(m.nodes[0].weights, vec![4.0, 6.0]);
         assert_eq!(m.nodes[0].bias, vec![11.0]);
         assert_eq!(m.nodes[0].op, IrOp::Core(OpSpec::Dense { out: 1 }));
+        assert_eq!(m.nodes[0].inputs, vec![RawInput::Image]);
+        m.lower().unwrap();
+    }
+
+    /// `in → mid → out` as two 1×1 convs over a 4×4 map.
+    fn pointwise_pair(input: usize, mid: usize, out: usize) -> ModelIr {
+        let pw = |id, input_src, c_in: usize, c_out: usize| IrNode {
+            id,
+            op: IrOp::Core(OpSpec::Conv2d { out_ch: c_out, kernel: 1, stride: 1, pad: 0 }),
+            inputs: vec![input_src],
+            weights: (0..c_out * c_in).map(|i| (i % 7) as f32 * 0.125 - 0.375).collect(),
+            bias: (0..c_out).map(|i| i as f32 * 0.01).collect(),
+        };
+        ModelIr {
+            input_shape: Shape::hwc(4, 4, input),
+            nodes: vec![
+                pw(0, RawInput::Image, input, mid),
+                pw(1, RawInput::Node(0), mid, out),
+                plain(2, OpSpec::Relu6, RawInput::Node(1)),
+            ],
+            output: None,
+        }
+    }
+
+    #[test]
+    fn bottleneck_pair_is_not_folded() {
+        // MobileNetV2's head: a 16→8 linear bottleneck, then the 8→48
+        // expansion. Folded it would cost 48·16 = 768 MACs per pixel
+        // against 16·8 + 8·48 = 512.
+        let mut m = pointwise_pair(16, 8, 48);
+        let before = m.clone();
+        assert_eq!(FoldConstants.run(&mut m), 0);
+        assert_eq!(m, before);
+        // Equal cost is no gain either: 8·8 = 64 = 8·4 + 4·8.
+        let mut m = pointwise_pair(8, 4, 8);
+        assert_eq!(FoldConstants.run(&mut m), 0);
+    }
+
+    #[test]
+    fn expanding_pair_folds() {
+        // 16→32→8: 8·16 = 128 MACs per pixel folded, 16·32 + 32·8 = 768
+        // unfolded.
+        let mut m = pointwise_pair(16, 32, 8);
+        assert_eq!(FoldConstants.run(&mut m), 1);
+        assert_eq!(m.nodes.len(), 2);
+        assert_eq!(m.nodes[0].weights.len(), 8 * 16);
         assert_eq!(m.nodes[0].inputs, vec![RawInput::Image]);
         m.lower().unwrap();
     }

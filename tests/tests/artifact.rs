@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use quantmcu::artifact::{graph_fingerprint, ArtifactError, PlanArtifact, FORMAT_VERSION};
 use quantmcu::models::Model;
-use quantmcu::nn::codec::fnv1a64;
+use quantmcu::nn::codec::checksum;
 use quantmcu::nn::{init, GraphSpecBuilder};
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 use quantmcu::{Engine, Error, SramBudget};
@@ -213,7 +213,7 @@ proptest! {
         let mut bytes = bytes.clone();
         let pos = 16 + (pos - 16) % (bytes.len() - 16);
         bytes[pos] = val;
-        let sum = fnv1a64(&bytes[16..]);
+        let sum = checksum(&bytes[16..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         match PlanArtifact::decode(&bytes) {
             Ok(_) => match engine.deploy_from_artifact(&bytes) {

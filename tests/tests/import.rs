@@ -7,8 +7,10 @@
 //! * The optimizing import path (`load_model`) preserves outputs:
 //!   bit-exactly for removal-type passes (dead nodes, identity ops, relu
 //!   chains — float *and* int), within a ULP-level float bound where
-//!   constant folding reassociates arithmetic (five zoo models contain
-//!   foldable adjacent 1×1 convolutions).
+//!   constant folding reassociates arithmetic (a dense pair here; no zoo
+//!   model holds a fold that saves MACs, so every zoo model imports
+//!   unchanged and never costs more MACs than the graph it was saved
+//!   from).
 //! * An externally loaded model file reaches `Engine::deploy` end to
 //!   end: `Engine::from_model_path` → plan → `Session::run`.
 //! * Property test: corrupting, truncating or version-bumping a valid
@@ -20,6 +22,7 @@ use proptest::prelude::*;
 
 use quantmcu::models::Model;
 use quantmcu::nn::analyze::{analyze_ir, AnalyzeOptions, Code, RawInput};
+use quantmcu::nn::cost::total_macs;
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
 use quantmcu::nn::import::{
     decode, load_model, load_model_unoptimized, load_model_with_stats, save_model,
@@ -113,8 +116,8 @@ fn optimized_zoo_load_preserves_outputs_within_ulp() {
         } else {
             assert!(opt.spec().len() < g.spec().len(), "{model}: rewrites must shrink the graph");
         }
-        // Constant folding reassociates float sums: outputs are ULP-close,
-        // not bit-equal, on the five zoo models with foldable 1×1 convs.
+        // Constant folding reassociates float sums, so a model with a
+        // fold would be ULP-close, not bit-equal.
         assert_ulp_close(
             &float_outputs(&g, &inputs),
             &float_outputs(&opt, &inputs),
@@ -122,6 +125,22 @@ fn optimized_zoo_load_preserves_outputs_within_ulp() {
             &format!("{model} fused-vs-unfused"),
         );
     }
+}
+
+#[test]
+fn optimized_zoo_import_never_adds_macs() {
+    for model in zoo() {
+        let g = graph(model);
+        let (opt, stats) = load_model_with_stats(&save_model(&g)).unwrap();
+        let (before, after) = (total_macs(g.spec()), total_macs(opt.spec()));
+        assert!(after <= before, "{model}: import raised MACs {before} -> {after} ({stats})");
+    }
+    // Its two linear bottlenecks (16→8→48 in the head, 480→160→640 in the
+    // tail) would each cost more MACs folded than as a pair.
+    let g = graph(Model::MobileNetV2);
+    let (opt, stats) = load_model_with_stats(&save_model(&g)).unwrap();
+    assert_eq!(stats.total(), 0, "{stats}");
+    assert_eq!(opt, g);
 }
 
 // --- fused-vs-unfused parity on targeted pass patterns ----------------
@@ -324,7 +343,7 @@ fn explicit_output_survives_a_dead_node_declared_after_it() {
         nodes: vec![conv(0, 4), conv(1, 8)],
         output: Some(0),
     };
-    let lowered = ir.lower().unwrap();
+    let lowered = ir.clone().lower().unwrap();
     assert_eq!(lowered.spec().len(), 1);
     assert_eq!(lowered.spec().output_shape(), Shape::hwc(4, 4, 4));
     let bytes = quantmcu::nn::import::encode(&ir);
@@ -478,15 +497,7 @@ proptest! {
         let pos = 16 + (pos - 16) % (bytes.len() - 16);
         bytes[pos] = val;
         // Re-stamp the checksum so decoding reaches the body parser.
-        let sum = {
-            // FNV-1a 64, mirrored from the format spec.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in &bytes[16..] {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
+        let sum = quantmcu::nn::codec::checksum(&bytes[16..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         match load_model(&bytes) {
             Ok(g) => prop_assert!(!g.spec().is_empty()),
