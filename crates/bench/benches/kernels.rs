@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::kernels::{self, naive, FloatDot};
 use quantmcu::nn::{init, Graph, GraphSpecBuilder};
 use quantmcu::quant::entropy;
@@ -44,9 +44,11 @@ fn executors(c: &mut Criterion) {
     });
     for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
         let act = vec![bits; graph.spec().feature_map_count()];
-        let mut qe = QuantExecutor::new(&graph, &ranges, &act, Bitwidth::W8).expect("exec");
+        let compiled =
+            CompiledGraph::with_quantization(&graph, &ranges, &act, Bitwidth::W8).expect("exec");
+        let mut state = ExecState::new();
         group.bench_with_input(BenchmarkId::new("quant", bits), &bits, |b, _| {
-            b.iter(|| qe.run(&x).expect("run"))
+            b.iter(|| compiled.run_quant(&mut state, &x).expect("run"))
         });
     }
     group.finish();

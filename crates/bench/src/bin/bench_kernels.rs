@@ -36,7 +36,7 @@
 use std::time::{Duration, Instant};
 
 use quantmcu::models::Model;
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::kernels::{
     self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, GENERATION,
 };
@@ -306,11 +306,12 @@ fn main() {
         })
     };
     let quant_t = {
-        let mut exec =
-            QuantExecutor::new(&graph, &ranges, &act, Bitwidth::W8).expect("quant executor");
+        let compiled = CompiledGraph::with_quantization(&graph, &ranges, &act, Bitwidth::W8)
+            .expect("quant executor");
+        let mut state = ExecState::new();
         measure(reps, 1, || {
             for x in &images {
-                std::hint::black_box(exec.run(x).expect("quant run"));
+                std::hint::black_box(compiled.run_quant(&mut state, x).expect("quant run"));
             }
         })
     };

@@ -14,7 +14,7 @@ use quantmcu::data::accuracy::{PaperAnchors, ProjectedAccuracy};
 use quantmcu::data::detection::{decode, nms, DetectionDataset, GroundTruth};
 use quantmcu::data::metrics::mean_average_precision;
 use quantmcu::models::{detection_head, Model, ModelConfig};
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::init;
 use quantmcu::tensor::Bitwidth;
 use quantmcu::{Planner, QuantMcuConfig};
@@ -111,12 +111,14 @@ fn detection_cross_check() {
 
     for bits in [Bitwidth::W8, Bitwidth::W4] {
         let act_bits = vec![bits; graph.spec().feature_map_count()];
-        let mut qe = QuantExecutor::new(&graph, &ranges, &act_bits, Bitwidth::W8).expect("exec");
+        let compiled = CompiledGraph::with_quantization(&graph, &ranges, &act_bits, Bitwidth::W8)
+            .expect("exec");
+        let mut state = ExecState::new();
         let mut float_dets = Vec::new();
         let mut quant_dets = Vec::new();
         for input in &inputs {
             let f = float_exec.run(input).expect("float");
-            let q = qe.run(input).expect("quant");
+            let q = compiled.run_quant(&mut state, input).expect("quant");
             float_dets.push(nms(decode(&f, &det, 0.3), 0.5));
             quant_dets.push(nms(decode(&q, &det, 0.3), 0.5));
         }

@@ -12,7 +12,7 @@ use quantmcu::data::metrics::agreement_top1;
 use quantmcu::mcusim::Device;
 use quantmcu::models::Model;
 use quantmcu::nn::cost::{self, BitwidthAssignment};
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::Graph;
 use quantmcu::quant::baselines::{haq, hawq, pact, rusci, QuantizerOutcome, TimeModel};
 use quantmcu::quant::{entropy, score::ScoreTable, vdqs, VdqsConfig};
@@ -132,16 +132,18 @@ fn report(
     measured: Option<std::time::Duration>,
 ) {
     let spec = graph.spec();
-    let mut qe = QuantExecutor::new(
+    let compiled = CompiledGraph::with_quantization(
         graph,
         &outcome.ranges,
         outcome.assignment.as_slice(),
         outcome.weight_bits,
     )
     .expect("executor");
+    let mut state = ExecState::new();
     let mut float_exec = FloatExecutor::new(graph);
     let float: Vec<Tensor> = eval.iter().map(|t| float_exec.run(t).expect("float")).collect();
-    let quant: Vec<Tensor> = eval.iter().map(|t| qe.run(t).expect("quant")).collect();
+    let quant: Vec<Tensor> =
+        eval.iter().map(|t| compiled.run_quant(&mut state, t).expect("quant")).collect();
     let fidelity = agreement_top1(&float, &quant);
     let top1 = ProjectedAccuracy::new(PaperAnchors::imagenet_top1(Model::MobileNetV2), fidelity);
     let bitops = cost::total_bitops(spec, outcome.weight_bits, &outcome.assignment);

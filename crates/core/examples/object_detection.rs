@@ -10,7 +10,7 @@
 use quantmcu::data::detection::{decode, nms, DetectionDataset, GroundTruth};
 use quantmcu::data::metrics::mean_average_precision;
 use quantmcu::models::{detection_head, ModelConfig};
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::init;
 use quantmcu::tensor::Bitwidth;
 
@@ -56,11 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     for bits in [Bitwidth::W8, Bitwidth::W4, Bitwidth::W2] {
         let act = vec![bits; graph.spec().feature_map_count()];
-        let mut qe = QuantExecutor::new(&graph, &ranges, &act, Bitwidth::W8)?;
+        let compiled = CompiledGraph::with_quantization(&graph, &ranges, &act, Bitwidth::W8)?;
+        let mut state = ExecState::new();
         let quant_dets: Vec<_> = images
             .iter()
             .map(|img| {
-                Ok::<_, quantmcu::nn::GraphError>(nms(decode(&qe.run(img)?, &det, 0.3), 0.5))
+                let q = compiled.run_quant(&mut state, img)?;
+                Ok::<_, quantmcu::nn::GraphError>(nms(decode(&q, &det, 0.3), 0.5))
             })
             .collect::<Result<_, _>>()?;
         println!(

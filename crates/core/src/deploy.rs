@@ -8,7 +8,7 @@ use std::thread;
 use quantmcu_nn::exec::{CompiledGraph, ExecState, ScopedPool};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
-use quantmcu_tensor::{Bitwidth, QuantParams, Tensor, TensorError};
+use quantmcu_tensor::{QuantParams, Tensor};
 
 use crate::artifact::{graph_fingerprint, PlanArtifact};
 use crate::error::{Error, PlanError};
@@ -80,9 +80,9 @@ impl Deployment {
     /// Returns [`Error::Plan`] when the plan was made for a different
     /// graph ([`PlanError::GraphMismatch`]), [`Error::Graph`] when its
     /// quantization cannot be materialized (a non-finite range, weights
-    /// wider than 8 bits, a 32-bit activation grid, or a `Q001`
-    /// accumulator overflow), or [`Error::Patch`] when the plan's split
-    /// does not fit the graph.
+    /// or an activation grid wider than 8 bits, or a `Q001` accumulator
+    /// overflow), or [`Error::Patch`] when the plan's split does not fit
+    /// the graph.
     pub fn new(graph: impl Into<Arc<Graph>>, plan: DeploymentPlan) -> Result<Self, Error> {
         let graph = graph.into();
         // A plan for another graph would apply its grids, regions and tail
@@ -90,13 +90,10 @@ impl Deployment {
         if plan.spec() != graph.spec() {
             return Err(Error::Plan(PlanError::GraphMismatch));
         }
-        // Packed weights are at most 8 bits wide, and a 32-bit grid's
-        // zero-point offset overflows `i32` arithmetic.
-        if plan.weight_bits.bits() > 8 {
-            return Err(TensorError::UnsupportedBitwidth(plan.weight_bits.bits()).into());
-        }
-        if plan.branch_bits.iter().flatten().chain(&plan.tail_bits).any(|&b| b == Bitwidth::W32) {
-            return Err(TensorError::UnsupportedBitwidth(32).into());
+        // The tail's widths are checked where it compiles; branch grids
+        // follow the same rule, since their maps are the device's too.
+        for &bits in plan.branch_bits.iter().flatten() {
+            bits.check_storage()?;
         }
         let branch_params = Deployment::branch_params_for(&plan)?;
         let tail = CompiledGraph::with_quantization(
@@ -275,7 +272,7 @@ mod tests {
     use crate::{Engine, Planner, QuantMcuConfig, SramBudget};
     use quantmcu_nn::exec::FloatExecutor;
     use quantmcu_nn::{init, GraphSpecBuilder};
-    use quantmcu_tensor::Shape;
+    use quantmcu_tensor::{Bitwidth, Shape, TensorError};
 
     fn graph() -> Graph {
         let spec = GraphSpecBuilder::new(Shape::hwc(16, 16, 3))
@@ -401,17 +398,24 @@ mod tests {
     fn bitwidths_the_integer_layout_cannot_hold_are_a_typed_error() {
         let g = graph();
         let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &inputs(4), 256 * 1024).unwrap();
-        let mut wide_weights = plan.clone();
-        wide_weights.weight_bits = Bitwidth::W16;
-        let mut wide_branch = plan.clone();
-        wide_branch.branch_bits[0][0] = Bitwidth::W32;
-        let mut wide_tail = plan;
-        *wide_tail.tail_bits.last_mut().unwrap() = Bitwidth::W32;
-        for (plan, bits) in [(wide_weights, 16), (wide_branch, 32), (wide_tail, 32)] {
-            assert!(matches!(
-                Deployment::new(g.clone(), plan),
-                Err(Error::Graph(GraphError::Tensor(TensorError::UnsupportedBitwidth(b)))) if b == bits
-            ));
+        for bits in [Bitwidth::W16, Bitwidth::W32] {
+            let mut wide_weights = plan.clone();
+            wide_weights.weight_bits = bits;
+            let mut wide_branch = plan.clone();
+            wide_branch.branch_bits[0][0] = bits;
+            let mut wide_tail = plan.clone();
+            *wide_tail.tail_bits.last_mut().unwrap() = bits;
+            for (what, plan) in
+                [("weights", wide_weights), ("branch", wide_branch), ("tail", wide_tail)]
+            {
+                assert!(
+                    matches!(
+                        Deployment::new(g.clone(), plan),
+                        Err(Error::Graph(GraphError::Tensor(TensorError::UnsupportedBitwidth(b)))) if b == bits.bits()
+                    ),
+                    "{bits} {what}"
+                );
+            }
         }
     }
 

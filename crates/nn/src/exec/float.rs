@@ -5,6 +5,40 @@ use crate::exec::{CompiledGraph, ExecState};
 use crate::graph::Graph;
 use crate::spec::FeatureMapId;
 
+/// Collects per-feature-map activation ranges by streaming the float
+/// executor over a calibration set.
+///
+/// Ranges are accumulated incrementally from
+/// [`FloatExecutor::run_with`] — no trace is materialized, so peak memory
+/// is one live set of feature maps regardless of calibration-set size.
+///
+/// Returns one `(min, max)` per feature map (input included), the ranges
+/// [`CompiledGraph::with_quantization`] takes.
+///
+/// # Errors
+///
+/// Propagates executor errors; an empty calibration set yields unit ranges.
+pub fn calibrate_ranges(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<(f32, f32)>, GraphError> {
+    let fm_count = graph.spec().feature_map_count();
+    let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); fm_count];
+    let mut exec = FloatExecutor::new(graph);
+    for input in inputs {
+        exec.run_with(input, |fm, t| {
+            let r = &mut ranges[fm.0];
+            for &v in t.data() {
+                r.0 = r.0.min(v);
+                r.1 = r.1.max(v);
+            }
+        })?;
+    }
+    for r in &mut ranges {
+        if !r.0.is_finite() || !r.1.is_finite() {
+            *r = (0.0, 1.0);
+        }
+    }
+    Ok(ranges)
+}
+
 /// Full-precision reference executor: a thin façade bundling a borrowed
 /// [`CompiledGraph`] with its own [`ExecState`].
 ///
@@ -53,19 +87,7 @@ impl<'g> FloatExecutor<'g> {
     /// [`CompiledGraph::new`] and handle the error.
     pub fn new(graph: &'g Graph) -> Self {
         let compiled = CompiledGraph::new(graph).expect("validated graphs pass analysis");
-        let state = ExecState::for_graph(&compiled);
-        FloatExecutor { compiled, state }
-    }
-
-    /// Wraps an already-compiled graph with a fresh execution state.
-    pub fn from_compiled(compiled: CompiledGraph<&'g Graph>) -> Self {
-        let state = ExecState::for_graph(&compiled);
-        FloatExecutor { compiled, state }
-    }
-
-    /// The underlying compilation (shareable across threads).
-    pub fn compiled(&self) -> &CompiledGraph<&'g Graph> {
-        &self.compiled
+        FloatExecutor { compiled, state: ExecState::new() }
     }
 
     /// Runs the graph, returning the final feature map.
@@ -111,13 +133,6 @@ impl<'g> FloatExecutor<'g> {
         let mut trace = Vec::with_capacity(self.compiled.spec().feature_map_count());
         self.run_with(input, |_, t| trace.push(t.clone()))?;
         Ok(trace)
-    }
-
-    /// Warm-up allocation count of the executor's arenas (stable once every
-    /// feature-map shape has been seen; see
-    /// [`ExecState::fresh_allocations`]).
-    pub fn arena_allocations(&self) -> usize {
-        self.state.fresh_allocations()
     }
 }
 
@@ -278,11 +293,34 @@ mod tests {
         let input = Tensor::from_fn(Shape::hwc(8, 8, 3), |i| (i as f32 * 0.1).sin());
         let mut exec = FloatExecutor::new(&g);
         exec.run_with(&input, |_, _| {}).unwrap();
-        let warm = exec.arena_allocations();
+        let warm = exec.state.fresh_allocations();
         for _ in 0..5 {
             exec.run_with(&input, |_, _| {}).unwrap();
         }
-        assert_eq!(exec.arena_allocations(), warm, "steady-state runs must not allocate");
+        assert_eq!(exec.state.fresh_allocations(), warm, "steady-state runs must not allocate");
+    }
+
+    #[test]
+    fn calibration_ranges_cover_observations() {
+        let spec = GraphSpecBuilder::new(Shape::hwc(8, 8, 3))
+            .conv2d(8, 3, 2, 1)
+            .relu6()
+            .dwconv(3, 1, 1)
+            .global_avg_pool()
+            .dense(5)
+            .build()
+            .unwrap();
+        let g = init::with_structured_weights(spec, 11);
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|s| Tensor::from_fn(Shape::hwc(8, 8, 3), |i| (((i + s * 131) as f32) * 0.7).sin()))
+            .collect();
+        let ranges = calibrate_ranges(&g, &inputs).unwrap();
+        let trace = FloatExecutor::new(&g).run_trace(&inputs[1]).unwrap();
+        for (fm, t) in trace.iter().enumerate() {
+            for &v in t.data() {
+                assert!(v >= ranges[fm].0 - 1e-6 && v <= ranges[fm].1 + 1e-6);
+            }
+        }
     }
 
     #[test]

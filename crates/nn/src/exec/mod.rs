@@ -23,32 +23,30 @@
 //!
 //! All execution dispatches into the shared op-kernel layer in
 //! [`crate::kernels`] — one cache-blocked, register-tiled loop nest per
-//! operator, generic over an element/accumulator strategy — and holds
-//! feature maps in
-//! state-owned [`Arena`](quantmcu_tensor::Arena)s, recycling each buffer
-//! once the map's last consumer has fired. The streaming `run_*_with`
-//! paths perform zero steady-state heap allocations; plain `run_*` adds
-//! exactly one — the returned tensor's buffer.
+//! operator — and holds feature maps in state-owned
+//! [`Arena`](quantmcu_tensor::Arena)s, recycling each buffer once the
+//! map's last consumer has fired. The streaming `run_*_with` paths perform
+//! zero steady-state heap allocations; plain `run_*` adds exactly one —
+//! the returned tensor's buffer.
 //!
-//! Single-threaded callers use the façades, each bundling a borrowed
-//! compilation with its own state:
+//! The integer path models the CMSIS-NN / CMix-NN kernel stack, and
+//! [`CompiledGraph::with_quantization`] is its only entry: `i8` activation
+//! storage at a per-feature-map [`Bitwidth`](quantmcu_tensor::Bitwidth) of
+//! at most 8 bits (wider grids and weights are a typed error),
+//! per-channel weights held in packed W2/W4/W8 words and consumed directly
+//! by the packed dot-product kernels (no unpacking pass), receptive rows
+//! gathered once per output pixel as zero-point-corrected `i16` lanes,
+//! `i32` accumulation, fixed-point (multiplier and shift) requantization
+//! between layers, and exact lookup tables for `Relu`/`Relu6`/`MaxPool`.
+//! Mixed-precision deployment plans are evaluated by giving each feature
+//! map its own bitwidth; [`calibrate_ranges`] supplies the ranges.
 //!
-//! * [`FloatExecutor`] — the full-precision reference. Besides plain
-//!   inference it can stream every intermediate feature map to an
-//!   observer ([`FloatExecutor::run_with`]), which is what calibration,
-//!   entropy estimation and value-driven patch classification consume
-//!   without materializing full traces.
-//! * [`QuantExecutor`] — an integer executor modeling the CMSIS-NN /
-//!   CMix-NN kernel stack: integer activation storage at a
-//!   per-feature-map [`Bitwidth`](quantmcu_tensor::Bitwidth) (`i8` up to
-//!   8 bits, `i32` above), per-channel weights held in packed W2/W4/W8
-//!   words and consumed directly by the packed dot-product kernels (no
-//!   unpacking pass), receptive rows gathered once per output pixel as
-//!   zero-point-corrected `i16` lanes, `i32` accumulation, fixed-point
-//!   (multiplier and shift) requantization between layers, and exact
-//!   lookup tables for `Relu`/`Relu6`/`MaxPool`.
-//!   Mixed-precision deployment plans are evaluated by giving each
-//!   feature map its own bitwidth.
+//! [`FloatExecutor`] is the full-precision reference for single-threaded
+//! callers: a borrowed compilation bundled with its own state. Besides
+//! plain inference it can stream every intermediate feature map to an
+//! observer ([`FloatExecutor::run_with`]), which is what calibration,
+//! entropy estimation and value-driven patch classification consume
+//! without materializing full traces.
 
 mod compile;
 mod float;
@@ -56,6 +54,5 @@ pub mod pool;
 mod quantized;
 
 pub use compile::{CompiledGraph, ExecState};
-pub use float::FloatExecutor;
+pub use float::{calibrate_ranges, FloatExecutor};
 pub use pool::{PoolError, PoolJob, ScopedJob, ScopedPool, WorkerPool};
-pub use quantized::{calibrate_ranges, QuantExecutor};

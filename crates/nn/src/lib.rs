@@ -7,10 +7,11 @@
 //!   receptive-field algebra, peak-memory estimation) runs on specs alone,
 //!   so paper-scale networks (224×224 VGG-16 included) can be analyzed
 //!   without allocating their weights.
-//! * [`Graph`] — a spec plus materialized `f32` weights, executable by the
-//!   float executor ([`exec::FloatExecutor`]) or the integer executor
-//!   ([`exec::QuantExecutor`]) that mimics the CMSIS-NN / CMix-NN kernel
-//!   stack (i8 storage, i32 accumulate, requantize, sub-byte activations).
+//! * [`Graph`] — a spec plus materialized `f32` weights, compiled once by
+//!   [`exec::CompiledGraph`] for the float loop, or, through
+//!   [`exec::CompiledGraph::with_quantization`], for the integer loop that
+//!   mimics the CMSIS-NN / CMix-NN kernel stack (i8 storage, i32
+//!   accumulate, requantize, sub-byte activations).
 //!
 //! Feature maps — the unit the paper quantizes — are identified by
 //! [`FeatureMapId`]: id 0 is the graph input, id `i + 1` the output of node

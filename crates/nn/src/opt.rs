@@ -5,8 +5,8 @@
 //! explicit node ids, declaration order free of topological meaning,
 //! per-node weight/bias payloads, and one operator ([`IrOp::BiasAdd`])
 //! that exists only at import time. Rewrite [`Pass`]es run *before*
-//! lowering, so `FloatExecutor`, `QuantExecutor`, the patch engine and
-//! the planner all execute the optimized graph.
+//! lowering, so the float and integer loops of `CompiledGraph`, the patch
+//! engine and the planner all execute the optimized graph.
 //!
 //! [`PassManager::standard`] runs four passes to a fixed point:
 //!

@@ -9,7 +9,7 @@
 //! map buffer is recycled once its last consumer has fired, and the
 //! streaming `run_with` path touches the heap only during warm-up.
 
-use quantmcu_nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu_nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu_nn::{init, GraphSpecBuilder};
 use quantmcu_tensor::{Bitwidth, Shape, Tensor};
 
@@ -69,13 +69,14 @@ fn quant_executor_is_allocation_free_after_warmup() {
     let x = input();
     let ranges = calibrate_ranges(&g, std::slice::from_ref(&x)).unwrap();
     let bits = vec![Bitwidth::W8; g.spec().feature_map_count()];
-    let mut exec = QuantExecutor::new(&g, &ranges, &bits, Bitwidth::W8).unwrap();
-    exec.run_with(&x, |_, _| {}).unwrap();
-    exec.run_with(&x, |_, _| {}).unwrap();
+    let compiled = CompiledGraph::with_quantization(&g, &ranges, &bits, Bitwidth::W8).unwrap();
+    let mut state = ExecState::new();
+    compiled.run_quant_with(&mut state, &x, |_, _| {}).unwrap();
+    compiled.run_quant_with(&mut state, &x, |_, _| {}).unwrap();
 
     let before = alloc_counter::allocation_count();
     for _ in 0..20 {
-        exec.run_with(&x, |_, _| {}).unwrap();
+        compiled.run_quant_with(&mut state, &x, |_, _| {}).unwrap();
     }
     let after = alloc_counter::allocation_count();
     assert_eq!(

@@ -10,9 +10,8 @@
 //!   so gathering a receptive row and reducing it in any order cannot
 //!   change any output element. The integer kernels
 //!   (`kernels::{conv2d_q, dwconv_q, dense_q}` over a [`PackedDot`] of
-//!   W8/W4/W2 words) must equal `kernels::naive`'s `*_q` loops exactly,
-//!   from `i8` storage (8-bit input grids, `i16` lanes) and from `i32`
-//!   storage (16-bit input grids, `i32` lanes), into either storage.
+//!   W8/W4/W2 words, `i8` maps in and out, `i16` lanes) must equal
+//!   `kernels::naive`'s `*_q` loops exactly.
 //! * **Float paths are ULP-bounded.** The lane-unrolled [`FloatDot`]
 //!   *reassociates* each run's `f32` summation (four partial sums
 //!   combined pairwise instead of one serial chain), which legitimately
@@ -31,7 +30,7 @@
 use proptest::prelude::*;
 
 use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, PackedDot, Requant};
-use quantmcu_tensor::{pack, Bitwidth, Level, Region, Shape, Tensor};
+use quantmcu_tensor::{pack, Bitwidth, Region, Shape, Tensor};
 
 /// Deterministic pseudo-random buffer (the proptest shim drives shape and
 /// seed diversity; values just need to be varied and sign-mixed).
@@ -80,72 +79,20 @@ fn varied_weights(len: usize, seed: u64, bits: Bitwidth) -> Vec<i8> {
     varied_q(len, seed, bits.min_value(), bits.max_value()).into_iter().map(|v| v as i8).collect()
 }
 
-/// An input feature map on an 8-bit grid (`wide == false`, stored as
-/// `i8`) or a 16-bit grid (stored as `i32`), and a zero point on that
-/// grid.
-fn varied_input(len: usize, seed: u64, wide: bool, zp_at: f64) -> (Vec<i32>, i32) {
-    let b = if wide { Bitwidth::W16 } else { Bitwidth::W8 };
-    // 16-bit values stay within ±20000 so the naive `i64` sums of these
-    // small test graphs still fit the `i32` accumulator Q001 guarantees.
-    let (lo, hi) = if wide { (-20_000, 20_000) } else { (b.min_value(), b.max_value()) };
+/// An input feature map on an 8-bit grid as grid values (the naive
+/// reference's input) and as the `i8` storage the kernels read, and a
+/// zero point on that grid.
+fn varied_input(len: usize, seed: u64, zp_at: f64) -> (Vec<i32>, Vec<i8>, i32) {
+    let (lo, hi) = (Bitwidth::W8.min_value(), Bitwidth::W8.max_value());
     let zp = lo + ((hi - lo) as f64 * zp_at) as i32;
-    (varied_q(len, seed, lo, hi), zp)
+    let q = varied_q(len, seed, lo, hi);
+    let stored = q.iter().map(|&v| v as i8).collect();
+    (q, stored, zp)
 }
 
-/// Runs an integer kernel from the storage `wide` selects, into both
-/// output storages, and checks the two outputs agree; returns the `i32`
-/// one.
-fn run_q(
-    q_in: &[i32],
-    wide: bool,
-    len: usize,
-    kernel: impl Fn(&Input<'_>, &mut Output<'_>),
-) -> Vec<i32> {
-    let narrow_in: Vec<i8> =
-        if wide { Vec::new() } else { q_in.iter().map(|&q| q as i8).collect() };
-    let input = if wide { Input::Wide(q_in) } else { Input::Narrow(&narrow_in) };
-    let mut out32 = vec![0i32; len];
-    let mut out8 = vec![0i8; len];
-    kernel(&input, &mut Output::Wide(&mut out32));
-    kernel(&input, &mut Output::Narrow(&mut out8));
-    assert!(out8.iter().zip(&out32).all(|(&a, &b)| a.level() == b), "i8 and i32 outputs differ");
-    out32
-}
-
-/// A kernel input in one of the two storages.
-enum Input<'a> {
-    Narrow(&'a [i8]),
-    Wide(&'a [i32]),
-}
-
-/// A kernel output in one of the two storages.
-enum Output<'a> {
-    Narrow(&'a mut [i8]),
-    Wide(&'a mut [i32]),
-}
-
-/// Calls `$f(input, output, row)` with the concrete storage types.
-macro_rules! dispatch {
-    ($input:expr, $output:expr, |$x:ident, $o:ident, $row:ident| $body:expr) => {
-        match ($input, $output) {
-            (Input::Narrow($x), Output::Narrow($o)) => {
-                let $row = &mut Vec::<i16>::new();
-                $body
-            }
-            (Input::Narrow($x), Output::Wide($o)) => {
-                let $row = &mut Vec::<i16>::new();
-                $body
-            }
-            (Input::Wide($x), Output::Narrow($o)) => {
-                let $row = &mut Vec::<i32>::new();
-                $body
-            }
-            (Input::Wide($x), Output::Wide($o)) => {
-                let $row = &mut Vec::<i32>::new();
-                $body
-            }
-        }
-    };
+/// `i8` kernel outputs as grid values.
+fn levels(out: &[i8]) -> Vec<i32> {
+    out.iter().map(|&v| v as i32).collect()
 }
 
 proptest! {
@@ -318,25 +265,21 @@ proptest! {
         stride in 1usize..4,
         pad in 0usize..3,
         which_bits in 0usize..3,
-        wide in prop::sample::select(vec![false, true]),
         zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
-        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
+        let (q_in, x, zp_in) = varied_input(shape.len(), seed, zp_at);
         let qw = varied_weights(oc * k * k * c, seed ^ 0xACE, bits);
         let rq = requant(oc, seed);
         let reference = naive::conv2d_q(&q_in, shape, &qw, zp_in, &rq, oc, k, stride, pad);
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
-        let out = run_q(&q_in, wide, reference.len(), |input, output| {
-            dispatch!(input, output, |x, o, row| {
-                kernels::conv2d_q(&dot, x, shape, o, oc, k, stride, pad, row)
-            })
-        });
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
+        let mut out = vec![0i8; reference.len()];
+        kernels::conv2d_q(&dot, &x, shape, &mut out, oc, k, stride, pad, &mut Vec::new());
+        prop_assert_eq!(levels(&out), reference);
     }
 
     #[test]
@@ -348,25 +291,21 @@ proptest! {
         stride in 1usize..4,
         pad in 0usize..3,
         which_bits in 0usize..3,
-        wide in prop::sample::select(vec![false, true]),
         zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
-        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
+        let (q_in, x, zp_in) = varied_input(shape.len(), seed, zp_at);
         let qw = varied_weights(k * k * c, seed ^ 0xD0E, bits);
         let rq = requant(c, seed);
         let reference = naive::dwconv_q(&q_in, shape, &qw, zp_in, &rq, k, stride, pad);
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
-        let out = run_q(&q_in, wide, reference.len(), |input, output| {
-            dispatch!(input, output, |x, o, _row| {
-                kernels::dwconv_q(&dot, x, shape, o, k, stride, pad)
-            })
-        });
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
+        let mut out = vec![0i8; reference.len()];
+        kernels::dwconv_q(&dot, &x, shape, &mut out, k, stride, pad);
+        prop_assert_eq!(levels(&out), reference);
     }
 
     #[test]
@@ -376,24 +315,20 @@ proptest! {
         c in 1usize..20,
         out_f in 1usize..24,
         which_bits in 0usize..3,
-        wide in prop::sample::select(vec![false, true]),
         zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
     ) {
         let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
         let shape = Shape::hwc(h, w, c);
         let fan_in = shape.per_sample();
-        let (q_in, zp_in) = varied_input(shape.len(), seed, wide, zp_at);
+        let (q_in, x, zp_in) = varied_input(shape.len(), seed, zp_at);
         let qw = varied_weights(out_f * fan_in, seed ^ 0xFEE, bits);
         let rq = requant(out_f, seed);
         let reference = naive::dense_q(&q_in, shape, &qw, zp_in, &rq, out_f);
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
-        let out = run_q(&q_in, wide, reference.len(), |input, output| {
-            dispatch!(input, output, |x, o, row| {
-                kernels::dense_q(&dot, x, shape, o, out_f, row)
-            })
-        });
-        prop_assert_eq!(out.as_slice(), reference.as_slice());
+        let mut out = vec![0i8; reference.len()];
+        kernels::dense_q(&dot, &x, shape, &mut out, out_f, &mut Vec::new());
+        prop_assert_eq!(levels(&out), reference);
     }
 }

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use quantmcu_nn::cost::{self, BitwidthAssignment};
-use quantmcu_nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu_nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_tensor::{Bitwidth, Tensor};
 
@@ -55,10 +55,11 @@ pub fn run(
     let mut rng = StdRng::seed_from_u64(seed);
 
     let evaluate = |bits: &[Bitwidth]| -> Result<f64, GraphError> {
-        let mut qe = QuantExecutor::new(graph, &ranges, bits, Bitwidth::W8)?;
+        let compiled = CompiledGraph::with_quantization(graph, &ranges, bits, Bitwidth::W8)?;
+        let mut state = ExecState::new();
         let mut mse = 0.0f64;
         for (input, fref) in eval.iter().zip(&float_outputs) {
-            let q = qe.run(input)?;
+            let q = compiled.run_quant(&mut state, input)?;
             let d: f64 =
                 q.data().iter().zip(fref.data()).map(|(a, b)| ((a - b) as f64).powi(2)).sum();
             mse += d / fref.data().len() as f64;

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use quantmcu_nn::cost::{self, BitwidthAssignment};
-use quantmcu_nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu_nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_tensor::{Bitwidth, Tensor};
 
@@ -45,10 +45,11 @@ pub fn run(
 
     let fm_count = spec.feature_map_count();
     let output_mse = |bits: &[Bitwidth]| -> Result<f64, GraphError> {
-        let mut qe = QuantExecutor::new(graph, &ranges, bits, Bitwidth::W8)?;
+        let compiled = CompiledGraph::with_quantization(graph, &ranges, bits, Bitwidth::W8)?;
+        let mut state = ExecState::new();
         let mut mse = 0.0f64;
         for (input, fref) in eval.iter().zip(&float_outputs) {
-            let q = qe.run(input)?;
+            let q = compiled.run_quant(&mut state, input)?;
             mse += q
                 .data()
                 .iter()

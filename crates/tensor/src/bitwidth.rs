@@ -5,9 +5,11 @@ use crate::error::TensorError;
 /// A quantization bitwidth.
 ///
 /// The paper's deployment library (CMix-NN) supports 8-, 4- and 2-bit
-/// storage; those three are the candidate set used by the VDQS search.
-/// `W16` and `W32` exist for accounting of accumulators and full-precision
-/// baselines and are never produced by the search.
+/// storage; those three are the candidate set used by the VDQS search and
+/// the only widths the integer executor stores ([`Bitwidth::check_storage`]).
+/// `W16` and `W32` are accounting-only: they price accumulators and
+/// full-precision baselines in the cost models, are never produced by the
+/// search, and no executor runs them.
 ///
 /// # Example
 ///
@@ -26,9 +28,9 @@ pub enum Bitwidth {
     W4,
     /// 8-bit signed values in `[-128, 127]`.
     W8,
-    /// 16-bit values (accounting only).
+    /// 16-bit values (accounting only; no executor runs them).
     W16,
-    /// 32-bit full precision (accounting only).
+    /// 32-bit full precision (accounting only; no executor runs them).
     W32,
 }
 
@@ -72,6 +74,21 @@ impl Bitwidth {
         match self {
             Bitwidth::W32 => i32::MAX,
             _ => (1i32 << (self.bits() - 1)) - 1,
+        }
+    }
+
+    /// `Ok` for the widths the integer layout stores — at most 8 bits,
+    /// the packed CMix-NN widths, held as `i8` — and
+    /// [`TensorError::UnsupportedBitwidth`] for the accounting-only widths.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::UnsupportedBitwidth`] for `W16` and `W32`.
+    pub fn check_storage(self) -> Result<(), TensorError> {
+        if self.bits() <= 8 {
+            Ok(())
+        } else {
+            Err(TensorError::UnsupportedBitwidth(self.bits()))
         }
     }
 

@@ -251,28 +251,23 @@ fn to_int(x: f32) -> i32 {
     (x + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32
 }
 
-/// A stored grid value of the integer path: `i8` holds the storage grids
-/// (at most 8 bits, the CMix-NN widths), `i32` the wider accounting grids.
+/// An integer type a grid value is stored in: `i8` holds the storage
+/// grids (at most 8 bits, the CMix-NN widths), the only maps the integer
+/// executor keeps; `i32` holds any grid, for callers such as the entropy
+/// estimator that count levels of the wider accounting grids too.
 pub trait Level: Copy + Default + fmt::Debug + Send + Sync + 'static {
     /// The widest grid, in bits, this type holds.
     const BITS: u32;
-    /// The zero-point-corrected value `q − zp`: `i16` for `i8` storage
-    /// (`|q − zp| ≤ 255`), `i32` for `i32` storage.
-    type Lane: Copy + Default + Into<i32> + fmt::Debug + Send + Sync + 'static;
 
     /// Stores grid value `q`, which must fit [`Level::BITS`].
     fn from_level(q: i32) -> Self;
 
     /// The stored grid value.
     fn level(self) -> i32;
-
-    /// `self − zp` for a zero point of a grid this type holds.
-    fn lane(self, zp: i32) -> Self::Lane;
 }
 
 impl Level for i8 {
     const BITS: u32 = 8;
-    type Lane = i16;
 
     #[inline(always)]
     fn from_level(q: i32) -> i8 {
@@ -284,16 +279,10 @@ impl Level for i8 {
     fn level(self) -> i32 {
         self as i32
     }
-
-    #[inline(always)]
-    fn lane(self, zp: i32) -> i16 {
-        self as i16 - zp as i16
-    }
 }
 
 impl Level for i32 {
     const BITS: u32 = 32;
-    type Lane = i32;
 
     #[inline(always)]
     fn from_level(q: i32) -> i32 {
@@ -303,11 +292,6 @@ impl Level for i32 {
     #[inline(always)]
     fn level(self) -> i32 {
         self
-    }
-
-    #[inline(always)]
-    fn lane(self, zp: i32) -> i32 {
-        self - zp
     }
 }
 

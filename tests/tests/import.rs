@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use quantmcu::models::Model;
 use quantmcu::nn::analyze::{analyze_ir, AnalyzeOptions, Code, RawInput};
 use quantmcu::nn::cost::total_macs;
-use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
+use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::import::{
     decode, load_model, load_model_unoptimized, load_model_with_stats, save_model,
     save_model_to_path, ImportError, FORMAT_VERSION,
@@ -50,8 +50,9 @@ fn float_outputs(g: &Graph, inputs: &[Tensor]) -> Vec<Tensor> {
 fn quant_outputs(g: &Graph, calibration: &[Tensor], inputs: &[Tensor]) -> Vec<Tensor> {
     let ranges = calibrate_ranges(g, calibration).unwrap();
     let act_bits = vec![Bitwidth::W8; g.spec().feature_map_count()];
-    let mut exec = QuantExecutor::new(g, &ranges, &act_bits, Bitwidth::W8).unwrap();
-    inputs.iter().map(|x| exec.run(x).unwrap()).collect()
+    let compiled = CompiledGraph::with_quantization(g, &ranges, &act_bits, Bitwidth::W8).unwrap();
+    let mut state = ExecState::new();
+    inputs.iter().map(|x| compiled.run_quant(&mut state, x).unwrap()).collect()
 }
 
 fn assert_bit_identical(a: &[Tensor], b: &[Tensor], what: &str) {
