@@ -7,9 +7,9 @@
 //! * **naive** — the `kernels::naive::*_q` oracle loop nests over `i32`
 //!   grid values and unpacked `i8` weights;
 //! * **tiled** — the deployed integer kernels (`kernels::{conv2d_q,
-//!   dwconv_q, dense_q}`): `i8` feature maps in and out, receptive rows
-//!   gathered as `i16` lanes, dot products directly on packed W8/W4/W2
-//!   words;
+//!   dwconv_q, dense_q}`): `i8` feature maps in and out, pixel rows as
+//!   `i16` lanes, packed W8/W4/W2 weights decoded a panel of output
+//!   channels at a time;
 //! * **float** — the float kernels on the same shape, the reference the
 //!   integer path should beat (`speedup_vs_float`);
 //! * **float_naive** — the float `kernels::naive` loop nests.
@@ -20,7 +20,9 @@
 //! maps under `kernels::PIX` pixels). Conv2d sweeps every packed width
 //! (W8/W4/W2), each with its own naive row over the same range-clamped
 //! weights; `pwconv_int` is the 1×1 shape that dominates MobileNetV2's
-//! integer tail, `stem_conv_int` is the patch head's stride-2 stem, and
+//! integer tail, `pwconv_1px_int` (1×1×480→80) and `pwconv_2x2_int`
+//! (2×2×48→288) are the tail's one-pixel and four-pixel 1×1 regimes,
+//! `stem_conv_int` is the patch head's stride-2 stem, and
 //! `head_pwconv_int` is a 16→48 pointwise conv at the head's resolution.
 //! That shape exists only as the folded form of the head's 16→8→48
 //! bottleneck pair, which the importer keeps as two convs (folding it
@@ -38,7 +40,7 @@ use std::time::{Duration, Instant};
 use quantmcu::models::Model;
 use quantmcu::nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
 use quantmcu::nn::kernels::{
-    self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, GENERATION,
+    self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, RowScratch, GENERATION,
 };
 use quantmcu::tensor::{pack, Bitwidth, Shape, Tensor};
 use quantmcu_bench::{exec_dataset, exec_graph, smoke};
@@ -173,12 +175,12 @@ fn sweep(
         (_, true) => naive::dwconv_q(&q_in, input, &qw, zp_in, &rq, k, stride, pad),
         _ => naive::conv2d_q(&q_in, input, &qw, zp_in, &rq, out_ch, k, stride, pad),
     };
-    let mut row = Vec::new();
+    let mut row = RowScratch::default();
     let mut tiled = || {
         let mut o = vec![0i8; out.len()];
         match (k, layer.depthwise) {
             (0, _) => kernels::dense_q(&dot, &q8, input, &mut o, out_ch, &mut row),
-            (_, true) => kernels::dwconv_q(&dot, &q8, input, &mut o, k, stride, pad),
+            (_, true) => kernels::dwconv_q(&dot, &q8, input, &mut o, k, stride, pad, &mut row),
             _ => kernels::conv2d_q(&dot, &q8, input, &mut o, out_ch, k, stride, pad, &mut row),
         }
         o
@@ -285,6 +287,11 @@ fn main() {
     sweep("stem_conv_int", stem, Bitwidth::W8, (reps, iters), &mut rows);
     let head_pw = Layer::conv(Shape::hwc(16, 16, 16), 48, 1, 1, 0);
     sweep("head_pwconv_int", head_pw, Bitwidth::W8, (reps, iters), &mut rows);
+    // The integer tail's two other 1×1 regimes: one pixel, and a 2×2 map.
+    let one_pixel = Layer::conv(Shape::hwc(1, 1, 480), 80, 1, 1, 0);
+    sweep("pwconv_1px_int", one_pixel, Bitwidth::W8, (reps, iters), &mut rows);
+    let four_pixel = Layer::conv(Shape::hwc(2, 2, 48), 288, 1, 1, 0);
+    sweep("pwconv_2x2_int", four_pixel, Bitwidth::W8, (reps, iters), &mut rows);
     let dw = Layer { depthwise: true, ..Layer::conv(shape, c, 3, 1, 1) };
     sweep("dwconv_int", dw, Bitwidth::W8, (reps, iters), &mut rows);
     let out_f = if smoke() { 32 } else { 64 };

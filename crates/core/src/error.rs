@@ -150,6 +150,13 @@ pub enum PlanError {
     Graph(GraphError),
     /// The calibration set is empty.
     NoCalibration,
+    /// A calibration image holds `±∞` in the input feature map (the one
+    /// map whose distribution VDPC fits unclipped), which then has no
+    /// finite mean or spread. (NaN values are skipped, not rejected.)
+    NonFiniteCalibration {
+        /// Index of the first such image in the calibration set.
+        image: usize,
+    },
     /// A plan was deployed on a graph other than the one it was made for.
     GraphMismatch,
 }
@@ -161,6 +168,9 @@ impl fmt::Display for PlanError {
             PlanError::Quant(e) => write!(f, "quantization search failed: {e}"),
             PlanError::Graph(e) => write!(f, "graph error: {e}"),
             PlanError::NoCalibration => write!(f, "calibration set is empty"),
+            PlanError::NonFiniteCalibration { image } => {
+                write!(f, "calibration image {image} holds an infinite value in the input map")
+            }
             PlanError::GraphMismatch => write!(f, "plan was made for a different graph"),
         }
     }
@@ -172,7 +182,9 @@ impl std::error::Error for PlanError {
             PlanError::Patch(e) => Some(e),
             PlanError::Quant(e) => Some(e),
             PlanError::Graph(e) => Some(e),
-            PlanError::NoCalibration | PlanError::GraphMismatch => None,
+            PlanError::NoCalibration
+            | PlanError::NonFiniteCalibration { .. }
+            | PlanError::GraphMismatch => None,
         }
     }
 }

@@ -77,6 +77,20 @@ impl PlanStats {
 /// One budget's sweep outcome: the plan and its timing breakdown.
 type BudgetOutcome = Result<(DeploymentPlan, PlanStats), PlanError>;
 
+/// Rejects a calibration set no plan can be fitted on: an empty one, or one
+/// with an image holding `±∞` (VDPC fits its Gaussian on the input map,
+/// unclipped, and an infinite pixel leaves it no finite moments; NaN pixels
+/// are skipped).
+fn check_calibration(calibration: &[Tensor]) -> Result<(), PlanError> {
+    if calibration.is_empty() {
+        return Err(PlanError::NoCalibration);
+    }
+    match calibration.iter().position(|t| t.data().iter().any(|v| v.is_infinite())) {
+        Some(image) => Err(PlanError::NonFiniteCalibration { image }),
+        None => Ok(()),
+    }
+}
+
 impl Planner {
     /// A planner with the given configuration.
     pub fn new(cfg: QuantMcuConfig) -> Self {
@@ -93,6 +107,8 @@ impl Planner {
     /// # Errors
     ///
     /// * [`PlanError::NoCalibration`] for an empty calibration set;
+    /// * [`PlanError::NonFiniteCalibration`] when a calibration image holds
+    ///   `±∞`;
     /// * [`PlanError::Patch`] when the graph has no usable patch stage;
     /// * [`PlanError::Quant`] when Eq. (7) is infeasible even at the
     ///   narrowest candidates.
@@ -184,9 +200,7 @@ impl Planner {
         bits: Bitwidth,
         sram_bytes: usize,
     ) -> Result<DeploymentPlan, PlanError> {
-        if calibration.is_empty() {
-            return Err(PlanError::NoCalibration);
-        }
+        check_calibration(calibration)?;
         let spec = graph.spec().clone();
         let patch_plan = PatchPlan::fitted(&spec, self.cfg.grid, sram_bytes)?;
         let compiled = CompiledGraph::new(graph)?;
@@ -227,9 +241,7 @@ impl Planner {
         calibration: &[Tensor],
         budgets: &[usize],
     ) -> Result<Vec<BudgetOutcome>, PlanError> {
-        if calibration.is_empty() {
-            return Err(PlanError::NoCalibration);
-        }
+        check_calibration(calibration)?;
         let spec = graph.spec().clone();
         let compiled = CompiledGraph::new(graph)?;
         Ok(thread::scope(|scope| {
@@ -1193,27 +1205,30 @@ mod tests {
 
     #[test]
     fn infinite_calibration_values_give_finite_ranges_or_a_typed_error() {
-        // An infinite pixel turns into ±∞ and NaN downstream, and a grid
-        // cannot be fitted on an infinite range: planning stops with a
-        // typed error — on both signs, whether one pixel or a run of 40
-        // is infinite — and never panics.
+        // An infinite pixel leaves the input map's distribution no finite
+        // moments: planning, searched or uniform, stops with a typed error
+        // naming the image — on both signs, whether one pixel or a run of 40 is
+        // infinite, in the first or a later image — and never panics.
         let g = graph();
         for v in [f32::INFINITY, f32::NEG_INFINITY] {
             for count in [1, 40] {
-                let mut images = calib(3);
-                for j in 0..count {
-                    images[0].data_mut()[7 + 3 * j] = v;
+                for at in [0, 2] {
+                    let mut images = calib(3);
+                    for j in 0..count {
+                        images[at].data_mut()[7 + 3 * j] = v;
+                    }
+                    let planner = Planner::new(QuantMcuConfig::paper());
+                    let err = planner.plan(&g, &images, 256 * 1024);
+                    assert!(
+                        matches!(err, Err(PlanError::NonFiniteCalibration { image }) if image == at),
+                        "{v} × {count} in image {at}: {err:?}"
+                    );
+                    let err = planner.plan_uniform(&g, &images, Bitwidth::W8, 256 * 1024);
+                    assert!(
+                        matches!(err, Err(PlanError::NonFiniteCalibration { image }) if image == at),
+                        "uniform, {v} × {count} in image {at}: {err:?}"
+                    );
                 }
-                let err = Planner::new(QuantMcuConfig::paper()).plan(&g, &images, 256 * 1024);
-                assert!(
-                    matches!(
-                        err,
-                        Err(PlanError::Quant(quantmcu_quant::QuantError::Statistics(
-                            quantmcu_tensor::TensorError::InvalidScale(_)
-                        )))
-                    ),
-                    "{v} × {count}: {err:?}"
-                );
             }
         }
     }

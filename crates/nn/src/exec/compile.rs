@@ -336,8 +336,9 @@ pub struct ExecState {
     pub(super) slots: Vec<Option<Tensor>>,
     /// Live quantized feature maps, indexed by [`FeatureMapId`].
     pub(super) qslots: Vec<Option<Vec<i8>>>,
-    /// Receptive-row scratch of the integer conv and dense kernels.
-    pub(super) gather: Vec<i16>,
+    /// Row, decoded-weight and accumulator scratch of the integer weighted
+    /// kernels.
+    pub(super) rows: crate::kernels::RowScratch,
     /// Transposed pixel-tile scratch of the float conv kernel.
     pub(super) tile: Vec<f32>,
 }

@@ -33,11 +33,13 @@
 //! [`CompiledGraph::with_quantization`] is its only entry: `i8` activation
 //! storage at a per-feature-map [`Bitwidth`](quantmcu_tensor::Bitwidth) of
 //! at most 8 bits (wider grids and weights are a typed error),
-//! per-channel weights held in packed W2/W4/W8 words and consumed directly
-//! by the packed dot-product kernels (no unpacking pass), receptive rows
-//! gathered once per output pixel as zero-point-corrected `i16` lanes,
-//! `i32` accumulation, fixed-point (multiplier and shift) requantization
-//! between layers, and exact lookup tables for `Relu`/`Relu6`/`MaxPool`.
+//! per-channel weights held in packed W2/W4/W8 words and decoded a panel
+//! of output channels at a time as they are consumed, pixel rows as
+//! zero-point-corrected `i16` lanes a block at a time (a 1×1 conv's or a
+//! dense layer's rows copied from the input map, other convs' receptive
+//! rows gathered), `i32` accumulation, fixed-point (multiplier and shift)
+//! requantization between layers, and exact lookup tables for
+//! `Relu`/`Relu6`/`MaxPool`.
 //! Mixed-precision deployment plans are evaluated by giving each feature
 //! map its own bitwidth; [`calibrate_ranges`] supplies the ranges.
 //!

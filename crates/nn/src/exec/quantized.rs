@@ -10,14 +10,16 @@
 //!
 //! * **Weighted** (`Conv2d`, `DepthwiseConv2d`, `Dense`): the packed-weight
 //!   kernels ([`kernels::conv2d_q`], [`kernels::dwconv_q`],
-//!   [`kernels::dense_q`]). Each output pixel gathers its receptive row
-//!   once as `i16` lanes `q − zp_in` (the gather scratch lives in
-//!   [`ExecState`]), accumulates in `i32` — which the `Q001` proof bounds —
-//!   and requantizes through the node's [`Requant`]: a per-channel
+//!   [`kernels::dense_q`]). Conv and dense run pixel rows of `i16` lanes
+//!   `q − zp_in` against decoded weight panels, depthwise one row of
+//!   channels per pixel against its decoded kernel (the scratch lives in
+//!   [`ExecState`]). All accumulate in `i32` — which the `Q001` proof
+//!   bounds — and requantize each pixel's run of channels through the
+//!   node's [`Requant`]: a per-channel
 //!   [`FixedMultiplier`] derived from `acc_scale / out_scale`, with the
-//!   `i64`-or-`i128` route chosen per channel at compile time. There is one
-//!   zero-point mode: padding taps gather as 0, so `(q − zp) · w` covers
-//!   padded and unpadded nodes alike.
+//!   `i64`-or-`i128` route chosen once per node at compile time. There is
+//!   one zero-point mode: padding taps gather as 0, so `(q − zp) · w`
+//!   covers padded and unpadded nodes alike.
 //! * **Table** (`Relu`, `Relu6`, `MaxPool`): one lookup per element in a
 //!   table built from the float round trip's own arithmetic, so the
 //!   outputs are exactly the round trip's; `MaxPool` first takes the
@@ -40,14 +42,14 @@ use super::compile::{check_input, eval_node, source_fm, CompiledGraph, ExecState
 use crate::analyze::{overflow_diagnostic, Report};
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::kernels::{self, FixedMultiplier, PackedDot, Requant};
+use crate::kernels::{self, FixedMultiplier, PackedDot, Requant, RowScratch};
 use crate::spec::{FeatureMapId, GraphSpec, OpSpec};
 
 /// The quantized half of a compiled graph: activation grids, per-channel
 /// quantized weights kept **packed** (the CMix-NN SRAM layout — the
-/// [`PackedDot`] micro-kernels compute dot products directly on the
-/// packed words, so no unpacked weight buffer exists at any point after
-/// compilation), and requantization tables.
+/// [`PackedDot`] kernels decode them into transient scratch as they
+/// consume them, so only the packed words persist after compilation), and
+/// requantization tables.
 #[derive(Debug)]
 pub(super) struct QuantTables {
     pub(super) act_params: Vec<QuantParams>,
@@ -171,7 +173,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         let spec = graph.spec();
         check_input(spec, input.shape())?;
         state.ensure_slots(spec.feature_map_count());
-        let ExecState { arena_f, arena_q, slots, qslots, gather, tile } = state;
+        let ExecState { arena_f, arena_q, slots, qslots, rows, tile } = state;
         let mut q0 = arena_q.take(input.data().len());
         qt.act_params[0].quantize_slice(input.data(), &mut q0);
         qslots[0] = Some(q0);
@@ -189,7 +191,7 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                     let rq = qt.requant[i].as_ref().expect("weighted node has requantization");
                     let zp_in = qt.act_params[in0_fm].zero_point();
                     let dot = PackedDot::new(&qt.packed_weights[i], qt.weight_bits, zp_in, rq);
-                    weighted(node.op, &dot, q_in, in_shape, &mut qout, gather);
+                    weighted(node.op, &dot, q_in, in_shape, &mut qout, rows);
                 }
                 (false, Some(lut)) => match node.op {
                     OpSpec::MaxPool { kernel, stride } => {
@@ -242,24 +244,24 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
     }
 }
 
-/// Runs weighted node `op` over `input` into `out`, with `row` as the
-/// gather scratch of the conv and dense kernels.
+/// Runs weighted node `op` over `input` into `out`, with `rows` as the
+/// scratch of the conv and dense kernels.
 fn weighted(
     op: OpSpec,
     dot: &PackedDot<'_>,
     input: &[i8],
     in_shape: Shape,
     out: &mut [i8],
-    row: &mut Vec<i16>,
+    rows: &mut RowScratch,
 ) {
     match op {
         OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
-            kernels::conv2d_q(dot, input, in_shape, out, out_ch, kernel, stride, pad, row)
+            kernels::conv2d_q(dot, input, in_shape, out, out_ch, kernel, stride, pad, rows)
         }
         OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-            kernels::dwconv_q(dot, input, in_shape, out, kernel, stride, pad)
+            kernels::dwconv_q(dot, input, in_shape, out, kernel, stride, pad, rows)
         }
-        OpSpec::Dense { out: out_f } => kernels::dense_q(dot, input, in_shape, out, out_f, row),
+        OpSpec::Dense { out: out_f } => kernels::dense_q(dot, input, in_shape, out, out_f, rows),
         _ => unreachable!("only weighted ops have requantization"),
     }
 }

@@ -223,16 +223,8 @@ impl From<CodecError> for ImportError {
 /// Serializes an importer IR into `.qmcu` bytes.
 pub fn encode(ir: &ModelIr) -> Vec<u8> {
     let mut w = Writer::new(MAGIC, FORMAT_VERSION);
-    let s = ir.input_shape;
-    for v in [s.n, s.h, s.w, s.c] {
-        w.u32(v as u32);
-    }
-    w.u8(u8::from(ir.output.is_some()));
-    w.u32(ir.output.unwrap_or(0) as u32);
-    w.count(ir.nodes.len());
-    for n in &ir.nodes {
-        w.u32(n.id as u32);
-        let (opcode, attrs) = match &n.op {
+    let nodes = ir.nodes.iter().map(|n| {
+        let op = match &n.op {
             IrOp::Core(op) => codec::op_code(op),
             IrOp::BiasAdd => (BIAS_ADD, Vec::new()),
         };
@@ -240,17 +232,48 @@ pub fn encode(ir: &ModelIr) -> Vec<u8> {
             RawInput::Image => Source::Input,
             RawInput::Node(id) => Source::Node(id),
         });
-        w.op(opcode, &attrs, inputs);
-        w.f32s(&n.weights);
-        w.f32s(&n.bias);
-    }
+        (n.id, op, inputs, &n.weights[..], &n.bias[..])
+    });
+    write_body(&mut w, ir.input_shape, ir.output, nodes);
     w.finish()
 }
 
-/// Serializes an executable graph into `.qmcu` bytes (via
-/// [`ModelIr::from_graph`]).
+/// Serializes an executable graph into `.qmcu` bytes: the bytes
+/// [`encode`] gives for [`ModelIr::from_graph`], written straight from
+/// the graph's parameters (node ids are indices and the last node is the
+/// explicit output).
 pub fn save_model(graph: &Graph) -> Vec<u8> {
-    encode(&ModelIr::from_graph(graph))
+    let mut w = Writer::new(MAGIC, FORMAT_VERSION);
+    let spec = graph.spec();
+    let nodes = spec.nodes().iter().enumerate().map(|(i, n)| {
+        let params = graph.params(i);
+        (i, codec::op_code(&n.op), n.inputs.iter().copied(), params.weights(), params.bias())
+    });
+    write_body(&mut w, spec.input_shape(), spec.len().checked_sub(1), nodes);
+    w.finish()
+}
+
+/// The `.qmcu` body: input shape, output, then one record per node (id,
+/// operator record, weights, bias).
+fn write_body<'a, I: ExactSizeIterator<Item = Source>>(
+    w: &mut Writer,
+    input_shape: Shape,
+    output: Option<usize>,
+    nodes: impl ExactSizeIterator<Item = (usize, (u8, Vec<u32>), I, &'a [f32], &'a [f32])>,
+) {
+    let s = input_shape;
+    for v in [s.n, s.h, s.w, s.c] {
+        w.u32(v as u32);
+    }
+    w.u8(u8::from(output.is_some()));
+    w.u32(output.unwrap_or(0) as u32);
+    w.count(nodes.len());
+    for (id, (opcode, attrs), inputs, weights, bias) in nodes {
+        w.u32(id as u32);
+        w.op(opcode, &attrs, inputs);
+        w.f32s(weights);
+        w.f32s(bias);
+    }
 }
 
 /// Writes [`save_model`] bytes to `path`.

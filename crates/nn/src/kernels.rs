@@ -5,9 +5,9 @@
 //! into this module, so every operator's loop nest exists exactly once.
 //! The float weighted kernels ([`conv2d`], [`dwconv`], [`dense`]) run a
 //! [`FloatDot`]; their integer twins ([`conv2d_q`], [`dwconv_q`],
-//! [`dense_q`]) run a [`PackedDot`]: dot products computed *directly on
-//! packed W2/W4/W8 words* from [`quantmcu_tensor::pack`], `i32`
-//! accumulation and per-channel fixed-point requantization by [`Requant`].
+//! [`dense_q`]) run a [`PackedDot`]: packed W2/W4/W8 weights from
+//! [`quantmcu_tensor::pack`], `i32` accumulation and per-channel
+//! fixed-point requantization by [`Requant`].
 //!
 //! # Float tiling and micro-kernels
 //!
@@ -30,20 +30,36 @@
 //! tiles of independent per-channel accumulators; [`dense`] tiles output
 //! features over fan-in chunks with the same lane-split dot.
 //!
-//! # Integer storage and the gathered row
+//! # Integer storage and the row kernel
 //!
 //! Integer feature maps are stored as `i8`: every grid the integer path
 //! executes has at most 8 bits. The integer kernels take `i8` maps in and
-//! write `i8` maps out. For each output pixel, [`conv2d_q`] gathers the
-//! pixel's receptive row once as zero-point-corrected `i16` lanes
-//! `q − zp_in` (`|q − zp| ≤ 255`), with padding taps set to 0, and then
-//! runs one multiply-add reduction per output channel over that row and
-//! the channel's packed weights — two pixels at a time, so each decoded
-//! weight serves both rows (the shape of CMSIS-NN's
-//! `arm_nn_mat_mult_kernel_s8_s16`). Dense is the one-pixel case.
-//! Depthwise reads its taps straight from storage, with the same lanes.
-//! There is one zero-point mode: every product is `(q − zp) · w`, and a
+//! write `i8` maps out, with one zero-point mode: every product is
+//! `(q − zp) · w` over `i16` lanes `q − zp_in` (`|q − zp| ≤ 255`), and a
 //! padding tap contributes an exact 0.
+//!
+//! [`conv2d_q`] and [`dense_q`] run one row kernel over pixel rows, `BLOCK`
+//! rows at a time in scratch. A 1×1 conv with stride 1 and no padding, and
+//! a dense layer, copy each row straight from the input map (one
+//! contiguous run widened to `i16`); other convs gather their receptive
+//! rows. Rows are zero-padded to whole groups of eight lanes. Output
+//! channels then go `PANEL` at a time: the panel's packed W8, W4 or W2
+//! weight rows are decoded once per block into `i16` scratch
+//! ([`pack::decode_into`], a byte at a time, not a field per
+//! multiply-add), and each pixel row runs against every panel row in
+//! `pmaddwd` steps — eight products summed in pairs into four `i32` lanes
+//! over two contiguous loads — reduced once per output. The weights stay
+//! packed in their canonical layout (no reordering); only the panel being
+//! consumed is decoded, into scratch. Each pixel's accumulators are
+//! requantized as one run by
+//! [`Requant::finish_run`], which holds its per-channel constants as
+//! struct-of-arrays and picks the `i64` or `i128` route once per node.
+//! All of this is safe Rust that LLVM vectorizes for baseline x86-64
+//! (SSE2); the kernel is chosen from the node's shape, never at run time.
+//!
+//! [`dwconv_q`] decodes its whole kernel once into `i16` the same way,
+//! reads its taps straight from `i8` storage, and accumulates each output
+//! pixel's channels in one `i32` row, requantized as one run.
 //!
 //! # Parity contract
 //!
@@ -79,7 +95,7 @@ use quantmcu_tensor::{pack, Bitwidth, Region, Shape};
 /// Identifies the kernel generation in benchmark snapshots
 /// (`BENCH_kernels.json`, `BENCH_serve.json`), so throughput trajectories
 /// recorded before and after a kernel rewrite stay comparable.
-pub const GENERATION: &str = "pixel-tile-v3";
+pub const GENERATION: &str = "row-panel-v4";
 
 /// Accumulator-lane width of the unrolled float micro-kernel.
 pub const LANES: usize = 4;
@@ -211,29 +227,55 @@ impl FixedMultiplier {
 /// `acc_scale / out_scale`), shifted by the output zero point and clamped
 /// to the output bitwidth — integer arithmetic only, as the device
 /// executes it.
+///
+/// The per-channel constants are held as struct-of-arrays, and the choice
+/// between the `i64` and `i128` routes is made once per node:
+/// [`Requant::finish_run`] finishes a whole run of channels on one route,
+/// while [`Requant::finish`] is the scalar per-element reference.
 #[derive(Debug, Clone)]
 pub struct Requant {
-    channels: Vec<ChannelRequant>,
+    /// Bias per channel, in accumulator grid units.
+    bias: Vec<i64>,
+    /// The [`FixedMultiplier`] mantissa per channel.
+    multiplier: Vec<i32>,
+    /// Total right shift per channel, `31 + shift` (`0..=94`).
+    total: Vec<u8>,
+    /// Whether every channel takes the `i64` route (see [`fits_i64`]).
+    narrow: bool,
     zp_out: i32,
     q_min: i32,
     q_max: i32,
 }
 
-/// One channel's requantization constants, with the choice of route made
-/// once instead of per element.
-#[derive(Debug, Clone, Copy)]
-struct ChannelRequant {
-    /// Bias in accumulator grid units.
-    bias: i64,
-    /// The [`FixedMultiplier`] mantissa.
-    multiplier: i64,
-    /// Total right shift, `31 + shift`.
-    total: u32,
-    /// `true` when the `i64` route is exact for every `i32` accumulator:
-    /// `|bias| ≤ 2^30` and `1 ≤ total ≤ 61`. Then `|acc + bias| < 3·2^30`,
-    /// the product stays below `3·2^61` in magnitude, and adding the
-    /// rounding half (`≤ 2^60`) cannot leave `i64`.
-    fast: bool,
+/// `true` when the `i64` route is exact for every `i32` accumulator of a
+/// channel: `|bias| ≤ 2^30` and `1 ≤ total ≤ 61`. Then
+/// `|acc + bias| < 3·2^30`, the product stays below `3·2^61` in magnitude,
+/// and adding the rounding half (`≤ 2^60`) cannot leave `i64`.
+#[inline(always)]
+fn fits_i64(bias: i64, total: u32) -> bool {
+    bias.unsigned_abs() <= 1 << 30 && (1..=61).contains(&total)
+}
+
+/// `round((acc + bias) · multiplier · 2^-total)`, ties away from zero, in
+/// `i64`: `(p + half - [p < 0]) >> total` is round-half-away-from-zero
+/// division by a power of two. Exact only where [`fits_i64`] holds.
+#[inline(always)]
+fn rescale_i64(acc: i32, bias: i64, multiplier: i64, total: u32) -> i64 {
+    let product = (acc as i64 + bias) * multiplier;
+    (product + (1i64 << (total - 1)) - (product < 0) as i64) >> total
+}
+
+/// [`rescale_i64`] in `i128`: `|acc + bias| < 2^64` times a 31-bit
+/// mantissa stays below `2^95`, so nothing wraps for any bias and shift.
+#[inline(always)]
+fn rescale_i128(acc: i32, bias: i64, multiplier: i64, total: u32) -> i128 {
+    let product = (acc as i128 + bias as i128) * multiplier as i128;
+    let magnitude = ((product.unsigned_abs() + ((1u128 << total) >> 1)) >> total) as i128;
+    if product < 0 {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 impl Requant {
@@ -253,54 +295,72 @@ impl Requant {
         q_max: i32,
     ) -> Self {
         assert_eq!(bias_q.len(), scale.len(), "one bias and one multiplier per channel");
-        let channels = bias_q
-            .iter()
-            .zip(scale)
-            .map(|(&bias, m)| {
-                let total = (31 + m.shift) as u32;
-                let fast = bias.unsigned_abs() <= 1 << 30 && (1..=61).contains(&total);
-                ChannelRequant { bias, multiplier: m.multiplier as i64, total, fast }
-            })
-            .collect();
-        Requant { channels, zp_out, q_min, q_max }
+        let total: Vec<u8> = scale.iter().map(|m| (31 + m.shift) as u8).collect();
+        let narrow = bias_q.iter().zip(&total).all(|(&b, &t)| fits_i64(b, t as u32));
+        let multiplier = scale.iter().map(|m| m.multiplier).collect();
+        Requant { bias: bias_q.to_vec(), multiplier, total, narrow, zp_out, q_min, q_max }
+    }
+
+    /// Number of output channels.
+    fn channels(&self) -> usize {
+        self.bias.len()
     }
 
     /// Finalizes an `i32` accumulator into output channel `oc`'s grid:
     /// `clamp(round(scale(oc) · (acc + bias_q(oc))) + zp_out)`, rounding
     /// ties away from zero like `f64::round`. Never wraps or panics, for
-    /// any accumulator and bias.
-    ///
-    /// On the `i64` route (see `ChannelRequant::fast`),
-    /// `(p + half - [p < 0]) >> total` is round-half-away-from-zero
-    /// division by a power of two; other channels take the same formula
-    /// in `i128`.
-    #[inline(always)]
+    /// any accumulator and bias. This is the scalar reference: it picks
+    /// the `i64` or `i128` route per element, from the channel alone.
     pub fn finish(&self, acc: i32, oc: usize) -> i32 {
-        let ch = self.channels[oc];
-        if !ch.fast {
-            return self.finish_wide(acc, ch);
+        let (bias, multiplier) = (self.bias[oc], self.multiplier[oc] as i64);
+        let total = self.total[oc] as u32;
+        if fits_i64(bias, total) {
+            let v = rescale_i64(acc, bias, multiplier, total);
+            (v + self.zp_out as i64).clamp(self.q_min as i64, self.q_max as i64) as i32
+        } else {
+            let v = rescale_i128(acc, bias, multiplier, total);
+            (v + self.zp_out as i128).clamp(self.q_min as i128, self.q_max as i128) as i32
         }
-        let product = (acc as i64 + ch.bias) * ch.multiplier;
-        let v = (product + (1i64 << (ch.total - 1)) - (product < 0) as i64) >> ch.total;
-        (v + self.zp_out as i64).clamp(self.q_min as i64, self.q_max as i64) as i32
     }
 
-    /// [`Requant::finish`] in `i128`: `|acc + bias| < 2^64` times a
-    /// 31-bit mantissa stays below `2^95`, so nothing wraps.
-    #[cold]
-    #[inline(never)]
-    fn finish_wide(&self, acc: i32, ch: ChannelRequant) -> i32 {
-        let product = (acc as i128 + ch.bias as i128) * ch.multiplier as i128;
-        let magnitude = ((product.unsigned_abs() + ((1u128 << ch.total) >> 1)) >> ch.total) as i128;
-        let v = if product < 0 { -magnitude } else { magnitude };
-        (v + self.zp_out as i128).clamp(self.q_min as i128, self.q_max as i128) as i32
+    /// [`Requant::finish`] over a run of channels from 0: `out[j] =
+    /// finish(acc[j], j)`, stored as `i8`. The whole run takes the node's
+    /// route, chosen at construction: `i64` when every channel fits it,
+    /// `i128` otherwise (exact for all channels, so the values equal
+    /// `finish`'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the output grid does not fit `i8`, when `acc` and
+    /// `out` differ in length, or when the run is longer than the node.
+    pub fn finish_run(&self, acc: &[i32], out: &mut [i8]) {
+        assert!(
+            self.q_min >= i8::MIN as i32 && self.q_max <= i8::MAX as i32,
+            "the output grid must fit i8 storage"
+        );
+        assert_eq!(acc.len(), out.len(), "one output per accumulator");
+        let n = acc.len();
+        let lanes =
+            acc.iter().zip(&self.bias[..n]).zip(&self.multiplier[..n]).zip(&self.total[..n]);
+        if self.narrow {
+            let (zp, lo, hi) = (self.zp_out as i64, self.q_min as i64, self.q_max as i64);
+            for ((((&a, &b), &m), &t), o) in lanes.zip(out) {
+                *o = (rescale_i64(a, b, m as i64, t as u32) + zp).clamp(lo, hi) as i8;
+            }
+        } else {
+            let (zp, lo, hi) = (self.zp_out as i128, self.q_min as i128, self.q_max as i128);
+            for ((((&a, &b), &m), &t), o) in lanes.zip(out) {
+                *o = (rescale_i128(a, b, m as i64, t as u32) + zp).clamp(lo, hi) as i8;
+            }
+        }
     }
 }
 
 /// A weighted node's integer form: its weights **packed** W2/W4/W8 words
-/// in the node's canonical execution layout (the SRAM layout, decoded in
-/// registers as they are consumed, never unpacked into a buffer), the
-/// input grid's zero point and the node's [`Requant`].
+/// in the node's canonical layout (see [`crate::OpParams`]), packed by
+/// [`pack::pack`] — the SRAM layout, decoded into transient scratch as the
+/// kernels consume it — plus the input grid's zero point and the node's
+/// [`Requant`].
 #[derive(Debug, Clone, Copy)]
 pub struct PackedDot<'a> {
     packed: &'a [u8],
@@ -325,98 +385,73 @@ impl<'a> PackedDot<'a> {
         PackedDot { packed, bits, zp_in, rq }
     }
 
-    /// `Σ row[j] · w[start + j]` in `i32`.
-    #[inline(always)]
-    fn dot(&self, row: &[i16], start: usize) -> i32 {
-        match self.bits {
-            Bitwidth::W8 => dot_w8(&self.packed[start..start + row.len()], row),
-            Bitwidth::W4 => dot_w4(self.packed, start, row),
-            Bitwidth::W2 => dot_w2(self.packed, start, row),
-            _ => unreachable!("the constructor rejects accounting-only widths"),
-        }
-    }
-
-    /// Weight `index`, sign-extended.
-    #[inline(always)]
-    fn weight(&self, index: usize) -> i8 {
-        pack::field_at(self.packed, self.bits, index)
-    }
-
-    /// Output channel `oc` of a finished accumulator, stored as `i8`
-    /// (the constructor checks the output grid fits).
-    #[inline(always)]
-    fn finish(&self, acc: i32, oc: usize) -> i8 {
-        self.rq.finish(acc, oc) as i8
-    }
-
     /// The zero-point-corrected lane `q − zp_in`: `|q − zp| ≤ 255` on any
     /// grid `i8` holds, so it fits `i16`.
     #[inline(always)]
     fn lane(&self, q: i8) -> i16 {
         q as i16 - self.zp_in as i16
     }
+
+    /// `dst[j] = lane(src[j])`.
+    #[inline(always)]
+    fn widen(&self, src: &[i8], dst: &mut [i16]) {
+        for (d, &q) in dst.iter_mut().zip(src) {
+            *d = self.lane(q);
+        }
+    }
 }
 
-/// Packed-`W8` reduction: bytes *are* the fields. Integer addition is
-/// associative, so the compiler vectorizes the sum as i16×i16→i32
-/// multiply-adds.
-#[inline(always)]
-fn dot_w8(w: &[u8], row: &[i16]) -> i32 {
-    row.iter().zip(w).fold(0i32, |acc, (&x, &b)| acc + x as i32 * (b as i8 as i32))
+/// Lanes per multiply-add step: one 128-bit `pmaddwd` of eight `i16`s.
+const GROUP: usize = 8;
+/// Output channels per decoded weight panel of the row kernel.
+const PANEL: usize = 8;
+/// Pixel rows per block of the row kernel: each panel is decoded once per
+/// block, and the block's accumulators are requantized a pixel at a time.
+const BLOCK: usize = 64;
+
+/// Caller scratch of the integer weighted kernels ([`conv2d_q`],
+/// [`dense_q`], [`dwconv_q`]): one block of pixel rows as `i16` lanes,
+/// decoded `i16` weights (one panel, or a depthwise node's whole kernel)
+/// and `i32` accumulators (one block's, or a depthwise pixel's). Each
+/// buffer grows to its largest use and is then reused, so a warm executor
+/// allocates nothing here.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    rows: Vec<i16>,
+    panel: Vec<i16>,
+    acc: Vec<i32>,
 }
 
-/// [`dot_w8`] over two rows sharing the weights.
+/// One multiply-add step, the semantics of `pmaddwd`: lane `l` of `acc`
+/// adds `x[2l]·w[2l] + x[2l+1]·w[2l+1]`. Written as eight products, then
+/// pair sums: on baseline x86-64 LLVM lowers it to `pmaddwd` on the two
+/// contiguous loads (one instruction, or, under thin LTO, two over the
+/// masked halves of each pair).
 #[inline(always)]
-fn dot2_w8(w: &[u8], r0: &[i16], r1: &[i16]) -> (i32, i32) {
-    w.iter().zip(r0).zip(r1).fold((0i32, 0i32), |(a0, a1), ((&b, &x0), &x1)| {
-        let w = b as i8 as i32;
-        (a0 + x0 as i32 * w, a1 + x1 as i32 * w)
-    })
+fn madd(acc: &mut [i32; 4], x: &[i16], w: &[i16]) {
+    let p: [i32; GROUP] = std::array::from_fn(|j| x[j] as i32 * w[j] as i32);
+    for (l, a) in acc.iter_mut().enumerate() {
+        *a += p[2 * l] + p[2 * l + 1];
+    }
 }
 
-/// Packed-`W4` reduction: a ragged head up to the byte boundary, then
-/// bytes decoded two fields at a time, then the ragged tail.
+/// `out[c] = Σ_j x[j] · panel[c][j]` for the panel's rows (each
+/// `x.len()` lanes, a whole number of `GROUP`s): one multiply-add per
+/// group into four lanes, reduced once at the end. The lanes live in
+/// `lanes`, memory the caller owns, zeroed here and stored back after
+/// each row: that is the shape LLVM reliably turns into `pmaddwd` steps
+/// on two contiguous loads.
 #[inline(always)]
-fn dot_w4(packed: &[u8], start: usize, row: &[i16]) -> i32 {
-    let mut acc = 0i32;
-    let mut j = 0;
-    if start % 2 == 1 && !row.is_empty() {
-        acc += row[0] as i32 * pack::field_at(packed, Bitwidth::W4, start) as i32;
-        j = 1;
+fn dots(out: &mut [i32], x: &[i16], panel: &[i16], lanes: &mut [[i32; 4]; PANEL]) {
+    *lanes = [[0; 4]; PANEL];
+    for (a, w) in lanes.iter_mut().zip(panel.chunks_exact(x.len())) {
+        for (xg, wg) in x.chunks_exact(GROUP).zip(w.chunks_exact(GROUP)) {
+            madd(a, xg, wg);
+        }
     }
-    let body = (row.len() - j) / 2 * 2;
-    let bytes = &packed[(start + j) / 2..(start + j + body) / 2];
-    for (&b, x) in bytes.iter().zip(row[j..j + body].chunks_exact(2)) {
-        let [w0, w1] = pack::decode_w4(b);
-        acc += x[0] as i32 * w0 as i32 + x[1] as i32 * w1 as i32;
+    for (o, a) in out.iter_mut().zip(lanes.iter()) {
+        *o = a.iter().sum();
     }
-    for (t, &x) in row.iter().enumerate().skip(j + body) {
-        acc += x as i32 * pack::field_at(packed, Bitwidth::W4, start + t) as i32;
-    }
-    acc
-}
-
-/// Packed-`W2` reduction: a ragged head up to the byte boundary, then
-/// bytes decoded four fields at a time, then the ragged tail.
-#[inline(always)]
-fn dot_w2(packed: &[u8], start: usize, row: &[i16]) -> i32 {
-    let mut acc = 0i32;
-    let mut j = 0;
-    while (start + j) % 4 != 0 && j < row.len() {
-        acc += row[j] as i32 * pack::field_at(packed, Bitwidth::W2, start + j) as i32;
-        j += 1;
-    }
-    let body = (row.len() - j) / 4 * 4;
-    let bytes = &packed[(start + j) / 4..(start + j + body) / 4];
-    for (&b, x) in bytes.iter().zip(row[j..j + body].chunks_exact(4)) {
-        let [w0, w1, w2, w3] = pack::decode_w2(b);
-        let pair = x[0] as i32 * w0 as i32 + x[1] as i32 * w1 as i32;
-        acc += pair + x[2] as i32 * w2 as i32 + x[3] as i32 * w3 as i32;
-    }
-    for (t, &x) in row.iter().enumerate().skip(j + body) {
-        acc += x as i32 * pack::field_at(packed, Bitwidth::W2, start + t) as i32;
-    }
-    acc
 }
 
 /// Output-channel tile width of the blocked dense kernel.
@@ -716,14 +751,13 @@ pub fn dense(s: &FloatDot<'_>, input: &[f32], in_shape: Shape, out: &mut [f32], 
 /// Integer standard convolution (OHWI packed weights) over the whole
 /// output map, zero padding outside the input: `i8` maps in and out.
 ///
-/// For each output pixel the receptive row — `k·k·c` lanes in the
-/// weights' `(ky, kx, ic)` order — is gathered once into `row` as `i16`
-/// lanes `q − zp_in` (padding taps are 0), then each output channel is one
-/// reduction of that row against its contiguous weights. Within one kernel
-/// row the valid taps are adjacent in the input at any stride, so the
-/// gather copies one run per kernel row. Pixels run in pairs (flattened
-/// `(n, oy, ox)` order), so each weight is decoded once for two rows.
-/// `row` is caller scratch, grown to two rows on first use.
+/// Every output pixel's receptive field is one row of `k·k·c` lanes
+/// `q − zp_in`, in the weights' `(ky, kx, ic)` order, and the rows run
+/// through the row kernel (see [`RowScratch`]). A 1×1 conv with stride 1
+/// and no padding reads each pixel's row straight from the input map.
+/// Other convs gather it, padding taps as 0; within one kernel row the
+/// valid taps are adjacent in the input at any stride, so the gather
+/// copies one run per kernel row.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_q(
     s: &PackedDot<'_>,
@@ -734,19 +768,20 @@ pub fn conv2d_q(
     k: usize,
     stride: usize,
     pad: usize,
-    row: &mut Vec<i16>,
+    scratch: &mut RowScratch,
 ) {
     debug_assert!(k > 0 && stride > 0, "degenerate conv window k={k} stride={stride}");
     debug_assert!(in_shape.h + 2 * pad >= k && in_shape.w + 2 * pad >= k);
     debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
-    debug_assert_eq!(s.rq.channels.len(), out_ch, "one requantization channel per output");
+    debug_assert_eq!(s.rq.channels(), out_ch, "one requantization channel per output");
     let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
     debug_assert_eq!(out.len(), in_shape.n * oh * ow * out_ch);
     let c = in_shape.c;
+    if k == 1 && stride == 1 && pad == 0 {
+        return rows_q(s, c, out, out_ch, scratch, |p, dst| s.widen(&input[p * c..][..c], dst));
+    }
     let span = k * c;
-    let len = k * span;
-    // Output pixel `p` (flattened `(n, oy, ox)`) gathered into `dst`.
-    let gather = |p: usize, dst: &mut [i16]| {
+    rows_q(s, k * span, out, out_ch, scratch, |p, dst| {
         let (n, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
         let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
         let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
@@ -758,83 +793,88 @@ pub fn conv2d_q(
             let iy = oy * stride + ky - pad;
             let ix = ox * stride + kx_lo - pad;
             let base = in_shape.index(n, iy, ix, 0);
-            let src = &input[base..base + (kx_hi - kx_lo) * c];
             dst[..kx_lo * c].fill(0);
-            for (d, &q) in dst[kx_lo * c..kx_hi * c].iter_mut().zip(src) {
-                *d = s.lane(q);
-            }
+            s.widen(&input[base..base + (kx_hi - kx_lo) * c], &mut dst[kx_lo * c..kx_hi * c]);
             dst[kx_hi * c..].fill(0);
         }
-    };
-    row.clear();
-    row.resize(2 * len, 0);
-    let (r0, r1) = row.split_at_mut(len);
-    // Pixels go in pairs, so each decoded weight serves two rows.
-    let mut pairs = out.chunks_exact_mut(2 * out_ch);
-    for (i, pair) in pairs.by_ref().enumerate() {
-        gather(2 * i, r0);
-        gather(2 * i + 1, r1);
-        let (o0, o1) = pair.split_at_mut(out_ch);
-        dot_channels2(s, r0, r1, o0, o1);
-    }
-    let last = pairs.into_remainder();
-    if !last.is_empty() {
-        gather(in_shape.n * oh * ow - 1, r0);
-        dot_channels(s, r0, last);
-    }
+    });
 }
 
-/// Integer dense layer over the flattened input: the one-pixel case of
-/// [`conv2d_q`], whose gathered row is the whole sample.
+/// Integer dense layer over the flattened input: each sample is one row
+/// of the row kernel (see [`RowScratch`]), read straight from the input.
 pub fn dense_q(
     s: &PackedDot<'_>,
     input: &[i8],
     in_shape: Shape,
     out: &mut [i8],
     out_f: usize,
-    row: &mut Vec<i16>,
+    scratch: &mut RowScratch,
 ) {
     let fan_in = in_shape.per_sample();
     debug_assert!(fan_in > 0 && out_f > 0, "degenerate dense fan_in={fan_in} out={out_f}");
     debug_assert_eq!(input.len(), in_shape.len(), "input buffer disagrees with in_shape");
     debug_assert_eq!(out.len(), in_shape.n * out_f);
-    debug_assert_eq!(s.rq.channels.len(), out_f, "one requantization channel per output");
-    for (sample, pixel) in input.chunks_exact(fan_in).zip(out.chunks_exact_mut(out_f)) {
-        row.clear();
-        row.extend(sample.iter().map(|&q| s.lane(q)));
-        dot_channels(s, row, pixel);
-    }
+    debug_assert_eq!(s.rq.channels(), out_f, "one requantization channel per output");
+    rows_q(s, fan_in, out, out_f, scratch, |p, dst| {
+        s.widen(&input[p * fan_in..][..fan_in], dst);
+    });
 }
 
-/// One output pixel: channel `oc` reduces `row` against weights
-/// `oc · row.len()..`, then requantizes.
-#[inline(always)]
-fn dot_channels(s: &PackedDot<'_>, row: &[i16], pixel: &mut [i8]) {
-    for (oc, o) in pixel.iter_mut().enumerate() {
-        *o = s.finish(s.dot(row, oc * row.len()), oc);
-    }
-}
-
-/// [`dot_channels`] for two pixels at once. At `W8` each weight is
-/// loaded and sign-extended once for both rows.
-#[inline(always)]
-fn dot_channels2(s: &PackedDot<'_>, r0: &[i16], r1: &[i16], o0: &mut [i8], o1: &mut [i8]) {
-    let len = r0.len();
-    for (oc, (a, b)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
-        let (x, y) = if s.bits == Bitwidth::W8 {
-            dot2_w8(&s.packed[oc * len..(oc + 1) * len], r0, r1)
-        } else {
-            (s.dot(r0, oc * len), s.dot(r1, oc * len))
-        };
-        *a = s.finish(x, oc);
-        *b = s.finish(y, oc);
+/// The row kernel: `out[p·out_ch + oc] = finish(Σ_j row_p[j] · w[oc][j])`
+/// for every output pixel `p`, whose row of `len` lanes `q − zp_in`
+/// `gather(p, row)` writes. Rows go `BLOCK` at a time into scratch,
+/// zero-padded to whole `GROUP`s. Within a block, output channels go
+/// `PANEL` at a time: the panel's weight rows are decoded once into `i16`
+/// rows (W8, W4 and W2 alike), then every pixel row runs against them in
+/// `pmaddwd` steps. Each pixel's accumulators are requantized as one run.
+fn rows_q(
+    s: &PackedDot<'_>,
+    len: usize,
+    out: &mut [i8],
+    out_ch: usize,
+    scratch: &mut RowScratch,
+    gather: impl Fn(usize, &mut [i16]),
+) {
+    let width = len.next_multiple_of(GROUP);
+    let block = BLOCK.min(out.len() / out_ch).max(1);
+    let RowScratch { rows, panel, acc } = scratch;
+    // The lanes past `len` stay 0: the gather writes only the first `len`,
+    // and a row's zero lanes make the panel's need no clearing.
+    rows.clear();
+    rows.resize(block * width, 0);
+    panel.resize(PANEL * width, 0);
+    acc.resize(block * out_ch, 0);
+    let mut lanes = [[0i32; 4]; PANEL];
+    for (b, out) in out.chunks_mut(block * out_ch).enumerate() {
+        let np = out.len() / out_ch;
+        let (rows, acc) = (&mut rows[..np * width], &mut acc[..np * out_ch]);
+        for (p, row) in rows.chunks_exact_mut(width).enumerate() {
+            gather(b * block + p, &mut row[..len]);
+        }
+        for c0 in (0..out_ch).step_by(PANEL) {
+            let nc = (out_ch - c0).min(PANEL);
+            let panel = &mut panel[..nc * width];
+            for (c, w) in panel.chunks_exact_mut(width).enumerate() {
+                pack::decode_into(s.packed, s.bits, (c0 + c) * len, &mut w[..len]);
+            }
+            for (x, a) in rows.chunks_exact(width).zip(acc.chunks_exact_mut(out_ch)) {
+                dots(&mut a[c0..c0 + nc], x, panel, &mut lanes);
+            }
+        }
+        for (a, o) in acc.chunks_exact(out_ch).zip(out.chunks_exact_mut(out_ch)) {
+            s.rq.finish_run(a, o);
+        }
     }
 }
 
 /// Integer depthwise convolution (`[kh][kw][c]` packed weights) over the
 /// whole output map, zero padding outside the input: `i8` maps in and
-/// out. Channels run in tiles of `i32` accumulators; each valid tap reads
-/// its input run straight from storage as `q − zp_in` lanes.
+/// out. The weights are decoded once into `i16` (the scratch's panel, W8,
+/// W4 and W2 alike), and each output pixel accumulates all its channels in
+/// one `i32` row: every valid tap adds one contiguous run of `c` products
+/// `(q − zp_in) · w`, formed exactly in `i16` (`|q − zp| ≤ 255` and
+/// `|w| ≤ 128`, so `|product| ≤ 32640`). The row is then requantized as one
+/// run.
 #[allow(clippy::too_many_arguments)]
 pub fn dwconv_q(
     s: &PackedDot<'_>,
@@ -844,6 +884,7 @@ pub fn dwconv_q(
     k: usize,
     stride: usize,
     pad: usize,
+    scratch: &mut RowScratch,
 ) {
     debug_assert!(k > 0 && stride > 0, "degenerate dwconv window k={k} stride={stride}");
     debug_assert!(in_shape.h + 2 * pad >= k && in_shape.w + 2 * pad >= k);
@@ -851,47 +892,28 @@ pub fn dwconv_q(
     let (oh, ow) = conv_output_hw(in_shape, k, stride, pad);
     let c = in_shape.c;
     debug_assert_eq!(out.len(), in_shape.n * oh * ow * c);
-    debug_assert_eq!(s.rq.channels.len(), c, "one requantization channel per channel");
-    let os = Shape::new(in_shape.n, oh, ow, c);
-    for n in 0..in_shape.n {
-        for oy in 0..oh {
-            let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
-            for ox in 0..ow {
-                let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
-                for c0 in (0..c).step_by(CH_TILE) {
-                    let cn = (c - c0).min(CH_TILE);
-                    let mut acc = [0i32; CH_TILE];
-                    let acc = &mut acc[..cn];
-                    for ky in ky_lo..ky_hi {
-                        let iy = oy * stride + ky - pad;
-                        for kx in kx_lo..kx_hi {
-                            let ix = ox * stride + kx - pad;
-                            let base = in_shape.index(n, iy, ix, 0) + c0;
-                            let x = &input[base..base + cn];
-                            let w_base = (ky * k + kx) * c + c0;
-                            if s.bits == Bitwidth::W8 {
-                                let w = &s.packed[w_base..w_base + cn];
-                                for ((a, &q), &wv) in acc.iter_mut().zip(x).zip(w) {
-                                    *a += s.lane(q) as i32 * (wv as i8 as i32);
-                                }
-                            } else {
-                                // Depthwise runs are short and start at
-                                // arbitrary sub-byte offsets: decode per field.
-                                for (j, (a, &q)) in acc.iter_mut().zip(x).enumerate() {
-                                    *a += s.lane(q) as i32 * s.weight(w_base + j) as i32;
-                                }
-                            }
-                        }
-                    }
-                    let o_base = os.index(n, oy, ox, c0);
-                    for (j, (o, &a)) in
-                        out[o_base..o_base + cn].iter_mut().zip(acc.iter()).enumerate()
-                    {
-                        *o = s.finish(a, c0 + j);
-                    }
+    debug_assert_eq!(s.rq.channels(), c, "one requantization channel per channel");
+    let RowScratch { panel, acc, .. } = scratch;
+    panel.resize(k * k * c, 0);
+    let weights = &mut panel[..k * k * c];
+    pack::decode_into(s.packed, s.bits, 0, weights);
+    acc.resize(c, 0);
+    let acc = &mut acc[..c];
+    for (p, o) in out.chunks_exact_mut(c).enumerate() {
+        let (n, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
+        let (ky_lo, ky_hi) = valid_taps(oy, stride, k, pad, in_shape.h);
+        let (kx_lo, kx_hi) = valid_taps(ox, stride, k, pad, in_shape.w);
+        acc.fill(0);
+        for ky in ky_lo..ky_hi {
+            for kx in kx_lo..kx_hi {
+                let base = in_shape.index(n, oy * stride + ky - pad, ox * stride + kx - pad, 0);
+                let w = &weights[(ky * k + kx) * c..][..c];
+                for ((a, &q), &wv) in acc.iter_mut().zip(&input[base..base + c]).zip(w) {
+                    *a += (s.lane(q) * wv) as i32;
                 }
             }
         }
+        s.rq.finish_run(acc, o);
     }
 }
 
@@ -1526,10 +1548,11 @@ mod tests {
                 (0..oc * k * k * c).map(|i| (((i * 11) % 29) as i8 - 14).clamp(lo, hi)).collect();
             let packed = pack::pack(&qw, bits);
             let s = PackedDot::new(&packed, bits, zp, &rq);
+            let rows = &mut RowScratch::default();
             for (stride, pad) in [(1, 1), (2, 0), (1, 0), (3, 2)] {
                 let reference = naive::conv2d_q(&input, in_shape, &qw, zp, &rq, oc, k, stride, pad);
                 let mut out = vec![0i8; reference.len()];
-                conv2d_q(&s, &input8, in_shape, &mut out, oc, k, stride, pad, &mut Vec::new());
+                conv2d_q(&s, &input8, in_shape, &mut out, oc, k, stride, pad, rows);
                 assert_eq!(out, narrow(&reference), "packed conv {bits} s={stride} p={pad}");
             }
         }
@@ -1552,7 +1575,7 @@ mod tests {
             let packed = pack::pack(&qw, bits);
             let s = PackedDot::new(&packed, bits, zp, &rq);
             let mut out = vec![0i8; reference.len()];
-            dwconv_q(&s, &input8, in_shape, &mut out, k, stride, pad);
+            dwconv_q(&s, &input8, in_shape, &mut out, k, stride, pad, &mut RowScratch::default());
             assert_eq!(out, narrow(&reference), "packed dwconv {bits}");
 
             let out_f = 7;
@@ -1564,7 +1587,7 @@ mod tests {
             let packed = pack::pack(&dqw, bits);
             let s = PackedDot::new(&packed, bits, zp, &rq);
             let mut out = vec![0i8; out_f];
-            dense_q(&s, &input8, in_shape, &mut out, out_f, &mut Vec::new());
+            dense_q(&s, &input8, in_shape, &mut out, out_f, &mut RowScratch::default());
             assert_eq!(out, narrow(&reference), "packed dense {bits}");
         }
     }

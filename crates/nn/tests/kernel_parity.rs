@@ -8,7 +8,10 @@
 //!
 //! * **Integer paths are bit-for-bit.** Integer addition is associative,
 //!   so gathering a receptive row and reducing it in any order cannot
-//!   change any output element. The integer kernels
+//!   change any output element. The conv and dense cases reach past one
+//!   decoded weight panel and one multiply-add group in both channel
+//!   directions, at odd counts, with one-pixel and odd-pixel 1×1 maps,
+//!   and past one block of pixel rows. The integer kernels
 //!   (`kernels::{conv2d_q, dwconv_q, dense_q}` over a [`PackedDot`] of
 //!   W8/W4/W2 words, `i8` maps in and out, `i16` lanes) must equal
 //!   `kernels::naive`'s `*_q` loops exactly.
@@ -29,7 +32,9 @@
 
 use proptest::prelude::*;
 
-use quantmcu_nn::kernels::{self, naive, FixedMultiplier, FloatDot, PackedDot, Requant};
+use quantmcu_nn::kernels::{
+    self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, RowScratch,
+};
 use quantmcu_tensor::{pack, Bitwidth, Region, Shape, Tensor};
 
 /// Deterministic pseudo-random buffer (the proptest shim drives shape and
@@ -259,8 +264,8 @@ proptest! {
     fn packed_conv2d_matches_naive_bit_for_bit(
         h in 3usize..11,
         w in 3usize..11,
-        c in 1usize..7,
-        oc in 1usize..10,
+        c in 1usize..41,
+        oc in 1usize..41,
         k in prop::sample::select(vec![1usize, 3, 5]),
         stride in 1usize..4,
         pad in 0usize..3,
@@ -278,7 +283,7 @@ proptest! {
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
         let mut out = vec![0i8; reference.len()];
-        kernels::conv2d_q(&dot, &x, shape, &mut out, oc, k, stride, pad, &mut Vec::new());
+        kernels::conv2d_q(&dot, &x, shape, &mut out, oc, k, stride, pad, &mut RowScratch::default());
         prop_assert_eq!(levels(&out), reference);
     }
 
@@ -304,7 +309,33 @@ proptest! {
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
         let mut out = vec![0i8; reference.len()];
-        kernels::dwconv_q(&dot, &x, shape, &mut out, k, stride, pad);
+        kernels::dwconv_q(&dot, &x, shape, &mut out, k, stride, pad, &mut RowScratch::default());
+        prop_assert_eq!(levels(&out), reference);
+    }
+
+    /// The 1×1 stride-1 unpadded conv, whose rows are copied straight
+    /// from the input map: one pixel, odd pixel counts, and channel counts on both
+    /// sides of the panel and group widths.
+    #[test]
+    fn packed_pointwise_matches_naive_bit_for_bit(
+        h in 1usize..6,
+        w in 1usize..6,
+        c in 1usize..41,
+        oc in 1usize..41,
+        which_bits in 0usize..3,
+        zp_at in 0.0f64..1.0,
+        seed in 0u64..1_000,
+    ) {
+        let bits = [Bitwidth::W2, Bitwidth::W4, Bitwidth::W8][which_bits];
+        let shape = Shape::hwc(h, w, c);
+        let (q_in, x, zp_in) = varied_input(shape.len(), seed, zp_at);
+        let qw = varied_weights(oc * c, seed ^ 0xB0B, bits);
+        let rq = requant(oc, seed);
+        let reference = naive::conv2d_q(&q_in, shape, &qw, zp_in, &rq, oc, 1, 1, 0);
+        let packed = pack::pack(&qw, bits);
+        let dot = PackedDot::new(&packed, bits, zp_in, &rq);
+        let mut out = vec![0i8; reference.len()];
+        kernels::conv2d_q(&dot, &x, shape, &mut out, oc, 1, 1, 0, &mut RowScratch::default());
         prop_assert_eq!(levels(&out), reference);
     }
 
@@ -312,8 +343,8 @@ proptest! {
     fn packed_dense_matches_naive_bit_for_bit(
         h in 1usize..7,
         w in 1usize..7,
-        c in 1usize..20,
-        out_f in 1usize..24,
+        c in 1usize..41,
+        out_f in 1usize..41,
         which_bits in 0usize..3,
         zp_at in 0.0f64..1.0,
         seed in 0u64..1_000,
@@ -328,7 +359,7 @@ proptest! {
         let packed = pack::pack(&qw, bits);
         let dot = PackedDot::new(&packed, bits, zp_in, &rq);
         let mut out = vec![0i8; reference.len()];
-        kernels::dense_q(&dot, &x, shape, &mut out, out_f, &mut Vec::new());
+        kernels::dense_q(&dot, &x, shape, &mut out, out_f, &mut RowScratch::default());
         prop_assert_eq!(levels(&out), reference);
     }
 }

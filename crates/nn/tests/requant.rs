@@ -196,3 +196,108 @@ fn extreme_inputs_never_panic() {
         }
     }
 }
+
+/// Run constants for [`finish_run`] checks: per channel a bias, a
+/// multiplier and a grid, chosen so both routes occur — biases beyond
+/// `2^30` and total shifts of 1 and above 61 force the `i128` route for
+/// the whole node.
+fn run_requant(channels: &[(i64, f64)], zp: i32, bits: Bitwidth) -> Requant {
+    let bias: Vec<i64> = channels.iter().map(|&(b, _)| b).collect();
+    let scale: Vec<FixedMultiplier> =
+        channels.iter().map(|&(_, m)| FixedMultiplier::from_real(m)).collect();
+    Requant::new(&bias, &scale, zp, bits.min_value(), bits.max_value())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `finish_run` finishes a run on one route per node; every element
+    /// must equal the scalar reference `finish`, on either route.
+    #[test]
+    fn finish_run_equals_finish_element_for_element(
+        accs in prop::collection::vec(i32::MIN..=i32::MAX, 1..40),
+        seed in 0u64..1_000_000,
+        wide in prop::sample::select(vec![false, true]),
+        bits in prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8]),
+        zp_at in 0.0f64..1.0,
+    ) {
+        let n = accs.len();
+        let pick = |i: usize, salt: u64| {
+            (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed ^ salt) >> 11
+        };
+        // Multipliers span total shifts of 1 (real ≈ 2^29) to above 61
+        // (real ≈ 2^-33), so both route bounds are crossed.
+        let channels: Vec<(i64, f64)> = (0..n)
+            .map(|i| {
+                let log2_m = -34.0 + (pick(i, 1) % 6400) as f64 / 100.0;
+                let bias_span = if wide { 1i64 << 40 } else { 1 << 30 };
+                let bias = (pick(i, 2) % (2 * bias_span as u64 + 1)) as i64 - bias_span;
+                (bias, log2_m.exp2())
+            })
+            .collect();
+        let zp = bits.min_value() + ((bits.max_value() - bits.min_value()) as f64 * zp_at) as i32;
+        let rq = run_requant(&channels, zp, bits);
+        let mut out = vec![0i8; accs.len()];
+        rq.finish_run(&accs, &mut out);
+        for (j, (&acc, &o)) in accs.iter().zip(&out).enumerate() {
+            let want = rq.finish(acc, j);
+            prop_assert!(o as i32 == want, "channel {}: {} vs {}", j, o, want);
+        }
+    }
+
+    /// Accumulators aimed at both clamp edges of the grid, on both routes.
+    #[test]
+    fn finish_run_equals_finish_at_the_clamp_edges(
+        log2_m in -30.0f64..1.5,
+        bits in prop::sample::select(vec![Bitwidth::W2, Bitwidth::W4, Bitwidth::W8]),
+        zp_at in 0.0f64..1.0,
+        wide in prop::sample::select(vec![false, true]),
+    ) {
+        let ratio = log2_m.exp2();
+        let zp = bits.min_value() + ((bits.max_value() - bits.min_value()) as f64 * zp_at) as i32;
+        // A huge bias on a second channel sends the node to the i128 route
+        // without moving channel 0's values.
+        let extra = if wide { 1i64 << 40 } else { 0 };
+        let rq = run_requant(&[(0, ratio), (extra, ratio)], zp, bits);
+        let mut accs = Vec::new();
+        for edge in [bits.min_value() - zp, bits.max_value() - zp] {
+            for offset in [-1.5f64, -0.5, 0.0, 0.5, 1.5] {
+                let x = ((edge as f64 + offset) / ratio).round();
+                let x = x.clamp(i32::MIN as f64 + 1.0, i32::MAX as f64 - 1.0) as i32;
+                accs.extend([x - 1, x, x + 1]);
+            }
+        }
+        for acc in accs {
+            let mut out = [0i8; 1];
+            rq.finish_run(&[acc], &mut out);
+            let want = rq.finish(acc, 0);
+            prop_assert!(out[0] as i32 == want, "acc {}: {} vs {}", acc, out[0], want);
+        }
+    }
+}
+
+/// Exact ties (`±0.5` of a grid step) round away from zero on both
+/// routes of `finish_run`, as in `finish`.
+#[test]
+fn finish_run_rounds_ties_like_finish() {
+    for real in [0.5, 0.25, 2f64.powi(-10), 3.0] {
+        for extra in [0, 1i64 << 40] {
+            let rq = run_requant(&[(0, real), (extra, real)], 0, Bitwidth::W8);
+            let accs: Vec<i32> = (-3000..=3000).collect();
+            let mut out = vec![0i8; accs.len()];
+            for (a, o) in accs.iter().zip(out.iter_mut()) {
+                rq.finish_run(&[*a], std::slice::from_mut(o));
+            }
+            for (&acc, &o) in accs.iter().zip(&out) {
+                assert_eq!(o as i32, rq.finish(acc, 0), "acc {acc}, real {real}, extra {extra}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "must fit i8")]
+fn finish_run_rejects_grids_wider_than_i8() {
+    let rq = run_requant(&[(0, 0.5)], 0, Bitwidth::W16);
+    rq.finish_run(&[1], &mut [0i8]);
+}

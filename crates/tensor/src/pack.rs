@@ -3,9 +3,9 @@
 //! CMix-NN stores 4-bit values two per byte (low nibble first) and 2-bit
 //! values four per byte (lowest crumb first), all in two's complement. The
 //! packed form is what occupies SRAM on the device; kernels decode fields
-//! to `i8` registers as they multiply-accumulate. Besides the bulk
-//! [`pack`]/[`unpack`] pair, this module exposes the word-iteration
-//! building blocks the packed dot-product kernels use directly:
+//! as they consume them. Besides the bulk [`pack`]/[`unpack`] pair, this
+//! module exposes the word-iteration building blocks the packed kernels
+//! use directly: [`decode_into`] decodes any run of fields,
 //! [`decode_w4`]/[`decode_w2`] split one packed byte into its fields in
 //! registers, [`field_at`] random-accesses a single field (for runs that
 //! start or end mid-byte), and [`sign_extend`] is the shared branch-free
@@ -61,36 +61,66 @@ pub fn pack(values: &[i8], bitwidth: Bitwidth) -> Vec<u8> {
 /// Panics when `bytes` is shorter than `bitwidth.bytes_for(len)`, or for
 /// bitwidths wider than 8 bits (see [`pack`]).
 pub fn unpack(bytes: &[u8], bitwidth: Bitwidth, len: usize) -> Vec<i8> {
-    let bits = storage_bits(bitwidth);
+    storage_bits(bitwidth);
     assert!(
         bytes.len() >= bitwidth.bytes_for(len),
         "packed buffer too short: {} bytes for {len} values at {bitwidth}",
         bytes.len()
     );
-    debug_assert!(len == 0 || (len - 1) * bits / 8 < bytes.len(), "last field inside the buffer");
+    let mut out = vec![0i8; len];
+    decode_into(bytes, bitwidth, 0, &mut out);
+    out
+}
+
+/// Decodes fields `start..start + out.len()` of a packed buffer into
+/// `out`, sign-extended: a ragged head up to the first byte boundary
+/// through [`field_at`], whole bytes through [`decode_w4`]/[`decode_w2`]
+/// (word iteration, the same decoders the packed kernels use), then the
+/// ragged tail.
+///
+/// # Panics
+///
+/// Panics (via slice indexing) when a field lies outside `bytes`, and
+/// for accounting-only bitwidths (see [`pack`]).
+pub fn decode_into<T: From<i8>>(bytes: &[u8], bitwidth: Bitwidth, start: usize, out: &mut [T]) {
+    let bits = storage_bits(bitwidth);
+    let len = out.len();
     if bits == 8 {
-        return bytes[..len].iter().map(|&b| b as i8).collect();
+        for (o, &b) in out.iter_mut().zip(&bytes[start..start + len]) {
+            *o = T::from(b as i8);
+        }
+        return;
     }
-    // Word iteration: decode whole bytes through the same field decoders
-    // the packed dot-product kernels use, then the ragged tail.
-    let mut out = Vec::with_capacity(len);
+    let per_byte = 8 / bits;
+    let head = ((per_byte - start % per_byte) % per_byte).min(out.len());
+    let body = (out.len() - head) / per_byte * per_byte;
+    let first = (start + head) / per_byte;
+    let whole = &bytes[first..first + body / per_byte];
+    let (ragged, rest) = out.split_at_mut(head);
+    let (middle, tail) = rest.split_at_mut(body);
     match bitwidth {
         Bitwidth::W4 => {
-            for &b in &bytes[..len / 2] {
-                out.extend_from_slice(&decode_w4(b));
+            for (o, &b) in middle.chunks_exact_mut(2).zip(whole) {
+                let [f0, f1] = decode_w4(b);
+                o[0] = T::from(f0);
+                o[1] = T::from(f1);
             }
         }
         Bitwidth::W2 => {
-            for &b in &bytes[..len / 4] {
-                out.extend_from_slice(&decode_w2(b));
+            for (o, &b) in middle.chunks_exact_mut(4).zip(whole) {
+                for (o, f) in o.iter_mut().zip(decode_w2(b)) {
+                    *o = T::from(f);
+                }
             }
         }
         _ => unreachable!("storage_bits admits only W2/W4/W8"),
     }
-    for i in out.len()..len {
-        out.push(field_at(bytes, bitwidth, i));
+    for (i, o) in ragged.iter_mut().enumerate() {
+        *o = T::from(field_at(bytes, bitwidth, start + i));
     }
-    out
+    for (i, o) in tail.iter_mut().enumerate() {
+        *o = T::from(field_at(bytes, bitwidth, start + head + body + i));
+    }
 }
 
 /// The storage width of `bitwidth`, rejecting widths the `i8`-based

@@ -9,6 +9,8 @@
 //!   `deploy_from_artifact_path`) round-trip through a real file.
 //! * An artifact saved for one model is rejected with a typed
 //!   `FingerprintMismatch` when loaded into an engine serving another.
+//! * The model fingerprint equals the checksum of the saved model's body,
+//!   for every zoo model.
 //! * Property tests: flipping, truncating, version-bumping or
 //!   checksum-repairing a valid artifact yields a typed `ArtifactError`
 //!   (or a clean parse), never a panic — even when the corrupted bytes
@@ -23,6 +25,8 @@ use proptest::prelude::*;
 use quantmcu::artifact::{graph_fingerprint, ArtifactError, PlanArtifact, FORMAT_VERSION};
 use quantmcu::models::Model;
 use quantmcu::nn::codec::checksum;
+use quantmcu::nn::import::{encode, save_model};
+use quantmcu::nn::opt::ModelIr;
 use quantmcu::nn::{init, GraphSpecBuilder};
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 use quantmcu::{Engine, Error, SramBudget};
@@ -115,6 +119,19 @@ fn wrong_model_artifact_is_a_typed_fingerprint_mismatch() {
             assert_ne!(expected, found);
         }
         other => panic!("expected FingerprintMismatch, got {other:?}"),
+    }
+}
+
+/// The fingerprint is the checksum `save_model` seals over the model's
+/// body, for every zoo model at exec scale, and `save_model`, which writes
+/// the body straight from the graph, gives the IR encoder's bytes.
+#[test]
+fn fingerprint_is_the_saved_models_checksum() {
+    for model in Model::ALL {
+        let g = graph(model);
+        let bytes = save_model(&g);
+        assert_eq!(graph_fingerprint(&g), checksum(&bytes[16..]), "{model:?}");
+        assert_eq!(bytes, encode(&ModelIr::from_graph(&g)), "{model:?}");
     }
 }
 
