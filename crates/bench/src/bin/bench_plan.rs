@@ -7,6 +7,13 @@
 //! cross-checks that every worker count produced a bit-identical plan
 //! (the determinism contract the pooled planner guarantees).
 //!
+//! It also reports what planning holds in memory: `PlanStats::sample_bytes`
+//! (the calibration values kept at the prologue's end) and the process's
+//! peak resident set (`VmHWM`, where `/proc/self/status` has it) after the
+//! first and after the last plan, and asserts that the planner keeps the
+//! tail maps' values and nothing else: `sample_bytes` must be 4 B × images
+//! × the tail maps' lengths, as computed from the graph spec.
+//!
 //! Set `QUANTMCU_SMOKE=1` to run one repetition for CI smoke runs. The
 //! smoke run keeps all 32 calibration images, so the per-chunk sample
 //! buffers are long enough that the percentile clip subsamples across
@@ -20,13 +27,28 @@ use quantmcu::tensor::Tensor;
 use quantmcu::{DeploymentPlan, Engine, PlanStats, Planner, QuantMcuConfig, SramBudget};
 use quantmcu_bench::{exec_dataset, exec_graph, smoke, EXEC_SRAM};
 
+/// The process's peak resident set (`VmHWM`) in KiB, where
+/// `/proc/self/status` reports it.
+fn vm_hwm_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// `VmHWM` in MiB, two decimals.
+fn mib(kib: u64) -> String {
+    format!("{:.2}", kib as f64 / 1024.0)
+}
+
 /// Best-of-N wall clock for one worker count, plus the produced plan and
-/// the stage breakdown of the fastest repetition.
+/// the stage breakdown of the fastest repetition. Every plan's `VmHWM` is
+/// appended to `hwm`.
 fn measure(
     graph: &quantmcu::nn::Graph,
     calib: &[Tensor],
     workers: usize,
     reps: usize,
+    hwm: &mut Vec<Option<u64>>,
 ) -> (Duration, DeploymentPlan, PlanStats) {
     let planner = Planner::new(QuantMcuConfig { workers, ..QuantMcuConfig::paper() });
     let mut best = Duration::MAX;
@@ -35,6 +57,7 @@ fn measure(
         let start = Instant::now();
         let (p, stats) = planner.plan_with_stats(graph, calib, EXEC_SRAM).expect("plan");
         let elapsed = start.elapsed();
+        hwm.push(vm_hwm_kib());
         if elapsed < best {
             best = elapsed;
             kept = Some((p, stats));
@@ -55,16 +78,29 @@ fn main() {
     let host_parallelism = quantmcu::default_workers();
 
     println!("Planner throughput: {images}-image calibration set, best of {reps}\n");
-    let (serial_time, serial_plan, serial_stats) = measure(&graph, &calib, 1, reps);
+    let mut hwm = Vec::new();
+    let (serial_time, serial_plan, serial_stats) = measure(&graph, &calib, 1, reps, &mut hwm);
     let serial_plan = serial_plan.timeless();
+    // The planner keeps the tail maps' values (the percentile clip and the
+    // clamped entropy scan read them twice) and no head value.
+    let spec = graph.spec();
+    let split = serial_plan.patch_plan().split_at();
+    let tail_len: usize = (split..spec.feature_map_count())
+        .map(|g| spec.feature_map_shape(quantmcu::nn::FeatureMapId(g)).len())
+        .sum();
+    let expected_sample_bytes = std::mem::size_of::<f32>() * images * tail_len;
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let (time, plan, stats) = if workers == 1 {
             (serial_time, serial_plan.clone(), serial_stats)
         } else {
-            let (t, p, s) = measure(&graph, &calib, workers, reps);
+            let (t, p, s) = measure(&graph, &calib, workers, reps, &mut hwm);
             (t, p.timeless(), s)
         };
+        assert_eq!(
+            stats.sample_bytes, expected_sample_bytes,
+            "the planner holds calibration values beyond the tail maps' (workers = {workers})"
+        );
         let identical = plan == serial_plan;
         let speedup = serial_time.as_secs_f64() / time.as_secs_f64();
         println!(
@@ -97,9 +133,33 @@ fn main() {
     // bit-identical — the artifact contract).
     let engine = Engine::builder(graph.clone()).sram_budget(SramBudget::new(EXEC_SRAM)).build();
     let start = Instant::now();
-    let calibrated =
-        engine.plan(calib.clone()).and_then(|p| engine.deploy(p)).expect("calibrated deploy");
+    let plan = engine.plan(calib.clone()).expect("calibrated plan");
+    hwm.push(vm_hwm_kib());
+    let calibrated = engine.deploy(plan).expect("calibrated deploy");
     let calibrated_time = start.elapsed();
+    // The first and the last plan's VmHWM, omitted where it is not
+    // available.
+    let (first_hwm, last_hwm) = (hwm[0], *hwm.last().expect("at least one plan"));
+    let mut memory =
+        format!("\"sample_bytes\": {}, \"plans\": {}", serial_stats.sample_bytes, hwm.len());
+    print!(
+        "\nPlanning memory: {} B of calibration values held ({tail_len} tail values per image)",
+        serial_stats.sample_bytes
+    );
+    if let (Some(first), Some(last)) = (first_hwm, last_hwm) {
+        print!(
+            "; VmHWM {} MiB after the first plan, {} MiB after the last of {}",
+            mib(first),
+            mib(last),
+            hwm.len()
+        );
+        memory += &format!(
+            ", \"vm_hwm_mib_first_plan\": {}, \"vm_hwm_mib_last_plan\": {}",
+            mib(first),
+            mib(last)
+        );
+    }
+    println!();
     let artifact_bytes = calibrated.save().expect("save plan artifact");
     let start = Instant::now();
     let cold = engine.deploy_from_artifact(&artifact_bytes).expect("cold-start deploy");
@@ -121,6 +181,7 @@ fn main() {
         "{{\n  \"bench\": \"planner_throughput\",\n  \"model\": \"MobileNetV2 (exec scale)\",\n  \
          \"calibration_images\": {images},\n  \"reps\": {reps},\n  \
          \"host_parallelism\": {host_parallelism},\n  \"sweep\": [\n{}\n  ],\n  \
+         \"memory\": {{{memory}}},\n  \
          \"artifact\": {{\"bytes\": {}, \"coldstart_seconds\": {:.6}, \
          \"calibrated_seconds\": {:.6}, \"speedup\": {cold_speedup:.1}, \
          \"bit_identical\": {identical}}}\n}}\n",

@@ -3,11 +3,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use quantmcu_nn::exec::{CompiledGraph, ExecState, ScopedPool};
-use quantmcu_nn::{Graph, GraphSpec};
+use quantmcu_nn::{FeatureMapId, Graph, GraphError, GraphSpec};
 use quantmcu_patch::{Branch, PatchPlan};
+use quantmcu_quant::entropy::{self, RangeFold};
 use quantmcu_quant::score::ScoreTable;
 use quantmcu_quant::vdpc::{PatchClass, VdpcClassifier};
-use quantmcu_quant::{entropy, vdqs};
+use quantmcu_quant::vdqs;
 use quantmcu_tensor::{Bitwidth, Region, Tensor};
 
 use crate::config::QuantMcuConfig;
@@ -51,18 +52,23 @@ pub struct Planner {
 /// for every plan that reused it); `vdqs` is that plan's own search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Streaming the calibration set through the network and accumulating
-    /// per-feature-map value samples.
+    /// Streaming the calibration set through the network, folding the
+    /// head maps' ranges and keeping the tail maps' values.
     pub prologue: Duration,
     /// Gaussian fit plus input-tile outlier classification (zero when VDPC
     /// is disabled).
     pub vdpc: Duration,
-    /// Calibration ranges, tail clips, entropy tables and score tables, for the
-    /// branches and the tail.
+    /// Head entropy rows (a second, head-only float pass, when a searched
+    /// branch needs one), tail clips and entropy rows, and the score
+    /// tables, for the branches and the tail.
     pub entropy: Duration,
     /// Algorithm 1 (greedy init + pair repair) over every branch and the
     /// tail, plus the end-pinning fixups.
     pub vdqs: Duration,
+    /// Bytes of calibration values the planner holds at the prologue's
+    /// end: the tail maps' values, 4 B per value per image. Head maps keep
+    /// none; their ranges and entropy rows are folded as values stream.
+    pub sample_bytes: usize,
 }
 
 impl PlanStats {
@@ -87,6 +93,16 @@ fn check_calibration(calibration: &[Tensor]) -> Result<(), PlanError> {
     }
     match calibration.iter().position(|t| t.data().iter().any(|v| v.is_infinite())) {
         Some(image) => Err(PlanError::NonFiniteCalibration { image }),
+        None => Ok(()),
+    }
+}
+
+/// Rejects a calibration image of another shape than the graph's input, as
+/// the float pass would, before VDPC reads the images as input maps.
+fn check_shapes(calibration: &[Tensor], spec: &GraphSpec) -> Result<(), PlanError> {
+    let expected = spec.input_shape();
+    match calibration.iter().find(|t| t.shape() != expected) {
+        Some(t) => Err(GraphError::InputShapeMismatch { expected, actual: t.shape() }.into()),
         None => Ok(()),
     }
 }
@@ -206,13 +222,11 @@ impl Planner {
         let compiled = CompiledGraph::new(graph)?;
         let pro = thread::scope(|scope| {
             let pool = ScopedPool::spawned(scope, self.cfg.workers, |_| ExecState::new());
-            self.prologue_on_pool(&pool, &compiled, calibration, &spec, &patch_plan)
+            self.prologue_on_pool(&pool, &compiled, calibration, &spec, &patch_plan, false)
         })?;
-        let Prologue { head, tail, branches, slots, unique_values, tail_values, .. } = pro;
-        let unique_ranges: Vec<(f32, f32)> = unique_values.iter().map(|v| min_max(v)).collect();
-        let branch_ranges =
-            slots.iter().map(|maps| maps.iter().map(|&u| unique_ranges[u]).collect()).collect();
-        let tail_ranges: Vec<(f32, f32)> = tail_values.iter().map(|v| min_max(v)).collect();
+        let branch_ranges = pro.branch_ranges();
+        let Prologue { head, tail, branches, tail_ranges, .. } = pro;
+        let tail_ranges = tail_ranges.into_iter().map(finite_or_unit).collect();
         let branches = Arc::try_unwrap(branches).unwrap_or_else(|arc| (*arc).clone());
         Ok(DeploymentPlan {
             patch_classes: vec![PatchClass::NonOutlier; branches.len()],
@@ -307,18 +321,16 @@ impl Planner {
         spec: &GraphSpec,
         patch_plan: PatchPlan,
     ) -> Result<SearchContext, PlanError> {
-        let prologue_start = Instant::now();
-        let Prologue { head, tail, branches, slots, unique_values, tail_values } =
-            self.prologue_on_pool(pool, compiled, calibration, spec, &patch_plan)?;
-        let prologue_time = prologue_start.elapsed();
-
         // ---- VDPC: classify the split feature map's patches (Fig. 3):
         // a patch of the *input* feature map containing an outlier value
-        // sends its whole dataflow branch to 8-bit. The Gaussian is fitted
+        // sends its whole dataflow branch to 8-bit. It reads only the
+        // images and the input tiles, so it runs first: the prologue then
+        // knows which head maps need entropy rows. The Gaussian is fitted
         // on the full input feature map across the calibration set — the
         // input feature map *is* the calibration image, so the fit streams
         // the images in place (no flattened copy is ever materialized).
         let vdpc_start = Instant::now();
+        check_shapes(calibration, spec)?;
         let patch_classes: Vec<PatchClass> = if self.cfg.enable_vdpc {
             let clf = VdpcClassifier::fit_parts(
                 calibration.iter().map(|t| t.data()),
@@ -343,37 +355,38 @@ impl Planner {
                 Ok(PatchClass::NonOutlier)
             })?
         } else {
-            vec![PatchClass::NonOutlier; branches.len()]
+            vec![PatchClass::NonOutlier; patch_plan.branch_count()]
         };
         let vdpc_time = vdpc_start.elapsed();
 
-        // ---- Ranges + entropy rows, one pool job per unique
-        // sample target (see [`Planner::prologue_on_pool`] — branches
-        // sharing a region share one scan). A target needs an entropy row
-        // only when some searched (non-outlier) branch reads it; ranges
-        // are measured for every target. Each job owns its value sample
-        // and drops it on completion, so peak memory decays as the
-        // fan-out drains.
+        let prologue_start = Instant::now();
+        let pro = self.prologue_on_pool(pool, compiled, calibration, spec, &patch_plan, true)?;
+        let prologue_time = prologue_start.elapsed();
+        let sample_bytes: usize = pro
+            .tail_values
+            .iter()
+            .flatten()
+            .map(|v| v.capacity() * std::mem::size_of::<f32>())
+            .sum();
+
+        // ---- Ranges + entropy rows per unique head target (see
+        // [`Planner::prologue_on_pool`] — branches sharing a region share
+        // one target). Ranges were folded by the prologue; a target needs
+        // an entropy row only when some searched (non-outlier) branch
+        // reads it.
         let entropy_start = Instant::now();
-        let candidates = &self.cfg.vdqs.candidates;
-        let hist_bins = self.cfg.vdqs.hist_bins;
-        let n_branches = branches.len();
-        let mut need_row = vec![false; unique_values.len()];
-        for (bi, maps) in slots.iter().enumerate() {
+        let mut need_row = vec![false; pro.targets.len()];
+        for (bi, maps) in pro.slots.iter().enumerate() {
             if patch_classes[bi] == PatchClass::NonOutlier {
                 for &u in maps {
                     need_row[u] = true;
                 }
             }
         }
-        let items: Vec<(Segments, bool)> = unique_values.into_iter().zip(need_row).collect();
-        let unique_results = pool.map(items, move |_, (parts, need_row): (Segments, bool)| {
-            let sample = entropy::Sample::new(&parts);
-            let row = if need_row { Some(sample.table_row(candidates, hist_bins)?) } else { None };
-            Ok::<_, PlanError>((finite_or_unit(sample.range()), row))
-        })?;
-        let branch_ranges: Vec<Vec<(f32, f32)>> =
-            slots.iter().map(|maps| maps.iter().map(|&u| unique_results[u].0).collect()).collect();
+        let head_rows = self.head_rows(pool, compiled.graph(), calibration, &pro, &need_row)?;
+        let branch_ranges = pro.branch_ranges();
+        let Prologue { head, tail, branches, slots, tail_values, .. } = pro;
+        let n_branches = branches.len();
 
         // Per searched branch: the score table (region-restricted entropy
         // + branch-exact ΔB) and the Eq. 7 memory model's element counts.
@@ -392,9 +405,7 @@ impl Planner {
             }
             let (full, reductions): (Vec<f64>, Vec<Vec<f64>>) = slots[bi]
                 .iter()
-                .map(|&u| {
-                    unique_results[u].1.clone().expect("searched branches requested entropy rows")
-                })
+                .map(|&u| head_rows[u].clone().expect("searched branches requested entropy rows"))
                 .unzip();
             let et = entropy::EntropyTable { full, reductions };
             let branch_ref_bitops = (branch.total_macs(&head)
@@ -519,6 +530,7 @@ impl Planner {
             prologue_time,
             vdpc_time,
             entropy_time,
+            sample_bytes,
         })
     }
 
@@ -575,6 +587,7 @@ impl Planner {
             vdpc: ctx.vdpc_time,
             entropy: ctx.entropy_time,
             vdqs: vdqs_time,
+            sample_bytes: ctx.sample_bytes,
         };
         Ok((
             DeploymentPlan {
@@ -599,29 +612,28 @@ impl Planner {
     }
 
     /// The shared planning prologue: split, branch construction, and one
-    /// streaming calibration pass accumulating per-feature-map value
-    /// samples for every branch region and every tail map. Feature maps
-    /// are recycled as soon as their samples have been extracted — no full
-    /// trace is ever materialized.
+    /// streaming calibration pass that folds the range of every branch
+    /// region of every head map and keeps every tail map's values — or,
+    /// without `keep_tail_values`, folds the tail maps' ranges too. Feature
+    /// maps are recycled as soon as they have been read — no full trace is
+    /// ever materialized, and no head value is kept.
     ///
     /// Branch regions overlap heavily: receptive-field halos grow with
     /// depth, so the deep head maps clip to (nearly) the full map for
-    /// *every* branch. Samples are therefore accumulated once per unique
+    /// *every* branch. Ranges are therefore folded once per unique
     /// `(feature map, region)` target, with [`Prologue::slots`] mapping
-    /// each (branch, map) pair back to its target — duplicated regions are
-    /// streamed (and later entropy-scanned) once instead of once per
-    /// branch, without changing a single accumulated value.
+    /// each (branch, map) pair back to its target.
     ///
-    /// The calibration pass fans out over the pool in contiguous chunks:
-    /// each job streams its chunk into an accumulator whose buffers are
-    /// reserved at their **exact** final size (the per-image sample count
-    /// per feature map is known up front from the branch regions). The
-    /// per-chunk buffers are never merged: each target keeps them as its
-    /// [`Segments`], in chunk order, which is image order. Every later
-    /// stage reads a target as the concatenation of its segments, so the
-    /// samples (and therefore the resulting plan) are bit-identical for
-    /// every worker count, with no copy and no reallocation anywhere on
-    /// the path.
+    /// The calibration pass fans out over the pool in contiguous chunks
+    /// (see [`calibration_chunks`]). Each job folds its chunk's ranges and
+    /// fills tail buffers reserved at their **exact** final size (the
+    /// per-image value count per map is known up front). The folds merge
+    /// in chunk order, which is image order, into the range of the whole
+    /// set; the tail buffers are never merged: each map keeps them as its
+    /// [`Segments`], in chunk order, and every later stage reads a map as
+    /// their concatenation. Ranges and values (and therefore the plan) are
+    /// bit-identical for every worker count, with no copy and no
+    /// reallocation anywhere on the path.
     fn prologue_on_pool<'env>(
         &self,
         pool: &ScopedPool<'env, ExecState>,
@@ -629,6 +641,7 @@ impl Planner {
         calibration: &'env [Tensor],
         spec: &GraphSpec,
         patch_plan: &PatchPlan,
+        keep_tail_values: bool,
     ) -> Result<Prologue, PlanError> {
         let split = patch_plan.split_at();
         let (head, tail) = spec.split_at(split)?;
@@ -637,14 +650,14 @@ impl Planner {
         // below is infallible.
         for branch in branches.iter() {
             for (i, region) in branch.regions().iter().enumerate() {
-                let shape = spec.feature_map_shape(quantmcu_nn::FeatureMapId(i));
+                let shape = spec.feature_map_shape(FeatureMapId(i));
                 region.check_within(shape.h, shape.w)?;
             }
         }
         let tail_fm_count = tail.feature_map_count();
-        // Deduplicate the (map, region) sample targets across branches
+        // Deduplicate the (map, region) targets across branches
         // (deterministic first-seen order, so plans cannot depend on it).
-        let mut unique: Vec<(usize, Region)> = Vec::new();
+        let mut targets: Vec<(usize, Region)> = Vec::new();
         let slots: Vec<Vec<usize>> = branches
             .iter()
             .map(|b| {
@@ -652,47 +665,35 @@ impl Planner {
                     .iter()
                     .enumerate()
                     .map(|(g, &region)| {
-                        unique.iter().position(|&u| u == (g, region)).unwrap_or_else(|| {
-                            unique.push((g, region));
-                            unique.len() - 1
+                        targets.iter().position(|&u| u == (g, region)).unwrap_or_else(|| {
+                            targets.push((g, region));
+                            targets.len() - 1
                         })
                     })
                     .collect()
             })
             .collect();
-        // Per-`g` dispatch table for the streaming observer, plus
-        // per-image sample counts per accumulated map — the exact-capacity
-        // reservations below come from these.
-        let mut by_g: Vec<Vec<(usize, Region)>> = vec![Vec::new(); split + 1];
-        for (u, &(g, region)) in unique.iter().enumerate() {
-            by_g[g].push((u, region));
-        }
-        let by_g = Arc::new(by_g);
-        let per_image_unique: Vec<usize> = unique
-            .iter()
-            .map(|&(g, region)| {
-                let s = spec.feature_map_shape(quantmcu_nn::FeatureMapId(g));
-                s.n * region.area() * s.c
-            })
-            .collect();
-        let per_image_tail: Vec<usize> = (0..tail_fm_count)
-            .map(|g| spec.feature_map_shape(quantmcu_nn::FeatureMapId(split + g)).len())
-            .collect();
-        let chunk_count = pool.workers().min(calibration.len()).max(1);
-        let chunk_size = calibration.len().div_ceil(chunk_count);
+        let by_g = Arc::new(dispatch(&targets, split, |_| true));
+        // Tail maps whose values are kept, and tail maps only folded.
+        let (kept, folded) = if keep_tail_values { (tail_fm_count, 0) } else { (0, tail_fm_count) };
+        let per_image_tail: Vec<usize> =
+            (0..kept).map(|g| spec.feature_map_shape(FeatureMapId(split + g)).len()).collect();
         // The buffers are reserved here, on the planning thread, not in
         // the workers: freed, they return to this thread's heap, where
         // what the caller allocates next (a deployment) reuses them. Had
         // the workers reserved them, they would stay with the workers'
         // allocator arenas, which the allocator need not give back.
-        let reserve = |per_image: &[usize], images: usize| -> Vec<Vec<f32>> {
-            per_image.iter().map(|&c| Vec::with_capacity(c * images)).collect()
-        };
-        let chunks: Vec<(&'env [Tensor], ValueSamples)> = calibration
-            .chunks(chunk_size)
+        let chunks: Vec<(&'env [Tensor], ChunkStats)> = calibration_chunks(pool, calibration)
             .map(|chunk| {
-                let unique = reserve(&per_image_unique, chunk.len());
-                (chunk, ValueSamples { unique, tail: reserve(&per_image_tail, chunk.len()) })
+                let stats = ChunkStats {
+                    head: vec![RangeFold::new(); targets.len()],
+                    tail_values: per_image_tail
+                        .iter()
+                        .map(|&c| Vec::with_capacity(c * chunk.len()))
+                        .collect(),
+                    tail_folds: vec![RangeFold::new(); folded],
+                };
+                (chunk, stats)
             })
             .collect();
         let accs = pool.map(chunks, move |state: &mut ExecState, (chunk, mut acc)| {
@@ -701,30 +702,144 @@ impl Planner {
                     let g = fm.0;
                     if g <= split {
                         for &(u, region) in &by_g[g] {
-                            extend_region_values(&mut acc.unique[u], t, region);
+                            region_runs(t, region, |run| acc.head[u].feed(run));
                         }
                     }
                     if g >= split {
-                        acc.tail[g - split].extend_from_slice(t.data());
+                        if let Some(values) = acc.tail_values.get_mut(g - split) {
+                            values.extend_from_slice(t.data());
+                        } else {
+                            acc.tail_folds[g - split].feed(t.data());
+                        }
                     }
                 })?;
             }
             Ok::<_, PlanError>(acc)
         })?;
-        let mut unique_values: Vec<Segments> =
-            unique.iter().map(|_| Vec::with_capacity(accs.len())).collect();
+        let mut head_folds = vec![RangeFold::new(); targets.len()];
+        let mut tail_folds = vec![RangeFold::new(); folded];
         let mut tail_values: Vec<Segments> =
-            (0..tail_fm_count).map(|_| Vec::with_capacity(accs.len())).collect();
+            (0..kept).map(|_| Vec::with_capacity(accs.len())).collect();
         for acc in accs {
-            for (dst, src) in unique_values.iter_mut().zip(acc.unique) {
-                dst.push(src);
+            for (dst, src) in head_folds.iter_mut().zip(&acc.head) {
+                dst.merge(src);
             }
-            for (dst, src) in tail_values.iter_mut().zip(acc.tail) {
+            for (dst, src) in tail_folds.iter_mut().zip(&acc.tail_folds) {
+                dst.merge(src);
+            }
+            for (dst, src) in tail_values.iter_mut().zip(acc.tail_values) {
                 dst.push(src);
             }
         }
-        Ok(Prologue { head, tail, branches, slots, unique_values, tail_values })
+        Ok(Prologue {
+            head,
+            tail,
+            branches,
+            slots,
+            targets,
+            head_ranges: head_folds.iter().map(RangeFold::range).collect(),
+            tail_values,
+            tail_ranges: tail_folds.iter().map(RangeFold::range).collect(),
+        })
     }
+
+    /// The entropy rows of the prologue's head targets marked in
+    /// `need_row` (`None` elsewhere), from a second, head-only float pass:
+    /// the prologue kept no head values, and a row's bins and grids need
+    /// the target's range before its values are counted. The head is
+    /// compiled once, over its own weights, as the patch engine compiles
+    /// it; its maps are the full graph's, bit for bit. Each pool job counts
+    /// its chunk's region values block by block into one
+    /// [`entropy::Counts`] per target; the counts add exactly, so the rows
+    /// are the same for every worker count. No pass runs when no target
+    /// needs a row (every branch outlier-class).
+    fn head_rows<'env>(
+        &self,
+        pool: &ScopedPool<'env, ExecState>,
+        graph: &Graph,
+        calibration: &'env [Tensor],
+        pro: &Prologue,
+        need_row: &[bool],
+    ) -> Result<Vec<Option<HeadRow>>, PlanError> {
+        let (candidates, k) = (&self.cfg.vdqs.candidates, self.cfg.vdqs.hist_bins);
+        let scans = pro
+            .head_ranges
+            .iter()
+            .zip(need_row)
+            .map(|(&range, &need)| {
+                need.then(|| entropy::Scan::new(range, candidates, k)).transpose()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if scans.iter().all(Option::is_none) {
+            return Ok(vec![None; scans.len()]);
+        }
+        let split = pro.head.len();
+        let params = (0..split).map(|i| graph.params(i).clone()).collect();
+        let head = Arc::new(CompiledGraph::new(Graph::new(pro.head.clone(), params))?);
+        let by_g = Arc::new(dispatch(&pro.targets, split, |u| need_row[u]));
+        let scans = Arc::new(scans);
+        let chunks: Vec<&'env [Tensor]> = calibration_chunks(pool, calibration).collect();
+        let per_chunk = pool.map(chunks, {
+            let scans = Arc::clone(&scans);
+            move |state: &mut ExecState, chunk: &'env [Tensor]| {
+                let mut counts: Vec<Option<entropy::Counts>> =
+                    scans.iter().map(|s| s.as_ref().map(entropy::Scan::counts)).collect();
+                for input in chunk {
+                    head.run_float_with(state, input, |fm, t| {
+                        for &(u, region) in &by_g[fm.0] {
+                            let scan = scans[u].as_ref().expect("dispatched targets are scanned");
+                            let counts = counts[u].as_mut().expect("scanned targets count");
+                            region_runs(t, region, |run| scan.feed(counts, run));
+                        }
+                    })?;
+                }
+                Ok::<_, PlanError>(counts)
+            }
+        })?;
+        let mut per_chunk = per_chunk.into_iter();
+        let mut total = per_chunk.next().expect("a non-empty calibration set has a chunk");
+        for counts in per_chunk {
+            for (dst, src) in total.iter_mut().zip(&counts) {
+                if let (Some(dst), Some(src)) = (dst, src) {
+                    dst.merge(src);
+                }
+            }
+        }
+        scans
+            .iter()
+            .zip(&total)
+            .map(|(scan, counts)| match (scan, counts) {
+                (Some(scan), Some(counts)) => Ok(Some(scan.row(counts)?)),
+                _ => Ok(None),
+            })
+            .collect()
+    }
+}
+
+/// The calibration set in the contiguous chunks a planning pass fans out
+/// over: one per worker (at most one per image), in image order.
+fn calibration_chunks<'env>(
+    pool: &ScopedPool<'env, ExecState>,
+    calibration: &'env [Tensor],
+) -> std::slice::Chunks<'env, Tensor> {
+    let chunk_count = pool.workers().min(calibration.len()).max(1);
+    calibration.chunks(calibration.len().div_ceil(chunk_count).max(1))
+}
+
+/// Per head map `g ≤ split`: the `(target index, region)` pairs of the
+/// targets on that map that `wanted` selects, for a streaming observer.
+fn dispatch(
+    targets: &[(usize, Region)],
+    split: usize,
+    wanted: impl Fn(usize) -> bool,
+) -> Vec<Vec<(usize, Region)>> {
+    let mut by_g = vec![Vec::new(); split + 1];
+    for (u, &(g, region)) in targets.iter().enumerate() {
+        if wanted(u) {
+            by_g[g].push((u, region));
+        }
+    }
+    by_g
 }
 
 /// The 0.1%/99.9% percentile range of a tail map's sample, falling back to
@@ -869,35 +984,55 @@ impl Least {
     }
 }
 
-/// A sample target's calibration values: one buffer per prologue chunk,
-/// in chunk order (= image order), read as their concatenation.
+/// A tail map's calibration values: one buffer per prologue chunk, in
+/// chunk order (= image order), read as their concatenation.
 type Segments = Vec<Vec<f32>>;
 
-/// One calibration chunk's accumulated value samples (see
-/// [`Planner::prologue_on_pool`]): region-restricted values per unique
-/// (map, region) target, plus full-map values per tail feature map.
-/// Every buffer is reserved at its exact final size.
-struct ValueSamples {
-    unique: Vec<Vec<f32>>,
-    tail: Vec<Vec<f32>>,
+/// A head target's entropy row: `(H, ΔH per candidate)`.
+type HeadRow = (f64, Vec<f64>);
+
+/// One calibration chunk's statistics (see [`Planner::prologue_on_pool`]):
+/// a range fold per unique (map, region) head target, plus per tail map
+/// either its values (in a buffer reserved at its exact final size) or a
+/// range fold.
+struct ChunkStats {
+    head: Vec<RangeFold>,
+    tail_values: Vec<Vec<f32>>,
+    tail_folds: Vec<RangeFold>,
 }
 
 /// The shared planning prologue's output: the split graph, branches, and
-/// the calibration value samples accumulated by the streaming pass.
+/// what the streaming pass kept of the calibration set.
 struct Prologue {
     head: GraphSpec,
     tail: GraphSpec,
     branches: Arc<Vec<Branch>>,
     /// Per branch, per head feature map (input first, stage output last):
-    /// the index into [`Prologue::unique_values`] holding that (branch,
-    /// map)'s region-restricted sample. Branches whose regions coincide
-    /// on a map share the index.
+    /// the index into [`Prologue::targets`] of that (branch, map)'s
+    /// region. Branches whose regions coincide on a map share the index.
     slots: Vec<Vec<usize>>,
-    /// Per unique (map, region) target: the region-restricted values over
-    /// the calibration set.
-    unique_values: Vec<Segments>,
-    /// Per tail feature map: the full-map values over the calibration set.
+    /// The unique (map, region) head targets.
+    targets: Vec<(usize, Region)>,
+    /// Per target: the region's [`RangeFold::range`] over the calibration
+    /// set.
+    head_ranges: Vec<(f32, f32)>,
+    /// Per tail feature map: the full-map values over the calibration set
+    /// (empty unless the prologue kept them).
     tail_values: Vec<Segments>,
+    /// Per tail feature map: the [`RangeFold::range`] over the calibration
+    /// set (empty when the prologue kept the values instead).
+    tail_ranges: Vec<(f32, f32)>,
+}
+
+impl Prologue {
+    /// Per branch, per head map: the calibrated range, with the unit-range
+    /// fallback for a non-finite one.
+    fn branch_ranges(&self) -> Vec<Vec<(f32, f32)>> {
+        self.slots
+            .iter()
+            .map(|maps| maps.iter().map(|&u| finite_or_unit(self.head_ranges[u])).collect())
+            .collect()
+    }
 }
 
 /// One searched (non-outlier) branch's budget-independent search inputs:
@@ -924,27 +1059,21 @@ struct SearchContext {
     prologue_time: Duration,
     vdpc_time: Duration,
     entropy_time: Duration,
+    sample_bytes: usize,
 }
 
-/// Appends the values of `region` (all batch items and channels) of `t`
-/// to `values` without materializing a crop. The region must fit inside
-/// the map (validated by the prologue).
-fn extend_region_values(values: &mut Vec<f32>, t: &Tensor, region: Region) {
+/// Hands `visit` the values of `region` (all batch items and channels) of
+/// `t`, one row run at a time, in memory order, without materializing a
+/// crop. The region must fit inside the map (validated by the prologue).
+fn region_runs(t: &Tensor, region: Region, mut visit: impl FnMut(&[f32])) {
     let s = t.shape();
     let run = region.w * s.c;
     for n in 0..s.n {
         for y in region.y..region.y_end() {
             let start = s.index(n, y, region.x, 0);
-            values.extend_from_slice(&t.data()[start..start + run]);
+            visit(&t.data()[start..start + run]);
         }
     }
-}
-
-/// The min/max of a sample, skipping NaN values (a single NaN produced by
-/// a degenerate calibration image must not poison the range). All-NaN or
-/// empty samples fall back to `(0.0, 1.0)`.
-fn min_max<S: AsRef<[f32]>>(parts: &[S]) -> (f32, f32) {
-    finite_or_unit(entropy::Sample::new(parts).range())
 }
 
 /// A folded `(min, max)`, or `(0.0, 1.0)` when either end is not finite.
@@ -1072,6 +1201,12 @@ mod tests {
         assert_eq!(plan.search_time(), Duration::ZERO);
     }
 
+    /// The min/max of a sample, skipping NaN values, with the unit-range
+    /// fallback the planner applies.
+    fn min_max<S: AsRef<[f32]>>(parts: &[S]) -> (f32, f32) {
+        finite_or_unit(entropy::Sample::new(parts).range())
+    }
+
     #[test]
     fn min_max_skips_nan_values() {
         assert_eq!(min_max(&[[1.0, f32::NAN, 3.0, -2.0]]), (-2.0, 3.0));
@@ -1150,11 +1285,14 @@ mod tests {
     #[test]
     fn fused_rows_match_naive_on_real_relu6_maps() {
         // Real ReLU6 maps hold masses of exact 0.0 and 6.0, on level and
-        // bin edges that synthetic samples rarely reach. Capture
-        // MobileNetV2's exec-scale samples from 4 images through the
-        // planner's own prologue (2 workers, so 2 segments per sample),
-        // clip the tail maps and read them clamped as `build_context`
-        // does, and pin every row to the oracle on the clamped values.
+        // bin edges that synthetic samples rarely reach. Run MobileNetV2's
+        // exec-scale prologue on 4 images with 2 workers (so 2 chunks per
+        // target). Head targets: the streamed range and the streamed row
+        // (every target scanned, as if every branch were searched) must
+        // equal the oracle's on the region's values gathered image by
+        // image from full float traces. Tail maps: clip them and read them
+        // clamped as `build_context` does, and pin every row to the oracle
+        // on the clamped values.
         let spec = Model::MobileNetV2.spec(ModelConfig::exec_scale()).unwrap();
         let g = init::with_structured_weights(spec, 7);
         let images = ClassificationDataset::new(32, 10, 7).images(4);
@@ -1162,23 +1300,58 @@ mod tests {
         let spec = g.spec().clone();
         let patch_plan = PatchPlan::fitted(&spec, planner.cfg.grid, 16 * 1024).unwrap();
         let compiled = CompiledGraph::new(&g).unwrap();
-        let pro = thread::scope(|scope| {
+        let (pro, rows) = thread::scope(|scope| {
             let pool = ScopedPool::spawned(scope, planner.cfg.workers, |_| ExecState::new());
-            planner.prologue_on_pool(&pool, &compiled, &images, &spec, &patch_plan)
-        })
-        .unwrap();
+            let pro = planner
+                .prologue_on_pool(&pool, &compiled, &images, &spec, &patch_plan, true)
+                .unwrap();
+            let every = vec![true; pro.targets.len()];
+            let rows = planner.head_rows(&pool, &g, &images, &pro, &every).unwrap();
+            (pro, rows)
+        });
         let holds = |x: f32| pro.tail_values.iter().flatten().flatten().any(|&v| v == x);
         assert!(holds(0.0) && holds(6.0), "the tail maps should saturate ReLU6 at both ends");
 
         let vdqs = &planner.cfg.vdqs;
-        for parts in &pro.unique_values {
-            assert_eq!(parts.len(), 2);
-            let sample = entropy::Sample::new(parts);
-            assert_rows_match_naive(sample, &parts.concat(), &vdqs.candidates, vdqs.hist_bins);
+        let traces: Vec<Vec<Tensor>> = images
+            .iter()
+            .map(|image| quantmcu_nn::exec::FloatExecutor::new(&g).run_trace(image).unwrap())
+            .collect();
+        let mut zero_ends = 0;
+        for (u, &(fm, region)) in pro.targets.iter().enumerate() {
+            let mut values = Vec::new();
+            for t in traces.iter().map(|trace| &trace[fm]) {
+                let s = t.shape();
+                for y in region.y..region.y_end() {
+                    for x in region.x..region.x + region.w {
+                        values.extend((0..s.c).map(|c| t.data()[s.index(0, y, x, c)]));
+                    }
+                }
+            }
+            let m = quantmcu_tensor::stats::moments(&values).unwrap();
+            let (lo, hi) = pro.head_ranges[u];
+            assert_eq!(
+                (lo.to_bits(), hi.to_bits()),
+                (m.min.to_bits(), m.max.to_bits()),
+                "target {u}: streamed range ({lo}, {hi}) vs ({}, {})",
+                m.min,
+                m.max
+            );
+            zero_ends += usize::from(lo == 0.0);
+            let (h_fast, row_fast) = rows[u].clone().expect("every target was scanned");
+            let (h_slow, row_slow) =
+                entropy::naive::table_row(&values, &vdqs.candidates, vdqs.hist_bins).unwrap();
+            assert_eq!(h_fast.to_bits(), h_slow.to_bits(), "target {u}: H {h_fast} vs {h_slow}");
+            for (f, s) in row_fast.iter().zip(&row_slow) {
+                assert_eq!(f.to_bits(), s.to_bits(), "target {u}: ΔH {f} vs {s}");
+            }
         }
+        assert!(zero_ends > 0, "some head ReLU6 region should bottom out at zero");
+
         let tail_candidates: Vec<Bitwidth> =
             vdqs.candidates.iter().copied().filter(|b| *b >= Bitwidth::W4).collect();
         for parts in &pro.tail_values {
+            assert_eq!(parts.len(), 2);
             let (lo, hi) = clipped_range(parts).expect("ReLU6 maps have a finite clip");
             let clamped: Vec<f32> = parts.iter().flatten().map(|v| v.clamp(lo, hi)).collect();
             let sample = entropy::Sample::clamped(parts, lo, hi);
@@ -1229,6 +1402,29 @@ mod tests {
                         "uniform, {v} × {count} in image {at}: {err:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_calibration_image_of_another_shape_is_a_shape_error() {
+        // VDPC reads the images before any float pass does: an image
+        // smaller or larger than the input must still fail as the float
+        // pass would, not as a tile outside the image or a misread one.
+        let g = graph();
+        for shape in [Shape::hwc(8, 8, 3), Shape::hwc(16, 16, 4)] {
+            let mut images = calib(3);
+            images[1] = Tensor::zeros(shape);
+            for cfg in [QuantMcuConfig::paper(), QuantMcuConfig::without_vdpc()] {
+                let err = Planner::new(cfg).plan(&g, &images, 256 * 1024).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        PlanError::Graph(GraphError::InputShapeMismatch { actual, .. })
+                            if actual == shape
+                    ),
+                    "{shape:?}: {err:?}"
+                );
             }
         }
     }

@@ -20,6 +20,13 @@
 //! A sample may come in segments — the planner keeps one buffer per
 //! calibration chunk — and is read as their concatenation.
 //!
+//! Both reads also come in a streaming form, for a caller that produces
+//! the values and would rather not keep them: [`RangeFold`] folds the
+//! range piece by piece, and a [`Scan`] planned on that range counts
+//! pieces into [`Counts`] that add exactly. [`Sample`] is a thin wrapper
+//! over the two, so a streamed range or row is the materialized one, bit
+//! for bit, however the values were split.
+//!
 //! The scan rests on one observation: a value's full-precision bin and
 //! its level on every candidate grid are all non-decreasing step
 //! functions of the value. The scan computes one of them arithmetically,
@@ -222,6 +229,115 @@ pub fn table_row(
 /// compiler vectorizes the cell arithmetic over it.
 const BLOCK: usize = 64;
 
+/// Independent lanes of the min/max fold, which let the compiler vectorize
+/// it.
+const LANES: usize = 16;
+
+/// The min/max fold of [`Sample::new`], fed a sample's values in pieces —
+/// in order, or folded per piece and [merged](RangeFold::merge) in order —
+/// so a caller that streams values need not keep them. Any split of a
+/// sample folds to the range of the whole, bit for bit.
+#[derive(Debug, Clone)]
+pub struct RangeFold {
+    lo: [f32; LANES],
+    hi: [f32; LANES],
+    len: usize,
+    /// The first zero of the first piece after which the running min or
+    /// max was a zero: the sample's first zero whenever its min or max is
+    /// one (then every value lies on one side of zero, so the first piece
+    /// holding a zero makes it an extreme).
+    first_zero: Option<f32>,
+}
+
+impl Default for RangeFold {
+    fn default() -> Self {
+        RangeFold {
+            lo: [f32::INFINITY; LANES],
+            hi: [f32::NEG_INFINITY; LANES],
+            len: 0,
+            first_zero: None,
+        }
+    }
+}
+
+impl RangeFold {
+    /// An empty fold: range `(+∞, −∞)`.
+    pub fn new() -> Self {
+        RangeFold::default()
+    }
+
+    /// Folds the next values of the sample.
+    pub fn feed(&mut self, values: &[f32]) {
+        // A lane skips NaN the way the in-order fold does (a comparison
+        // with NaN is false); visiting values out of order can only change
+        // the sign of a zero extreme, which `range` restores.
+        self.len += values.len();
+        let mut chunks = values.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for ((l, h), &v) in self.lo.iter_mut().zip(&mut self.hi).zip(chunk) {
+                *l = if v < *l { v } else { *l };
+                *h = if v > *h { v } else { *h };
+            }
+        }
+        for &v in chunks.remainder() {
+            self.lo[0] = if v < self.lo[0] { v } else { self.lo[0] };
+            self.hi[0] = if v > self.hi[0] { v } else { self.hi[0] };
+        }
+        if self.first_zero.is_none() {
+            let (lo, hi) = self.lanes();
+            if lo == 0.0 || hi == 0.0 {
+                self.first_zero = values.iter().copied().find(|&v| v == 0.0);
+            }
+        }
+    }
+
+    /// Folds in `later`, the fold of the values that follow this fold's.
+    pub fn merge(&mut self, later: &RangeFold) {
+        for (l, &v) in self.lo.iter_mut().zip(&later.lo) {
+            *l = if v < *l { v } else { *l };
+        }
+        for (h, &v) in self.hi.iter_mut().zip(&later.hi) {
+            *h = if v > *h { v } else { *h };
+        }
+        self.len += later.len;
+        self.first_zero = self.first_zero.or(later.first_zero);
+    }
+
+    /// How many values were folded, NaN included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no value was folded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `(min, max)` over the non-NaN values, as the in-order fold
+    /// `stats::moments` makes with `f32::min`/`f32::max`, where a tie keeps
+    /// the earlier value — so a zero extreme carries the sign of the
+    /// sample's first zero. `(+∞, −∞)` when there are none.
+    pub fn range(&self) -> (f32, f32) {
+        let (mut lo, mut hi) = self.lanes();
+        // In order, the first zero replaces the running extreme and every
+        // later zero ties with it.
+        if lo == 0.0 {
+            lo = self.first_zero.expect("a zero extreme is a value of the sample");
+        }
+        if hi == 0.0 {
+            hi = self.first_zero.expect("a zero extreme is a value of the sample");
+        }
+        (lo, hi)
+    }
+
+    /// The lanes' min and max, up to the sign of a zero.
+    fn lanes(&self) -> (f32, f32) {
+        let lo = self.lo.iter().fold(f32::INFINITY, |a, &v| if v < a { v } else { a });
+        let hi = self.hi.iter().fold(f32::NEG_INFINITY, |a, &v| if v > a { v } else { a });
+        (lo, hi)
+    }
+}
+
 /// One feature map's sample, held as ordered segments (the planner keeps
 /// one buffer per calibration chunk) and read as their concatenation,
 /// together with the range the counting scan bins and fits its grids on.
@@ -237,53 +353,15 @@ pub struct Sample<'a, S> {
 }
 
 impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
-    /// Folds min/max over the concatenated segments, skipping NaN values.
-    /// The result is that of the in-order fold `stats::moments` makes
-    /// with `f32::min`/`f32::max`, where a tie keeps the earlier value —
-    /// so a zero extreme carries the sign of the sample's first zero.
+    /// Folds min/max over the concatenated segments with a [`RangeFold`],
+    /// skipping NaN values: see [`RangeFold::range`].
     pub fn new(parts: &'a [S]) -> Self {
-        // Independent lanes let the compiler vectorize the fold. A lane
-        // skips NaN the way the in-order fold does (a comparison with NaN
-        // is false); visiting values out of order can only change the
-        // sign of a zero extreme, which is restored below.
-        const LANES: usize = 16;
-        let mut lo = [f32::INFINITY; LANES];
-        let mut hi = [f32::NEG_INFINITY; LANES];
-        let mut len = 0;
+        let mut fold = RangeFold::new();
         for part in parts {
-            let part = part.as_ref();
-            len += part.len();
-            let mut chunks = part.chunks_exact(LANES);
-            for chunk in &mut chunks {
-                for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(chunk) {
-                    *l = if v < *l { v } else { *l };
-                    *h = if v > *h { v } else { *h };
-                }
-            }
-            for &v in chunks.remainder() {
-                lo[0] = if v < lo[0] { v } else { lo[0] };
-                hi[0] = if v > hi[0] { v } else { hi[0] };
-            }
+            fold.feed(part.as_ref());
         }
-        let mut lo = lo.into_iter().fold(f32::INFINITY, |a, v| if v < a { v } else { a });
-        let mut hi = hi.into_iter().fold(f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
-        if lo == 0.0 || hi == 0.0 {
-            // In order, the first zero replaces the running extreme and
-            // every later zero ties with it.
-            let first_zero = parts
-                .iter()
-                .flat_map(|part| part.as_ref())
-                .copied()
-                .find(|&v| v == 0.0)
-                .expect("a zero extreme is a value of the sample");
-            if lo == 0.0 {
-                lo = first_zero;
-            }
-            if hi == 0.0 {
-                hi = first_zero;
-            }
-        }
-        Sample { parts, len, lo, hi, clamp: (f32::NEG_INFINITY, f32::INFINITY) }
+        let (lo, hi) = fold.range();
+        Sample { parts, len: fold.len(), lo, hi, clamp: (f32::NEG_INFINITY, f32::INFINITY) }
     }
 
     /// The sample read as `v.clamp(lo, hi)` value by value, with no
@@ -311,7 +389,7 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
     }
 
     /// The map's table row, `(H, ΔH per candidate)`, from one counting
-    /// scan.
+    /// scan ([`Scan`]) over the segments.
     ///
     /// # Errors
     ///
@@ -324,56 +402,173 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
         k: usize,
     ) -> Result<(f64, Vec<f64>), QuantError> {
         let (h_full, h_q) = self.entropies(candidates, k)?;
-        Ok((h_full, h_q.into_iter().map(|h| (h_full - h).max(0.0)).collect()))
+        Ok((h_full, reductions(h_full, h_q)))
     }
 
-    /// `H` at full precision and `H(i, b)` per candidate, from one scan
-    /// that increments one counter per value (see [`Cells`]).
+    /// `H` at full precision and `H(i, b)` per candidate.
     fn entropies(&self, candidates: &[Bitwidth], k: usize) -> Result<(f64, Vec<f64>), QuantError> {
         if self.len == 0 {
             // The naive path surfaces this from `stats::moments`.
             return Err(quantmcu_tensor::TensorError::EmptyTensor.into());
         }
+        let scan = Scan::build((self.lo, self.hi), self.clamp, candidates, k)?;
+        let mut counts = scan.counts();
+        for part in self.parts {
+            scan.feed(&mut counts, part.as_ref());
+        }
+        scan.entropies(&counts)
+    }
+}
+
+/// `ΔH` per candidate from `H` and `H(i, b)`, clamped at zero.
+fn reductions(h_full: f64, h_q: Vec<f64>) -> Vec<f64> {
+    h_q.into_iter().map(|h| (h_full - h).max(0.0)).collect()
+}
+
+/// The counting scan of [`Sample::table_row`], planned once from a map's
+/// range and fed its values in pieces: each piece lands in a [`Counts`],
+/// and the counts of any split of a sample — pieces fed in any order, or
+/// counted apart and [merged](Counts::merge) — are the counts of the
+/// whole, exactly. A caller that streams values can so build a row without
+/// keeping them, as long as it knows the range before the values come.
+#[derive(Debug)]
+pub struct Scan {
+    lo: f32,
+    hi: f32,
+    /// Every value is read as `v.clamp(clamp.0, clamp.1)`; `(−∞, +∞)`
+    /// reads it unchanged.
+    clamp: (f32, f32),
+    steps: Vec<Step>,
+    cells: Cells,
+}
+
+/// A [`Scan`]'s counters: one per (cell, thresholds reached), plus the
+/// number of values counted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counts {
+    counts: Vec<u64>,
+    len: usize,
+}
+
+impl Counts {
+    /// Adds `other`'s counters, which must come from the same [`Scan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two were made by scans of different shapes.
+    pub fn merge(&mut self, other: &Counts) {
+        assert_eq!(self.counts.len(), other.counts.len(), "counts of different scans");
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.len += other.len;
+    }
+
+    /// How many values were counted, NaN included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no value was counted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Scan {
+    /// Plans the scan of a sample whose [`RangeFold::range`] is `range`,
+    /// for the bin count `k` and the candidate grids.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::MalformedInput`] for more than 2²² bins or a
+    /// grid wider than 16 bits, and [`QuantError::Statistics`] when a
+    /// candidate grid cannot be fitted on `range` (one end not finite).
+    pub fn new(range: (f32, f32), candidates: &[Bitwidth], k: usize) -> Result<Self, QuantError> {
+        Scan::build(range, (f32::NEG_INFINITY, f32::INFINITY), candidates, k)
+    }
+
+    fn build(
+        (lo, hi): (f32, f32),
+        clamp: (f32, f32),
+        candidates: &[Bitwidth],
+        k: usize,
+    ) -> Result<Self, QuantError> {
         if k > MAX_BINS {
             return Err(QuantError::MalformedInput { detail: "more than 2^22 histogram bins" });
         }
-        let bins = Bins::new(self.lo, self.hi, k);
-        let mut steps = vec![Step::Bin(bins)];
+        let mut steps = vec![Step::Bin(Bins::new(lo, hi, k))];
         for &b in candidates {
-            let params = QuantParams::from_min_max(self.lo, self.hi, b)?;
+            let params = QuantParams::from_min_max(lo, hi, b)?;
             if b.bits() > MAX_GRID_BITS {
                 return Err(QuantError::MalformedInput { detail: "grid wider than 16 bits" });
             }
             steps.push(Step::Level(params));
         }
-        let cells = Cells::plan(&steps, self.lo, self.hi);
-        let counts = match cells.width {
+        let cells = Cells::plan(&steps, lo, hi);
+        Ok(Scan { lo, hi, clamp, steps, cells })
+    }
+
+    /// Zeroed counters for this scan.
+    pub fn counts(&self) -> Counts {
+        Counts { counts: vec![0; (self.cells.count + 1) * (self.cells.width + 1)], len: 0 }
+    }
+
+    /// Counts `values` into `counts`, which must come from this scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `counts` was made by a scan of another shape.
+    pub fn feed(&self, counts: &mut Counts, values: &[f32]) {
+        assert_eq!(counts.counts.len(), (self.cells.count + 1) * (self.cells.width + 1));
+        counts.len += values.len();
+        let base = &self.steps[self.cells.base];
+        match self.cells.width {
             // Literal widths let the compiler unroll the threshold
             // comparisons of the common cases.
-            0 => self.count(&steps[cells.base], &cells, 0),
-            1 => self.count(&steps[cells.base], &cells, 1),
-            2 => self.count(&steps[cells.base], &cells, 2),
-            3 => self.count(&steps[cells.base], &cells, 3),
-            width => self.count(&steps[cells.base], &cells, width),
-        };
-        let hists = cells.tally(&steps, &counts, self.lo);
-        debug_assert!(hists.iter().all(|h| h.iter().sum::<u64>() == self.len as u64));
+            0 => self.count(base, &mut counts.counts, values, 0),
+            1 => self.count(base, &mut counts.counts, values, 1),
+            2 => self.count(base, &mut counts.counts, values, 2),
+            3 => self.count(base, &mut counts.counts, values, 3),
+            width => self.count(base, &mut counts.counts, values, width),
+        }
+    }
+
+    /// The row, `(H, ΔH per candidate)`, of the values counted into
+    /// `counts`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::Statistics`] when nothing was counted.
+    pub fn row(&self, counts: &Counts) -> Result<(f64, Vec<f64>), QuantError> {
+        if counts.is_empty() {
+            return Err(quantmcu_tensor::TensorError::EmptyTensor.into());
+        }
+        let (h_full, h_q) = self.entropies(counts)?;
+        Ok((h_full, reductions(h_full, h_q)))
+    }
+
+    /// `H` at full precision and `H(i, b)` per candidate from the counters.
+    fn entropies(&self, counts: &Counts) -> Result<(f64, Vec<f64>), QuantError> {
+        let hists = self.cells.tally(&self.steps, &counts.counts, self.lo);
+        debug_assert!(hists.iter().all(|h| h.iter().sum::<u64>() == counts.len as u64));
         let mut h =
             hists.into_iter().map(|h| Histogram::from_counts(h, self.lo, self.hi).entropy());
         let full = h.next().expect("the bin step comes first");
         Ok((full, h.collect()))
     }
 
-    /// The scan: one base cell per value, computed arithmetically for a
-    /// block at a time, then one counter per value at `cell · (width + 1)
-    /// + r`, where `r` counts the cell's thresholds at or below the value.
+    /// One piece of the scan: one base cell per value, computed
+    /// arithmetically for a block at a time, then one counter per value at
+    /// `cell · (width + 1) + r`, where `r` counts the cell's thresholds at
+    /// or below the value.
     #[inline(always)]
-    fn count(&self, base: &Step, cells: &Cells, width: usize) -> Vec<u64> {
+    fn count(&self, base: &Step, counts: &mut [u64], values: &[f32], width: usize) {
+        let cells = &self.cells;
         let stride = width + 1;
-        let mut counts = vec![0u64; (cells.count + 1) * stride];
         let nan_cell = cells.count as u32;
         let (lo, hi) = self.clamp;
-        let mut values = [0f32; BLOCK];
+        let mut clamped = [0f32; BLOCK];
         let mut index = [0u32; BLOCK];
         let mut levels = [0i32; BLOCK];
         // `f32::clamp`'s comparisons: NaN passes through.
@@ -385,39 +580,36 @@ impl<'a, S: AsRef<[f32]>> Sample<'a, S> {
                 v
             }
         };
-        for part in self.parts {
-            for block in part.as_ref().chunks(BLOCK) {
-                let index = &mut index[..block.len()];
-                match base {
-                    Step::Bin(bins) => {
-                        for (c, &v) in index.iter_mut().zip(block) {
-                            *c = if v.is_nan() { nan_cell } else { bins.index(clamp(v)) };
-                        }
-                    }
-                    Step::Level(params) => {
-                        let values = &mut values[..block.len()];
-                        for (x, &v) in values.iter_mut().zip(block) {
-                            *x = clamp(v);
-                        }
-                        let levels = &mut levels[..block.len()];
-                        let qmin = params.bitwidth().min_value();
-                        params.quantize_slice(values, levels);
-                        for ((c, &q), &v) in index.iter_mut().zip(levels.iter()).zip(block) {
-                            *c = if v.is_nan() { nan_cell } else { q.wrapping_sub(qmin) as u32 };
-                        }
+        for block in values.chunks(BLOCK) {
+            let index = &mut index[..block.len()];
+            match base {
+                Step::Bin(bins) => {
+                    for (c, &v) in index.iter_mut().zip(block) {
+                        *c = if v.is_nan() { nan_cell } else { bins.index(clamp(v)) };
                     }
                 }
-                // Every threshold lies in `(lo, hi]`, where a value and
-                // its clamp compare alike.
-                for (&c, &v) in index.iter().zip(block) {
-                    let c = c as usize;
-                    let at = &cells.thresholds[c * width..c * width + width];
-                    let r: usize = at.iter().map(|&t| (v >= t) as usize).sum();
-                    counts[c * stride + r] += 1;
+                Step::Level(params) => {
+                    let clamped = &mut clamped[..block.len()];
+                    for (x, &v) in clamped.iter_mut().zip(block) {
+                        *x = clamp(v);
+                    }
+                    let levels = &mut levels[..block.len()];
+                    let qmin = params.bitwidth().min_value();
+                    params.quantize_slice(clamped, levels);
+                    for ((c, &q), &v) in index.iter_mut().zip(levels.iter()).zip(block) {
+                        *c = if v.is_nan() { nan_cell } else { q.wrapping_sub(qmin) as u32 };
+                    }
                 }
             }
+            // Every threshold lies in `(lo, hi]`, where a value and its
+            // clamp compare alike.
+            for (&c, &v) in index.iter().zip(block) {
+                let c = c as usize;
+                let at = &cells.thresholds[c * width..c * width + width];
+                let r: usize = at.iter().map(|&t| (v >= t) as usize).sum();
+                counts[c * stride + r] += 1;
+            }
         }
-        counts
     }
 }
 
@@ -553,6 +745,7 @@ impl Step {
 /// the joint value of every step is then fixed by how many of the cell's
 /// thresholds a value reaches, so one counter per (cell, count) holds the
 /// whole joint histogram.
+#[derive(Debug)]
 struct Cells {
     /// Index of the base into the step list.
     base: usize,
@@ -570,6 +763,7 @@ struct Cells {
 }
 
 /// Step `step` takes `value` from `at` on, in base cell `cell`.
+#[derive(Debug)]
 struct Event {
     cell: usize,
     at: f32,

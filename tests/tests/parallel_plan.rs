@@ -1,10 +1,12 @@
 //! Determinism of the parallel planner: `Planner::plan` (and
 //! `plan_uniform`) must produce a **bit-identical** `DeploymentPlan` for
-//! every worker count. The parallel calibration prologue keeps one value
-//! buffer per chunk, in image order, and every later stage reads a
-//! sample as the concatenation of its chunks, so nothing downstream —
-//! VDPC classification, entropy tables, the VDQS searches, the calibrated
-//! ranges — can observe which worker count produced its inputs.
+//! every worker count. The parallel calibration prologue folds the head
+//! maps' ranges per chunk and merges the folds in image order, the head
+//! entropy pass adds per-chunk counts (exact integers), and the tail maps
+//! keep one value buffer per chunk, read as their concatenation, so
+//! nothing downstream — VDPC classification, entropy tables, the VDQS
+//! searches, the calibrated ranges — can observe which worker count
+//! produced its inputs.
 
 use quantmcu::models::Model;
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
@@ -55,6 +57,23 @@ fn parallel_plan_is_bit_identical_to_serial_for_any_worker_count() {
     for workers in [2, 3, 4, 7, 16] {
         let parallel = planner(workers).plan(&g, &images, 256 * 1024).unwrap().timeless();
         assert_eq!(serial, parallel, "worker count {workers} changed the plan");
+    }
+}
+
+#[test]
+fn mixed_class_plans_are_bit_identical_across_worker_counts() {
+    // The bright blob makes some branches outlier-class (pinned to 8 bits,
+    // no entropy rows) while the rest are searched on rows from the
+    // streamed head pass: both kinds of head target in one plan.
+    let g = graph();
+    let images = calib(6);
+    let serial = planner(1).plan(&g, &images, 256 * 1024).unwrap().timeless();
+    let outliers = serial.outlier_patch_count();
+    let branches = serial.patch_classes().len();
+    assert!(0 < outliers && outliers < branches, "{outliers} of {branches} branches are outliers");
+    for workers in [2, 4] {
+        let parallel = planner(workers).plan(&g, &images, 256 * 1024).unwrap().timeless();
+        assert_eq!(serial, parallel, "worker count {workers} changed the mixed-class plan");
     }
 }
 
@@ -110,5 +129,22 @@ fn exec_scale_ranges_are_bit_identical_across_worker_counts() {
             "{workers} workers moved the tail ranges"
         );
         assert_eq!(serial, parallel, "worker count {workers} changed the plan");
+    }
+}
+
+#[test]
+fn the_planner_holds_only_the_tail_maps_values() {
+    // MobileNetV2 at exec scale on 32 images under 16 KiB: 101,050 tail
+    // values per image, 4 B each. Head maps keep no values, whether every
+    // branch is outlier-class (this calibration set) or every branch is
+    // searched (VDPC off, so every head target gets an entropy row).
+    let g = quantmcu_integration::graph(Model::MobileNetV2);
+    let images = quantmcu::data::classification::ClassificationDataset::new(32, 10, 7).images(32);
+    for cfg in [QuantMcuConfig::paper(), QuantMcuConfig::without_vdpc()] {
+        let searched = !cfg.enable_vdpc;
+        let (plan, stats) = Planner::new(cfg).plan_with_stats(&g, &images, 16 * 1024).unwrap();
+        let expected = if searched { 0 } else { plan.patch_classes().len() };
+        assert_eq!(plan.outlier_patch_count(), expected, "searched: {searched}");
+        assert_eq!(stats.sample_bytes, 12_934_400, "searched: {searched}");
     }
 }
