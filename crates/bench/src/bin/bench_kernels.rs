@@ -43,7 +43,7 @@ use quantmcu::nn::kernels::{
     self, naive, FixedMultiplier, FloatDot, PackedDot, Requant, RowScratch, GENERATION,
 };
 use quantmcu::tensor::{pack, Bitwidth, Shape, Tensor};
-use quantmcu_bench::{exec_dataset, exec_graph, smoke};
+use quantmcu_bench::{exec_dataset, exec_graph, host_cpu, smoke};
 
 /// Best-of-N wall clock per call of `run`.
 fn measure<R>(reps: usize, iters: usize, mut run: impl FnMut() -> R) -> Duration {
@@ -247,19 +247,6 @@ fn sweep(
         "{op}: float ({float_t:.7}s) slower than float naive ({float_naive_t:.7}s)"
     );
     println!();
-}
-
-/// The host's CPU model from `/proc/cpuinfo`, or `"unknown"`.
-fn host_cpu() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().replace('"', "'"))
-        })
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {

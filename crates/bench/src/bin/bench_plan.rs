@@ -14,6 +14,15 @@
 //! tail maps' values and nothing else: `sample_bytes` must be 4 B × images
 //! × the tail maps' lengths, as computed from the graph spec.
 //!
+//! A `scan` section times the entropy engine's counting scan alone, in ns
+//! per value of one table row (planning the scan, counting, and the walk
+//! that rebuilds the histograms), at the planner's two configurations: a
+//! tail map's (512 bins, W8 and W4, read clamped to its percentile clip)
+//! and a head map's (32 bins, W8, W4 and W2, the range folded first). It
+//! runs on two synthetic maps of 36,864 values, one ReLU6-shaped and one
+//! wide and signed, and asserts every row bit-identical to
+//! `entropy::naive::table_row`.
+//!
 //! Set `QUANTMCU_SMOKE=1` to run one repetition for CI smoke runs. The
 //! smoke run keeps all 32 calibration images, so the per-chunk sample
 //! buffers are long enough that the percentile clip subsamples across
@@ -23,9 +32,11 @@
 use std::time::{Duration, Instant};
 
 use quantmcu::models::Model;
-use quantmcu::tensor::Tensor;
+use quantmcu::nn::kernels::GENERATION;
+use quantmcu::quant::entropy::{naive, Sample, Scan};
+use quantmcu::tensor::{Bitwidth, Tensor};
 use quantmcu::{DeploymentPlan, Engine, PlanStats, Planner, QuantMcuConfig, SramBudget};
-use quantmcu_bench::{exec_dataset, exec_graph, smoke, EXEC_SRAM};
+use quantmcu_bench::{exec_dataset, exec_graph, host_cpu, smoke, EXEC_SRAM};
 
 /// The process's peak resident set (`VmHWM`) in KiB, where
 /// `/proc/self/status` reports it.
@@ -67,6 +78,129 @@ fn measure(
     }
     let (plan, stats) = kept.expect("at least one rep");
     (best, plan, stats)
+}
+
+/// Values in each of the scan rows' maps.
+const SCAN_VALUES: usize = 36_864;
+
+/// SplitMix64's finalizer: the scan rows' maps are seeded. (The bench
+/// crate takes no `rand` dependency: perfbench builds it from a committed
+/// lockfile.)
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A draw in `[0, 1)` from the top 24 bits of `r`.
+fn unit(r: u64) -> f32 {
+    (r >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// The scan rows' maps: a ReLU6 output as the tail holds them (40% exact
+/// zeros, 50% exact sixes, the rest uniform in between), and a wide signed
+/// map.
+fn scan_maps() -> [(&'static str, Vec<f32>); 2] {
+    let relu6 = (0..SCAN_VALUES as u64)
+        .map(|i| {
+            let r = mix(i);
+            match r % 10 {
+                0..=3 => 0.0,
+                4..=8 => 6.0,
+                _ => 6.0 * unit(r),
+            }
+        })
+        .collect();
+    let wide = (0..SCAN_VALUES as u64)
+        .map(|i| {
+            let r = mix(i ^ 0xABCD);
+            (unit(r) + unit(mix(r)) - 1.0) * 40.0 + 3.0
+        })
+        .collect();
+    [("relu6", relu6), ("wide", wide)]
+}
+
+/// One table row of `values` as the planner builds it: a tail map's read
+/// clamped to `[lo, hi]`, a head map's scan over its range `[lo, hi]` fed
+/// the whole map.
+fn table_row(
+    config: &str,
+    values: &[f32],
+    (lo, hi): (f32, f32),
+    candidates: &[Bitwidth],
+    bins: usize,
+) -> (u64, Vec<u64>) {
+    let (h, row) = if config == "tail" {
+        Sample::clamped(&[values], lo, hi).table_row(candidates, bins)
+    } else {
+        Scan::new((lo, hi), candidates, bins).and_then(|scan| {
+            let mut counts = scan.counts();
+            scan.feed(&mut counts, values);
+            scan.row(&counts)
+        })
+    }
+    .expect("table row");
+    // Bits, so rows compare bit for bit.
+    (h.to_bits(), row.iter().map(|d| d.to_bits()).collect())
+}
+
+/// The scan rows: best-of-`reps` ns per value of one table row at the
+/// tail and at the head configuration of the paper's config, on each
+/// map, each asserted bit-identical to the oracle on the values clamped
+/// to the row's range. Returns the rows' JSON objects.
+fn scan_rows(reps: usize) -> Vec<String> {
+    let vdqs = QuantMcuConfig::paper().vdqs;
+    // The planner's tail configuration: W2 dropped, a 16x finer histogram.
+    let tail: Vec<Bitwidth> =
+        vdqs.candidates.iter().copied().filter(|&b| b >= Bitwidth::W4).collect();
+    let maps = scan_maps();
+    let mut rows = Vec::new();
+    for (map, values) in &maps {
+        let mut sorted = values.clone();
+        sorted.sort_by(f32::total_cmp);
+        // A tail map is clamped to its 0.1%/99.9% order statistics, as the
+        // percentile clip reads it; a head map's range is its min and max.
+        let clip = SCAN_VALUES / 1000;
+        let tail_range = (sorted[clip], sorted[SCAN_VALUES - 1 - clip]);
+        let head_range = (sorted[0], sorted[SCAN_VALUES - 1]);
+        rows.push(("tail", *map, values, tail_range, &tail[..], vdqs.hist_bins * 16));
+        rows.push(("head", *map, values, head_range, &vdqs.candidates[..], vdqs.hist_bins));
+    }
+    for &(config, map, values, (lo, hi), candidates, bins) in &rows {
+        let clamped: Vec<f32> = values.iter().map(|v| v.clamp(lo, hi)).collect();
+        let oracle = naive::table_row(&clamped, candidates, bins).expect("oracle row");
+        let oracle = (oracle.0.to_bits(), oracle.1.iter().map(|d| d.to_bits()).collect());
+        let row = table_row(config, values, (lo, hi), candidates, bins);
+        assert_eq!(row, oracle, "{config} row on {map} diverged from naive");
+    }
+    // Each round times every row once, so a slow phase of a shared host
+    // costs every row alike.
+    let mut best = vec![Duration::MAX; rows.len()];
+    for _ in 0..reps {
+        for (&(config, _, values, range, candidates, bins), best) in rows.iter().zip(&mut best) {
+            let start = Instant::now();
+            std::hint::black_box(table_row(config, values, range, candidates, bins));
+            *best = (*best).min(start.elapsed());
+        }
+    }
+    println!(
+        "\nCounting scan, one {SCAN_VALUES}-value map, best of {reps}; bit-identical to naive"
+    );
+    rows.iter()
+        .zip(&best)
+        .map(|(&(config, map, _, _, candidates, bins), best)| {
+            let ns = best.as_secs_f64() * 1e9 / SCAN_VALUES as f64;
+            let bits: Vec<String> = candidates.iter().map(|b| b.bits().to_string()).collect();
+            let label = format!("{config} ({bins} bins, W{})", bits.join("/W"));
+            println!("  {label:<26} on {map:5}: {ns:5.2} ns/value");
+            format!(
+                "    {{\"config\": \"{config}\", \"map\": \"{map}\", \"bins\": {bins}, \
+                 \"candidate_bits\": [{}], \"ns_per_value\": {ns:.3}, \"bit_identical\": true}}",
+                bits.join(", ")
+            )
+        })
+        .collect()
 }
 
 fn main() {
@@ -177,18 +311,25 @@ fn main() {
         calibrated_time.as_secs_f64() * 1e3
     );
 
+    let scan_reps = if smoke() { 5 } else { 200 };
+    let scan = scan_rows(scan_reps);
+
     let json = format!(
         "{{\n  \"bench\": \"planner_throughput\",\n  \"model\": \"MobileNetV2 (exec scale)\",\n  \
+         \"kernel_generation\": \"{GENERATION}\",\n  \"host_cpu\": \"{}\",\n  \
          \"calibration_images\": {images},\n  \"reps\": {reps},\n  \
          \"host_parallelism\": {host_parallelism},\n  \"sweep\": [\n{}\n  ],\n  \
          \"memory\": {{{memory}}},\n  \
          \"artifact\": {{\"bytes\": {}, \"coldstart_seconds\": {:.6}, \
          \"calibrated_seconds\": {:.6}, \"speedup\": {cold_speedup:.1}, \
-         \"bit_identical\": {identical}}}\n}}\n",
+         \"bit_identical\": {identical}}},\n  \
+         \"scan\": {{\"values\": {SCAN_VALUES}, \"reps\": {scan_reps}, \"rows\": [\n{}\n  ]}}\n}}\n",
+        host_cpu(),
         rows.join(",\n"),
         artifact_bytes.len(),
         cold_time.as_secs_f64(),
-        calibrated_time.as_secs_f64()
+        calibrated_time.as_secs_f64(),
+        scan.join(",\n")
     );
     // Smoke runs exist to catch runtime panics; don't let their shrunken
     // measurements clobber the committed full-config snapshot.

@@ -31,6 +31,20 @@ pub fn smoke() -> bool {
     std::env::var_os("QUANTMCU_SMOKE").is_some()
 }
 
+/// The host's CPU model from `/proc/cpuinfo`, or `"unknown"`, for the
+/// `host_cpu` field of the `BENCH_*.json` snapshots.
+pub fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Evaluation-set size honoring smoke mode.
 pub fn eval_images() -> usize {
     if smoke() {

@@ -35,11 +35,14 @@
 //! value at most a few times inside one base cell, at thresholds that are
 //! exact `f32`s, found once per map by searching out one ULP at a time
 //! from each analytic boundary. A value then lands in one counter: its
-//! base cell, and how many of that cell's thresholds it reaches. After the
-//! scan, a walk over the counters in value order rebuilds the
-//! full-precision histogram and every grid's histogram on the same bins;
-//! NaN values, kept in a counter of their own, join bin 0 and the zero
-//! point's bin, where the oracle puts them.
+//! base cell, and how many of that cell's thresholds it reaches. Base
+//! cells are computed a block of values at a time with no per-value
+//! branch — NaN's cell is selected after the arithmetic, not around it —
+//! so the division vectorizes; only the threshold comparisons and the
+//! increment run value by value. After the scan, a walk over the counters
+//! in value order rebuilds the full-precision histogram and every grid's
+//! histogram on the same bins; NaN values, kept in a counter of their
+//! own, join bin 0 and the zero point's bin, where the oracle puts them.
 //!
 //! Each threshold is the least `f32` at which its step function —
 //! evaluated with the oracle's own arithmetic (`Histogram::build_in_range`'s
@@ -559,9 +562,9 @@ impl Scan {
     }
 
     /// One piece of the scan: one base cell per value, computed
-    /// arithmetically for a block at a time, then one counter per value at
-    /// `cell · (width + 1) + r`, where `r` counts the cell's thresholds at
-    /// or below the value.
+    /// arithmetically and branch-free for a block at a time, then one
+    /// counter per value at `cell · (width + 1) + r`, where `r` counts the
+    /// cell's thresholds at or below the value.
     #[inline(always)]
     fn count(&self, base: &Step, counts: &mut [u64], values: &[f32], width: usize) {
         let cells = &self.cells;
@@ -585,7 +588,7 @@ impl Scan {
             match base {
                 Step::Bin(bins) => {
                     for (c, &v) in index.iter_mut().zip(block) {
-                        *c = if v.is_nan() { nan_cell } else { bins.index(clamp(v)) };
+                        *c = bins.index(clamp(v));
                     }
                 }
                 Step::Level(params) => {
@@ -596,13 +599,19 @@ impl Scan {
                     let levels = &mut levels[..block.len()];
                     let qmin = params.bitwidth().min_value();
                     params.quantize_slice(clamped, levels);
-                    for ((c, &q), &v) in index.iter_mut().zip(levels.iter()).zip(block) {
-                        *c = if v.is_nan() { nan_cell } else { q.wrapping_sub(qmin) as u32 };
+                    for (c, &q) in index.iter_mut().zip(levels.iter()) {
+                        *c = q.wrapping_sub(qmin) as u32;
                     }
                 }
             }
+            // NaN's cell is selected after every lane's cell is computed:
+            // a per-value branch around the arithmetic keeps it scalar.
+            for (c, &v) in index.iter_mut().zip(block) {
+                *c = if v.is_nan() { nan_cell } else { *c };
+            }
             // Every threshold lies in `(lo, hi]`, where a value and its
-            // clamp compare alike.
+            // clamp compare alike; the `+∞` padding is reached only by `+∞`,
+            // which the walk counts at its cell's last threshold.
             for (&c, &v) in index.iter().zip(block) {
                 let c = c as usize;
                 let at = &cells.thresholds[c * width..c * width + width];
@@ -754,7 +763,8 @@ struct Cells {
     /// The most thresholds any cell holds.
     width: usize,
     /// `width` ascending thresholds per cell (NaN's cell included), padded
-    /// with `+∞`, which no value reaches.
+    /// with `+∞`, which only `+∞` itself reaches: read clamped to a finite
+    /// range, it lands in the top cell's first padding slot.
     thresholds: Vec<f32>,
     /// Where each other step changes value, ordered by cell, then by
     /// threshold; `at` is `−∞` when the change falls on the cell's lowest
@@ -834,21 +844,32 @@ impl Cells {
         let Step::Bin(bins) = steps[0] else { unreachable!("the bin step comes first") };
         let stride = self.width + 1;
         let mut hists = vec![vec![0u64; bins.k]; steps.len()];
-        let mut value: Vec<i32> = steps.iter().map(|s| s.at(lo)).collect();
+        // Each step's bin at the walk's position, recomputed only where the
+        // step changes value.
+        let mut bin: Vec<usize> = steps.iter().map(|s| s.bin(&bins, s.at(lo))).collect();
+        let base = &steps[self.base];
         let mut events = self.events.iter().peekable();
         for cell in 0..self.count {
-            value[self.base] = steps[self.base].value(cell);
+            bin[self.base] = base.bin(&bins, base.value(cell));
             let at = &self.thresholds[cell * self.width..(cell + 1) * self.width];
+            let slots = &counts[cell * stride..(cell + 1) * stride];
             for r in 0..stride {
                 let from = if r == 0 { f32::NEG_INFINITY } else { at[r - 1] };
                 while let Some(e) = events.next_if(|e| e.cell == cell && e.at == from) {
-                    value[e.step] = e.value;
+                    bin[e.step] = steps[e.step].bin(&bins, e.value);
                 }
-                let n = counts[cell * stride + r];
+                // From the first padding slot on, no event fires (every
+                // threshold is finite), so the cell's remaining slots —
+                // where only a clamped read's `+∞` lands — share one state.
+                let padding = from == f32::INFINITY;
+                let n = if padding { slots[r..].iter().sum() } else { slots[r] };
                 if n > 0 {
-                    for ((hist, step), &v) in hists.iter_mut().zip(steps).zip(&value) {
-                        hist[step.bin(&bins, v)] += n;
+                    for (hist, &b) in hists.iter_mut().zip(&bin) {
+                        hist[b] += n;
                     }
+                }
+                if padding {
+                    break;
                 }
             }
         }

@@ -15,9 +15,10 @@
 
 use proptest::prelude::*;
 
-use quantmcu_quant::entropy::{self, naive, Sample};
+use quantmcu_quant::entropy::{self, naive, Sample, Scan};
 use quantmcu_quant::QuantError;
-use quantmcu_tensor::{Bitwidth, TensorError};
+use quantmcu_tensor::stats::Histogram;
+use quantmcu_tensor::{Bitwidth, QuantParams, TensorError};
 
 /// Deterministic pseudo-random sample with tunable spread and offset;
 /// optionally salted with NaN values (which the range fold and the bin
@@ -269,4 +270,132 @@ fn all_empty_segments_are_an_empty_tensor() {
     }
     let oracle = naive::table_row(&[], &Bitwidth::SEARCH_CANDIDATES, 32).unwrap_err();
     assert_eq!(oracle, QuantError::Statistics(TensorError::EmptyTensor));
+}
+
+/// Values per block of the counting scan (`entropy::BLOCK`): the lengths
+/// below put the end of a sample just short of, on, and just past a block
+/// edge, and two blocks plus a remainder.
+const BLOCK: usize = 64;
+
+/// `v`'s position in the total order of non-NaN `f32`s, `−0.0` just below
+/// `+0.0`: consecutive floats have consecutive keys.
+fn key(v: f32) -> i64 {
+    let b = v.to_bits() as i32;
+    (b ^ (((b >> 31) as u32) >> 1) as i32) as i64
+}
+
+/// The `f32` at position `k` of [`key`]'s order.
+fn from_key(k: i64) -> f32 {
+    let k = k as i32;
+    f32::from_bits((k ^ (((k >> 31) as u32) >> 1) as i32) as u32)
+}
+
+/// Every least `f32` in `(lo, hi]` at which the non-decreasing step `f`
+/// exceeds its value just below, found by bisection over [`key`]s.
+fn steps_of(lo: f32, hi: f32, f: impl Fn(f32) -> i64) -> Vec<f32> {
+    let mut at = Vec::new();
+    let mut below = key(lo);
+    while f(hi) > f(from_key(below)) {
+        let (mut b, mut a) = (below, key(hi));
+        let level = f(from_key(below));
+        while a - b > 1 {
+            let mid = b + (a - b) / 2;
+            if f(from_key(mid)) > level {
+                a = mid;
+            } else {
+                b = mid;
+            }
+        }
+        at.push(from_key(a));
+        below = a;
+    }
+    at
+}
+
+/// Values at every edge of a scan over `[lo, hi]`: both ends, `±0.0`, and
+/// every bin's and every grid level's threshold, each with the float just
+/// below it. Bins and levels come from the oracle's own arithmetic
+/// (`Histogram::build_in_range`, `QuantParams::quantize`).
+fn edge_values(lo: f32, hi: f32, candidates: &[Bitwidth], k: usize) -> Vec<f32> {
+    let bin = |v: f32| {
+        let h = Histogram::build_in_range(&[v], k, lo, hi);
+        h.counts().iter().position(|&c| c == 1).expect("one value, one bin") as i64
+    };
+    let mut thresholds = steps_of(lo, hi, bin);
+    for &b in candidates {
+        let params = QuantParams::from_min_max(lo, hi, b).unwrap();
+        thresholds.extend(steps_of(lo, hi, |v| params.quantize(v) as i64));
+    }
+    let mut pool = vec![lo, hi, 0.0, -0.0];
+    for t in thresholds {
+        pool.extend([t, from_key(key(t) - 1)]);
+    }
+    pool
+}
+
+/// Asserts two rows equal bit for bit.
+fn assert_rows(fast: (f64, Vec<f64>), slow: (f64, Vec<f64>), what: &str) {
+    assert!(bits_eq(fast.0, slow.0), "{what}: H diverged: {} vs {}", fast.0, slow.0);
+    assert_eq!(fast.1.len(), slow.1.len(), "{what}: row lengths");
+    for (j, (f, s)) in fast.1.iter().zip(&slow.1).enumerate() {
+        assert!(bits_eq(*f, *s), "{what}: ΔH[{j}] diverged: {f} vs {s}");
+    }
+}
+
+/// The scan's block edges — a partial block, one full block, a full block
+/// and one value, two blocks and a remainder — with a NaN at every
+/// position, and every other value on an edge of the scan's arithmetic:
+/// the range ends, `±0.0`, and each bin's and level's threshold. Both
+/// bases run: the bins (the tail's 512 bins over W8 and W4) and the
+/// levels (a branch's 32 bins over W8, W4 and W2). Each sample is fed
+/// whole, one value at a time, and read clamped to its range (with finite
+/// values and `±∞` beyond it); every row equals the oracle's, and both
+/// feeds count alike.
+#[test]
+fn block_edges_match_naive_with_a_nan_at_every_position() {
+    let configs: [(&[Bitwidth], usize); 2] =
+        [(&[Bitwidth::W8, Bitwidth::W4], 512), (&[Bitwidth::W8, Bitwidth::W4, Bitwidth::W2], 32)];
+    for (lo, hi) in [(-3.7f32, 5.3f32), (0.0, 6.0)] {
+        for (candidates, k) in configs {
+            let pool = edge_values(lo, hi, candidates, k);
+            let scan = Scan::new((lo, hi), candidates, k).unwrap();
+            let mut offset = 0;
+            for len in [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3] {
+                for nan in 0..len {
+                    let mut v: Vec<f32> =
+                        (0..len).map(|i| pool[(offset + i) % pool.len()]).collect();
+                    offset += len;
+                    v[(nan + 1) % len] = lo;
+                    v[(nan + 2) % len] = hi;
+                    v[nan] = f32::NAN;
+                    let what = format!("[{lo}, {hi}], k = {k}, len {len}, NaN at {nan}");
+                    let oracle = naive::table_row(&v, candidates, k).unwrap();
+                    assert_eq!(Sample::new(&[&v[..]]).range(), (lo, hi), "{what}");
+                    let row = Sample::new(&[&v[..]]).table_row(candidates, k).unwrap();
+                    assert_rows(row, oracle.clone(), &format!("{what}, whole"));
+
+                    let mut whole = scan.counts();
+                    scan.feed(&mut whole, &v);
+                    let mut each = scan.counts();
+                    for x in v.chunks(1) {
+                        scan.feed(&mut each, x);
+                    }
+                    assert_eq!(whole, each, "{what}: counts of one feed and of single values");
+                    assert_rows(scan.row(&each).unwrap(), oracle, &format!("{what}, streamed"));
+
+                    // Clamped: values beyond both ends, infinities among
+                    // them, read clamped to them. A raw `+∞` reaches the
+                    // top cell's `+∞` padding thresholds.
+                    v[(nan + 3) % len] = hi + (hi - lo);
+                    v[(nan + 4) % len] = lo - (hi - lo);
+                    v[(nan + 5) % len] = f32::INFINITY;
+                    v[(nan + 6) % len] = f32::NEG_INFINITY;
+                    let clamped: Vec<f32> = v.iter().map(|x| x.clamp(lo, hi)).collect();
+                    let row = Sample::clamped(&[&v[..]], lo, hi).table_row(candidates, k).unwrap();
+                    let oracle = naive::table_row(&clamped, candidates, k).unwrap();
+                    assert_rows(row, oracle, &format!("{what}, clamped"));
+                }
+            }
+        }
+    }
 }
