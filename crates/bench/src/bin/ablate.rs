@@ -1,4 +1,4 @@
-//! Ablations over the reproduction's own design choices (DESIGN.md §3):
+//! Ablations over the reproduction's own design choices:
 //! patch grid size, split policy, and the two readings of Eq. (1).
 //!
 //! ```text

@@ -2,7 +2,7 @@
 //! kernel-speed trajectory is machine-readable across revisions — the
 //! kernel-level companion of `bench_plan` / `bench_serve`.
 //!
-//! Each integer op runs three strategies on one shape:
+//! Each integer op runs four strategies on one shape:
 //!
 //! * **naive** — the `kernels::naive::*_q` oracle loop nests over `i32`
 //!   grid values and unpacked `i8` weights;
@@ -251,8 +251,7 @@ fn sweep(
 
 fn main() {
     let (reps, iters) = if smoke() { (2, 1) } else { (15, 5) };
-    // Conv geometry mirrors the acceptance-layer criterion bench
-    // (32×32×32 through 32 3×3 filters); smoke shrinks it.
+    // A 32×32×32 map through 32 3×3 filters; smoke shrinks it.
     let (hw, c, oc) = if smoke() { (12, 16, 16) } else { (32, 32, 32) };
     let shape = Shape::hwc(hw, hw, c);
     let mut rows = Vec::new();

@@ -1,8 +1,9 @@
 //! Shared harness for the experiment binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Each `src/bin/*.rs` binary corresponds to one table or figure (see
-//! DESIGN.md §4); this library holds the wiring they share: standard
+//! Each `fig*`/`table*` binary regenerates one table or figure, and each
+//! `bench_*` binary writes one `BENCH_*.json` measurement; this library
+//! holds the wiring they share: standard
 //! seeds, dataset/graph construction, fidelity measurement and table
 //! formatting.
 

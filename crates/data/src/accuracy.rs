@@ -1,4 +1,4 @@
-//! The accuracy projection model (DESIGN.md §2.3).
+//! The accuracy projection model.
 //!
 //! Absolute ImageNet / VOC accuracies are unreachable without the real
 //! datasets and trained weights. The reproduction therefore reports

@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! ImageNet and Pascal VOC are not available offline, so the experiments
-//! run on deterministic synthetic stand-ins (DESIGN.md §2.3):
+//! run on deterministic synthetic stand-ins:
 //!
 //! * [`classification`] — class-conditioned texture images (the ImageNet
 //!   proxy). Each class has a distinctive oriented-sinusoid prototype; a

@@ -19,7 +19,7 @@ pub fn top_k_accuracy(outputs: &[Tensor], labels: &[usize], k: usize) -> f64 {
 
 /// Top-1 agreement between two output sets: the fraction of samples where
 /// both models pick the same argmax. This is the fidelity measure the
-/// accuracy projection is anchored on (DESIGN.md §2.3).
+/// accuracy projection ([`crate::accuracy`]) is anchored on.
 ///
 /// # Panics
 ///

@@ -45,7 +45,7 @@ pub struct Device {
     /// Fitted slowdown capturing unmodeled effects (flash wait states,
     /// framework overhead). Calibrated once per device against Table I's
     /// layer-based rows and then held fixed across every method, so all
-    /// cross-method ratios are structural. See DESIGN.md §2.1.
+    /// cross-method ratios are structural.
     pub calibration: f64,
 }
 

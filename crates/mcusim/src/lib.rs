@@ -1,7 +1,7 @@
 //! MCU cost simulator for the QuantMCU reproduction.
 //!
 //! The paper measures on two physical boards; this crate substitutes an
-//! analytic device model (DESIGN.md §2.1):
+//! analytic device model:
 //!
 //! * [`Device`] — core, clock, SRAM and flash of the two evaluation
 //!   platforms (Arduino Nano 33 BLE Sense, STM32H743);

@@ -48,8 +48,7 @@ pub fn resnet18(cfg: ModelConfig) -> Result<GraphSpec, GraphError> {
 /// downsampling, then the classifier. The paper-scale dense layers are
 /// narrowed from 4096 to 512 — at MCU/accounting scale the original heads
 /// dominate every metric with a single layer and mask the convolutional
-/// behaviour the experiments study; the substitution is recorded in
-/// DESIGN.md.
+/// behaviour the experiments study.
 ///
 /// # Errors
 ///

@@ -39,7 +39,7 @@ impl ModelConfig {
 
     /// A laptop-runnable configuration exercising identical code paths
     /// (32×32, width 0.5, 10 classes). Numeric experiments (entropy,
-    /// VDPC, agreement accuracy) run at this scale; see DESIGN.md §2.7.
+    /// VDPC, agreement accuracy) run at this scale.
     /// Width 0.5 (not 0.25) keeps the stem→first-block channel change of
     /// the full architectures, so the straight-chain patch prefix survives
     /// scaling.

@@ -13,7 +13,7 @@
 //!
 //! [`Model`] enumerates the zoo and provides the paper-scale,
 //! MCU-scale (Table I) and execution-scale (laptop-runnable) configurations
-//! described in DESIGN.md §2.7.
+//! of [`ModelConfig`].
 //!
 //! Inception-V3 is reproduced *structurally* (stem + concat-join inception
 //! blocks + classifier) rather than layer-for-layer; the paper uses it only

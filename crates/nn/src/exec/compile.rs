@@ -174,33 +174,6 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         Ok(out)
     }
 
-    /// Runs the graph in float precision, writing the final feature map
-    /// into `out`. When `out` already has the output shape this performs
-    /// zero heap allocations in the steady state; otherwise `out` is
-    /// reallocated once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InputShapeMismatch`] when `input` does not
-    /// match the spec.
-    pub fn run_float_into(
-        &self,
-        state: &mut ExecState,
-        input: &Tensor,
-        out: &mut Tensor,
-    ) -> Result<(), GraphError> {
-        self.execute_float(state, input, None, |_, _| {})?;
-        let last = self.spec().feature_map_count() - 1;
-        let t = state.slots[last].as_ref().expect("final feature map is never released early");
-        if out.shape() == t.shape() {
-            out.data_mut().copy_from_slice(t.data());
-        } else {
-            *out = Tensor::from_vec(t.shape(), t.data().to_vec()).expect("lengths match");
-        }
-        state.release_all_float();
-        Ok(())
-    }
-
     /// Runs the graph in float precision, streaming every feature map to
     /// `observer` as it is produced: index 0 is the input, index `i + 1`
     /// the output of node `i` (matching [`FeatureMapId`] numbering). Each
@@ -564,22 +537,6 @@ mod tests {
             compiled.run_quant(&mut ExecState::new(), &Tensor::zeros(Shape::hwc(4, 4, 1))),
             Err(GraphError::MissingQuantization { .. })
         ));
-    }
-
-    #[test]
-    fn run_float_into_reuses_the_output_buffer() {
-        let spec = GraphSpecBuilder::new(Shape::hwc(4, 4, 2)).conv2d(3, 3, 1, 1).build().unwrap();
-        let graph = init::with_structured_weights(spec, 5);
-        let compiled = CompiledGraph::new(&graph).expect("validated graphs pass analysis");
-        let mut state = ExecState::new();
-        let input = Tensor::from_fn(Shape::hwc(4, 4, 2), |i| i as f32 * 0.01);
-        let expected = compiled.run_float(&mut state, &input).unwrap();
-        // Wrong-shaped target is fixed up; right-shaped target is reused.
-        let mut out = Tensor::zeros(Shape::hwc(1, 1, 1));
-        compiled.run_float_into(&mut state, &input, &mut out).unwrap();
-        assert_eq!(out, expected);
-        compiled.run_float_into(&mut state, &input, &mut out).unwrap();
-        assert_eq!(out, expected);
     }
 
     /// `compiled` with every activation table dropped, so each

@@ -61,7 +61,7 @@ use quantmcu_tensor::Shape;
 
 use crate::analyze::{RawInput, Report};
 use crate::codec::{self, CodecError, Writer};
-use crate::opt::{IrNode, IrOp, LowerError, ModelIr, OptStats, PassManager};
+use crate::opt::{IrNode, IrOp, LowerError, ModelIr, OptStats};
 use crate::{Graph, Source};
 
 /// The four magic bytes opening every `.qmcu` file.
@@ -360,7 +360,7 @@ pub fn load_model(bytes: &[u8]) -> Result<Graph, ImportError> {
 /// Same contract as [`load_model`].
 pub fn load_model_with_stats(bytes: &[u8]) -> Result<(Graph, OptStats), ImportError> {
     let mut ir = decode(bytes)?;
-    let stats = PassManager::standard().run(&mut ir);
+    let stats = ir.optimize();
     Ok((ir.lower()?, stats))
 }
 
@@ -544,6 +544,78 @@ mod tests {
             load_model_unoptimized(&encode(&ir)),
             Err(ImportError::Model { node: Some(20), .. })
         ));
+    }
+
+    #[test]
+    fn pipeline_stats_count_every_pass() {
+        let node = |id, op, input, weights: usize, bias: Vec<f32>| IrNode {
+            id,
+            op,
+            inputs: vec![input],
+            weights: (0..weights).map(|i| (i % 5) as f32 * 0.25 - 0.5).collect(),
+            bias,
+        };
+        let pw = |out_ch| IrOp::Core(OpSpec::Conv2d { out_ch, kernel: 1, stride: 1, pad: 0 });
+        let core = IrOp::Core;
+        // Round 1: the BiasAdd folds into node 1 and relu6(relu) drops node
+        // 3 (fuse-conv-bias-relu), the expanding 3→16→2 pair folds
+        // (fold-constants), the 1×1 pool goes (remove-identity) and node 7
+        // is dead (eliminate-dead). Round 2: with the pool gone, relu(relu6)
+        // drops node 6. Round 3 is quiet.
+        let ir = ModelIr {
+            input_shape: Shape::hwc(4, 4, 3),
+            nodes: vec![
+                node(0, pw(16), RawInput::Image, 16 * 3, vec![]),
+                node(1, pw(2), RawInput::Node(0), 2 * 16, vec![]),
+                node(2, IrOp::BiasAdd, RawInput::Node(1), 0, vec![0.5, -1.0]),
+                node(3, core(OpSpec::Relu), RawInput::Node(2), 0, vec![]),
+                node(4, core(OpSpec::Relu6), RawInput::Node(3), 0, vec![]),
+                node(
+                    5,
+                    core(OpSpec::MaxPool { kernel: 1, stride: 1 }),
+                    RawInput::Node(4),
+                    0,
+                    vec![],
+                ),
+                node(6, core(OpSpec::Relu), RawInput::Node(5), 0, vec![]),
+                node(7, core(OpSpec::Relu6), RawInput::Image, 0, vec![]),
+                node(8, core(OpSpec::GlobalAvgPool), RawInput::Node(6), 0, vec![]),
+            ],
+            output: Some(8),
+        };
+        let (g, stats) = load_model_with_stats(&encode(&ir)).unwrap();
+        assert_eq!(
+            stats.rewrites,
+            vec![
+                ("fuse-conv-bias-relu", 3),
+                ("fold-constants", 1),
+                ("remove-identity", 1),
+                ("eliminate-dead", 1),
+            ]
+        );
+        assert_eq!(stats.rounds, 3);
+        assert!(stats.fixed_point);
+        assert_eq!(
+            stats.to_string(),
+            "6 rewrite(s) in 3 round(s), fuse-conv-bias-relu: 3, fold-constants: 1, \
+             remove-identity: 1, eliminate-dead: 1"
+        );
+        let ops: Vec<OpSpec> = g.spec().nodes().iter().map(|n| n.op).collect();
+        assert_eq!(
+            ops,
+            [
+                OpSpec::Conv2d { out_ch: 2, kernel: 1, stride: 1, pad: 0 },
+                OpSpec::Relu6,
+                OpSpec::GlobalAvgPool
+            ]
+        );
+        assert_eq!(g.params(0).bias(), &[0.5, -1.0]);
+        let capped = OptStats { fixed_point: false, ..stats };
+        assert_eq!(
+            capped.to_string(),
+            "6 rewrite(s) in 3 round(s), fuse-conv-bias-relu: 3, fold-constants: 1, \
+             remove-identity: 1, eliminate-dead: 1 (round cap hit)"
+        );
     }
 
     #[test]

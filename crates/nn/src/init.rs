@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates trained networks; trained ImageNet weights are not
 //! available offline, so the reproduction substitutes *structured random*
-//! weights (see DESIGN.md §2.4): each convolution filter is a seeded mixture
-//! of a DC component, an oriented edge component and Gaussian noise, scaled
-//! He-style. This matters because value-driven patch classification relies
+//! weights: each convolution filter is a seeded mixture of a DC component,
+//! an oriented edge component and Gaussian noise, scaled He-style. This matters because value-driven patch classification relies
 //! on activation distributions being bell-shaped with genuine heavy-tail
 //! outliers — pure i.i.d. noise weights produce nearly perfect Gaussians
 //! with no structure, while structured filters respond strongly (outliers)

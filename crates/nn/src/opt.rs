@@ -4,28 +4,28 @@
 //! lowering, which the static analyzer ([`crate::analyze`]) also reads:
 //! explicit node ids, declaration order free of topological meaning,
 //! per-node weight/bias payloads, and one operator ([`IrOp::BiasAdd`])
-//! that exists only at import time. Rewrite [`Pass`]es run *before*
+//! that exists only at import time. The rewrite passes run *before*
 //! lowering, so the float and integer loops of `CompiledGraph`, the patch
 //! engine and the planner all execute the optimized graph.
 //!
-//! [`PassManager::standard`] runs four passes to a fixed point:
+//! [`ModelIr::optimize`] runs four passes, in this order, to a fixed point:
 //!
-//! 1. [`FuseConvBiasRelu`] — folds ONNX-style `BiasAdd` nodes into the
+//! 1. `fuse-conv-bias-relu` — folds ONNX-style `BiasAdd` nodes into the
 //!    producing conv/dwconv/dense node's fused bias, and collapses
 //!    value-exact activation chains (`relu∘relu`, `relu∘relu6`,
 //!    `relu6∘relu6`, `relu6∘relu`).
-//! 2. [`FoldConstants`] — composes adjacent `dense∘dense` and
+//! 2. `fold-constants` — composes adjacent `dense∘dense` and
 //!    1×1-`conv∘conv` pairs into a single node by multiplying their
 //!    weight matrices at compile time, when the folded node costs fewer
 //!    MACs than the pair.
-//! 3. [`RemoveIdentity`] — drops no-op nodes: 1×1/stride-1 pooling and
+//! 3. `remove-identity` — drops no-op nodes: 1×1/stride-1 pooling and
 //!    single-input concat.
-//! 4. [`EliminateDead`] — removes nodes unreachable from the output,
+//! 4. `eliminate-dead` — removes nodes unreachable from the output,
 //!    turning the analyzer's `D001` dead-node *warning* into an auto-fix.
 //!
 //! Every rewrite strictly reduces the node count, so the fixed point is
-//! reached in at most `nodes + 1` rounds; [`PassManager`] additionally
-//! caps rounds and reports both in [`OptStats`].
+//! reached in at most `nodes + 1` rounds; the loop also stops at that cap
+//! and reports both in [`OptStats`].
 //!
 //! [`ModelIr::lower`] validates the result through the analyzer's
 //! structural and shape passes and through parameter-length checks, keeps
@@ -50,9 +50,9 @@ pub enum IrOp {
     /// An operator of the core executable IR ([`OpSpec`]).
     Core(OpSpec),
     /// Per-channel bias addition (ONNX `Conv` + `Add` idiom): one input,
-    /// whose shape it keeps. Exists only at import time:
-    /// [`FuseConvBiasRelu`] folds it into the producing node's fused bias,
-    /// and lowering rejects any live instance that survives.
+    /// whose shape it keeps. Exists only at import time: the
+    /// `fuse-conv-bias-relu` pass folds it into the producing node's fused
+    /// bias, and lowering rejects any live instance that survives.
     BiasAdd,
 }
 
@@ -323,23 +323,10 @@ impl std::error::Error for LowerError {
 }
 
 // ---------------------------------------------------------------------------
-// Pass infrastructure
+// Pass pipeline
 // ---------------------------------------------------------------------------
 
-/// A rewrite pass over [`ModelIr`].
-///
-/// Every rewrite a pass applies must strictly reduce the node count (the
-/// standard passes all splice nodes out); [`PassManager`] relies on this
-/// for fixed-point termination.
-pub trait Pass {
-    /// The pass's name, used in [`OptStats`].
-    fn name(&self) -> &'static str;
-
-    /// Applies the pass once, returning the number of rewrites performed.
-    fn run(&self, ir: &mut ModelIr) -> usize;
-}
-
-/// Rewrite counts accumulated by a [`PassManager`] run.
+/// Rewrite counts accumulated by a [`ModelIr::optimize`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptStats {
     /// Rounds executed (including the final all-quiet round).
@@ -371,43 +358,36 @@ impl fmt::Display for OptStats {
     }
 }
 
-/// Runs a pass pipeline to a fixed point.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
+/// One application of a rewrite pass, returning the number of rewrites it
+/// performed. Every rewrite must strictly reduce the node count; the round
+/// cap relies on it.
+type Pass = fn(&mut ModelIr) -> usize;
 
-impl PassManager {
-    /// A manager over an explicit pass list.
-    pub fn new(passes: Vec<Box<dyn Pass>>) -> Self {
-        PassManager { passes }
-    }
+/// The pipeline in order, each pass under the name [`OptStats`] reports.
+const PASSES: [(&str, Pass); 4] = [
+    ("fuse-conv-bias-relu", fuse_conv_bias_relu),
+    ("fold-constants", fold_constants),
+    ("remove-identity", remove_identity),
+    ("eliminate-dead", eliminate_dead),
+];
 
-    /// The standard pipeline: bias/activation fusion, constant folding,
-    /// identity removal, dead-node elimination.
-    pub fn standard() -> Self {
-        PassManager::new(vec![
-            Box::new(FuseConvBiasRelu),
-            Box::new(FoldConstants),
-            Box::new(RemoveIdentity),
-            Box::new(EliminateDead),
-        ])
-    }
-
-    /// Runs every pass repeatedly until none fires.
-    pub fn run(&self, ir: &mut ModelIr) -> OptStats {
+impl ModelIr {
+    /// Runs the four rewrite passes, in order, until a round fires none
+    /// or `nodes + 1` rounds have run.
+    pub fn optimize(&mut self) -> OptStats {
         let mut rewrites: Vec<(&'static str, usize)> =
-            self.passes.iter().map(|p| (p.name(), 0)).collect();
+            PASSES.iter().map(|&(name, _)| (name, 0)).collect();
         // Each rewrite removes at least one node, so `nodes + 1` rounds
         // suffice.
-        let bound = ir.nodes.len() + 1;
+        let bound = self.nodes.len() + 1;
         let mut rounds = 0;
         let mut fixed_point = false;
         while rounds < bound {
             rounds += 1;
             let mut fired = 0;
-            for (i, pass) in self.passes.iter().enumerate() {
-                let n = pass.run(ir);
-                rewrites[i].1 += n;
+            for (count, &(_, pass)) in rewrites.iter_mut().zip(&PASSES) {
+                let n = pass(self);
+                count.1 += n;
                 fired += n;
             }
             if fired == 0 {
@@ -417,20 +397,6 @@ impl PassManager {
         }
         OptStats { rounds, rewrites, fixed_point }
     }
-}
-
-/// Optimizes an executable graph through the standard pipeline and lowers
-/// the result back into a [`Graph`].
-///
-/// # Errors
-///
-/// Propagates [`ModelIr::lower`] errors (a graph that lowered once can
-/// only fail here if a pass produced an invalid rewrite, which the
-/// standard passes never do).
-pub fn optimize(graph: &Graph) -> Result<(Graph, OptStats), LowerError> {
-    let mut ir = ModelIr::from_graph(graph);
-    let stats = PassManager::standard().run(&mut ir);
-    Ok((ir.lower()?, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -448,40 +414,32 @@ pub fn optimize(graph: &Graph) -> Result<(Graph, OptStats), LowerError> {
 /// `relu6(relu(x)) = relu6(x)` (the last removes the inner node and so
 /// additionally requires the inner `relu` to be single-consumer and not
 /// the output).
-pub struct FuseConvBiasRelu;
-
-impl Pass for FuseConvBiasRelu {
-    fn name(&self) -> &'static str {
-        "fuse-conv-bias-relu"
-    }
-
-    fn run(&self, ir: &mut ModelIr) -> usize {
-        let mut fired = 0;
-        // One rewrite per scan keeps index bookkeeping trivial; the pass
-        // manager re-runs us until quiet.
-        loop {
-            if let Some((node_id, producer)) = find_foldable_bias(ir) {
-                let bidx = ir.index_of(node_id).expect("bias node exists");
-                let addend = std::mem::take(&mut ir.nodes[bidx].bias);
-                let pidx = ir.index_of(producer).expect("producer exists");
-                if ir.nodes[pidx].bias.is_empty() {
-                    ir.nodes[pidx].bias = addend;
-                } else {
-                    for (b, a) in ir.nodes[pidx].bias.iter_mut().zip(&addend) {
-                        *b += a;
-                    }
+fn fuse_conv_bias_relu(ir: &mut ModelIr) -> usize {
+    let mut fired = 0;
+    // One rewrite per scan keeps index bookkeeping trivial; the loop
+    // rescans until quiet.
+    loop {
+        if let Some((node_id, producer)) = find_foldable_bias(ir) {
+            let bidx = ir.index_of(node_id).expect("bias node exists");
+            let addend = std::mem::take(&mut ir.nodes[bidx].bias);
+            let pidx = ir.index_of(producer).expect("producer exists");
+            if ir.nodes[pidx].bias.is_empty() {
+                ir.nodes[pidx].bias = addend;
+            } else {
+                for (b, a) in ir.nodes[pidx].bias.iter_mut().zip(&addend) {
+                    *b += a;
                 }
-                ir.splice_out(node_id, RawInput::Node(producer));
-                fired += 1;
-                continue;
             }
-            if let Some((drop_id, keep)) = find_collapsible_activation(ir) {
-                ir.splice_out(drop_id, keep);
-                fired += 1;
-                continue;
-            }
-            return fired;
+            ir.splice_out(node_id, RawInput::Node(producer));
+            fired += 1;
+            continue;
         }
+        if let Some((drop_id, keep)) = find_collapsible_activation(ir) {
+            ir.splice_out(drop_id, keep);
+            fired += 1;
+            continue;
+        }
+        return fired;
     }
 }
 
@@ -566,57 +524,49 @@ fn find_collapsible_activation(ir: &ModelIr) -> Option<(usize, RawInput)> {
 /// output. Floating-point composition reassociates sums, so downstream
 /// outputs match the unfolded graph to within ULP-level error (covered by
 /// the parity suite), not bit-exactly.
-pub struct FoldConstants;
-
-impl Pass for FoldConstants {
-    fn name(&self) -> &'static str {
-        "fold-constants"
-    }
-
-    fn run(&self, ir: &mut ModelIr) -> usize {
-        let mut fired = 0;
-        while let Some((outer_id, inner_id, out2, out1)) = find_affine_pair(ir) {
-            let iidx = ir.index_of(inner_id).expect("inner exists");
-            let inner = ir.nodes.remove(iidx);
-            let oidx = ir.index_of(outer_id).expect("outer exists");
-            let outer = &mut ir.nodes[oidx];
-            let w1 = &inner.weights;
-            let w2 = &outer.weights;
-            let input_len = w1.len() / out1;
-            // W[o][i] = Σ_k W2[o][k] · W1[k][i]
-            let mut w = vec![0.0f32; out2 * input_len];
-            for o in 0..out2 {
-                for k in 0..out1 {
-                    let w2ok = w2[o * out1 + k];
-                    if w2ok == 0.0 {
-                        continue;
-                    }
-                    let row1 = &w1[k * input_len..(k + 1) * input_len];
-                    let row = &mut w[o * input_len..(o + 1) * input_len];
-                    for (wi, w1ki) in row.iter_mut().zip(row1) {
-                        *wi += w2ok * w1ki;
-                    }
+fn fold_constants(ir: &mut ModelIr) -> usize {
+    let mut fired = 0;
+    while let Some((outer_id, inner_id, out2, out1)) = find_affine_pair(ir) {
+        let iidx = ir.index_of(inner_id).expect("inner exists");
+        let inner = ir.nodes.remove(iidx);
+        let oidx = ir.index_of(outer_id).expect("outer exists");
+        let outer = &mut ir.nodes[oidx];
+        let w1 = &inner.weights;
+        let w2 = &outer.weights;
+        let input_len = w1.len() / out1;
+        // W[o][i] = Σ_k W2[o][k] · W1[k][i]
+        let mut w = vec![0.0f32; out2 * input_len];
+        for o in 0..out2 {
+            for k in 0..out1 {
+                let w2ok = w2[o * out1 + k];
+                if w2ok == 0.0 {
+                    continue;
+                }
+                let row1 = &w1[k * input_len..(k + 1) * input_len];
+                let row = &mut w[o * input_len..(o + 1) * input_len];
+                for (wi, w1ki) in row.iter_mut().zip(row1) {
+                    *wi += w2ok * w1ki;
                 }
             }
-            // b[o] = Σ_k W2[o][k] · b1[k] + b2[o]
-            let mut b = vec![0.0f32; out2];
-            if !inner.bias.is_empty() {
-                for (o, bo) in b.iter_mut().enumerate() {
-                    for (k, b1k) in inner.bias.iter().enumerate() {
-                        *bo += w2[o * out1 + k] * b1k;
-                    }
-                }
-            }
-            for (bo, b2o) in b.iter_mut().zip(&outer.bias) {
-                *bo += b2o;
-            }
-            outer.weights = w;
-            outer.bias = b;
-            outer.inputs = inner.inputs;
-            fired += 1;
         }
-        fired
+        // b[o] = Σ_k W2[o][k] · b1[k] + b2[o]
+        let mut b = vec![0.0f32; out2];
+        if !inner.bias.is_empty() {
+            for (o, bo) in b.iter_mut().enumerate() {
+                for (k, b1k) in inner.bias.iter().enumerate() {
+                    *bo += w2[o * out1 + k] * b1k;
+                }
+            }
+        }
+        for (bo, b2o) in b.iter_mut().zip(&outer.bias) {
+            *bo += b2o;
+        }
+        outer.weights = w;
+        outer.bias = b;
+        outer.inputs = inner.inputs;
+        fired += 1;
     }
+    fired
 }
 
 /// An adjacent affine pair eligible for folding: returns
@@ -670,37 +620,29 @@ fn find_affine_pair(ir: &ModelIr) -> Option<(usize, usize, usize, usize)> {
 /// stride 1, and `concat` over a single input. Consumers are redirected
 /// to the node's input; a no-op that *is* the output and reads the raw
 /// image is kept (a [`Graph`] output must be a node).
-pub struct RemoveIdentity;
-
-impl Pass for RemoveIdentity {
-    fn name(&self) -> &'static str {
-        "remove-identity"
-    }
-
-    fn run(&self, ir: &mut ModelIr) -> usize {
-        let mut fired = 0;
-        loop {
-            let target = ir.nodes.iter().find_map(|n| {
-                let identity = matches!(
-                    n.op,
-                    IrOp::Core(OpSpec::MaxPool { kernel: 1, stride: 1 })
-                        | IrOp::Core(OpSpec::AvgPool { kernel: 1, stride: 1 })
-                ) || (n.op == IrOp::Core(OpSpec::Concat) && n.inputs.len() == 1);
-                if !identity || n.inputs.len() != 1 {
-                    return None;
-                }
-                if n.inputs[0] == RawInput::Image && ir.output_id() == Some(n.id) {
-                    return None;
-                }
-                Some((n.id, n.inputs[0]))
-            });
-            match target {
-                Some((id, input)) => {
-                    ir.splice_out(id, input);
-                    fired += 1;
-                }
-                None => return fired,
+fn remove_identity(ir: &mut ModelIr) -> usize {
+    let mut fired = 0;
+    loop {
+        let target = ir.nodes.iter().find_map(|n| {
+            let identity = matches!(
+                n.op,
+                IrOp::Core(OpSpec::MaxPool { kernel: 1, stride: 1 })
+                    | IrOp::Core(OpSpec::AvgPool { kernel: 1, stride: 1 })
+            ) || (n.op == IrOp::Core(OpSpec::Concat) && n.inputs.len() == 1);
+            if !identity || n.inputs.len() != 1 {
+                return None;
             }
+            if n.inputs[0] == RawInput::Image && ir.output_id() == Some(n.id) {
+                return None;
+            }
+            Some((n.id, n.inputs[0]))
+        });
+        match target {
+            Some((id, input)) => {
+                ir.splice_out(id, input);
+                fired += 1;
+            }
+            None => return fired,
         }
     }
 }
@@ -708,38 +650,30 @@ impl Pass for RemoveIdentity {
 /// Removes nodes unreachable from the output — the auto-fix for the
 /// analyzer's `D001` dead-node warning. Skipped entirely when the output
 /// id does not resolve (the analyzer reports that as `S001`).
-pub struct EliminateDead;
-
-impl Pass for EliminateDead {
-    fn name(&self) -> &'static str {
-        "eliminate-dead"
-    }
-
-    fn run(&self, ir: &mut ModelIr) -> usize {
-        let Some(out_id) = ir.output_id() else { return 0 };
-        let Some(out_idx) = ir.index_of(out_id) else { return 0 };
-        let mut live = vec![false; ir.nodes.len()];
-        let mut stack = vec![out_idx];
-        live[out_idx] = true;
-        while let Some(idx) = stack.pop() {
-            for inp in &ir.nodes[idx].inputs {
-                if let RawInput::Node(id) = *inp {
-                    if let Some(i) = ir.index_of(id) {
-                        if !live[i] {
-                            live[i] = true;
-                            stack.push(i);
-                        }
+fn eliminate_dead(ir: &mut ModelIr) -> usize {
+    let Some(out_id) = ir.output_id() else { return 0 };
+    let Some(out_idx) = ir.index_of(out_id) else { return 0 };
+    let mut live = vec![false; ir.nodes.len()];
+    let mut stack = vec![out_idx];
+    live[out_idx] = true;
+    while let Some(idx) = stack.pop() {
+        for inp in &ir.nodes[idx].inputs {
+            if let RawInput::Node(id) = *inp {
+                if let Some(i) = ir.index_of(id) {
+                    if !live[i] {
+                        live[i] = true;
+                        stack.push(i);
                     }
                 }
             }
         }
-        let before = ir.nodes.len();
-        let mut keep = live.into_iter();
-        ir.nodes.retain(|_| keep.next().unwrap_or(false));
-        // Pin the output: "last declared" may now name a different node.
-        ir.output = Some(out_id);
-        before - ir.nodes.len()
     }
+    let before = ir.nodes.len();
+    let mut keep = live.into_iter();
+    ir.nodes.retain(|_| keep.next().unwrap_or(false));
+    // Pin the output: "last declared" may now name a different node.
+    ir.output = Some(out_id);
+    before - ir.nodes.len()
 }
 
 #[cfg(test)]
@@ -782,7 +716,7 @@ mod tests {
         ]);
         // Wrong weight count for c=3 input would fail lowering; fix lens.
         m.nodes[0].weights = vec![0.1; 2 * 3];
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2);
         assert_eq!(m.nodes[0].bias, vec![0.5, -1.0]);
@@ -821,7 +755,7 @@ mod tests {
         ]);
         m.nodes[0].weights = vec![0.1; 9];
         let before = m.clone();
-        assert_eq!(FuseConvBiasRelu.run(&mut m), 0);
+        assert_eq!(fuse_conv_bias_relu(&mut m), 0);
         assert_eq!(m, before);
         // And an unfused BiasAdd is a typed lowering error, not a panic.
         assert!(matches!(m.lower(), Err(LowerError::Unlowerable { id: 1, .. })));
@@ -836,7 +770,7 @@ mod tests {
             plain(3, OpSpec::Relu6, RawInput::Node(2)),
             plain(4, OpSpec::Relu, RawInput::Node(3)),
         ]);
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         // relu∘relu → relu; relu6∘relu → relu6; relu6∘relu6 → relu6;
         // relu∘relu6 → relu6. Everything collapses to relu6(relu(x)),
@@ -869,7 +803,7 @@ mod tests {
             ],
             output: None,
         };
-        assert_eq!(FoldConstants.run(&mut m), 1);
+        assert_eq!(fold_constants(&mut m), 1);
         assert_eq!(m.nodes.len(), 1);
         // W = [1,1]·[[1,2],[3,4]] = [4,6]; b = [1,1]·[1,0] + 10 = 11.
         assert_eq!(m.nodes[0].weights, vec![4.0, 6.0]);
@@ -906,11 +840,11 @@ mod tests {
         // against 16·8 + 8·48 = 512.
         let mut m = pointwise_pair(16, 8, 48);
         let before = m.clone();
-        assert_eq!(FoldConstants.run(&mut m), 0);
+        assert_eq!(fold_constants(&mut m), 0);
         assert_eq!(m, before);
         // Equal cost is no gain either: 8·8 = 64 = 8·4 + 4·8.
         let mut m = pointwise_pair(8, 4, 8);
-        assert_eq!(FoldConstants.run(&mut m), 0);
+        assert_eq!(fold_constants(&mut m), 0);
     }
 
     #[test]
@@ -918,7 +852,7 @@ mod tests {
         // 16→32→8: 8·16 = 128 MACs per pixel folded, 16·32 + 32·8 = 768
         // unfolded.
         let mut m = pointwise_pair(16, 32, 8);
-        assert_eq!(FoldConstants.run(&mut m), 1);
+        assert_eq!(fold_constants(&mut m), 1);
         assert_eq!(m.nodes.len(), 2);
         assert_eq!(m.nodes[0].weights.len(), 8 * 16);
         assert_eq!(m.nodes[0].inputs, vec![RawInput::Image]);
@@ -934,7 +868,7 @@ mod tests {
             plain(3, OpSpec::AvgPool { kernel: 1, stride: 1 }, RawInput::Node(2)),
             plain(4, OpSpec::Relu6, RawInput::Node(3)),
         ]);
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 1);
         assert_eq!(m.nodes[0].op, IrOp::Core(OpSpec::Relu6));
@@ -943,7 +877,7 @@ mod tests {
     #[test]
     fn identity_at_output_reading_image_is_kept() {
         let mut m = ir(vec![plain(7, OpSpec::MaxPool { kernel: 1, stride: 1 }, RawInput::Image)]);
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 1);
         m.lower().unwrap();
@@ -961,7 +895,7 @@ mod tests {
         let report = analyze_ir(&m, &Default::default());
         assert!(report.diagnostics().iter().any(|d| d.code == Code::DeadNode));
 
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2);
         let after = analyze_ir(&m, &Default::default());
@@ -977,7 +911,7 @@ mod tests {
             nodes.push(plain(i, OpSpec::MaxPool { kernel: 1, stride: 1 }, RawInput::Node(i - 1)));
         }
         let mut m = ir(nodes);
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert!(stats.rounds <= 65);
         assert_eq!(m.nodes.len(), 1);
@@ -995,10 +929,11 @@ mod tests {
             .build()
             .unwrap();
         let g = init::with_structured_weights(spec, 9);
-        let (opt, stats) = optimize(&g).unwrap();
+        let mut ir = ModelIr::from_graph(&g);
+        let stats = ir.optimize();
         // Nothing fusible: graph must come back identical.
         assert_eq!(stats.total(), 0);
-        assert_eq!(opt, g);
+        assert_eq!(ir.lower().unwrap(), g);
     }
 
     #[test]
@@ -1026,8 +961,8 @@ mod tests {
             ],
             output: None,
         };
-        assert_eq!(FoldConstants.run(&mut m), 0);
-        let stats = PassManager::standard().run(&mut m);
+        assert_eq!(fold_constants(&mut m), 0);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2, "malformed pair must survive unfolded");
         assert!(matches!(
@@ -1059,7 +994,7 @@ mod tests {
             ],
             output: None,
         };
-        assert_eq!(FoldConstants.run(&mut m), 0);
+        assert_eq!(fold_constants(&mut m), 0);
         assert!(matches!(
             m.lower(),
             Err(LowerError::ParamLength { id: 1, kind: "bias", expected: 2, actual: 1 })
@@ -1084,7 +1019,7 @@ mod tests {
             ],
             output: Some(1),
         };
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2, "zero-input node must not be spliced");
         match m.lower() {
@@ -1110,7 +1045,7 @@ mod tests {
             },
             plain(1, OpSpec::Relu, RawInput::Node(0)),
         ]);
-        let stats = PassManager::standard().run(&mut m);
+        let stats = m.optimize();
         assert!(stats.fixed_point);
         assert_eq!(m.nodes.len(), 2);
         match m.lower() {

@@ -10,7 +10,7 @@
 //! disappear (lowest early-stage memory of the non-quantized baselines),
 //! MACs stay close to layer-based, and accuracy suffers from the lossy
 //! aggregation (observable through the agreement metrics since the variant
-//! graph is executable). The substitution is recorded in DESIGN.md §2.
+//! graph is executable).
 //!
 //! Following the published usage, the pool replaces the stage after the
 //! first convolution block; the rest of the network is unchanged.

@@ -9,7 +9,7 @@
 //! accuracy heavily). The reproduction keeps the same episodic
 //! propose-evaluate-reward loop but replaces the DDPG policy with seeded
 //! simulated annealing — the search dynamics and cost structure are
-//! preserved, the deep-RL machinery is not (DESIGN.md §2.5).
+//! preserved, the deep-RL machinery is not.
 //!
 //! The reward uses output fidelity (negative MSE against the float model
 //! on an evaluation batch) with a mild BitOPs bonus, mirroring HAQ's

@@ -9,7 +9,7 @@
 //! structure (epochs × minutes-per-epoch for QAT-in-the-loop methods,
 //! episodes × minutes-per-episode for RL) evaluated at the actual number of
 //! evaluations this run performed — alongside the measured wall-clock of
-//! the reproduction's own search. See DESIGN.md §2.5.
+//! the reproduction's own search.
 
 pub mod haq;
 pub mod hawq;

@@ -7,7 +7,7 @@ use crate::vdpc::OutlierRule;
 pub struct VdpcConfig {
     /// The outlier rule; the paper's φ enters here. The default is the
     /// paper's chosen φ = 0.96 under the central-mass reading (see
-    /// DESIGN.md §2.6).
+    /// [`OutlierRule::CentralMass`]).
     pub rule: OutlierRule,
 }
 

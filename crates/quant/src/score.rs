@@ -10,7 +10,7 @@
 //!   lost, normalized by the last feature map's entropy (Eq. 5);
 //! * `S(i,b) = −λ·Ω(i,b) + (1−λ)·Φ(i,b)` (Eq. 6).
 //!
-//! **Normalization note (DESIGN.md §3).** Eq. (2) as printed divides by
+//! **Normalization note.** Eq. (2) as printed divides by
 //! the *whole model's* BitOPs, which makes Φ ≤ the map's global compute
 //! share (a few percent) while Ω is O(1); every λ above ~0.05 would then
 //! freeze the search at all-8-bit, contradicting Table III's smooth

@@ -13,7 +13,7 @@
 //! As printed, Eq. (1) flags a value as outlier when its PDF is *above* φ,
 //! which contradicts the section's own prose and Fig. 5's sweep. The
 //! default [`OutlierRule::CentralMass`] implements the self-consistent
-//! reading (DESIGN.md §2.6): φ is the central probability mass of the
+//! reading: φ is the central probability mass of the
 //! fitted Gaussian, and a value is an outlier iff it falls outside the
 //! central-φ band — `|x − µ| > z·σ` with `z = probit((1+φ)/2)`.
 //! [`OutlierRule::PdfThreshold`] provides the literal PDF-cut form (with
@@ -181,11 +181,6 @@ impl VdpcClassifier {
             }
         }
         Ok(PatchClass::NonOutlier)
-    }
-
-    /// The per-value outlier mask of a sample (the Fig. 2b separation).
-    pub fn outlier_mask(&self, values: &[f32]) -> Vec<bool> {
-        values.iter().map(|&v| self.is_outlier(v)).collect()
     }
 
     /// Fraction of `values` that are outliers.

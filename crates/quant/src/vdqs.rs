@@ -10,7 +10,7 @@
 //! The paper's pseudocode does not terminate when even the narrowest
 //! candidates cannot satisfy Eq. (7); the reproduction detects a fixpoint
 //! with the constraint still violated and returns
-//! [`QuantError::MemoryInfeasible`] (noted in DESIGN.md §3).
+//! [`QuantError::MemoryInfeasible`] instead of looping forever.
 //!
 //! The printed `NEED_CHANGE` examines the pair `(i, i+1)` for both
 //! traversal directions, which indexes out of range on the backward pass;

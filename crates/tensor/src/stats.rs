@@ -7,8 +7,9 @@
 //! * the **Gaussian fit** of an activation distribution (Fig. 2a), used by
 //!   value-driven patch classification;
 //! * the **probit function** (inverse standard-normal CDF), which converts
-//!   the paper's φ threshold — interpreted as central probability mass, see
-//!   DESIGN.md §2.6 — into a z-score cut for outlier detection.
+//!   the paper's φ threshold — read as central probability mass, the one
+//!   reading of Eq. (1) that matches Fig. 5's sweep — into a z-score cut
+//!   for outlier detection.
 
 use crate::error::TensorError;
 

@@ -28,7 +28,7 @@ use quantmcu::nn::import::{
     decode, load_model, load_model_unoptimized, load_model_with_stats, save_model,
     save_model_to_path, ImportError, FORMAT_VERSION,
 };
-use quantmcu::nn::opt::{IrNode, IrOp, ModelIr, PassManager};
+use quantmcu::nn::opt::{IrNode, IrOp, ModelIr};
 use quantmcu::nn::{Graph, OpSpec};
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
 use quantmcu::{Engine, SramBudget};
@@ -322,7 +322,7 @@ fn d001_dead_node_warning_becomes_auto_fix() {
     // Lowering keeps only the nodes that reach the output.
     assert_eq!(unopt.spec().len(), 6);
     // …and the optimizing path removes it instead of warning.
-    let stats = PassManager::standard().run(&mut ir);
+    let stats = ir.optimize();
     assert!(stats.fixed_point);
     assert!(ir.nodes.iter().all(|n| ![4usize, 5].contains(&n.id)), "dead branch must be gone");
 }
