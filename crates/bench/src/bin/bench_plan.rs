@@ -8,11 +8,20 @@
 //! (the determinism contract the pooled planner guarantees).
 //!
 //! It also reports what planning holds in memory: `PlanStats::sample_bytes`
-//! (the calibration values kept at the prologue's end) and the process's
-//! peak resident set (`VmHWM`, where `/proc/self/status` has it) after the
-//! first and after the last plan, and asserts that the planner keeps the
-//! tail maps' values and nothing else: `sample_bytes` must be 4 B × images
-//! × the tail maps' lengths, as computed from the graph spec.
+//! (the calibration values kept at the prologue's end), asserting that the
+//! planner stores the tail maps' values except those a `Relu` or `Relu6`
+//! computes from a stored tail map, and nothing else: `sample_bytes` must
+//! be 4 B × images × the stored maps' lengths, as computed from the graph
+//! spec, and the stored maps must be fewer values than the whole tail.
+//!
+//! A warm row runs first, before any other plan in the process: 13
+//! consecutive `Engine::plan` calls on one engine at the default worker
+//! count. It reports the first plan's wall clock, the median of the other
+//! twelve (the engine keeps its planning workspace between plans), and the
+//! process's peak resident set (`VmHWM`, where `/proc/self/status` has it)
+//! after the first and after the last plan, and asserts that the last is
+//! within 0.5 MiB of the first: re-planning on the same calibration set
+//! reserves no new memory.
 //!
 //! A `scan` section times the entropy engine's counting scan alone, in ns
 //! per value of one table row (planning the scan, counting, and the walk
@@ -33,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use quantmcu::models::Model;
 use quantmcu::nn::kernels::GENERATION;
+use quantmcu::nn::{FeatureMapId, GraphSpec, OpSpec};
 use quantmcu::quant::entropy::{naive, Sample, Scan};
 use quantmcu::tensor::{Bitwidth, Tensor};
 use quantmcu::{DeploymentPlan, Engine, PlanStats, Planner, QuantMcuConfig, SramBudget};
@@ -52,14 +62,12 @@ fn mib(kib: u64) -> String {
 }
 
 /// Best-of-N wall clock for one worker count, plus the produced plan and
-/// the stage breakdown of the fastest repetition. Every plan's `VmHWM` is
-/// appended to `hwm`.
+/// the stage breakdown of the fastest repetition.
 fn measure(
     graph: &quantmcu::nn::Graph,
     calib: &[Tensor],
     workers: usize,
     reps: usize,
-    hwm: &mut Vec<Option<u64>>,
 ) -> (Duration, DeploymentPlan, PlanStats) {
     let planner = Planner::new(QuantMcuConfig { workers, ..QuantMcuConfig::paper() });
     let mut best = Duration::MAX;
@@ -68,7 +76,6 @@ fn measure(
         let start = Instant::now();
         let (p, stats) = planner.plan_with_stats(graph, calib, EXEC_SRAM).expect("plan");
         let elapsed = start.elapsed();
-        hwm.push(vm_hwm_kib());
         if elapsed < best {
             best = elapsed;
             kept = Some((p, stats));
@@ -78,6 +85,65 @@ fn measure(
     }
     let (plan, stats) = kept.expect("at least one rep");
     (best, plan, stats)
+}
+
+/// Plans in the warm row.
+const WARM_PLANS: usize = 13;
+
+/// What the warm row measured.
+struct Warm {
+    /// The first plan's wall clock.
+    first: Duration,
+    /// The median wall clock of the other plans.
+    rest: Duration,
+    /// `VmHWM` in KiB after the first and after the last plan.
+    hwm: (Option<u64>, Option<u64>),
+    /// The plan every call produced.
+    plan: DeploymentPlan,
+}
+
+/// The warm row: [`WARM_PLANS`] consecutive `Engine::plan` calls on one
+/// engine at the default worker count, each checked against the first.
+fn warm_row(graph: &quantmcu::nn::Graph, calib: &[Tensor]) -> Warm {
+    let engine = Engine::builder(graph.clone()).sram_budget(SramBudget::new(EXEC_SRAM)).build();
+    let mut times = Vec::with_capacity(WARM_PLANS);
+    let mut first = None;
+    let mut first_hwm = None;
+    for i in 0..WARM_PLANS {
+        let start = Instant::now();
+        let plan = engine.plan(calib).expect("warm plan").timeless();
+        times.push(start.elapsed());
+        match &first {
+            None => {
+                first_hwm = vm_hwm_kib();
+                first = Some(plan);
+            }
+            Some(first) => assert!(plan == *first, "warm plan {i} diverged from the first"),
+        }
+    }
+    let mut rest = times[1..].to_vec();
+    rest.sort_unstable();
+    Warm {
+        first: times[0],
+        rest: rest[rest.len() / 2],
+        hwm: (first_hwm, vm_hwm_kib()),
+        plan: first.expect("at least one plan"),
+    }
+}
+
+/// Values per image of the tail maps the planner stores, and of all tail
+/// maps: a map that a `Relu` or `Relu6` node computes from a stored tail
+/// map is read through it, not stored; every other tail map is stored.
+fn tail_values_per_image(spec: &GraphSpec, split: usize) -> (usize, usize) {
+    let mut stored = vec![true];
+    for node in &spec.nodes()[split..] {
+        let relu = matches!(node.op, OpSpec::Relu | OpSpec::Relu6);
+        let input = node.inputs[0].feature_map().0;
+        stored.push(!(relu && input >= split && stored[input - split]));
+    }
+    let len = |t: usize| spec.feature_map_shape(FeatureMapId(split + t)).len();
+    let stored_len = (0..stored.len()).filter(|&t| stored[t]).map(len).sum();
+    (stored_len, (0..stored.len()).map(len).sum())
 }
 
 /// Values in each of the scan rows' maps.
@@ -211,29 +277,60 @@ fn main() {
     let calib: Vec<Tensor> = ds.images(images);
     let host_parallelism = quantmcu::default_workers();
 
-    println!("Planner throughput: {images}-image calibration set, best of {reps}\n");
-    let mut hwm = Vec::new();
-    let (serial_time, serial_plan, serial_stats) = measure(&graph, &calib, 1, reps, &mut hwm);
+    // The warm row runs first, so its `VmHWM` readings see no other plan.
+    let warm_run = warm_row(&graph, &calib);
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "Warm engine, {WARM_PLANS} plans at {host_parallelism} workers: first {:.1} ms, \
+         median of the rest {:.1} ms",
+        ms(warm_run.first),
+        ms(warm_run.rest)
+    );
+    let mut warm = format!(
+        "\"plans\": {WARM_PLANS}, \"workers\": {host_parallelism}, \"first_seconds\": {:.6}, \
+         \"rest_median_seconds\": {:.6}",
+        warm_run.first.as_secs_f64(),
+        warm_run.rest.as_secs_f64()
+    );
+    if let (Some(first), Some(last)) = warm_run.hwm {
+        println!(
+            "  VmHWM {} MiB after the first plan, {} MiB after the last",
+            mib(first),
+            mib(last)
+        );
+        assert!(
+            last <= first + 512,
+            "the warm engine's peak grew from {first} to {last} KiB over {WARM_PLANS} plans"
+        );
+        warm += &format!(
+            ", \"vm_hwm_mib_first_plan\": {}, \"vm_hwm_mib_last_plan\": {}",
+            mib(first),
+            mib(last)
+        );
+    }
+
+    println!("\nPlanner throughput: {images}-image calibration set, best of {reps}\n");
+    let (serial_time, serial_plan, serial_stats) = measure(&graph, &calib, 1, reps);
     let serial_plan = serial_plan.timeless();
-    // The planner keeps the tail maps' values (the percentile clip and the
-    // clamped entropy scan read them twice) and no head value.
-    let spec = graph.spec();
+    assert!(warm_run.plan == serial_plan, "the warm engine's plan diverged from a fresh plan");
+    // The planner stores the tail maps' values except those of maps a
+    // ReLU computes from a stored map (the percentile clip and the clamped
+    // entropy scan read each map twice), and no head value.
     let split = serial_plan.patch_plan().split_at();
-    let tail_len: usize = (split..spec.feature_map_count())
-        .map(|g| spec.feature_map_shape(quantmcu::nn::FeatureMapId(g)).len())
-        .sum();
-    let expected_sample_bytes = std::mem::size_of::<f32>() * images * tail_len;
+    let (stored_len, tail_len) = tail_values_per_image(graph.spec(), split);
+    assert!(stored_len < tail_len, "every one of the {tail_len} tail values per image is stored");
+    let expected_sample_bytes = std::mem::size_of::<f32>() * images * stored_len;
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let (time, plan, stats) = if workers == 1 {
             (serial_time, serial_plan.clone(), serial_stats)
         } else {
-            let (t, p, s) = measure(&graph, &calib, workers, reps, &mut hwm);
+            let (t, p, s) = measure(&graph, &calib, workers, reps);
             (t, p.timeless(), s)
         };
         assert_eq!(
             stats.sample_bytes, expected_sample_bytes,
-            "the planner holds calibration values beyond the tail maps' (workers = {workers})"
+            "the planner holds calibration values beyond the stored tail maps' (workers = {workers})"
         );
         let identical = plan == serial_plan;
         let speedup = serial_time.as_secs_f64() / time.as_secs_f64();
@@ -268,32 +365,18 @@ fn main() {
     let engine = Engine::builder(graph.clone()).sram_budget(SramBudget::new(EXEC_SRAM)).build();
     let start = Instant::now();
     let plan = engine.plan(calib.clone()).expect("calibrated plan");
-    hwm.push(vm_hwm_kib());
     let calibrated = engine.deploy(plan).expect("calibrated deploy");
     let calibrated_time = start.elapsed();
-    // The first and the last plan's VmHWM, omitted where it is not
-    // available.
-    let (first_hwm, last_hwm) = (hwm[0], *hwm.last().expect("at least one plan"));
-    let mut memory =
-        format!("\"sample_bytes\": {}, \"plans\": {}", serial_stats.sample_bytes, hwm.len());
-    print!(
-        "\nPlanning memory: {} B of calibration values held ({tail_len} tail values per image)",
+    let memory = format!(
+        "\"sample_bytes\": {}, \"stored_values_per_image\": {stored_len}, \
+         \"tail_values_per_image\": {tail_len}",
         serial_stats.sample_bytes
     );
-    if let (Some(first), Some(last)) = (first_hwm, last_hwm) {
-        print!(
-            "; VmHWM {} MiB after the first plan, {} MiB after the last of {}",
-            mib(first),
-            mib(last),
-            hwm.len()
-        );
-        memory += &format!(
-            ", \"vm_hwm_mib_first_plan\": {}, \"vm_hwm_mib_last_plan\": {}",
-            mib(first),
-            mib(last)
-        );
-    }
-    println!();
+    println!(
+        "\nPlanning memory: {} B of calibration values held ({stored_len} of {tail_len} tail \
+         values per image stored)",
+        serial_stats.sample_bytes
+    );
     let artifact_bytes = calibrated.save().expect("save plan artifact");
     let start = Instant::now();
     let cold = engine.deploy_from_artifact(&artifact_bytes).expect("cold-start deploy");
@@ -319,7 +402,7 @@ fn main() {
          \"kernel_generation\": \"{GENERATION}\",\n  \"host_cpu\": \"{}\",\n  \
          \"calibration_images\": {images},\n  \"reps\": {reps},\n  \
          \"host_parallelism\": {host_parallelism},\n  \"sweep\": [\n{}\n  ],\n  \
-         \"memory\": {{{memory}}},\n  \
+         \"memory\": {{{memory}}},\n  \"warm\": {{{warm}}},\n  \
          \"artifact\": {{\"bytes\": {}, \"coldstart_seconds\": {:.6}, \
          \"calibrated_seconds\": {:.6}, \"speedup\": {cold_speedup:.1}, \
          \"bit_identical\": {identical}}},\n  \

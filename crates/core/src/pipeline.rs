@@ -1,9 +1,9 @@
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
+use std::{fmt, mem, thread};
 
 use quantmcu_nn::exec::{CompiledGraph, ExecState, ScopedPool};
-use quantmcu_nn::{FeatureMapId, Graph, GraphError, GraphSpec};
+use quantmcu_nn::{FeatureMapId, Graph, GraphError, GraphSpec, OpSpec};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::entropy::{self, RangeFold};
 use quantmcu_quant::score::ScoreTable;
@@ -32,12 +32,14 @@ use crate::plan::DeploymentPlan;
 /// [`Planner::plan`] call at that budget.
 ///
 /// `Planner` is the borrow-everything façade kept for the
-/// paper-reproduction binaries (`fig*` / `table*` / benches), which plan
-/// against many graphs and budgets in one process. Serving-style code
+/// paper-reproduction binaries (`fig*` / `table*` / `bench_*`), which plan
+/// against many graphs and budgets in one process. Each call builds its
+/// planning memory afresh and frees it on return. Serving-style code
 /// should use [`crate::Engine`], which owns the graph behind an `Arc`,
 /// carries a typed [`crate::SramBudget`], accepts any
-/// [`crate::CalibrationSource`], and produces shareable
-/// [`crate::Deployment`]s — see the crate-level example.
+/// [`crate::CalibrationSource`], produces shareable
+/// [`crate::Deployment`]s — see the crate-level example — and keeps its
+/// planning memory warm between plans.
 #[derive(Debug, Clone)]
 pub struct Planner {
     cfg: QuantMcuConfig,
@@ -53,7 +55,7 @@ pub struct Planner {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Streaming the calibration set through the network, folding the
-    /// head maps' ranges and keeping the tail maps' values.
+    /// head maps' ranges and keeping the stored tail maps' values.
     pub prologue: Duration,
     /// Gaussian fit plus input-tile outlier classification (zero when VDPC
     /// is disabled).
@@ -66,8 +68,12 @@ pub struct PlanStats {
     /// tail, plus the end-pinning fixups.
     pub vdqs: Duration,
     /// Bytes of calibration values the planner holds at the prologue's
-    /// end: the tail maps' values, 4 B per value per image. Head maps keep
-    /// none; their ranges and entropy rows are folded as values stream.
+    /// end: the stored tail maps' values, 4 B per value per image (counted
+    /// values, not buffer capacity). A tail map that a `Relu` or `Relu6`
+    /// node computes from a stored tail map is not stored: its clip and
+    /// entropy row read the producer's values through the activation. Head
+    /// maps keep no values; their ranges and entropy rows are folded as
+    /// values stream.
     pub sample_bytes: usize,
 }
 
@@ -77,6 +83,38 @@ impl PlanStats {
     #[must_use]
     pub fn search_total(&self) -> Duration {
         self.vdpc + self.entropy + self.vdqs
+    }
+}
+
+/// What planning keeps between plans (see [`crate::Engine`]): one executor
+/// state per planning worker and the last plan's sample buffers, per stored
+/// tail map one per calibration chunk, which the next prologue refills in
+/// place. Planning the same calibration set again reserves no new memory;
+/// [`Planner`]'s calls plan in a fresh one each.
+#[derive(Default)]
+pub(crate) struct PlanWorkspace {
+    states: Vec<ExecState>,
+    samples: Vec<Segments>,
+}
+
+impl PlanWorkspace {
+    /// Moves out one executor state per worker (at least one), building
+    /// the missing ones.
+    fn take_states(&mut self, workers: usize) -> Vec<ExecState> {
+        let mut states = mem::take(&mut self.states);
+        states.resize_with(workers.max(1), ExecState::new);
+        states
+    }
+}
+
+impl fmt::Debug for PlanWorkspace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let reserved: usize = self.samples.iter().flatten().map(Vec::capacity).sum();
+        f.debug_struct("PlanWorkspace")
+            .field("states", &self.states.len())
+            .field("stored_maps", &self.samples.len())
+            .field("sample_bytes_reserved", &(reserved * mem::size_of::<f32>()))
+            .finish()
     }
 }
 
@@ -148,7 +186,18 @@ impl Planner {
         calibration: &[Tensor],
         sram_bytes: usize,
     ) -> Result<(DeploymentPlan, PlanStats), PlanError> {
-        let mut outcomes = self.sweep_impl(graph, calibration, &[sram_bytes])?;
+        self.plan_in(&mut PlanWorkspace::default(), graph, calibration, sram_bytes)
+    }
+
+    /// [`Planner::plan_with_stats`] in `ws`.
+    pub(crate) fn plan_in(
+        &self,
+        ws: &mut PlanWorkspace,
+        graph: &Graph,
+        calibration: &[Tensor],
+        sram_bytes: usize,
+    ) -> Result<(DeploymentPlan, PlanStats), PlanError> {
+        let mut outcomes = self.sweep_in(ws, graph, calibration, &[sram_bytes])?;
         outcomes.pop().expect("one budget yields exactly one outcome")
     }
 
@@ -173,7 +222,7 @@ impl Planner {
         calibration: &[Tensor],
         budgets: &[usize],
     ) -> Result<Vec<DeploymentPlan>, PlanError> {
-        self.sweep_impl(graph, calibration, budgets)?
+        self.sweep_in(&mut PlanWorkspace::default(), graph, calibration, budgets)?
             .into_iter()
             .map(|outcome| outcome.map(|(plan, _)| plan))
             .collect()
@@ -195,7 +244,7 @@ impl Planner {
         budgets: &[usize],
     ) -> Result<Vec<Result<DeploymentPlan, PlanError>>, PlanError> {
         Ok(self
-            .sweep_impl(graph, calibration, budgets)?
+            .sweep_in(&mut PlanWorkspace::default(), graph, calibration, budgets)?
             .into_iter()
             .map(|outcome| outcome.map(|(plan, _)| plan))
             .collect())
@@ -216,13 +265,35 @@ impl Planner {
         bits: Bitwidth,
         sram_bytes: usize,
     ) -> Result<DeploymentPlan, PlanError> {
+        self.plan_uniform_in(&mut PlanWorkspace::default(), graph, calibration, bits, sram_bytes)
+    }
+
+    /// [`Planner::plan_uniform`] in `ws`.
+    pub(crate) fn plan_uniform_in(
+        &self,
+        ws: &mut PlanWorkspace,
+        graph: &Graph,
+        calibration: &[Tensor],
+        bits: Bitwidth,
+        sram_bytes: usize,
+    ) -> Result<DeploymentPlan, PlanError> {
         check_calibration(calibration)?;
         let spec = graph.spec().clone();
         let patch_plan = PatchPlan::fitted(&spec, self.cfg.grid, sram_bytes)?;
         let compiled = CompiledGraph::new(graph)?;
+        let states = ws.take_states(self.cfg.workers);
         let pro = thread::scope(|scope| {
-            let pool = ScopedPool::spawned(scope, self.cfg.workers, |_| ExecState::new());
-            self.prologue_on_pool(&pool, &compiled, calibration, &spec, &patch_plan, false)
+            let pool = ScopedPool::with_states(scope, states);
+            let pro = self.prologue_on_pool(
+                &pool,
+                &mut ws.samples,
+                &compiled,
+                calibration,
+                &patch_plan,
+                false,
+            );
+            ws.states = pool.into_states();
+            pro
         })?;
         let branch_ranges = pro.branch_ranges();
         let Prologue { head, tail, branches, tail_ranges, .. } = pro;
@@ -245,12 +316,14 @@ impl Planner {
         })
     }
 
-    /// The sweep engine behind every planning entry point: compiles the
-    /// graph once, stands up the planning pool once, groups the budgets by
-    /// the patch split they fit, and runs [`Planner::build_context`] once
-    /// per group + [`Planner::solve`] once per budget.
-    fn sweep_impl(
+    /// The sweep engine behind every searched planning entry point:
+    /// compiles the graph once, stands up the planning pool once over
+    /// `ws`'s executor states, groups the budgets by the patch split they
+    /// fit, and runs [`Planner::build_context`] once per group +
+    /// [`Planner::solve`] once per budget.
+    pub(crate) fn sweep_in(
         &self,
+        ws: &mut PlanWorkspace,
         graph: &Graph,
         calibration: &[Tensor],
         budgets: &[usize],
@@ -258,9 +331,13 @@ impl Planner {
         check_calibration(calibration)?;
         let spec = graph.spec().clone();
         let compiled = CompiledGraph::new(graph)?;
+        let states = ws.take_states(self.cfg.workers);
         Ok(thread::scope(|scope| {
-            let pool = ScopedPool::spawned(scope, self.cfg.workers, |_| ExecState::new());
-            self.sweep_on_pool(&pool, &compiled, calibration, &spec, budgets)
+            let pool = ScopedPool::with_states(scope, states);
+            let outcomes =
+                self.sweep_on_pool(&pool, &mut ws.samples, &compiled, calibration, &spec, budgets);
+            ws.states = pool.into_states();
+            outcomes
         }))
     }
 
@@ -269,6 +346,7 @@ impl Planner {
     fn sweep_on_pool<'env>(
         &'env self,
         pool: &ScopedPool<'env, ExecState>,
+        samples: &mut Vec<Segments>,
         compiled: &'env CompiledGraph<&'env Graph>,
         calibration: &'env [Tensor],
         spec: &GraphSpec,
@@ -290,7 +368,7 @@ impl Planner {
             }
         }
         for (patch_plan, idxs) in groups {
-            match self.build_context(pool, compiled, calibration, spec, patch_plan) {
+            match self.build_context(pool, samples, compiled, calibration, spec, patch_plan) {
                 Ok(ctx) => {
                     for i in idxs {
                         slots[i] = Some(self.solve(&ctx, budgets[i]));
@@ -316,6 +394,7 @@ impl Planner {
     fn build_context<'env>(
         &'env self,
         pool: &ScopedPool<'env, ExecState>,
+        samples: &mut Vec<Segments>,
         compiled: &'env CompiledGraph<&'env Graph>,
         calibration: &'env [Tensor],
         spec: &GraphSpec,
@@ -360,14 +439,10 @@ impl Planner {
         let vdpc_time = vdpc_start.elapsed();
 
         let prologue_start = Instant::now();
-        let pro = self.prologue_on_pool(pool, compiled, calibration, spec, &patch_plan, true)?;
+        let pro = self.prologue_on_pool(pool, samples, compiled, calibration, &patch_plan, true)?;
         let prologue_time = prologue_start.elapsed();
-        let sample_bytes: usize = pro
-            .tail_values
-            .iter()
-            .flatten()
-            .map(|v| v.capacity() * std::mem::size_of::<f32>())
-            .sum();
+        let sample_bytes: usize =
+            pro.tail_values.iter().flatten().map(|v| v.len() * mem::size_of::<f32>()).sum();
 
         // ---- Ranges + entropy rows per unique head target (see
         // [`Planner::prologue_on_pool`] — branches sharing a region share
@@ -385,7 +460,7 @@ impl Planner {
         }
         let head_rows = self.head_rows(pool, compiled.graph(), calibration, &pro, &need_row)?;
         let branch_ranges = pro.branch_ranges();
-        let Prologue { head, tail, branches, slots, tail_values, .. } = pro;
+        let Prologue { head, tail, branches, slots, tail_maps, tail_values, .. } = pro;
         let n_branches = branches.len();
 
         // Per searched branch: the score table (region-restricted entropy
@@ -448,12 +523,15 @@ impl Planner {
         // carries everything.
         //
         // Each map is read twice: once by the clip's selection, once by
-        // the entropy scan, which clamps each value as it reads it. Both
-        // clip ends are values of the sample, so the clamped values' range
-        // is the clip itself and needs no min/max pass. Only a map without
-        // a finite min/max (all NaN, or holding ±∞ where the clip falls
-        // back to it) gets the unit range, which need not hold its values:
-        // it is clamped in place and folded.
+        // the entropy scan, which reads each value clamped. Both clip ends
+        // are values of the sample, so the clamped values' range is the
+        // clip itself and needs no min/max pass. Only a map without a
+        // finite min/max (all NaN, or holding ±∞ where the clip falls back
+        // to it) gets the unit range, which need not hold its values: they
+        // are read clamped into it and folded first. A derived map (see
+        // [`TailMap`]) is read from its producer's buffers through its
+        // activation, in the producer's job, so every job owns the buffers
+        // it reads and hands them back for the next plan.
         //
         // 2-bit is excluded from the tail's candidates: a merged map
         // serves every patch, and the entropy proxy cannot reliably
@@ -471,36 +549,8 @@ impl Planner {
             ..self.cfg.vdqs.clone()
         });
         let tail_bins = self.cfg.vdqs.hist_bins * 16;
-        let tail_results = pool.map(tail_values, {
-            let tail_cfg = Arc::clone(&tail_cfg);
-            move |_, mut parts: Segments| {
-                let candidates = &tail_cfg.candidates;
-                let (range, row) = match clipped_range(&parts) {
-                    Some((lo, hi)) => {
-                        let sample = entropy::Sample::clamped(&parts, lo, hi);
-                        ((lo, hi), sample.table_row(candidates, tail_bins)?)
-                    }
-                    None => {
-                        // `finite_or_unit`'s unit range.
-                        let (lo, hi) = (0.0, 1.0);
-                        for v in parts.iter_mut().flatten() {
-                            *v = v.clamp(lo, hi);
-                        }
-                        ((lo, hi), entropy::Sample::new(&parts).table_row(candidates, tail_bins)?)
-                    }
-                };
-                Ok::<_, PlanError>((range, row))
-            }
-        })?;
-        let mut tail_ranges = Vec::with_capacity(tail_results.len());
-        let (full, reductions): (Vec<f64>, Vec<Vec<f64>>) = tail_results
-            .into_iter()
-            .map(|(range, row)| {
-                tail_ranges.push(range);
-                row
-            })
-            .unzip();
-        let tail_et = entropy::EntropyTable { full, reductions };
+        let (tail_ranges, tail_et) =
+            tail_tables(pool, samples, &tail_maps, tail_values, &tail_cfg, tail_bins)?;
         let tail_ref_bitops = {
             let uniform = quantmcu_nn::cost::BitwidthAssignment::uniform(&tail, Bitwidth::W8);
             quantmcu_nn::cost::total_bitops(&tail, self.cfg.weight_bits, &uniform).max(1)
@@ -613,10 +663,11 @@ impl Planner {
 
     /// The shared planning prologue: split, branch construction, and one
     /// streaming calibration pass that folds the range of every branch
-    /// region of every head map and keeps every tail map's values — or,
-    /// without `keep_tail_values`, folds the tail maps' ranges too. Feature
-    /// maps are recycled as soon as they have been read — no full trace is
-    /// ever materialized, and no head value is kept.
+    /// region of every head map and keeps the stored tail maps' values (see
+    /// [`TailMap`]) — or, without `keep_tail_values`, folds every tail
+    /// map's range too. Feature maps are recycled as soon as they have been
+    /// read — no full trace is ever materialized, and no head value is
+    /// kept.
     ///
     /// Branch regions overlap heavily: receptive-field halos grow with
     /// depth, so the deep head maps clip to (nearly) the full map for
@@ -627,7 +678,10 @@ impl Planner {
     /// The calibration pass fans out over the pool in contiguous chunks
     /// (see [`calibration_chunks`]). Each job folds its chunk's ranges and
     /// fills tail buffers reserved at their **exact** final size (the
-    /// per-image value count per map is known up front). The folds merge
+    /// per-image value count per map is known up front). The buffers are
+    /// taken from `samples`, where the last plan left them, so a workspace
+    /// that planned the same calibration set before reserves nothing new.
+    /// The folds merge
     /// in chunk order, which is image order, into the range of the whole
     /// set; the tail buffers are never merged: each map keeps them as its
     /// [`Segments`], in chunk order, and every later stage reads a map as
@@ -637,12 +691,13 @@ impl Planner {
     fn prologue_on_pool<'env>(
         &self,
         pool: &ScopedPool<'env, ExecState>,
+        samples: &mut [Segments],
         compiled: &'env CompiledGraph<&'env Graph>,
         calibration: &'env [Tensor],
-        spec: &GraphSpec,
         patch_plan: &PatchPlan,
         keep_tail_values: bool,
     ) -> Result<Prologue, PlanError> {
+        let spec = compiled.graph().spec();
         let split = patch_plan.split_at();
         let (head, tail) = spec.split_at(split)?;
         let branches = Arc::new(Branch::build_all(spec, patch_plan));
@@ -674,28 +729,43 @@ impl Planner {
             })
             .collect();
         let by_g = Arc::new(dispatch(&targets, split, |_| true));
-        // Tail maps whose values are kept, and tail maps only folded.
-        let (kept, folded) = if keep_tail_values { (tail_fm_count, 0) } else { (0, tail_fm_count) };
-        let per_image_tail: Vec<usize> =
-            (0..kept).map(|g| spec.feature_map_shape(FeatureMapId(split + g)).len()).collect();
+        // Kept, the tail maps are stored or derived; otherwise every one
+        // is folded.
+        let tail_maps = if keep_tail_values { tail_layout(&tail) } else { Vec::new() };
+        let folded = if keep_tail_values { 0 } else { tail_fm_count };
+        let per_image_tail: Vec<usize> = (0..tail_maps.len())
+            .filter(|&t| matches!(tail_maps[t], TailMap::Stored(_)))
+            .map(|t| spec.feature_map_shape(FeatureMapId(split + t)).len())
+            .collect();
         // The buffers are reserved here, on the planning thread, not in
-        // the workers: freed, they return to this thread's heap, where
-        // what the caller allocates next (a deployment) reuses them. Had
-        // the workers reserved them, they would stay with the workers'
-        // allocator arenas, which the allocator need not give back.
+        // the workers: freed with a one-shot workspace, they return to
+        // this thread's heap, where what the caller allocates next (a
+        // deployment) reuses them. Had the workers reserved them, they
+        // would stay with the workers' allocator arenas, which the
+        // allocator need not give back.
         let chunks: Vec<(&'env [Tensor], ChunkStats)> = calibration_chunks(pool, calibration)
-            .map(|chunk| {
+            .enumerate()
+            .map(|(c, chunk)| {
+                let tail_values = per_image_tail
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &len)| {
+                        let kept = samples.get_mut(s).and_then(|parts| parts.get_mut(c));
+                        let mut values = kept.map(mem::take).unwrap_or_default();
+                        values.clear();
+                        values.reserve_exact(len * chunk.len());
+                        values
+                    })
+                    .collect();
                 let stats = ChunkStats {
                     head: vec![RangeFold::new(); targets.len()],
-                    tail_values: per_image_tail
-                        .iter()
-                        .map(|&c| Vec::with_capacity(c * chunk.len()))
-                        .collect(),
+                    tail_values,
                     tail_folds: vec![RangeFold::new(); folded],
                 };
                 (chunk, stats)
             })
             .collect();
+        let observed = tail_maps.clone();
         let accs = pool.map(chunks, move |state: &mut ExecState, (chunk, mut acc)| {
             for input in chunk {
                 compiled.run_float_with(state, input, |fm, t| {
@@ -706,10 +776,12 @@ impl Planner {
                         }
                     }
                     if g >= split {
-                        if let Some(values) = acc.tail_values.get_mut(g - split) {
-                            values.extend_from_slice(t.data());
-                        } else {
-                            acc.tail_folds[g - split].feed(t.data());
+                        match observed.get(g - split) {
+                            Some(&TailMap::Stored(s)) => {
+                                acc.tail_values[s].extend_from_slice(t.data())
+                            }
+                            Some(TailMap::Derived { .. }) => {}
+                            None => acc.tail_folds[g - split].feed(t.data()),
                         }
                     }
                 })?;
@@ -719,7 +791,7 @@ impl Planner {
         let mut head_folds = vec![RangeFold::new(); targets.len()];
         let mut tail_folds = vec![RangeFold::new(); folded];
         let mut tail_values: Vec<Segments> =
-            (0..kept).map(|_| Vec::with_capacity(accs.len())).collect();
+            per_image_tail.iter().map(|_| Vec::with_capacity(accs.len())).collect();
         for acc in accs {
             for (dst, src) in head_folds.iter_mut().zip(&acc.head) {
                 dst.merge(src);
@@ -738,6 +810,7 @@ impl Planner {
             slots,
             targets,
             head_ranges: head_folds.iter().map(RangeFold::range).collect(),
+            tail_maps,
             tail_values,
             tail_ranges: tail_folds.iter().map(RangeFold::range).collect(),
         })
@@ -760,7 +833,7 @@ impl Planner {
         calibration: &'env [Tensor],
         pro: &Prologue,
         need_row: &[bool],
-    ) -> Result<Vec<Option<HeadRow>>, PlanError> {
+    ) -> Result<Vec<Option<Row>>, PlanError> {
         let (candidates, k) = (&self.cfg.vdqs.candidates, self.cfg.vdqs.hist_bins);
         let scans = pro
             .head_ranges
@@ -816,6 +889,52 @@ impl Planner {
     }
 }
 
+/// The tail maps' ranges and entropy table (see [`tail_stats`]), one pool
+/// job per stored map that also reads the maps derived from it, so every
+/// job owns the buffers it reads. The buffers then go back to `samples`
+/// for the next plan, replacing what it held.
+fn tail_tables<'env>(
+    pool: &ScopedPool<'env, ExecState>,
+    samples: &mut Vec<Segments>,
+    tail_maps: &[TailMap],
+    tail_values: Vec<Segments>,
+    cfg: &Arc<quantmcu_quant::VdqsConfig>,
+    bins: usize,
+) -> Result<(Vec<(f32, f32)>, entropy::EntropyTable), PlanError> {
+    // Per stored map: its buffers, then the tail maps its job reads —
+    // itself first, then the maps derived from it, which follow it.
+    let mut jobs: Vec<TailJob> = tail_values.into_iter().map(|parts| (parts, Vec::new())).collect();
+    for (t, &map) in tail_maps.iter().enumerate() {
+        let (s, relu) = match map {
+            TailMap::Stored(s) => (s, None),
+            TailMap::Derived { of, hi } => (of, Some(hi)),
+        };
+        jobs[s].1.push((t, relu));
+    }
+    let per_job = pool.map(jobs, {
+        let cfg = Arc::clone(cfg);
+        move |_, (parts, reads): TailJob| {
+            let stats = reads
+                .into_iter()
+                .map(|(t, relu)| Ok((t, tail_stats(&parts, relu, &cfg.candidates, bins)?)))
+                .collect::<Result<Vec<_>, PlanError>>()?;
+            Ok::<_, PlanError>((parts, stats))
+        }
+    })?;
+    let mut by_map: Vec<Option<TailStats>> = vec![None; tail_maps.len()];
+    samples.clear();
+    for (parts, stats) in per_job {
+        samples.push(parts);
+        for (t, stat) in stats {
+            by_map[t] = Some(stat);
+        }
+    }
+    let (ranges, rows): (Vec<_>, Vec<Row>) =
+        by_map.into_iter().map(|stat| stat.expect("every tail map has a job")).unzip();
+    let (full, reductions) = rows.into_iter().unzip();
+    Ok((ranges, entropy::EntropyTable { full, reductions }))
+}
+
 /// The calibration set in the contiguous chunks a planning pass fans out
 /// over: one per worker (at most one per image), in image order.
 fn calibration_chunks<'env>(
@@ -842,8 +961,120 @@ fn dispatch(
     by_g
 }
 
-/// The 0.1%/99.9% percentile range of a tail map's sample, falling back to
-/// the min/max for samples under 1000 values and for a degenerate clip.
+/// How the planner holds a tail map's calibration values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TailMap {
+    /// Kept by the prologue, at this index of [`Prologue::tail_values`].
+    Stored(usize),
+    /// Computed by a `Relu` (`hi = +∞`) or `Relu6` (`hi = 6`) node from the
+    /// stored map at index `of`: not kept, but read from the producer's
+    /// values through the node's own formula (see [`tail_stats`]).
+    Derived { of: usize, hi: f32 },
+}
+
+/// The tail maps' [`TailMap`]s, in tail map order. The stage output (the
+/// tail's input) is always stored.
+fn tail_layout(tail: &GraphSpec) -> Vec<TailMap> {
+    let mut maps = vec![TailMap::Stored(0)];
+    let mut stored = 1;
+    for node in tail.nodes() {
+        // The upper bounds the float executor runs the activations with.
+        let hi = match node.op {
+            OpSpec::Relu => Some(f32::INFINITY),
+            OpSpec::Relu6 => Some(6.0),
+            _ => None,
+        };
+        let map = match (hi, maps[node.inputs[0].feature_map().0]) {
+            (Some(hi), TailMap::Stored(of)) => TailMap::Derived { of, hi },
+            _ => {
+                stored += 1;
+                TailMap::Stored(stored - 1)
+            }
+        };
+        maps.push(map);
+    }
+    maps
+}
+
+/// A tail map's clipped range and entropy row.
+type TailStats = ((f32, f32), Row);
+
+/// A tail map's range and entropy row from the values of `parts`, read
+/// through the activation when `relu` gives its upper bound (a derived
+/// map) and as they are otherwise: the 0.1%/99.9% clip of
+/// [`clipped_range`], and the row of the values clamped into it. A map
+/// without a finite clip gets the unit range, and its row is that of the
+/// values clamped into it, binned on their own min/max.
+fn tail_stats(
+    parts: &[Vec<f32>],
+    relu: Option<f32>,
+    candidates: &[Bitwidth],
+    bins: usize,
+) -> Result<TailStats, PlanError> {
+    // `kernels::relu`'s formulas, value by value, so a derived map reads
+    // exactly the values the float executor computes: `max` sends NaN to
+    // 0, `clamp` keeps it. One monomorphized reader per formula keeps each
+    // read inline.
+    match relu {
+        None => tail_stats_through(parts, |v| v, candidates, bins),
+        Some(hi) if hi.is_finite() => {
+            tail_stats_through(parts, move |v: f32| v.clamp(0.0, hi), candidates, bins)
+        }
+        Some(_) => tail_stats_through(parts, |v: f32| v.max(0.0), candidates, bins),
+    }
+}
+
+/// [`tail_stats`] over the values of `parts` read as `read(v)`.
+fn tail_stats_through(
+    parts: &[Vec<f32>],
+    read: impl Fn(f32) -> f32 + Copy,
+    candidates: &[Bitwidth],
+    bins: usize,
+) -> Result<TailStats, PlanError> {
+    let (range, (lo, hi)) = match clipped_range(parts, read) {
+        Some(clip) => (clip, clip),
+        None => {
+            // `finite_or_unit`'s unit range.
+            let unit = (0.0, 1.0);
+            let mut fold = RangeFold::new();
+            read_blocks::<BLOCK>(parts, |v| read(v).clamp(unit.0, unit.1), |b| fold.feed(b));
+            (unit, fold.range())
+        }
+    };
+    let scan = entropy::Scan::new((lo, hi), candidates, bins)?;
+    let mut counts = scan.counts();
+    read_blocks::<SCAN_BLOCK>(
+        parts,
+        |v| read(v).clamp(range.0, range.1),
+        |block| scan.feed(&mut counts, block),
+    );
+    Ok((range, scan.row(&counts)?))
+}
+
+/// Values per block of the entropy scan's read.
+const SCAN_BLOCK: usize = 1024;
+
+/// Hands `visit` the values of `parts`, in order, read as `read(v)`, up to
+/// `N` at a time.
+#[inline(always)]
+fn read_blocks<const N: usize>(
+    parts: &[Vec<f32>],
+    read: impl Fn(f32) -> f32,
+    mut visit: impl FnMut(&[f32]),
+) {
+    let mut block = [0f32; N];
+    for chunk in parts.iter().flat_map(|part| part.chunks(N)) {
+        let block = &mut block[..chunk.len()];
+        for (x, &v) in block.iter_mut().zip(chunk) {
+            *x = read(v);
+        }
+        visit(block);
+    }
+}
+
+/// The 0.1%/99.9% percentile range of a tail map's sample, the values of
+/// `parts` read as `read(v)`, falling back to the min/max for samples under
+/// 1000 values and for a degenerate clip.
 /// Both ends are values of the sample. `None` when the fallback min/max is
 /// not finite (an all-NaN sample, or one holding ±∞): the plan then uses
 /// the unit range of [`finite_or_unit`].
@@ -857,9 +1088,11 @@ fn dispatch(
 /// least and greatest values, and no copy of the subsample is made.
 /// Among equal values the earlier one ranks first, which can matter only
 /// for the sign of a zero end.
-fn clipped_range(parts: &[Vec<f32>]) -> Option<(f32, f32)> {
+fn clipped_range(parts: &[Vec<f32>], read: impl Fn(f32) -> f32 + Copy) -> Option<(f32, f32)> {
     let fallback = || {
-        let (lo, hi) = entropy::Sample::new(parts).range();
+        let mut fold = RangeFold::new();
+        read_blocks::<BLOCK>(parts, read, |block| fold.feed(block));
+        let (lo, hi) = fold.range();
         (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
     };
     let len: usize = parts.iter().map(Vec::len).sum();
@@ -885,7 +1118,7 @@ fn clipped_range(parts: &[Vec<f32>]) -> Option<(f32, f32)> {
         }
     };
     if stride == 1 {
-        parts.iter().flat_map(|part| part.chunks(BLOCK)).for_each(&mut visit);
+        read_blocks::<BLOCK>(parts, read, &mut visit);
     } else {
         let mut block = [0f32; BLOCK];
         let mut offset = 0;
@@ -895,7 +1128,7 @@ fn clipped_range(parts: &[Vec<f32>]) -> Option<(f32, f32)> {
             loop {
                 let mut len = 0;
                 for (slot, &v) in block.iter_mut().zip(&mut subsample) {
-                    *slot = v;
+                    *slot = read(v);
                     len += 1;
                 }
                 if len == 0 {
@@ -988,13 +1221,17 @@ impl Least {
 /// chunk order (= image order), read as their concatenation.
 type Segments = Vec<Vec<f32>>;
 
-/// A head target's entropy row: `(H, ΔH per candidate)`.
-type HeadRow = (f64, Vec<f64>);
+/// One job of [`tail_tables`]: a stored map's buffers, and the tail maps
+/// read from them, as (tail map index, ReLU upper bound of a derived map).
+type TailJob = (Segments, Vec<(usize, Option<f32>)>);
+
+/// A map's entropy row: `(H, ΔH per candidate)`.
+type Row = (f64, Vec<f64>);
 
 /// One calibration chunk's statistics (see [`Planner::prologue_on_pool`]):
-/// a range fold per unique (map, region) head target, plus per tail map
-/// either its values (in a buffer reserved at its exact final size) or a
-/// range fold.
+/// a range fold per unique (map, region) head target, plus either the
+/// values of each stored tail map (in a buffer reserved at its exact final
+/// size) or a range fold per tail map.
 struct ChunkStats {
     head: Vec<RangeFold>,
     tail_values: Vec<Vec<f32>>,
@@ -1016,8 +1253,11 @@ struct Prologue {
     /// Per target: the region's [`RangeFold::range`] over the calibration
     /// set.
     head_ranges: Vec<(f32, f32)>,
-    /// Per tail feature map: the full-map values over the calibration set
-    /// (empty unless the prologue kept them).
+    /// Per tail feature map: stored or derived (empty unless the prologue
+    /// kept the tail maps' values).
+    tail_maps: Vec<TailMap>,
+    /// Per stored tail map ([`TailMap::Stored`]): the full-map values over
+    /// the calibration set.
     tail_values: Vec<Segments>,
     /// Per tail feature map: the [`RangeFold::range`] over the calibration
     /// set (empty when the prologue kept the values instead).
@@ -1258,8 +1498,8 @@ mod tests {
                 let whole = [values];
                 assert_eq!(bits(min_max(&parts)), bits(min_max(&whole)), "len {len} seed {seed}");
                 assert_eq!(
-                    clipped_range(&parts).map(bits),
-                    clipped_range(&whole).map(bits),
+                    clipped_range(&parts, |v| v).map(bits),
+                    clipped_range(&whole, |v| v).map(bits),
                     "len {len} seed {seed}"
                 );
             }
@@ -1290,9 +1530,9 @@ mod tests {
         // target). Head targets: the streamed range and the streamed row
         // (every target scanned, as if every branch were searched) must
         // equal the oracle's on the region's values gathered image by
-        // image from full float traces. Tail maps: clip them and read them
-        // clamped as `build_context` does, and pin every row to the oracle
-        // on the clamped values.
+        // image from full float traces. Tail maps, stored and derived:
+        // clip them and read them clamped as `build_context` does, and pin
+        // every row to the oracle on the clamped values.
         let spec = Model::MobileNetV2.spec(ModelConfig::exec_scale()).unwrap();
         let g = init::with_structured_weights(spec, 7);
         let images = ClassificationDataset::new(32, 10, 7).images(4);
@@ -1303,14 +1543,36 @@ mod tests {
         let (pro, rows) = thread::scope(|scope| {
             let pool = ScopedPool::spawned(scope, planner.cfg.workers, |_| ExecState::new());
             let pro = planner
-                .prologue_on_pool(&pool, &compiled, &images, &spec, &patch_plan, true)
+                .prologue_on_pool(&pool, &mut Vec::new(), &compiled, &images, &patch_plan, true)
                 .unwrap();
             let every = vec![true; pro.targets.len()];
             let rows = planner.head_rows(&pool, &g, &images, &pro, &every).unwrap();
             (pro, rows)
         });
-        let holds = |x: f32| pro.tail_values.iter().flatten().flatten().any(|&v| v == x);
-        assert!(holds(0.0) && holds(6.0), "the tail maps should saturate ReLU6 at both ends");
+        // Each tail map's values as `(parts, relu bound)`.
+        let tail_maps: Vec<(&Segments, Option<f32>)> = pro
+            .tail_maps
+            .iter()
+            .map(|&map| match map {
+                TailMap::Stored(s) => (&pro.tail_values[s], None),
+                TailMap::Derived { of, hi } => (&pro.tail_values[of], Some(hi)),
+            })
+            .collect();
+        let read = |v: f32, relu: Option<f32>| match relu {
+            Some(hi) if hi.is_finite() => v.clamp(0.0, hi),
+            Some(_) => v.max(0.0),
+            None => v,
+        };
+        let derived: Vec<f32> = tail_maps
+            .iter()
+            .filter(|(_, relu)| relu.is_some())
+            .flat_map(|&(parts, relu)| parts.iter().flatten().map(move |&v| read(v, relu)))
+            .collect();
+        let holds = |x: f32| derived.contains(&x);
+        assert!(
+            holds(0.0) && holds(6.0),
+            "the derived tail maps should saturate ReLU6 at both ends"
+        );
 
         let vdqs = &planner.cfg.vdqs;
         let traces: Vec<Vec<Tensor>> = images
@@ -1350,15 +1612,164 @@ mod tests {
 
         let tail_candidates: Vec<Bitwidth> =
             vdqs.candidates.iter().copied().filter(|b| *b >= Bitwidth::W4).collect();
-        for parts in &pro.tail_values {
+        let bins = vdqs.hist_bins * 16;
+        for &(parts, relu) in &tail_maps {
             assert_eq!(parts.len(), 2);
-            let (lo, hi) = clipped_range(parts).expect("ReLU6 maps have a finite clip");
-            let clamped: Vec<f32> = parts.iter().flatten().map(|v| v.clamp(lo, hi)).collect();
-            let sample = entropy::Sample::clamped(parts, lo, hi);
-            assert_rows_match_naive(sample, &clamped, &tail_candidates, vdqs.hist_bins * 16);
+            let values = [parts.iter().flatten().map(|&v| read(v, relu)).collect::<Vec<f32>>()];
+            let (lo, hi) = clipped_range(&values, |v| v).expect("these maps have a finite clip");
+            let clamped: Vec<f32> = values[0].iter().map(|v| v.clamp(lo, hi)).collect();
+            let sample = entropy::Sample::clamped(&values, lo, hi);
+            assert_rows_match_naive(sample, &clamped, &tail_candidates, bins);
             // The clamped range is the clip itself: no min/max pass needed.
             let (clo, chi) = entropy::Sample::new(&[&clamped]).range();
             assert!(clo == lo && chi == hi, "clamped range ({clo}, {chi}) vs clip ({lo}, {hi})");
+            // The planner's read of the segments is the same.
+            let ((plo, phi), (h, row)) = tail_stats(parts, relu, &tail_candidates, bins).unwrap();
+            let (h_slow, row_slow) =
+                entropy::naive::table_row(&clamped, &tail_candidates, bins).unwrap();
+            assert_eq!((plo.to_bits(), phi.to_bits()), (lo.to_bits(), hi.to_bits()));
+            assert_eq!(h.to_bits(), h_slow.to_bits());
+            assert_eq!(
+                row.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                row_slow.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn derived_tail_maps_match_their_materialized_values() {
+        // A 1×1 identity conv with a −0.0 bias passes the images' NaN, −0.0
+        // and +0.0 through unchanged (the accumulator starts at the bias),
+        // then a ReLU sends NaN to 0 while a ReLU6 keeps it. Split after
+        // the first conv, the tail is [conv, act, conv, act]: stored,
+        // derived, stored, derived. Each tail map's range and entropy row
+        // must equal, bit for bit, those computed from its values as
+        // `run_float_with` materializes them, on both percentile paths
+        // (3 images: under 1000 values; 8 images: the clip) and at one and
+        // two workers.
+        let identity: Vec<f32> = (0..9).map(|i| if i % 4 == 0 { 1.0 } else { 0.0 }).collect();
+        let image = |s: usize| {
+            Tensor::from_fn(Shape::hwc(8, 8, 3), |i| match (i / 3 + s) % 11 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                _ => ((i * 7 + s * 31) as f32 * 0.37).sin() * 4.0 + 1.5,
+            })
+        };
+        let vdqs = &QuantMcuConfig::paper().vdqs;
+        let tail_cfg = Arc::new(quantmcu_quant::VdqsConfig {
+            candidates: vec![Bitwidth::W8, Bitwidth::W4],
+            ..vdqs.clone()
+        });
+        let bins = vdqs.hist_bins * 16;
+        let bits = |(lo, hi): (f32, f32)| (lo.to_bits(), hi.to_bits());
+        let row_bits =
+            |(h, row): &Row| (h.to_bits(), row.iter().map(|d| d.to_bits()).collect::<Vec<_>>());
+        for (first, second) in [(OpSpec::Relu, OpSpec::Relu6), (OpSpec::Relu6, OpSpec::Relu)] {
+            let act =
+                |b: GraphSpecBuilder, op| if op == OpSpec::Relu { b.relu() } else { b.relu6() };
+            let spec = act(
+                act(GraphSpecBuilder::new(Shape::hwc(8, 8, 3)).pwconv(3), first).conv2d(4, 3, 1, 1),
+                second,
+            )
+            .build()
+            .unwrap();
+            let mut params: Vec<_> = (0..spec.len())
+                .map(|i| init::with_structured_weights(spec.clone(), 5).params(i).clone())
+                .collect();
+            params[0] =
+                quantmcu_nn::OpParams::Weights { weights: identity.clone(), bias: vec![-0.0; 3] };
+            let g = Graph::new(spec.clone(), params);
+            let compiled = CompiledGraph::new(&g).unwrap();
+            let patch_plan = PatchPlan::new(&spec, 1, 2, 2).unwrap();
+            for (images, workers) in [(3, 1), (3, 2), (8, 1), (8, 2)] {
+                let images: Vec<Tensor> = (0..images).map(image).collect();
+                // The tail maps as the float pass computes them.
+                let mut maps = vec![Vec::new(); 4];
+                let mut state = ExecState::new();
+                for input in &images {
+                    compiled
+                        .run_float_with(&mut state, input, |fm, t| {
+                            if fm.0 >= 1 {
+                                maps[fm.0 - 1].extend_from_slice(t.data());
+                            }
+                        })
+                        .unwrap();
+                }
+                let has = |v: &[f32], x: f32| v.iter().any(|y| y.to_bits() == x.to_bits());
+                assert!(
+                    has(&maps[0], -0.0) && has(&maps[0], 0.0) && maps[0].iter().any(|v| v.is_nan())
+                );
+                let planner = Planner::new(QuantMcuConfig { workers, ..QuantMcuConfig::paper() });
+                let (layout, ranges, table) = thread::scope(|scope| {
+                    let pool = ScopedPool::spawned(scope, workers, |_| ExecState::new());
+                    let mut samples = Vec::new();
+                    let pro = planner
+                        .prologue_on_pool(
+                            &pool,
+                            &mut samples,
+                            &compiled,
+                            &images,
+                            &patch_plan,
+                            true,
+                        )
+                        .unwrap();
+                    let (ranges, table) = tail_tables(
+                        &pool,
+                        &mut samples,
+                        &pro.tail_maps,
+                        pro.tail_values,
+                        &tail_cfg,
+                        bins,
+                    )
+                    .unwrap();
+                    (pro.tail_maps, ranges, table)
+                });
+                assert_eq!(
+                    layout,
+                    [
+                        TailMap::Stored(0),
+                        TailMap::Derived {
+                            of: 0,
+                            hi: if first == OpSpec::Relu { f32::INFINITY } else { 6.0 }
+                        },
+                        TailMap::Stored(1),
+                        TailMap::Derived {
+                            of: 1,
+                            hi: if second == OpSpec::Relu { f32::INFINITY } else { 6.0 }
+                        }
+                    ]
+                );
+                for (t, values) in maps.into_iter().enumerate() {
+                    let mut parts = [values];
+                    let (range, row) = match clipped_range(&parts, |v| v) {
+                        Some((lo, hi)) => (
+                            (lo, hi),
+                            entropy::Sample::clamped(&parts, lo, hi)
+                                .table_row(&tail_cfg.candidates, bins)
+                                .unwrap(),
+                        ),
+                        None => {
+                            for v in &mut parts[0] {
+                                *v = v.clamp(0.0, 1.0);
+                            }
+                            (
+                                (0.0, 1.0),
+                                entropy::Sample::new(&parts)
+                                    .table_row(&tail_cfg.candidates, bins)
+                                    .unwrap(),
+                            )
+                        }
+                    };
+                    let at = format!(
+                        "{first:?} then {second:?}, {} images, {workers} workers, map {t}",
+                        images.len()
+                    );
+                    assert_eq!(bits(ranges[t]), bits(range), "{at}");
+                    let planned = (table.full[t], table.reductions[t].clone());
+                    assert_eq!(row_bits(&planned), row_bits(&row), "{at}");
+                }
+            }
         }
     }
 
@@ -1541,7 +1952,7 @@ mod tests {
                 ((), parts)
             };
             let same = |a: f32, b: f32| if b == 0.0 { a == 0.0 } else { a.to_bits() == b.to_bits() };
-            match (clipped_range(&parts), sorted_clip(&values)) {
+            match (clipped_range(&parts, |v| v), sorted_clip(&values)) {
                 (Some((lo, hi)), Some((rlo, rhi))) => {
                     proptest::prop_assert!(
                         same(lo, rlo) && same(hi, rhi),

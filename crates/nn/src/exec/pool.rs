@@ -32,7 +32,10 @@
 //! (a dozen heterogeneous fan-outs over borrowed calibration data within
 //! one `plan()` call) and the batch shape (one state per worker over a
 //! borrowed batch, results in input order). With one worker it spawns
-//! nothing and is exactly the serial loop.
+//! nothing and is exactly the serial loop. A caller that plans again and
+//! again can hand the pool the states it kept
+//! ([`ScopedPool::with_states`]) and take them back warm when the pool is
+//! done ([`ScopedPool::into_states`]).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -281,6 +284,9 @@ enum ScopedInner<'scope, S> {
         /// `None` once dropped: disconnecting the queue stops the workers.
         tx: Option<mpsc::Sender<ScopedJob<'scope, S>>>,
         handles: Vec<thread::ScopedJoinHandle<'scope, ()>>,
+        /// For a pool given its states: the slot each worker puts its
+        /// state back into when it exits, in worker order.
+        given: Option<Arc<Mutex<Vec<Option<S>>>>>,
     },
 }
 
@@ -321,30 +327,110 @@ impl<'scope, S> ScopedPool<'scope, S> {
         if workers <= 1 {
             return ScopedPool::inline(make_state);
         }
+        let make_state = Arc::new(make_state);
+        let (tx, handles) = ScopedPool::spawn(scope, workers, |index| {
+            let make_state = Arc::clone(&make_state);
+            (move || make_state(index), drop)
+        });
+        ScopedPool { inner: ScopedInner::Spawned { tx: Some(tx), handles, given: None } }
+    }
+
+    /// A pool over the given per-worker states, one worker per state,
+    /// which [`ScopedPool::into_states`] hands back. A single state runs
+    /// inline, exactly as [`ScopedPool::inline`] does; otherwise each
+    /// state moves into its own thread spawned into `scope`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `states` is empty.
+    pub fn with_states<'env>(scope: &'scope thread::Scope<'scope, 'env>, states: Vec<S>) -> Self
+    where
+        S: Send + 'scope,
+    {
+        assert!(!states.is_empty(), "a scoped pool needs at least one state");
+        if states.len() == 1 {
+            return ScopedPool {
+                inner: ScopedInner::Inline {
+                    state: RefCell::new(states.into_iter().next()),
+                    make_state: Box::new(|_| unreachable!("a given state is never rebuilt")),
+                },
+            };
+        }
+        let workers = states.len();
+        let given = Arc::new(Mutex::new((0..workers).map(|_| None).collect::<Vec<_>>()));
+        let mut states = states.into_iter();
+        let (tx, handles) = ScopedPool::spawn(scope, workers, |index| {
+            let state = states.next().expect("one state per worker");
+            let given = Arc::clone(&given);
+            (move || state, move |state| lock(&given)[index] = Some(state))
+        });
+        ScopedPool { inner: ScopedInner::Spawned { tx: Some(tx), handles, given: Some(given) } }
+    }
+
+    /// Spawns `workers` threads into `scope`. For worker `index`,
+    /// `worker(index)` gives the closure that makes its state, run first
+    /// in the worker's thread, and the one that takes the state when the
+    /// queue closes.
+    fn spawn<'env, I, F>(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        workers: usize,
+        mut worker: impl FnMut(usize) -> (I, F),
+    ) -> (mpsc::Sender<ScopedJob<'scope, S>>, Vec<thread::ScopedJoinHandle<'scope, ()>>)
+    where
+        S: 'scope,
+        I: FnOnce() -> S + Send + 'scope,
+        F: FnOnce(S) + Send + 'scope,
+    {
         let (tx, rx) = mpsc::channel::<ScopedJob<'scope, S>>();
         let rx = Arc::new(Mutex::new(rx));
-        let make_state = Arc::new(make_state);
-        let spawn = |index| {
-            let rx = Arc::clone(&rx);
-            let make_state = Arc::clone(&make_state);
-            scope.spawn(move || {
-                let mut state = make_state(index);
-                loop {
-                    // Hold the queue lock only for the blocking receive;
-                    // the job itself runs lock-free.
-                    let job = {
-                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    match job {
-                        Ok(job) => job(&mut state),
-                        Err(_) => break, // pool dropped and queue drained
+        let handles = (0..workers)
+            .map(|index| {
+                let rx = Arc::clone(&rx);
+                let (init, finish) = worker(index);
+                scope.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        // Hold the queue lock only for the blocking receive;
+                        // the job itself runs lock-free.
+                        let job = lock(&rx).recv();
+                        match job {
+                            Ok(job) => job(&mut state),
+                            Err(_) => break, // pool dropped and queue drained
+                        }
                     }
-                }
+                    finish(state);
+                })
             })
-        };
-        let handles = (0..workers).map(spawn).collect();
-        ScopedPool { inner: ScopedInner::Spawned { tx: Some(tx), handles } }
+            .collect();
+        (tx, handles)
+    }
+
+    /// Closes the pool and hands back the workers' states, in worker
+    /// order: those [`ScopedPool::with_states`] was given, as the jobs
+    /// left them, or an inline pool's one state if it was built. A pool
+    /// that built its states in its own threads ([`ScopedPool::spawned`]
+    /// with two or more workers) drops them there and hands back none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker panicked.
+    pub fn into_states(mut self) -> Vec<S> {
+        match &mut self.inner {
+            ScopedInner::Inline { state, .. } => state.get_mut().take().into_iter().collect(),
+            ScopedInner::Spawned { tx, handles, given } => {
+                drop(tx.take());
+                for handle in handles.drain(..) {
+                    handle.join().expect("scoped pool worker panicked");
+                }
+                given.take().map_or_else(Vec::new, |given| {
+                    let states = mem::take(&mut *lock(&given));
+                    states
+                        .into_iter()
+                        .map(|s| s.expect("every worker returned its state"))
+                        .collect()
+                })
+            }
+        }
     }
 
     /// The effective worker count: 1 for inline pools.
@@ -416,7 +502,7 @@ impl<'scope, S> ScopedPool<'scope, S> {
 
 impl<S> Drop for ScopedPool<'_, S> {
     fn drop(&mut self) {
-        if let ScopedInner::Spawned { tx, handles } = &mut self.inner {
+        if let ScopedInner::Spawned { tx, handles, .. } = &mut self.inner {
             drop(tx.take());
             // Joining (not just letting the scope wait) returns only once
             // each thread has exited, so a pool spawned right after this
@@ -430,6 +516,11 @@ impl<S> Drop for ScopedPool<'_, S> {
             }
         }
     }
+}
+
+/// Locks `mutex`, recovering the data from a poisoned lock.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Blocks for the next job, then drains more without blocking — all
@@ -603,6 +694,31 @@ mod tests {
             pool.map(vec![(); 2], |(), ()| Ok::<(), ()>(())).unwrap();
         });
         assert_eq!(built.load(Ordering::Relaxed), workers, "a worker state was rebuilt");
+    }
+
+    #[test]
+    fn scoped_pool_hands_its_given_states_back_warm() {
+        // Worker `i` runs on the `i`-th given state and hands it back in
+        // slot `i`, carrying what its jobs did to it; one state runs
+        // inline.
+        for workers in [1, 2, 3] {
+            let states: Vec<usize> = (0..workers).map(|i| i * 100).collect();
+            let back = thread::scope(|scope| {
+                let pool = ScopedPool::with_states(scope, states);
+                assert_eq!(pool.workers(), workers);
+                for _ in 0..3 {
+                    pool.map((0..8usize).collect(), |state: &mut usize, i| {
+                        *state += 1;
+                        Ok::<usize, ()>(i)
+                    })
+                    .unwrap();
+                }
+                pool.into_states()
+            });
+            let slots: Vec<usize> = back.iter().map(|s| s / 100).collect();
+            assert_eq!(slots, (0..workers).collect::<Vec<_>>(), "{workers} workers");
+            assert_eq!(back.iter().map(|s| s % 100).sum::<usize>(), 24, "{workers} workers");
+        }
     }
 
     #[test]

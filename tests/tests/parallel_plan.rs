@@ -133,8 +133,10 @@ fn exec_scale_ranges_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn the_planner_holds_only_the_tail_maps_values() {
+fn the_planner_stores_only_the_underived_tail_maps_values() {
     // MobileNetV2 at exec scale on 32 images under 16 KiB: 101,050 tail
+    // values per image, of which the 46,816 of maps a ReLU6 computes from
+    // a stored map are read through it instead of stored: 54,234 stored
     // values per image, 4 B each. Head maps keep no values, whether every
     // branch is outlier-class (this calibration set) or every branch is
     // searched (VDPC off, so every head target gets an entropy row).
@@ -145,6 +147,6 @@ fn the_planner_holds_only_the_tail_maps_values() {
         let (plan, stats) = Planner::new(cfg).plan_with_stats(&g, &images, 16 * 1024).unwrap();
         let expected = if searched { 0 } else { plan.patch_classes().len() };
         assert_eq!(plan.outlier_patch_count(), expected, "searched: {searched}");
-        assert_eq!(stats.sample_bytes, 12_934_400, "searched: {searched}");
+        assert_eq!(stats.sample_bytes, 6_941_952, "searched: {searched}");
     }
 }
